@@ -85,10 +85,7 @@ def main(argv=None) -> int:
 
     from .experiments import run
     status = run(cfg)
-    if status == 1:
-        print("fracgl: invalid configuration (parameters or output directory)",
-              file=sys.stderr)
-    elif status == 2:
+    if status == 2:
         print("fracgl: one or more checks failed (see summary.json)",
               file=sys.stderr)
     return status

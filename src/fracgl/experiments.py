@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -161,13 +162,8 @@ def _hydro_limit_error(n, gamma, phi_l, phi_r, T, replicas, seed, ref_value):
     g = prof.profile + bump.f(u)
     G = np.sin(np.pi * u)
     rng = make_rng(seed, "hydro-limit", n)
-    spec = dirichlet_spectrum(params, params.n_sites)
-    lam = spec.eigenvalues
-    decay = np.exp(-lam * T)
-    mean = prof.profile + spec.synthesize(spec.project(g - prof.profile) * decay)
-    std_modes = np.sqrt(np.maximum(1.0 - decay ** 2, 0.0) / params.n)
-    z = rng.standard_normal((replicas, params.n_sites))
-    phi = mean + (z * std_modes) @ spec.modes.T
+    start = simulate.FieldState(phi=np.broadcast_to(g, (replicas, params.n_sites)))
+    phi = simulate.propagate_exact(start, sys, prof, T, rng).phi
     avg = float(np.mean(phi @ G)) / params.n_sites
     return abs(avg - ref_value), avg
 
@@ -225,6 +221,14 @@ def exp_martingale(cfg: ExperimentConfig) -> dict:
                         "predicted_qv": qv}}
 
 
+def _weight_health(log_weight: np.ndarray) -> dict:
+    """Effective sample size (sum w)^2 / sum w^2 and the log-weight range."""
+    w = np.exp(log_weight - log_weight.max())
+    return {"ess": float(w.sum() ** 2 / np.sum(w * w)),
+            "log_weight_max": float(log_weight.max()),
+            "log_weight_min": float(log_weight.min())}
+
+
 def exp_girsanov(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
     sys = build_drift_system(params)
@@ -267,7 +271,9 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     return {"checks": checks,
             "outputs": {"weight_mean": float(w.mean()),
                         "weighted_observable": float(est_weighted),
-                        "tilted_observable": float(est_tilted)}}
+                        "tilted_observable": float(est_tilted),
+                        "untilted_weights": _weight_health(plain["log_weight"]),
+                        "tilted_weights": _weight_health(tilted["log_weight"])}}
 
 
 def exp_rate_check(cfg: ExperimentConfig) -> dict:
@@ -414,18 +420,39 @@ EXPERIMENTS = {
 }
 
 
+_EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
+
+
+def _config_error(cfg: ExperimentConfig):
+    """One-line reason why `cfg` cannot run, or None."""
+    if cfg.experiment not in EXPERIMENTS:
+        return f"unknown experiment {cfg.experiment!r}"
+    if not os.path.isdir(cfg.out_dir) or not os.access(cfg.out_dir, os.W_OK):
+        return f"output directory {cfg.out_dir!r} is missing or not writable"
+    if cfg.replicas < 1:
+        return f"replicas must be >= 1, got {cfg.replicas}"
+    for name in ("T", "dt"):
+        value = getattr(cfg, name)
+        if not (np.isfinite(value) and value > 0):
+            return f"{name} must be positive and finite, got {value!r}"
+    try:
+        params = cfg.params()
+    except ValueError as exc:
+        return str(exc)
+    if cfg.experiment in _EULER_EXPERIMENTS:
+        limit = simulate.euler_stability_limit(build_drift_system(params))
+        if cfg.dt >= limit:
+            return f"dt={cfg.dt:.3e} violates the Euler stability bound {limit:.3e}"
+    return None
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute an experiment, write summary.json, return the exit status:
-    0 when every check passes, 2 on check failure, 1 on usage errors."""
-    if cfg.experiment not in EXPERIMENTS:
-        return 1
-    if not os.path.isdir(cfg.out_dir) or not os.access(cfg.out_dir, os.W_OK):
-        return 1
-    if cfg.replicas < 1:
-        return 1
-    try:
-        cfg.params()
-    except ValueError:
+    0 when every check passes, 2 on check failure, 1 on usage errors (one
+    line on stderr, no summary written)."""
+    error = _config_error(cfg)
+    if error is not None:
+        print(f"fracgl: invalid configuration: {error}", file=sys.stderr)
         return 1
     result = EXPERIMENTS[cfg.experiment](cfg)
     summary = {"experiment": cfg.experiment, "config": asdict(cfg)}

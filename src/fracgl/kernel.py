@@ -8,11 +8,12 @@ interior lattice {1, ..., n-1} the dynamics is the linear diffusion
 
 where M = n^gamma (P - D - B) collects the bulk exchange rates P[x, y] =
 p(y - x), the diagonal D of kernel row sums, and the reservoir relaxation B
-at sites 1 and n-1; b carries the reservoir densities.  The noise enters
-edge by edge: every unordered bulk pair {x, y} has an independent driver of
-rate 2 n^gamma p(y - x) acting with opposite signs at the two sites, and the
-two boundary sites have independent drivers of rate 2 n^gamma.  The
-assembled diffusion matrix is exactly -2 M.
+at sites 1 and n-1; b carries the reservoir densities.  The noise is
+Gaussian in site space with covariance -2 M per unit time, drawn through the
+cached Cholesky factor of -2 M.  This is the same law as one independent
+driver of rate 2 n^gamma p(y - x) per unordered bulk pair {x, y}, acting with
+opposite signs at the two sites, plus drivers of rate 2 n^gamma at sites 1
+and n-1: those rates assemble to exactly -2 M.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def truncation_error_bound(params: ModelParams, truncation: int) -> float:
 
 @dataclass(frozen=True)
 class DriftSystem:
-    """Drift matrix, affine drift, and noise edges of the lattice dynamics.
+    """Drift matrix, affine drift and kernel data of the lattice dynamics.
 
     Attributes
     ----------
@@ -93,10 +94,6 @@ class DriftSystem:
         Symmetric negative-definite drift matrix; drift(phi) = m @ phi + b.
     b : ndarray, shape (n-1,)
         Affine drift, b[0] = n^gamma phi_l, b[-1] = n^gamma phi_r.
-    a_edges : list of (x, y, rate)
-        Noise edges in 1-based site labels: one entry (x, y, 2 n^gamma p(y-x))
-        per unordered bulk pair x < y, plus boundary entries (1, 1, 2 n^gamma)
-        and (n-1, n-1, 2 n^gamma).
     kernel_matrix : ndarray
         Toeplitz matrix P[x, y] = p(y - x).
     row_sums : ndarray
@@ -106,7 +103,6 @@ class DriftSystem:
     params: ModelParams
     m: np.ndarray
     b: np.ndarray
-    a_edges: list
     kernel_matrix: np.ndarray
     row_sums: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -114,25 +110,6 @@ class DriftSystem:
     def drift(self, phi: np.ndarray) -> np.ndarray:
         """Drift vector M phi + b (phi may be a batch with sites last)."""
         return phi @ self.m.T + self.b
-
-    def diffusion_matrix(self) -> np.ndarray:
-        """Assemble sum_e rate_e v_e v_e^T from the noise edges.
-
-        Equals -2 m entrywise; kept as an independent assembly so the
-        structural identity can be verified against the drift matrix.
-        """
-        k = self.params.n_sites
-        a = np.zeros((k, k))
-        for x, y, rate in self.a_edges:
-            i, j = x - 1, y - 1
-            if i == j:
-                a[i, i] += rate
-            else:
-                a[i, i] += rate
-                a[j, j] += rate
-                a[i, j] -= rate
-                a[j, i] -= rate
-        return a
 
     def noise_factor(self) -> np.ndarray:
         """Cholesky factor L with L L^T = -2 m, cached."""
@@ -146,40 +123,6 @@ class DriftSystem:
             self._cache["cho_neg_m"] = cho_factor(-self.m)
         return cho_solve(self._cache["cho_neg_m"], rhs)
 
-    def edge_arrays(self):
-        """Bulk edge data as arrays: (x_idx, y_idx, sigma) 0-based, cached.
-
-        sigma[e] = sqrt(2 n^gamma p(y - x)) is the per-edge noise amplitude;
-        boundary drivers are not included (they act on single sites).
-        """
-        if "edges" not in self._cache:
-            bulk = [(x - 1, y - 1, r) for x, y, r in self.a_edges if x != y]
-            xi = np.array([e[0] for e in bulk], dtype=np.intp)
-            yi = np.array([e[1] for e in bulk], dtype=np.intp)
-            sig = np.sqrt(np.array([e[2] for e in bulk]))
-            self._cache["edges"] = (xi, yi, sig)
-        return self._cache["edges"]
-
-    def edge_incidence(self) -> np.ndarray:
-        """Dense signed incidence (n_edges+2, n-1) scaled by edge amplitudes.
-
-        Row e is sigma_e (delta_y - delta_x); the last two rows are the
-        boundary drivers.  noise = xi @ edge_incidence() maps i.i.d. standard
-        normals, one per edge, to site space.
-        """
-        if "incidence" not in self._cache:
-            xi, yi, sig = self.edge_arrays()
-            k = self.params.n_sites
-            inc = np.zeros((xi.size + 2, k))
-            rows = np.arange(xi.size)
-            inc[rows, yi] = sig
-            inc[rows, xi] = -sig
-            root = np.sqrt(2.0 * self.params.speed)
-            inc[-2, 0] = root
-            inc[-1, k - 1] = root
-            self._cache["incidence"] = inc
-        return self._cache["incidence"]
-
 
 def build_drift_system(params: ModelParams,
                        truncation: int | None = None) -> DriftSystem:
@@ -187,7 +130,7 @@ def build_drift_system(params: ModelParams,
 
     The constant profile phi = Phi is a fixed point whenever
     phi_l = phi_r = Phi, and m is symmetric negative definite.  A kernel
-    truncation radius drops long edges for performance studies; the rate
+    truncation radius drops long jumps for performance studies; the rate
     mass discarded is bounded by `truncation_error_bound`.
     """
     row = kernel_row(params, truncation)
@@ -205,20 +148,11 @@ def build_drift_system(params: ModelParams,
     b[0] = speed * params.phi_l
     b[k - 1] = speed * params.phi_r
 
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if P[i, j] > 0.0:
-                edges.append((i + 1, j + 1, 2.0 * speed * P[i, j]))
-    edges.append((1, 1, 2.0 * speed))
-    edges.append((k, k, 2.0 * speed))
-
     m.setflags(write=False)
     b.setflags(write=False)
     P.setflags(write=False)
     s.setflags(write=False)
-    return DriftSystem(params=params, m=m, b=b, a_edges=edges,
-                       kernel_matrix=P, row_sums=s)
+    return DriftSystem(params=params, m=m, b=b, kernel_matrix=P, row_sums=s)
 
 
 def _circulant_fft(params: ModelParams, row: np.ndarray) -> np.ndarray:

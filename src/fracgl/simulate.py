@@ -2,25 +2,24 @@
 
 The state evolves by
 
-    d phi = (M phi + b + u_t) dt + sum_edges sigma_e dW_e (e_y - e_x)
-                                 + boundary drivers,
+    d phi = (M phi + b + u_t) dt + dW_t,    Cov(dW_t) = -2 M dt,
 
 where the tilt drift u_t(x) = -(L_n H_t)(x/n) comes from an external field H
-compactly supported in (0, 1).  Per unordered bulk pair the noise amplitude
-is sigma_e = sqrt(2 n^gamma p(y - x)); the boundary drivers at sites 1 and
-n-1 have amplitude sqrt(2 n^gamma).
+compactly supported in (0, 1).  The Euler chain draws its site noise
+eta = sqrt(dt) L z, with z standard normal per site and L the cached
+Cholesky factor of -2 M.
 
-Girsanov weights are accumulated from the same edge increments used for
-stepping, so the weight is the exact Radon-Nikodym derivative between the
-tilted and untilted Euler chains: per step, with per-edge tilt
-lambda_e = sigma_e (H(y/n) - H(x/n)) / 2 (whose incidence assembly equals
-u_t exactly),
+Girsanov weights are accumulated in site space from the same noise used for
+stepping.  The Euler transition is Gaussian with covariance -2 M dt, so its
+exact log-density ratio per step is, with theta_t = (-M)^{-1} u_t / 2,
 
-    d log M = sqrt(dt) lambda . xi  -/+  |lambda|^2 dt / 2,
+    d log M = eta . theta_t  -/+  (dt / 2) theta_t . u_t,
 
-with the minus sign on untilted runs and the plus sign on tilted ones.
-Consequently E[M_T] = 1 holds exactly for the discrete chain and weighted
-untilted averages reproduce tilted averages without discretization bias.
+with the minus sign on untilted runs and the plus sign on tilted ones.  This
+holds for any field, so E[M_T] = 1 holds exactly for the discrete chain and
+weighted untilted averages reproduce tilted averages without discretization
+bias.  When H vanishes at sites 1 and n-1, theta_t = H_t / 2 and
+theta_t . u_t = (n/2) ||H_t||^2_{n,gamma/2}.
 
 For H = 0 the transition law is Gaussian and can be sampled exactly in the
 eigenbasis of M: phi_t ~ Normal(Phi_ss + e^{Mt}(phi_0 - Phi_ss), I - e^{2Mt}).
@@ -34,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import DriftSystem, discrete_fractional_laplacian
+from .kernel import DriftSystem
 from .ness import StationaryProfile
 from .operators import TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function
@@ -151,33 +150,88 @@ def euler_stability_limit(sys: DriftSystem) -> float:
     return 0.5 / (sys.params.speed * (1.0 + float(s.max())))
 
 
-def _edge_tilt(sys: DriftSystem, field: ExternalField, t: float) -> np.ndarray:
-    """Per-edge Girsanov tilt lambda_e = sigma_e (H(y) - H(x)) / 2."""
-    hv, _ = field.lattice(sys, t)
-    xi, yi, sig = sys.edge_arrays()
-    return 0.5 * sig * (hv[yi] - hv[xi])
+def _euler(sys: DriftSystem, phi: np.ndarray, t0: float, T: float, dt: float,
+           rng: np.random.Generator, field: Optional[ExternalField] = None,
+           tilted: bool = True, girsanov: bool = False,
+           g_vec: Optional[np.ndarray] = None,
+           record_every: Optional[int] = None) -> dict:
+    """Euler-Maruyama chain for the batch phi (replicas, n-1) over [t0, t0 + T].
+
+    The step taken is T / ceil(T / dt); dt must lie below the stability
+    bound.  With a field, `tilted` adds its tilt drift and `girsanov`
+    accumulates the log-weight of the tilted relative to the untilted chain.
+    With `g_vec`, the Dynkin martingale of phi . g_vec is accumulated.
+
+    Returns a dict with 'phi' and, on request, 'log_weight', 'martingale',
+    and the recorded 'times' and 'phis' (the initial state, every
+    `record_every`-th step and the last one).
+    """
+    if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
+        raise ValueError(f"T and dt must be positive and finite, got {T!r}, {dt!r}")
+    limit = euler_stability_limit(sys)
+    if dt >= limit:
+        raise ValueError(f"dt={dt:.3e} violates the stability bound {limit:.3e}")
+    if girsanov and field is None:
+        raise ValueError("girsanov accounting requires a field")
+    if record_every is not None and record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    dt = T / n_steps
+    step_mat = (np.eye(sys.params.n_sites) + dt * sys.m).T
+    factor = sys.noise_factor().T  # step noise = sqdt * z @ factor
+    sqdt = np.sqrt(dt)
+
+    # compensated (Kahan) accumulation: the log-weight is a long sum of
+    # per-step increments that must stay exact in the exponent
+    logw = np.zeros(phi.shape[0])
+    logw_comp = np.zeros(phi.shape[0])
+    mart = np.zeros(phi.shape[0])
+    recorded = [(t0, phi.copy())] if record_every is not None else None
+    for k in range(n_steps):
+        t = t0 + k * dt
+        new = phi @ step_mat
+        new += dt * sys.b
+        if field is not None:
+            u = field.tilt_drift(sys, t)
+            if tilted:
+                new += dt * u
+        step_noise = sqdt * (rng.standard_normal(phi.shape) @ factor)
+        if girsanov:
+            theta = 0.5 * sys.solve_spd(u)
+            quad = 0.5 * dt * float(theta @ u)
+            y = step_noise @ theta + (quad if tilted else -quad) - logw_comp
+            tot = logw + y
+            logw_comp = (tot - logw) - y
+            logw = tot
+        if g_vec is not None:
+            mart += step_noise @ g_vec
+        phi = new + step_noise
+        if recorded is not None and ((k + 1) % record_every == 0
+                                     or k == n_steps - 1):
+            recorded.append((t0 + (k + 1) * dt, phi.copy()))
+
+    out = {"phi": phi}
+    if girsanov:
+        out["log_weight"] = logw
+    if g_vec is not None:
+        out["martingale"] = mart
+    if recorded is not None:
+        out["times"] = np.array([t for t, _ in recorded])
+        out["phis"] = np.array([p for _, p in recorded])
+    return out
 
 
 def step_euler(state: FieldState, sys: DriftSystem,
                field: Optional[ExternalField], dt: float,
                rng: np.random.Generator) -> FieldState:
-    """One Euler-Maruyama step with per-edge noise.
+    """One Euler-Maruyama step with site noise.
 
-    Raises ValueError when dt violates the stability bound.
+    Raises ValueError when dt is not positive or violates the stability
+    bound.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    limit = euler_stability_limit(sys)
-    if dt >= limit:
-        raise ValueError(f"dt={dt:.3e} violates the stability bound {limit:.3e}")
     phi = as_grid_function(sys.params, state.phi)
-    drift = sys.m @ phi + sys.b
-    if field is not None:
-        drift = drift + field.tilt_drift(sys, state.time)
-    inc = sys.edge_incidence()
-    xi = rng.standard_normal(inc.shape[0])
-    noise = np.sqrt(dt) * (xi @ inc)
-    return FieldState(phi=phi + dt * drift + noise, time=state.time + dt)
+    out = _euler(sys, phi[None, :], state.time, dt, dt, rng, field=field)
+    return FieldState(phi=out["phi"][0], time=state.time + dt)
 
 
 def propagate_exact(state: FieldState, sys: DriftSystem,
@@ -185,20 +239,25 @@ def propagate_exact(state: FieldState, sys: DriftSystem,
                     rng: np.random.Generator) -> FieldState:
     """Exact Gaussian transition over a time t of the untilted dynamics.
 
-    Tilted dynamics is not supported by this scheme; request it through the
-    Euler stepper instead.
+    `state.phi` may be one configuration or a batch with sites last; the
+    standard normals drawn have the shape of the state.  Tilted dynamics is
+    not supported by this scheme; request it through the Euler stepper
+    instead.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    spec = dirichlet_spectrum(sys.params, sys.params.n_sites)
-    phi = as_grid_function(sys.params, state.phi)
-    lam = spec.eigenvalues
-    decay = np.exp(-lam * t)
-    coeff = spec.project(phi - profile.profile) * decay
-    mean = profile.profile + spec.synthesize(coeff)
-    std_modes = np.sqrt(np.maximum(1.0 - decay ** 2, 0.0) / sys.params.n)
-    noise = spec.modes @ (std_modes * rng.standard_normal(lam.size))
-    return FieldState(phi=mean + noise, time=state.time + t)
+    params = sys.params
+    phi = np.asarray(state.phi, dtype=float)
+    if phi.shape[-1:] != (params.n_sites,) or not np.all(np.isfinite(phi)):
+        raise ValueError(f"state must be finite with {params.n_sites} sites last, "
+                         f"got shape {phi.shape}")
+    spec = dirichlet_spectrum(params, params.n_sites)
+    decay = np.exp(-spec.eigenvalues * t)
+    coeff = (phi - profile.profile) @ spec.modes * (decay / params.n)
+    std_modes = np.sqrt(np.maximum(1.0 - decay ** 2, 0.0) / params.n)
+    z = rng.standard_normal(phi.shape)
+    phi_t = profile.profile + (coeff + z * std_modes) @ spec.modes.T
+    return FieldState(phi=phi_t, time=state.time + t)
 
 
 def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
@@ -246,45 +305,18 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
         raise ValueError(f"unknown scheme {scheme!r}")
     if dt is None:
         dt = 0.5 * euler_stability_limit(sys)
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    dt = T / n_steps
-    inc = sys.edge_incidence()
-    n_edges = inc.shape[0] - 2
-    sqdt = np.sqrt(dt)
-
-    phi = phi0.copy()
-    t = init.time
-    logw = 0.0
-    logw_comp = 0.0   # Kahan compensation for the log-weight sum
-    times = [t]
-    phis = [phi.copy()]
-    for k in range(n_steps):
-        drift = sys.m @ phi + sys.b
-        if field is not None:
-            drift = drift + field.tilt_drift(sys, t)
-        xi = rng.standard_normal(inc.shape[0])
-        if field is not None:
-            lam = _edge_tilt(sys, field, t)
-            inc_w = sqdt * float(lam @ xi[:n_edges]) + 0.5 * dt * float(lam @ lam)
-            y = inc_w - logw_comp
-            tot = logw + y
-            logw_comp = (tot - logw) - y
-            logw = tot
-        phi = phi + dt * drift + sqdt * (xi @ inc)
-        t += dt
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            times.append(t)
-            phis.append(phi.copy())
-    return Trajectory(times=np.array(times), phis=np.array(phis), scheme="euler",
+    out = _euler(sys, phi0[None, :], init.time, T, dt, rng, field=field,
+                 girsanov=field is not None, record_every=record_every)
+    return Trajectory(times=out["times"], phis=out["phis"][:, 0], scheme="euler",
                       params=params,
-                      log_girsanov=logw if field is not None else None)
+                      log_girsanov=(float(out["log_weight"][0])
+                                    if field is not None else None))
 
 
 def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
                    seed: int, field: Optional[ExternalField] = None,
                    tilted: bool = True, girsanov: bool = False,
-                   noise: str = "auto", martingale_g=None,
-                   chunk: int = 20000) -> dict:
+                   martingale_g=None, chunk: int = 20000) -> dict:
     """Vectorized Euler evolution of a batch of replicas to time T.
 
     Parameters
@@ -296,97 +328,27 @@ def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
         Girsanov weight of the field is still accumulated (importance
         sampling of the tilted law from untilted paths).
     girsanov : bool
-        Accumulate log weights (requires a field; forces edge noise).
-    noise : "edges" | "factor" | "auto"
-        Edge noise draws one normal per bulk pair and reproduces the
-        carre-du-champ structure edge by edge; "factor" draws site noise
-        through the Cholesky factor of -2M (identical in law, cheaper for
-        large plain ensembles).  "auto" picks edges when weights or tilts
-        are in play.
+        Accumulate log weights in site space (requires a field).
     martingale_g : grid function, optional
         Accumulate the Dynkin martingale of <pi, G> along the path (exact
         telescoping of the noise pairings).
 
+    Replica blocks of `chunk` rows draw from the stream
+    make_rng(seed, "euler-ensemble", first row of the block).
+
     Returns dict with keys 'phi', and optionally 'log_weight', 'martingale'.
     """
-    params = sys.params
-    replicas = phi0.shape[0]
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    dt = T / n_steps
-    if dt >= euler_stability_limit(sys):
-        raise ValueError("dt violates the stability bound")
-    needs_edges = girsanov or (field is not None and tilted and noise == "auto")
-    if noise == "auto":
-        noise = "edges" if needs_edges else "factor"
-    if girsanov and noise != "edges":
-        raise ValueError("girsanov accounting requires edge noise")
-    if girsanov and field is None:
-        raise ValueError("girsanov accounting requires a field")
-
-    step_mat = (np.eye(params.n_sites) + dt * sys.m).T
-    sqdt = np.sqrt(dt)
-    if noise == "edges":
-        inc = sys.edge_incidence()
-        n_edges = inc.shape[0] - 2
-    else:
-        factor = sys.noise_factor().T  # phi_noise = z @ factor * sqdt
-
+    if phi0.ndim != 2 or phi0.shape[0] == 0:
+        raise ValueError(f"phi0 must be a (replicas, n-1) batch, got shape {phi0.shape}")
     g_vec = None
     if martingale_g is not None:
-        g_vec = as_grid_function(params, martingale_g) / params.n_sites
-
-    out = {}
-    phi_out = np.empty_like(phi0)
-    logw_out = np.zeros(replicas) if girsanov else None
-    mart_out = np.zeros(replicas) if g_vec is not None else None
-
-    for lo in range(0, replicas, chunk):
-        hi = min(lo + chunk, replicas)
-        rng = make_rng(seed, "euler-ensemble", lo)
-        phi = phi0[lo:hi].copy()
-        if girsanov:
-            # compensated (Kahan) accumulation: the log-weight is a long sum
-            # of per-step increments that must stay exact in the exponent
-            logw = np.zeros(hi - lo)
-            logw_comp = np.zeros(hi - lo)
-        mart = np.zeros(hi - lo) if g_vec is not None else None
-        t = 0.0
-        for _ in range(n_steps):
-            new = phi @ step_mat
-            new += dt * sys.b
-            if field is not None and tilted:
-                new += dt * field.tilt_drift(sys, t)
-            if noise == "edges":
-                xi = rng.standard_normal((hi - lo, inc.shape[0]))
-                if girsanov:
-                    lam = _edge_tilt(sys, field, t)
-                    quad = 0.5 * dt * float(lam @ lam)
-                    inc_w = sqdt * (xi[:, :n_edges] @ lam)
-                    inc_w += quad if tilted else -quad
-                    y = inc_w - logw_comp
-                    tot = logw + y
-                    logw_comp = (tot - logw) - y
-                    logw = tot
-                step_noise = sqdt * (xi @ inc)
-            else:
-                z = rng.standard_normal((hi - lo, params.n_sites))
-                step_noise = sqdt * (z @ factor)
-            if mart is not None:
-                mart += step_noise @ g_vec
-            phi = new + step_noise
-            t += dt
-        phi_out[lo:hi] = phi
-        if girsanov:
-            logw_out[lo:hi] = logw
-        if mart is not None:
-            mart_out[lo:hi] = mart
-
-    out["phi"] = phi_out
-    if girsanov:
-        out["log_weight"] = logw_out
-    if mart_out is not None:
-        out["martingale"] = mart_out
-    return out
+        g_vec = as_grid_function(sys.params, martingale_g) / sys.params.n_sites
+    blocks = [_euler(sys, phi0[lo:lo + chunk], 0.0, T, dt,
+                     make_rng(seed, "euler-ensemble", lo), field=field,
+                     tilted=tilted, girsanov=girsanov, g_vec=g_vec)
+              for lo in range(0, phi0.shape[0], chunk)]
+    return {key: np.concatenate([block[key] for block in blocks])
+            for key in blocks[0]}
 
 
 def empirical_pairing(state, G) -> float:

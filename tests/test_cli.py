@@ -39,6 +39,21 @@ def test_invalid_params_status_1(tmp_path):
     assert main(["ness-profile", "--n", "2", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["stationarity", "--dt", "0"],
+    ["stationarity", "--t", "-0.5"],
+    ["girsanov", "--t", "0"],
+    ["martingale", "--dt", "0.01"],
+    ["stationarity", "--dt", "nan"],
+])
+def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
+    assert main(argv + ["--replicas", "20", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 32\ngamma = 1.4\nphi-l = 1.0\nphi-r = 2.0\nseed = 7\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edge_oracle import edge_vectors
 from fracgl import (ModelParams, build_drift_system, dirichlet_energy,
                     discrete_fractional_laplacian, discrete_inner_seminorm,
                     kernel_constant, kernel_row, solve_stationary_profile,
@@ -65,18 +66,19 @@ def test_equilibrium_constant_profile_is_fixed_point():
 
 
 def test_diffusion_matrix_is_minus_two_m():
+    # edge-by-edge assembly of sum rate v v^T equals -2 M; the part beyond
+    # the bulk pairs is the two boundary drivers of rate 2 n^gamma
     for n, gamma in ((8, 1.2), (16, 1.5), (24, 1.9)):
-        sys = build_drift_system(ModelParams(n, gamma))
-        a = sys.diffusion_matrix()
-        np.testing.assert_allclose(a, -2.0 * sys.m, rtol=0, atol=1e-11 * np.abs(sys.m).max())
-
-
-def test_boundary_noise_edges_present():
-    p = ModelParams(8, 1.5)
-    sys = build_drift_system(p)
-    boundary = [e for e in sys.a_edges if e[0] == e[1]]
-    assert boundary == [(1, 1, pytest.approx(2 * p.speed)),
-                        (7, 7, pytest.approx(2 * p.speed))]
+        params = ModelParams(n, gamma)
+        m = build_drift_system(params).m
+        v = edge_vectors(params)
+        assert v.shape == ((n - 1) * (n - 2) // 2 + 2, n - 1)
+        atol = 1e-11 * np.abs(m).max()
+        np.testing.assert_allclose(v.T @ v, -2.0 * m, rtol=0, atol=atol)
+        drivers = np.zeros((n - 1, n - 1))
+        drivers[0, 0] = drivers[-1, -1] = 2.0 * params.speed
+        np.testing.assert_allclose(-2.0 * m - v[:-2].T @ v[:-2], drivers,
+                                   rtol=0, atol=atol)
 
 
 def test_drift_matrix_negative_definite():
@@ -152,9 +154,10 @@ def test_kernel_truncation():
     p = ModelParams(32, 1.5)
     full = build_drift_system(p)
     trunc = build_drift_system(p, truncation=4)
-    # dropped edges are exactly the ones beyond the radius
-    assert len(trunc.a_edges) < len(full.a_edges)
-    assert all(abs(y - x) <= 4 or x == y for x, y, _ in trunc.a_edges)
+    # the dropped jumps are exactly the ones beyond the radius
+    dist = np.abs(np.subtract.outer(np.arange(p.n_sites), np.arange(p.n_sites)))
+    np.testing.assert_array_equal(trunc.kernel_matrix > 0, (dist >= 1) & (dist <= 4))
+    np.testing.assert_array_equal(full.kernel_matrix > 0, dist >= 1)
     # the dropped off-diagonal rate mass is within the reported bound
     diff = full.m - trunc.m
     off = diff - np.diag(np.diag(diff))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ZeroRng
+from edge_oracle import edge_euler
 from fracgl import (ExternalField, FieldState, ModelParams, SmoothBump,
                     boundary_block_average, build_drift_system,
                     dirichlet_spectrum, dynkin_diagnostics, empirical_pairing,
@@ -34,14 +35,14 @@ def test_field_tilt_drift_is_minus_laplacian(sys16):
     np.testing.assert_allclose(field.tilt_drift(sys16, 0.3), -lap, atol=0)
 
 
-def test_edge_tilt_assembles_to_tilt_drift(sys16):
-    # incidence contraction of the per-edge tilt equals -L_n H exactly
-    from fracgl.simulate import _edge_tilt
+def test_site_tilt_is_half_field(sys16):
+    # the site-space Girsanov tilt theta = (-M)^{-1} u / 2 is H / 2 exactly
+    # for a field that vanishes at sites 1 and n-1
     field = bump_field()
-    lam = _edge_tilt(sys16, field, 0.2)
-    inc = sys16.edge_incidence()
-    assembled = lam @ inc[:-2]
-    np.testing.assert_allclose(assembled, field.tilt_drift(sys16, 0.2), atol=1e-10)
+    hv, _ = field.lattice(sys16, 0.2)
+    assert hv[0] == hv[-1] == 0.0
+    theta = 0.5 * sys16.solve_spd(field.tilt_drift(sys16, 0.2))
+    np.testing.assert_allclose(theta, 0.5 * hv, rtol=0, atol=1e-12)
 
 
 def test_step_euler_stability_guard(sys16):
@@ -78,7 +79,7 @@ def test_single_step_covariance_matches_diffusion():
     prof = solve_stationary_profile(params)
     replicas, dt = 40000, 1e-4
     phi0 = np.tile(prof.profile, (replicas, 1))
-    out = euler_ensemble(sys, phi0, dt, dt, seed=4, noise="edges")
+    out = euler_ensemble(sys, phi0, dt, dt, seed=4)
     inc = out["phi"] - prof.profile
     cov = inc.T @ inc / replicas
     target = -2.0 * sys.m * dt
@@ -87,16 +88,27 @@ def test_single_step_covariance_matches_diffusion():
 
 
 def test_factor_noise_matches_edge_noise_in_law():
+    # site noise with site-space weights against the edge-by-edge oracle
     params = ModelParams(12, 1.5, 0.0, 1.0)
     sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
-    replicas, T, dt = 30000, 0.05, 2e-4
+    field = bump_field(amp=0.9)
+    replicas, T, dt = 20000, 0.02, 5e-4
     phi0 = sample_ness(params, prof, replicas, seed=1)
-    means = {}
-    for mode in ("edges", "factor"):
-        out = euler_ensemble(sys, phi0.copy(), T, dt, seed=2, noise=mode)
-        means[mode] = out["phi"].mean(axis=0)
-    assert np.max(np.abs(means["edges"] - means["factor"])) <= 4.0 / np.sqrt(replicas) * 2.0
+    site = euler_ensemble(sys, phi0, T, dt, seed=2, field=field, tilted=False,
+                          girsanov=True)
+    edge_phi, edge_logw, q = edge_euler(sys, phi0, T, dt, make_rng(3, "edges"), field)
+    mean_gap = site["phi"].mean(axis=0) - edge_phi.mean(axis=0)
+    var = 0.5 * (site["phi"].var(axis=0) + edge_phi.var(axis=0))
+    assert np.max(np.abs(mean_gap) / np.sqrt(2.0 * var / replicas)) <= 4.0
+    cov_s, cov_e = np.cov(site["phi"].T), np.cov(edge_phi.T)
+    d = np.diag(cov_e)
+    se_cov = np.sqrt(2.0 * (np.outer(d, d) + cov_e ** 2) / replicas)
+    assert np.max(np.abs(cov_s - cov_e) / se_cov) <= 4.5
+    # both log-weights are Normal(-Q/2, Q) for the discretized chain
+    for logw in (site["log_weight"], edge_logw):
+        assert abs(logw.mean() + 0.5 * q) <= 4.0 * np.sqrt(q / replicas)
+        assert abs(logw.var(ddof=1) - q) <= 4.0 * q * np.sqrt(2.0 / (replicas - 1))
 
 
 def test_propagate_exact_limits(params16, sys16, profile16):
@@ -206,14 +218,10 @@ def test_girsanov_tilted_vs_weighted():
     assert abs(est_w - est_t) <= 3.0 * se
 
 
-def test_girsanov_requires_edges_and_field(params16, sys16):
+def test_girsanov_requires_field(params16, sys16):
     phi0 = np.zeros((4, params16.n_sites))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field"):
         euler_ensemble(sys16, phi0, 0.01, 1e-4, seed=0, girsanov=True)
-    field = bump_field()
-    with pytest.raises(ValueError):
-        euler_ensemble(sys16, phi0, 0.01, 1e-4, seed=0, field=field,
-                       girsanov=True, noise="factor")
 
 
 def test_empirical_pairing_basics(params16):
