@@ -81,6 +81,17 @@ def test_diffusion_matrix_is_minus_two_m():
                                    rtol=0, atol=atol)
 
 
+def test_boundary_noise_edges_present():
+    # drivers that touch a single site: one at site 1 and one at site n-1,
+    # each of rate 2 n^gamma
+    p = ModelParams(8, 1.5)
+    v = edge_vectors(p)
+    boundary = [(int(np.flatnonzero(r)[0]), float(r @ r))
+                for r in v if np.count_nonzero(r) == 1]
+    assert boundary == [(0, pytest.approx(2 * p.speed)),
+                        (p.n_sites - 1, pytest.approx(2 * p.speed))]
+
+
 def test_drift_matrix_negative_definite():
     for n, gamma in ((8, 1.1), (32, 1.5), (64, 1.9)):
         sys = build_drift_system(ModelParams(n, gamma))
