@@ -7,8 +7,7 @@ dynamical rate functional, static rate, and quasi-potential.
 """
 
 from .params import ModelParams, as_grid_function
-from .kernel import (kernel_constant, kernel_row, truncation_error_bound,
-                     DriftSystem, build_drift_system,
+from .kernel import (kernel_constant, kernel_row, DriftSystem, build_drift_system,
                      discrete_fractional_laplacian, discrete_inner_seminorm,
                      dirichlet_energy)
 from .operators import (TestFunction, SmoothBump, PolyBump, SineMode,

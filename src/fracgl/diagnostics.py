@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, solve
 
-from .kernel import DriftSystem, build_drift_system
+from .kernel import DriftSystem, build_drift_system, dirichlet_energy
 from .ness import StationaryProfile
 from .params import ModelParams, as_grid_function
 
@@ -187,7 +187,4 @@ def dirichlet_form_linear(params: ModelParams, c,
     -c^T M c).
     """
     c = as_grid_function(params, c)
-    sys = sys or build_drift_system(params)
-    P, s = sys.kernel_matrix, sys.row_sums
-    bulk = float(np.sum(s * c * c) - c @ (P @ c))   # = sum over unordered pairs
-    return params.speed * (bulk + c[0] ** 2 + c[-1] ** 2)
+    return params.n * dirichlet_energy(params, c)

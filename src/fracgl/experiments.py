@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import hydro, ldp, ness, simulate, svg
-from .diagnostics import adjoint_defect
-from .kernel import build_drift_system, dirichlet_energy, discrete_inner_seminorm
+from .diagnostics import _MAX_N as _ADJOINT_MAX_N, adjoint_defect
+from .kernel import build_drift_system
 from .operators import SmoothBump, dirichlet_spectrum, spectrum_to_csv
 from .params import ModelParams
 from .rng import make_rng
@@ -421,6 +421,8 @@ EXPERIMENTS = {
 
 
 _EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
+# sample variances need two replicas
+_ENSEMBLE_EXPERIMENTS = _EULER_EXPERIMENTS + ("hydro-limit",)
 
 
 def _config_error(cfg: ExperimentConfig):
@@ -435,10 +437,16 @@ def _config_error(cfg: ExperimentConfig):
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value > 0):
             return f"{name} must be positive and finite, got {value!r}"
+    if cfg.experiment in _ENSEMBLE_EXPERIMENTS and cfg.replicas < 2:
+        return f"{cfg.experiment} needs replicas >= 2, got {cfg.replicas}"
     try:
         params = cfg.params()
     except ValueError as exc:
         return str(exc)
+    if cfg.experiment == "adjoint" and cfg.n > _ADJOINT_MAX_N:
+        return f"adjoint needs n <= {_ADJOINT_MAX_N}, got {cfg.n}"
+    if cfg.experiment == "hydro-limit" and cfg.n <= 8:
+        return f"hydro-limit compares n against max(8, n // 4) and needs n > 8, got {cfg.n}"
     if cfg.experiment in _EULER_EXPERIMENTS:
         limit = simulate.euler_stability_limit(build_drift_system(params))
         if cfg.dt >= limit:

@@ -20,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import DriftSystem, build_drift_system, discrete_inner_seminorm
+from .kernel import (DriftSystem, build_drift_system, discrete_fractional_laplacian,
+                     discrete_inner_seminorm)
 from .ness import solve_stationary_profile
 from .operators import dirichlet_spectrum
 from .params import ModelParams, as_grid_function
-from .simulate import ExternalField
+from .simulate import ExternalField, _on_grid
 
 __all__ = [
     "DeterministicTrajectory",
@@ -59,12 +60,6 @@ def l2_distance(params: ModelParams, f, g) -> float:
     return float(np.sqrt(np.sum((f - g) ** 2) / params.n))
 
 
-def _forcing(sys: DriftSystem, field: Optional[ExternalField], t: float):
-    if field is None:
-        return None
-    return field.tilt_drift(sys, t)
-
-
 def solve_hydrodynamic(params: ModelParams, g, times,
                        field: Optional[ExternalField] = None,
                        method: str = "spectral_exact",
@@ -92,25 +87,32 @@ def solve_hydrodynamic(params: ModelParams, g, times,
         spec = dirichlet_spectrum(params, params.n_sites)
         lam = spec.eigenvalues
         coeff = spec.project(g - phiss)
+        if field is None:
+            # variation of constants at every recorded time at once
+            decay = np.multiply.outer(-times, lam)
+            np.exp(decay, out=decay)
+            decay *= coeff
+            profiles = spec.synthesize(decay)
+            profiles += phiss
+            profiles[0] = g
+            return DeterministicTrajectory(params=params, times=times.copy(),
+                                           profiles=profiles)
         profiles = [g.copy()]
         t_prev = 0.0
         for t_next in times[1:]:
             span = t_next - t_prev
-            if field is None:
-                coeff = coeff * np.exp(-lam * span)
-            else:
-                n_sub = max(1, int(np.ceil(span / substep)))
-                h = span / n_sub
-                decay = np.exp(-lam * h)
-                alpha = -np.expm1(-lam * h) / lam          # int_0^h e^{-lam s} ds
-                beta = (h - alpha) / (lam * h)             # weight of the forward node
-                t_sub = t_prev
-                u1 = spec.project(_forcing(sys, field, t_sub))
-                for _ in range(n_sub):
-                    u0 = u1
-                    u1 = spec.project(_forcing(sys, field, t_sub + h))
-                    coeff = decay * coeff + u0 * (alpha - beta) + u1 * beta
-                    t_sub += h
+            n_sub = max(1, int(np.ceil(span / substep)))
+            h = span / n_sub
+            decay = np.exp(-lam * h)
+            alpha = -np.expm1(-lam * h) / lam          # int_0^h e^{-lam s} ds
+            beta = (h - alpha) / (lam * h)             # weight of the forward node
+            t_sub = t_prev
+            u1 = spec.project(field.tilt_drift(sys, t_sub))
+            for _ in range(n_sub):
+                u0 = u1
+                u1 = spec.project(field.tilt_drift(sys, t_sub + h))
+                coeff = decay * coeff + u0 * (alpha - beta) + u1 * beta
+                t_sub += h
             profiles.append(phiss + spec.synthesize(coeff))
             t_prev = t_next
         return DeterministicTrajectory(params=params, times=times.copy(),
@@ -174,7 +176,6 @@ def weak_residual(params: ModelParams, traj: DeterministicTrajectory,
         Its time derivative.
     """
     sys = sys or build_drift_system(params)
-    u = params.grid()
     times = traj.times
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
         raise ValueError("t outside the trajectory span")
@@ -183,26 +184,17 @@ def weak_residual(params: ModelParams, traj: DeterministicTrajectory,
     phis = traj.profiles[mask]
     n = params.n
 
-    g0 = np.asarray(G_space(ts[0], u), dtype=float)
-    gt = np.asarray(G_space(ts[-1], u), dtype=float)
-    if abs(float(g0[0])) > 1e-12 or abs(float(g0[-1])) > 1e-12:
+    gs, dgs = _on_grid(G_space, params, ts), _on_grid(G_dt, params, ts)
+    if abs(float(gs[0, 0])) > 1e-12 or abs(float(gs[0, -1])) > 1e-12:
         raise ValueError("test function must vanish at the boundary sites")
 
-    def pair(a, b):
-        return float(a @ b) / n
-
-    integrand = np.empty(ts.size)
-    for i, s in enumerate(ts):
-        gs = np.asarray(G_space(s, u), dtype=float)
-        dgs = np.asarray(G_dt(s, u), dtype=float)
-        lap = params.speed * (sys.kernel_matrix @ gs - sys.row_sums * gs)
-        val = pair(phis[i], dgs + lap)
-        if traj.field is not None:
-            hv, _ = traj.field.lattice(sys, float(s))
-            val += discrete_inner_seminorm(params, hv, gs)
-        integrand[i] = val
+    integrand = np.sum(phis * (dgs + discrete_fractional_laplacian(params, gs)),
+                       axis=-1) / n
+    if traj.field is not None:
+        hv, _ = traj.field.lattice(sys, ts)
+        integrand += discrete_inner_seminorm(params, hv, gs)
     time_int = float(np.trapezoid(integrand, ts))
-    return pair(phis[-1], gt) - pair(phis[0], g0) - time_int
+    return (float(phis[-1] @ gs[-1]) - float(phis[0] @ gs[0])) / n - time_int
 
 
 def relaxation_rate(params: ModelParams, g, T: float,

@@ -10,26 +10,34 @@ where M = n^gamma (P - D - B) collects the bulk exchange rates P[x, y] =
 p(y - x), the diagonal D of kernel row sums, and the reservoir relaxation B
 at sites 1 and n-1; b carries the reservoir densities.  The noise is
 Gaussian in site space with covariance -2 M per unit time, drawn through the
-cached Cholesky factor of -2 M.  This is the same law as one independent
-driver of rate 2 n^gamma p(y - x) per unordered bulk pair {x, y}, acting with
-opposite signs at the two sites, plus drivers of rate 2 n^gamma at sites 1
-and n-1: those rates assemble to exactly -2 M.
+Cholesky factor of -2 M.  This is the same law as one independent driver of
+rate 2 n^gamma p(y - x) per unordered bulk pair {x, y}, acting with opposite
+signs at the two sites, plus drivers of rate 2 n^gamma at sites 1 and n-1:
+those rates assemble to exactly -2 M.
+
+All of these objects come from one operator per (n, gamma), built once and
+kept in a bounded cache: the kernel row, P, its row sums, M and, on first
+use, the Cholesky factors of -M and -2M and the eigenpairs of -M.  Its
+arrays are read-only and shared by every DriftSystem of that (n, gamma),
+whatever the reservoir densities.  The Laplacian, the seminorm and the
+energy below are the only evaluations of L_n and of the quadratic forms;
+each accepts one grid function or a (times, sites) batch with sites last.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
 from scipy.special import zeta
 
-from .params import ModelParams, as_grid_function
+from .params import ModelParams, as_grid_batch
 
 __all__ = [
     "kernel_constant",
     "kernel_row",
-    "truncation_error_bound",
     "DriftSystem",
     "build_drift_system",
     "discrete_fractional_laplacian",
@@ -54,33 +62,62 @@ def kernel_constant(gamma: float) -> float:
     return 1.0 / (2.0 * zeta(1.0 + gamma))
 
 
-def kernel_row(params: ModelParams, truncation: int | None = None) -> np.ndarray:
-    """Kernel values [p(0), p(1), ..., p(n-2)] with p(0) = 0.
-
-    `truncation` zeroes displacements beyond the given radius (performance
-    studies only; the default keeps every lattice displacement).
-    """
+def kernel_row(params: ModelParams) -> np.ndarray:
+    """Kernel values [p(0), p(1), ..., p(n-2)] with p(0) = 0."""
     c = kernel_constant(params.gamma)
     row = np.zeros(params.n_sites)
     z = np.arange(1, params.n_sites, dtype=float)
     row[1:] = c / z ** (1.0 + params.gamma)
-    if truncation is not None:
-        if truncation < 1:
-            raise ValueError("truncation radius must be >= 1")
-        row[truncation + 1:] = 0.0
     return row
 
 
-def truncation_error_bound(params: ModelParams, truncation: int) -> float:
-    """Drift-scale bound n^gamma * sum_{|z| > R} p(z) on the rates dropped by
-    truncating the kernel at radius R (tail sum with integral remainder)."""
-    if truncation < 1:
-        raise ValueError("truncation radius must be >= 1")
-    c = kernel_constant(params.gamma)
-    z = np.arange(truncation + 1, max(truncation + 2, 10 ** 5), dtype=float)
-    tail = float(np.sum(z ** (-(1.0 + params.gamma))))
-    tail += (z[-1] + 0.5) ** (-params.gamma) / params.gamma
-    return params.speed * 2.0 * c * tail
+class _LatticeOperator:
+    """Kernel data of one (n, gamma), read-only; the factorizations and the
+    spectrum are computed on first use."""
+
+    def __init__(self, n: int, gamma: float):
+        params = ModelParams(n, gamma)
+        self.n = n
+        self.kernel_matrix = toeplitz(kernel_row(params))
+        self.row_sums = self.kernel_matrix.sum(axis=1)
+        relax = self.row_sums.copy()
+        relax[[0, -1]] += 1.0
+        m = params.speed * self.kernel_matrix
+        m[np.diag_indices_from(m)] = -(params.speed * relax)
+        self.m = m
+        for arr in (self.kernel_matrix, self.row_sums, self.m):
+            arr.setflags(write=False)
+
+    @cached_property
+    def noise_factor(self) -> np.ndarray:
+        factor = np.linalg.cholesky(-2.0 * self.m)
+        factor.setflags(write=False)
+        return factor
+
+    @cached_property
+    def cho_neg_m(self):
+        factor = cho_factor(-self.m, overwrite_a=True)
+        factor[0].setflags(write=False)
+        return factor
+
+    @cached_property
+    def spectrum(self):
+        """Ascending eigenvalues of -M and its eigenvectors scaled to be
+        orthonormal under the (1/n)-weighted inner product."""
+        lam, vec = eigh(-self.m, overwrite_a=True)
+        vec *= np.sqrt(self.n)
+        lam.setflags(write=False)
+        vec.setflags(write=False)
+        return lam, vec
+
+
+@lru_cache(maxsize=8)
+def _lattice_operator(n: int, gamma: float) -> _LatticeOperator:
+    return _LatticeOperator(n, gamma)
+
+
+def _operator_of(params: ModelParams) -> _LatticeOperator:
+    return _lattice_operator(params.n, params.gamma)
 
 
 @dataclass(frozen=True)
@@ -98,6 +135,9 @@ class DriftSystem:
         Toeplitz matrix P[x, y] = p(y - x).
     row_sums : ndarray
         s[x] = sum_{y in lattice} p(y - x).
+
+    `m`, `kernel_matrix` and `row_sums` are the read-only arrays of the
+    shared operator of (n, gamma).
     """
 
     params: ModelParams
@@ -105,108 +145,73 @@ class DriftSystem:
     b: np.ndarray
     kernel_matrix: np.ndarray
     row_sums: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def drift(self, phi: np.ndarray) -> np.ndarray:
         """Drift vector M phi + b (phi may be a batch with sites last)."""
         return phi @ self.m.T + self.b
 
     def noise_factor(self) -> np.ndarray:
-        """Cholesky factor L with L L^T = -2 m, cached."""
-        if "chol" not in self._cache:
-            self._cache["chol"] = np.linalg.cholesky(-2.0 * self.m)
-        return self._cache["chol"]
+        """Cholesky factor L with L L^T = -2 m."""
+        return _operator_of(self.params).noise_factor
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (-m) x = rhs using a cached Cholesky factorization."""
-        if "cho_neg_m" not in self._cache:
-            self._cache["cho_neg_m"] = cho_factor(-self.m)
-        return cho_solve(self._cache["cho_neg_m"], rhs)
+        """Solve (-m) x = rhs through the Cholesky factor of -m."""
+        return cho_solve(_operator_of(self.params).cho_neg_m, rhs)
 
 
-def build_drift_system(params: ModelParams,
-                       truncation: int | None = None) -> DriftSystem:
+def build_drift_system(params: ModelParams) -> DriftSystem:
     """Assemble the DriftSystem for the given parameters.
 
     The constant profile phi = Phi is a fixed point whenever
-    phi_l = phi_r = Phi, and m is symmetric negative definite.  A kernel
-    truncation radius drops long jumps for performance studies; the rate
-    mass discarded is bounded by `truncation_error_bound`.
+    phi_l = phi_r = Phi, and m is symmetric negative definite.  Only b is
+    built here; the matrices come from the shared operator of (n, gamma).
     """
-    row = kernel_row(params, truncation)
-    P = toeplitz(row)
-    s = P.sum(axis=1)
-    k = params.n_sites
-    speed = params.speed
-
-    diag = -(s.copy())
-    diag[0] -= 1.0
-    diag[k - 1] -= 1.0
-    m = speed * (P + np.diag(diag))
-
-    b = np.zeros(k)
-    b[0] = speed * params.phi_l
-    b[k - 1] = speed * params.phi_r
-
-    m.setflags(write=False)
+    op = _operator_of(params)
+    b = np.zeros(params.n_sites)
+    b[0] = params.speed * params.phi_l
+    b[-1] = params.speed * params.phi_r
     b.setflags(write=False)
-    P.setflags(write=False)
-    s.setflags(write=False)
-    return DriftSystem(params=params, m=m, b=b, kernel_matrix=P, row_sums=s)
+    return DriftSystem(params=params, m=op.m, b=b, kernel_matrix=op.kernel_matrix,
+                       row_sums=op.row_sums)
 
 
-def _circulant_fft(params: ModelParams, row: np.ndarray) -> np.ndarray:
-    """FFT of the circulant embedding of the symmetric Toeplitz kernel."""
-    k = row.size
-    circ = np.zeros(2 * k)
-    circ[:k] = row
-    circ[k + 1:] = row[1:][::-1]
-    return np.fft.rfft(circ)
+def _per_row(values: np.ndarray):
+    """A float for one grid function, the array for a batch."""
+    return float(values) if values.ndim == 0 else values
 
 
-def discrete_fractional_laplacian(params: ModelParams, g,
-                                  method: str = "fft") -> np.ndarray:
+def discrete_fractional_laplacian(params: ModelParams, g) -> np.ndarray:
     """Discrete fractional Laplacian (L_n g)(x) = n^gamma sum_y p(y-x)(g_y - g_x).
 
     The sum runs over interior sites only; reservoir relaxation is not part
-    of this operator.  `method` selects a dense O(n^2) evaluation or the
-    fast Toeplitz convolution via circulant embedding; the two agree to
-    better than 1e-10 relative.
+    of this operator.  `g` may be a (times, sites) batch; the result has
+    its shape.
     """
-    g = as_grid_function(params, g)
-    row = kernel_row(params)
-    s = toeplitz(row).sum(axis=1) if method == "dense" else None
-    if method == "dense":
-        P = toeplitz(row)
-        return params.speed * (P @ g - s * g)
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
-    k = g.size
-    fft = _circulant_fft(params, row)
-    conv = np.fft.irfft(fft * np.fft.rfft(g, 2 * k), 2 * k)[:k]
-    # row sums of the Toeplitz kernel, via the same convolution on ones
-    ones = np.fft.irfft(fft * np.fft.rfft(np.ones(k), 2 * k), 2 * k)[:k]
-    return params.speed * (conv - ones * g)
+    g = as_grid_batch(params, g)
+    op = _operator_of(params)
+    lap = g @ op.kernel_matrix
+    lap -= op.row_sums * g
+    lap *= params.speed
+    return lap
 
 
-def discrete_inner_seminorm(params: ModelParams, f, g) -> float:
+def discrete_inner_seminorm(params: ModelParams, f, g):
     """Lattice H^{gamma/2} semi-inner product
 
-        <f, g>_{n,gamma/2} = (n^gamma / 2n) sum_{x,y} p(y-x)(f_y - f_x)(g_y - g_x),
+        <f, g>_{n,gamma/2} = (n^gamma / 2n) sum_{x,y} p(y-x)(f_y - f_x)(g_y - g_x)
+                           = -(1/n) sum_x f_x (L_n g)_x,
 
     with both sums over the interior sites.  Symmetric, bilinear, positive
-    semidefinite; vanishes when either argument is constant.
+    semidefinite; vanishes when either argument is constant.  A float for
+    two grid functions; for (times, sites) batches the array of per-time
+    values.
     """
-    f = as_grid_function(params, f)
-    g = as_grid_function(params, g)
-    row = kernel_row(params)
-    P = toeplitz(row)
-    s = P.sum(axis=1)
-    # sum_{x,y} p (f_y - f_x)(g_y - g_x) = 2 sum_x s_x f_x g_x - 2 f.P.g
-    return float(params.speed / params.n * (np.sum(s * f * g) - f @ (P @ g)))
+    f = as_grid_batch(params, f)
+    lap = discrete_fractional_laplacian(params, g)
+    return _per_row(-np.vecdot(f, lap) / params.n)
 
 
-def dirichlet_energy(params: ModelParams, f) -> float:
+def dirichlet_energy(params: ModelParams, f):
     """Full quadratic energy <f, (-M) f> / n of the generator's drift matrix.
 
     Equals the lattice seminorm plus the reservoir vestige
@@ -214,9 +219,9 @@ def dirichlet_energy(params: ModelParams, f) -> float:
     the continuum squared seminorm used in path costs: for fields vanishing
     at sites 1 and n-1 it coincides with `discrete_inner_seminorm(f, f)`,
     and it makes the modal identities of the spectral calculus exact at
-    finite n.
+    finite n.  Per time for a (times, sites) batch.
     """
-    f = as_grid_function(params, f)
+    f = as_grid_batch(params, f)
     semi = discrete_inner_seminorm(params, f, f)
-    boundary = params.speed / params.n * (f[0] ** 2 + f[-1] ** 2)
-    return float(semi + boundary)
+    boundary = params.speed / params.n * (f[..., 0] ** 2 + f[..., -1] ** 2)
+    return _per_row(np.asarray(semi + boundary))

@@ -73,11 +73,8 @@ def rate_from_field(params: ModelParams, H: ExternalField, T: float,
     """Dynamical cost (1/4) int_0^T ||H_t||^2_{n,gamma/2} dt, trapezoid in time."""
     sys = sys or build_drift_system(params)
     ts = np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
-    vals = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        hv, _ = H.lattice(sys, float(t))
-        vals[i] = discrete_inner_seminorm(params, hv, hv)
-    return 0.25 * float(np.trapezoid(vals, ts))
+    hv, _ = H.lattice(sys, ts)
+    return 0.25 * float(np.trapezoid(discrete_inner_seminorm(params, hv, hv), ts))
 
 
 def j_functional(params: ModelParams, traj: DeterministicTrajectory, g,
@@ -90,21 +87,11 @@ def j_functional(params: ModelParams, traj: DeterministicTrajectory, g,
     g = as_grid_function(params, g)
     if l2_distance(params, traj.profiles[0], g) > 1e-9:
         raise ValueError("g is not the initial profile of the trajectory")
-    n = params.n
     ts = traj.times
-
-    def pair(a, b):
-        return float(a @ b) / n
-
-    h_T, _ = G.lattice(sys, float(ts[-1]))
-    h_0, _ = G.lattice(sys, float(ts[0]))
-    integrand = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        hv, lap = G.lattice(sys, float(t))
-        dh = G.dt_lattice(sys, float(t))
-        integrand[i] = (pair(traj.profiles[i], dh + lap)
-                        + discrete_inner_seminorm(params, hv, hv))
-    return (pair(traj.profiles[-1], h_T) - pair(g, h_0)
+    hv, lap = G.lattice(sys, ts)
+    integrand = (np.sum(traj.profiles * (G.dt_lattice(sys, ts) + lap), axis=-1)
+                 / params.n + discrete_inner_seminorm(params, hv, hv))
+    return ((float(traj.profiles[-1] @ hv[-1]) - float(g @ hv[0])) / params.n
             - float(np.trapezoid(integrand, ts)))
 
 
@@ -136,11 +123,11 @@ def gamma_identity_defect(params: ModelParams, profile: StationaryProfile, rho):
     return float(lhs), float(rhs)
 
 
-def _stable_path_ratio(lam: np.ndarray, t: float) -> np.ndarray:
+def _stable_path_ratio(lam: np.ndarray, t) -> np.ndarray:
     """(e^{lam t} - 1) / (e^{lam} - 1), overflow-safe for large lam."""
     return np.exp(lam * (t - 1.0)) * (-np.expm1(-lam * t)) / (-np.expm1(-lam))
 
-def _stable_field_ratio(lam: np.ndarray, t: float) -> np.ndarray:
+def _stable_field_ratio(lam: np.ndarray, t) -> np.ndarray:
     """(2 e^{lam t} - 1) / (e^{lam} - 1), overflow-safe for large lam."""
     return (2.0 * np.exp(lam * (t - 1.0)) - np.exp(-lam)) / (-np.expm1(-lam))
 
@@ -163,7 +150,6 @@ def clever_path(params: ModelParams, spec: SpectralData,
     Raises RuntimeError if psi - Phi_ss has unresolved mode content or the
     endpoint misses psi by more than 1e-6 in lattice L^2.
     """
-    sys = sys or build_drift_system(params)
     psi = as_grid_function(params, psi)
     target = psi - profile.profile
     coeff = spec.project(target)
@@ -175,15 +161,12 @@ def clever_path(params: ModelParams, spec: SpectralData,
 
     lam = spec.eigenvalues
     ts = np.linspace(0.0, 1.0, n_times)
-    profiles = np.empty((ts.size, params.n_sites))
-    energies = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        path_c = coeff * _stable_path_ratio(lam, float(t))
-        source_c = lam * coeff * _stable_field_ratio(lam, float(t))
-        field_vec = inverse_dirichlet_apply(spec, spec.synthesize(source_c))
-        profiles[i] = profile.profile + spec.synthesize(path_c)
-        energies[i] = dirichlet_energy(params, field_vec)
-    cost = 0.25 * float(np.trapezoid(energies, ts))
+    t_col = ts[:, None]
+    profiles = spec.synthesize(coeff * _stable_path_ratio(lam, t_col))
+    profiles += profile.profile
+    source = spec.synthesize(lam * coeff * _stable_field_ratio(lam, t_col))
+    fields = inverse_dirichlet_apply(spec, source)
+    cost = 0.25 * float(np.trapezoid(dirichlet_energy(params, fields), ts))
     gap = l2_distance(params, profiles[-1], psi)
     if gap > 1e-6:
         raise RuntimeError(f"clever path misses the target by {gap:.3e}")
@@ -224,8 +207,7 @@ def quasipotential(params: ModelParams, spec: SpectralData,
     relax = solve_hydrodynamic(params, rho, ts, sys=sys)
     phi_t1 = relax.profiles[-1]
 
-    energies = np.array([dirichlet_energy(params, p - profile.profile)
-                         for p in relax.profiles])
+    energies = dirichlet_energy(params, relax.profiles - profile.profile)
     reversal_cost = float(np.trapezoid(energies, ts))
 
     _, bridge_cost = clever_path(params, spec, profile, phi_t1, sys=sys)

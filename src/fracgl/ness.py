@@ -18,12 +18,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
 
-from .kernel import build_drift_system, kernel_row
+from .kernel import build_drift_system
 from .params import ModelParams, as_grid_function
 from .rng import make_rng
-from scipy.linalg import toeplitz
 
 __all__ = [
     "StationaryProfile",
@@ -55,21 +53,13 @@ class StationaryProfile:
 def solve_stationary_profile(params: ModelParams) -> StationaryProfile:
     """Solve (D + B - P) Phi = phi_l e_1 + phi_r e_{n-1} by SPD factorization.
 
-    Equivalent to M Phi + b = 0 for the DriftSystem.  The residual reported
-    is the max norm of the defining (unscaled) equation.
+    Equivalent to M Phi + b = 0 for the DriftSystem, and solved as
+    (-M) Phi = b through its Cholesky factor.  The residual reported is the
+    max norm of the defining (unscaled) equation.
     """
-    row = kernel_row(params)
-    P = toeplitz(row)
-    s = P.sum(axis=1)
-    k = params.n_sites
-    A = np.diag(s) - P
-    A[0, 0] += 1.0
-    A[k - 1, k - 1] += 1.0
-    rhs = np.zeros(k)
-    rhs[0] = params.phi_l
-    rhs[k - 1] = params.phi_r
-    phi = solve(A, rhs, assume_a="pos")
-    residual = float(np.max(np.abs(A @ phi - rhs)))
+    sys = build_drift_system(params)
+    phi = sys.solve_spd(sys.b)
+    residual = float(np.max(np.abs(sys.m @ phi + sys.b))) / params.speed
     return StationaryProfile(params=params, profile=phi, residual=residual)
 
 
@@ -93,9 +83,8 @@ def absorbed_walk_oracle(params: ModelParams, x: int, samples: int, seed: int):
         raise ValueError(f"site x must lie in [1, {params.n_sites}]")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    row = kernel_row(params)
-    P = toeplitz(row)
-    s = P.sum(axis=1)
+    sys = build_drift_system(params)
+    P, s = sys.kernel_matrix, sys.row_sums
     k = params.n_sites
     cdf = np.cumsum(P / s[:, None], axis=1)
     p_absorb = np.zeros(k)

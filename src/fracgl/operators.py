@@ -1,6 +1,10 @@
 """Regional fractional Laplacian on [0,1], Gagliardo seminorms, and the
 discrete Dirichlet spectrum.
 
+The spectrum is that of the shared lattice operator of (n, gamma) in
+`kernel`: one eigendecomposition per (n, gamma), handed out as read-only
+views.
+
 The regional operator is the principal value
 
     (L F)(u) = c_gamma * pv int_0^1 (F(v) - F(u)) / |v - u|^(1+gamma) dv.
@@ -30,10 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
-from .kernel import build_drift_system, kernel_constant
-from .params import ModelParams, as_grid_function
+from .kernel import _operator_of, kernel_constant
+from .params import ModelParams, as_grid_batch
 
 __all__ = [
     "TestFunction",
@@ -299,55 +302,47 @@ class SpectralData:
         return self.eigenvalues.size
 
     def project(self, g: np.ndarray) -> np.ndarray:
-        """Coefficients <g, e_k>_(1/n) in the retained modes."""
-        return self.modes.T @ np.asarray(g, dtype=float) / self.params.n
+        """Coefficients <g, e_k>_(1/n) in the retained modes (sites last)."""
+        return np.asarray(g, dtype=float) @ self.modes / self.params.n
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.modes @ np.asarray(coeffs, dtype=float)
-
-
-_SPECTRUM_CACHE: dict = {}
-
-
-def _full_spectrum(params: ModelParams):
-    key = (params.n, round(params.gamma, 12))
-    if key not in _SPECTRUM_CACHE:
-        sys = build_drift_system(ModelParams(params.n, params.gamma))
-        lam, vec = eigh(-sys.m)
-        _SPECTRUM_CACHE[key] = (lam, vec * np.sqrt(params.n))
-    return _SPECTRUM_CACHE[key]
+        """Grid function(s) sum_k coeffs_k e_k (modes last)."""
+        return np.asarray(coeffs, dtype=float) @ self.modes.T
 
 
 def dirichlet_spectrum(params: ModelParams, k_max: int) -> SpectralData:
     """k_max smallest eigenpairs of -M (drift matrix, reservoir densities
     irrelevant: M does not depend on them).
 
-    Eigenvalues are strictly positive and ascending; the decomposition is
-    cached per (n, gamma).
+    Eigenvalues are strictly positive and ascending.  The decomposition is
+    computed once per (n, gamma); the arrays returned are read-only views
+    of it.
     """
     if not (1 <= k_max <= params.n_sites):
         raise ValueError(f"k_max must lie in [1, {params.n_sites}]")
-    lam, modes = _full_spectrum(params)
+    lam, modes = _operator_of(params).spectrum
     if lam[0] <= 0:
         raise RuntimeError("drift matrix is not negative definite")
-    return SpectralData(params=params, eigenvalues=lam[:k_max].copy(),
-                        modes=modes[:, :k_max].copy())
+    return SpectralData(params=params, eigenvalues=lam[:k_max],
+                        modes=modes[:, :k_max])
 
 
 def inverse_dirichlet_apply(spec: SpectralData, t, residual_tol: float = 1e-8):
     """Solve (-M) H = t in the retained eigenbasis: H = sum lambda_k^-1 <t, e_k> e_k.
 
-    Raises RuntimeError with the measured residual when the target has more
-    than `residual_tol` relative energy outside the retained modes.
+    `t` may be a (times, sites) batch.  Raises RuntimeError with the largest
+    measured residual when a target has more than `residual_tol` relative
+    energy outside the retained modes.
     """
-    t = as_grid_function(spec.params, t)
+    t = as_grid_batch(spec.params, t)
     coeff = spec.project(t)
     recon = spec.synthesize(coeff)
-    norm = float(np.sum(t * t) / spec.params.n)
-    residual = float(np.sum((t - recon) ** 2) / spec.params.n)
-    if norm > 0 and residual > residual_tol * max(norm, 1.0):
+    norm = np.sum(t * t, axis=-1) / spec.params.n
+    residual = np.sum((t - recon) ** 2, axis=-1) / spec.params.n
+    bad = (norm > 0) & (residual > residual_tol * np.maximum(norm, 1.0))
+    if np.any(bad):
         raise RuntimeError(
-            f"target has residual energy {residual:.3e} outside the "
+            f"target has residual energy {np.max(residual[bad]):.3e} outside the "
             f"{spec.k_max} retained modes (tolerance {residual_tol:.1e})"
         )
     return spec.synthesize(coeff / spec.eigenvalues)

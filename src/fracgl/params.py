@@ -62,11 +62,22 @@ def as_grid_function(params: ModelParams, values) -> np.ndarray:
 
     Raises ValueError on length mismatch or non-finite entries.
     """
+    g = as_grid_batch(params, values)
+    if g.ndim != 1:
+        raise ValueError(f"grid function must have shape ({params.n_sites},), got {g.shape}")
+    return g
+
+
+def as_grid_batch(params: ModelParams, values) -> np.ndarray:
+    """Validate and return `values` as one grid function or as a batch of
+    them, shape (times, n-1) with sites last.
+
+    Raises ValueError on a shape mismatch or non-finite entries.
+    """
     g = np.asarray(values, dtype=float)
-    if g.shape != (params.n_sites,):
-        raise ValueError(
-            f"grid function must have shape ({params.n_sites},), got {g.shape}"
-        )
+    if g.ndim not in (1, 2) or g.shape[-1] != params.n_sites:
+        raise ValueError(f"grid functions must have shape ({params.n_sites},) "
+                         f"or (times, {params.n_sites}), got {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("grid function contains non-finite entries")
     return g

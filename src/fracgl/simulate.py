@@ -23,6 +23,9 @@ theta_t . u_t = (n/2) ||H_t||^2_{n,gamma/2}.
 
 For H = 0 the transition law is Gaussian and can be sampled exactly in the
 eigenbasis of M: phi_t ~ Normal(Phi_ss + e^{Mt}(phi_0 - Phi_ss), I - e^{2Mt}).
+
+A field is evaluated on the lattice when asked, with no per-time cache; an
+array of times gives (times, sites) arrays through one batched Laplacian.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import DriftSystem
+from .kernel import DriftSystem, dirichlet_energy, discrete_fractional_laplacian
 from .ness import StationaryProfile
 from .operators import TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function
@@ -76,8 +79,8 @@ class ExternalField:
     support : (a, b)
         Spatial support, a fixed compact subinterval of (0, 1).
 
-    Lattice evaluations H(t, .) and (L_n H)(t, .) are cached per time, so an
-    ensemble stepping through a common time grid computes them once per step.
+    The lattice methods take one time or an array of times; `h` and `dh_dt`
+    are called once per time with the 1-d grid.
     """
 
     def __init__(self, h: Callable, dh_dt: Optional[Callable] = None,
@@ -85,7 +88,6 @@ class ExternalField:
         self.h = h
         self.dh_dt = dh_dt
         self.support = support
-        self._cache: dict = {}
         for t_probe in (0.0, 0.37, 1.0):
             ends = np.asarray(h(t_probe, np.array([0.0, 1.0])), dtype=float)
             if np.any(np.abs(ends) > 1e-12):
@@ -105,26 +107,28 @@ class ExternalField:
 
         return cls(h=h, dh_dt=dh_dt, support=bump.support or (0.0, 1.0))
 
-    def lattice(self, sys: DriftSystem, t: float):
-        """(H_t, L_n H_t) on the interior sites, cached by t."""
-        key = float(t)
-        if key not in self._cache:
-            params = sys.params
-            hv = np.asarray(self.h(t, params.grid()), dtype=float)
-            lap = sys.params.speed * (sys.kernel_matrix @ hv - sys.row_sums * hv)
-            self._cache[key] = (hv, lap)
-            if len(self._cache) > 200000:
-                self._cache.clear()
-        return self._cache[key]
+    def lattice(self, sys: DriftSystem, t):
+        """(H_t, L_n H_t) on the interior sites; (times, sites) arrays when t
+        is an array of times."""
+        hv = _on_grid(self.h, sys.params, t)
+        return hv, discrete_fractional_laplacian(sys.params, hv)
 
-    def tilt_drift(self, sys: DriftSystem, t: float) -> np.ndarray:
+    def tilt_drift(self, sys: DriftSystem, t) -> np.ndarray:
         """u_t = -(L_n H_t) on the lattice."""
         return -self.lattice(sys, t)[1]
 
-    def dt_lattice(self, sys: DriftSystem, t: float) -> np.ndarray:
+    def dt_lattice(self, sys: DriftSystem, t) -> np.ndarray:
         if self.dh_dt is None:
             raise ValueError("field has no time derivative")
-        return np.asarray(self.dh_dt(t, sys.params.grid()), dtype=float)
+        return _on_grid(self.dh_dt, sys.params, t)
+
+
+def _on_grid(fn: Callable, params: ModelParams, t) -> np.ndarray:
+    """fn(t, grid) as floats; one row per time when t is an array."""
+    u = params.grid()
+    if np.ndim(t) == 0:
+        return np.asarray(fn(t, u), dtype=float)
+    return np.array([np.asarray(fn(float(s), u), dtype=float) for s in t])
 
 
 @dataclass
@@ -385,12 +389,8 @@ def martingale_qv_rate(params: ModelParams, sys: DriftSystem, G) -> float:
     that the variance of the accumulated martingale equals rate * T exactly
     for the Euler chain.
     """
-    G = as_grid_function(params, G)
-    P = sys.kernel_matrix
-    s = sys.row_sums
-    ordered = 2.0 * (np.sum(s * G * G) - G @ (P @ G))
-    rate = params.speed * (ordered + 2.0 * G[0] ** 2 + 2.0 * G[-1] ** 2)
-    return float(rate) / params.n_sites ** 2
+    # the bracket is 2 <G, (-M) G> = 2 n dirichlet_energy(G)
+    return 2.0 * params.n * dirichlet_energy(params, G) / params.n_sites ** 2
 
 
 def dynkin_diagnostics(traj: Trajectory, sys: DriftSystem, G,

@@ -45,9 +45,17 @@ def test_invalid_params_status_1(tmp_path):
     ["girsanov", "--t", "0"],
     ["martingale", "--dt", "0.01"],
     ["stationarity", "--dt", "nan"],
+    ["stationarity", "--replicas", "1"],
+    ["martingale", "--replicas", "1"],
+    ["girsanov", "--replicas", "1"],
+    ["hydro-limit", "--replicas", "1"],
+    ["adjoint", "--n", "40"],
+    ["hydro-limit", "--n", "3"],
 ])
 def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
-    assert main(argv + ["--replicas", "20", "--out", str(tmp_path)]) == 1
+    # the fixed replica count goes first, so a case's own --replicas wins
+    assert main(argv[:1] + ["--replicas", "20"] + argv[1:]
+                + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1

@@ -3,9 +3,9 @@ import pytest
 
 from edge_oracle import edge_vectors
 from fracgl import (ModelParams, build_drift_system, dirichlet_energy,
-                    discrete_fractional_laplacian, discrete_inner_seminorm,
-                    kernel_constant, kernel_row, solve_stationary_profile,
-                    truncation_error_bound)
+                    dirichlet_spectrum, discrete_fractional_laplacian,
+                    discrete_inner_seminorm, kernel_constant, kernel_row,
+                    solve_stationary_profile)
 
 
 def oracle_kernel_constant(gamma, cutoff=10 ** 6):
@@ -106,13 +106,20 @@ def test_laplacian_constant_is_zero():
 
 
 def test_laplacian_fast_path_matches_dense():
+    # the matrix evaluation against the defining double sum over (x, y)
     rng = np.random.default_rng(7)
-    for n in (8, 32, 128):
+    for n in (8, 32):
         p = ModelParams(n, 1.5)
         g = rng.standard_normal(p.n_sites)
-        dense = discrete_fractional_laplacian(p, g, method="dense")
-        fast = discrete_fractional_laplacian(p, g, method="fft")
-        np.testing.assert_allclose(fast, dense, rtol=1e-10, atol=1e-10)
+        c = kernel_constant(p.gamma)
+        dense = np.zeros(p.n_sites)
+        for x in range(p.n_sites):
+            for y in range(p.n_sites):
+                if y != x:
+                    dense[x] += c * abs(y - x) ** -(1.0 + p.gamma) * (g[y] - g[x])
+        dense *= p.speed
+        np.testing.assert_allclose(discrete_fractional_laplacian(p, g), dense,
+                                   rtol=1e-10, atol=1e-10)
 
 
 def test_laplacian_of_stationary_profile_hits_boundary_terms_only():
@@ -161,22 +168,6 @@ def test_discrete_green_identity(n):
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
 
 
-def test_kernel_truncation():
-    p = ModelParams(32, 1.5)
-    full = build_drift_system(p)
-    trunc = build_drift_system(p, truncation=4)
-    # the dropped jumps are exactly the ones beyond the radius
-    dist = np.abs(np.subtract.outer(np.arange(p.n_sites), np.arange(p.n_sites)))
-    np.testing.assert_array_equal(trunc.kernel_matrix > 0, (dist >= 1) & (dist <= 4))
-    np.testing.assert_array_equal(full.kernel_matrix > 0, dist >= 1)
-    # the dropped off-diagonal rate mass is within the reported bound
-    diff = full.m - trunc.m
-    off = diff - np.diag(np.diag(diff))
-    assert off.sum(axis=1).max() <= truncation_error_bound(p, 4)
-    with pytest.raises(ValueError):
-        kernel_row(p, truncation=0)
-
-
 def test_dirichlet_energy_is_drift_quadratic_form():
     p = ModelParams(24, 1.6)
     sys = build_drift_system(p)
@@ -188,3 +179,41 @@ def test_dirichlet_energy_is_drift_quadratic_form():
     f[0] = f[-1] = 0.0
     assert dirichlet_energy(p, f) == pytest.approx(
         discrete_inner_seminorm(p, f, f), rel=1e-12)
+
+
+def test_drift_systems_share_one_operator(monkeypatch):
+    # same (n, gamma), different reservoirs: one read-only m, one spectrum
+    import fracgl.kernel as kernel
+    real_eigh, calls = kernel.eigh, []
+
+    def counting_eigh(a, **kwargs):
+        calls.append(a.shape)
+        return real_eigh(a, **kwargs)
+
+    monkeypatch.setattr(kernel, "eigh", counting_eigh)
+    pa, pb = ModelParams(23, 1.37, 0.0, 1.0), ModelParams(23, 1.37, 2.0, -1.0)
+    a, b = build_drift_system(pa), build_drift_system(pb)
+    assert a.m is b.m and a.kernel_matrix is b.kernel_matrix
+    assert not a.m.flags.writeable and not a.kernel_matrix.flags.writeable
+    assert not np.array_equal(a.b, b.b)
+    spec_a, spec_b = dirichlet_spectrum(pa, 5), dirichlet_spectrum(pb, pb.n_sites)
+    assert np.shares_memory(spec_a.modes, spec_b.modes)
+    assert not spec_b.modes.flags.writeable
+    assert calls == [(pa.n_sites, pa.n_sites)]
+
+
+def test_batched_operators_match_row_by_row():
+    p = ModelParams(32, 1.6)
+    rng = np.random.default_rng(12)
+    f, g = rng.standard_normal((2, 7, p.n_sites))
+    lap = discrete_fractional_laplacian(p, g)
+    semi = discrete_inner_seminorm(p, f, g)
+    energy = dirichlet_energy(p, f)
+    assert lap.shape == g.shape and semi.shape == energy.shape == (7,)
+    for i in range(7):
+        np.testing.assert_allclose(lap[i], discrete_fractional_laplacian(p, g[i]),
+                                   rtol=0, atol=1e-12 * np.abs(lap).max())
+        assert semi[i] == pytest.approx(discrete_inner_seminorm(p, f[i], g[i]),
+                                        rel=1e-12, abs=1e-12)
+        assert energy[i] == pytest.approx(dirichlet_energy(p, f[i]),
+                                          rel=1e-12, abs=1e-12)

@@ -35,6 +35,20 @@ def test_field_tilt_drift_is_minus_laplacian(sys16):
     np.testing.assert_allclose(field.tilt_drift(sys16, 0.3), -lap, atol=0)
 
 
+def test_field_lattice_on_time_array_matches_per_time(sys16):
+    field = bump_field()
+    ts = np.linspace(0.0, 0.5, 6)
+    hv, lap = field.lattice(sys16, ts)
+    dh = field.dt_lattice(sys16, ts)
+    assert hv.shape == lap.shape == dh.shape == (ts.size, sys16.params.n_sites)
+    for i, t in enumerate(ts):
+        h_t, lap_t = field.lattice(sys16, float(t))
+        np.testing.assert_array_equal(hv[i], h_t)
+        np.testing.assert_allclose(lap[i], lap_t, rtol=0,
+                                   atol=1e-12 * np.abs(lap).max())
+        np.testing.assert_array_equal(dh[i], field.dt_lattice(sys16, float(t)))
+
+
 def test_site_tilt_is_half_field(sys16):
     # the site-space Girsanov tilt theta = (-M)^{-1} u / 2 is H / 2 exactly
     # for a field that vanishes at sites 1 and n-1
@@ -122,11 +136,9 @@ def test_propagate_exact_limits(params16, sys16, profile16):
     lam1 = dirichlet_spectrum(params16, 1).eigenvalues[0]
     t_long = 32.0 / lam1
     reps = 20000
-    final = np.empty((reps, params16.n_sites))
-    rngs = make_rng(7, "exact-long")
-    state = FieldState(phi=phi0)
-    for i in range(reps):
-        final[i] = propagate_exact(state, sys16, profile16, t_long, rngs).phi
+    state = FieldState(phi=np.broadcast_to(phi0, (reps, params16.n_sites)))
+    final = propagate_exact(state, sys16, profile16, t_long,
+                            make_rng(7, "exact-long")).phi
     assert np.max(np.abs(final.mean(axis=0) - profile16.profile)) <= 4.0 / np.sqrt(reps)
     assert np.max(np.abs(final.var(axis=0) - 1.0)) <= 4.0 * np.sqrt(2.0 / reps)
 
@@ -134,11 +146,8 @@ def test_propagate_exact_limits(params16, sys16, profile16):
 def test_propagate_exact_stationarity(params16, sys16, profile16):
     reps = 20000
     draws = sample_ness(params16, profile16, reps, seed=9)
-    rng = make_rng(10, "stat")
-    out = np.empty_like(draws)
-    for i in range(reps):
-        out[i] = propagate_exact(FieldState(phi=draws[i]), sys16, profile16,
-                                 0.37, rng).phi
+    out = propagate_exact(FieldState(phi=draws), sys16, profile16, 0.37,
+                          make_rng(10, "stat")).phi
     assert np.max(np.abs(out.mean(axis=0) - profile16.profile)) <= 4.0 / np.sqrt(reps)
     assert np.max(np.abs(out.var(axis=0) - 1.0)) <= 4.0 * np.sqrt(2.0 / reps)
 
