@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, solve
 
-from .kernel import DriftSystem, build_drift_system, dirichlet_energy
+from .kernel import build_drift_system, dirichlet_energy
 from .ness import StationaryProfile
 from .params import ModelParams, as_grid_function
 
@@ -83,8 +83,7 @@ class PolyObservableBasis:
         return G
 
 
-def generator_matrix_poly2(params: ModelParams, profile: StationaryProfile,
-                           sys: DriftSystem | None = None):
+def generator_matrix_poly2(params: ModelParams, profile: StationaryProfile):
     """Exact matrix L of the generator on the degree-<=2 centered basis.
 
     Columns hold the coefficients of the image of each basis element; the
@@ -95,7 +94,7 @@ def generator_matrix_poly2(params: ModelParams, profile: StationaryProfile,
     """
     if params.n > _MAX_N:
         raise ValueError(f"poly-2 representation restricted to n <= {_MAX_N}")
-    sys = sys or build_drift_system(params)
+    sys = build_drift_system(params)
     basis = PolyObservableBasis(params)
     k = basis.k
     m = sys.m
@@ -133,8 +132,7 @@ def adjoint_matrix_poly2(basis: PolyObservableBasis, L: np.ndarray) -> np.ndarra
     return solve(G, L.T @ G)
 
 
-def adjoint_defect(params: ModelParams, profile: StationaryProfile,
-                   sys: DriftSystem | None = None) -> dict:
+def adjoint_defect(params: ModelParams, profile: StationaryProfile) -> dict:
     """Antisymmetric defect of the generator on the poly-2 basis.
 
     Returns a dict with:
@@ -144,9 +142,9 @@ def adjoint_defect(params: ModelParams, profile: StationaryProfile,
         product, restricted to mean-zero observables (reported, and expected
         to vanish at equilibrium phi_l = phi_r).
     """
-    basis, L = generator_matrix_poly2(params, profile, sys=sys)
+    basis, L = generator_matrix_poly2(params, profile)
+    Ls = adjoint_matrix_poly2(basis, L)
     G = basis.gram()
-    Ls = solve(G, L.T @ G)
 
     e0 = np.zeros(basis.size)
     e0[0] = 1.0
@@ -176,8 +174,7 @@ def adjoint_defect(params: ModelParams, profile: StationaryProfile,
     }
 
 
-def dirichlet_form_linear(params: ModelParams, c,
-                          sys: DriftSystem | None = None) -> float:
+def dirichlet_form_linear(params: ModelParams, c) -> float:
     """Dirichlet form <f, -L f> under the steady state for f(phi) = sum c_x phi(x):
 
         n^gamma [ c_1^2 + c_{n-1}^2 + sum_{pairs {x,y}} p(y-x)(c_y - c_x)^2 ],

@@ -155,7 +155,6 @@ def exp_stationarity(cfg: ExperimentConfig) -> dict:
 
 def _hydro_limit_error(n, gamma, phi_l, phi_r, T, replicas, seed, ref_value):
     params = ModelParams(n, gamma, phi_l, phi_r)
-    sys = build_drift_system(params)
     prof = ness.solve_stationary_profile(params)
     u = params.grid()
     bump = SmoothBump(0.3, 0.7, 0.75)
@@ -163,7 +162,7 @@ def _hydro_limit_error(n, gamma, phi_l, phi_r, T, replicas, seed, ref_value):
     G = np.sin(np.pi * u)
     rng = make_rng(seed, "hydro-limit", n)
     start = simulate.FieldState(phi=np.broadcast_to(g, (replicas, params.n_sites)))
-    phi = simulate.propagate_exact(start, sys, prof, T, rng).phi
+    phi = simulate.propagate_exact(start, prof, T, rng).phi
     avg = float(np.mean(phi @ G)) / params.n_sites
     return abs(avg - ref_value), avg
 
@@ -206,7 +205,7 @@ def exp_martingale(cfg: ExperimentConfig) -> dict:
     out = simulate.euler_ensemble(sys, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
                                   martingale_g=G)
     m = out["martingale"]
-    qv = simulate.martingale_qv_rate(params, sys, G) * cfg.T
+    qv = simulate.martingale_qv_rate(params, G) * cfg.T
     se_mean = m.std(ddof=1) / np.sqrt(cfg.replicas)
     var = m.var(ddof=1)
     se_var = var * np.sqrt(2.0 / (cfg.replicas - 1))
@@ -278,18 +277,16 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
 
 def exp_rate_check(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    sys = build_drift_system(params)
     prof = ness.solve_stationary_profile(params)
     field = _bump_field(0.25, 0.75, 1.0)
     times = np.linspace(0.0, cfg.T, int(np.ceil(cfg.T / cfg.dt)) + 1)
     traj = hydro.solve_hydrodynamic(params, prof.profile, times, field=field,
-                                    sys=sys, substep=cfg.dt)
-    rate = ldp.rate_from_field(params, field, cfg.T, dt=cfg.dt, sys=sys)
+                                    substep=cfg.dt)
+    rate = ldp.rate_from_field(params, field, cfg.T, dt=cfg.dt)
 
     half = simulate.ExternalField(h=lambda t, u: 0.5 * field.h(t, u),
-                                  dh_dt=lambda t, u: 0.5 * field.dh_dt(t, u),
-                                  support=field.support)
-    j_half = ldp.j_functional(params, traj, prof.profile, half, sys=sys)
+                                  dh_dt=lambda t, u: 0.5 * field.dh_dt(t, u))
+    j_half = ldp.j_functional(params, traj, prof.profile, half)
     rel = abs(j_half - rate) / rate
 
     rng = make_rng(cfg.seed, "rate-check")
@@ -304,7 +301,7 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
             lambda t, a0=a0, a1=a1, om=om: a0 + a1 * np.cos(om * t),
             lambda t, a1=a1, om=om: -a1 * om * np.sin(om * t),
             SmoothBump(lo, hi, amp))
-        j_val = ldp.j_functional(params, traj, prof.profile, test, sys=sys)
+        j_val = ldp.j_functional(params, traj, prof.profile, test)
         max_excess = max(max_excess, j_val - rate)
     checks = {
         "optimal_field_identity": _check(rel, 1e-4, rel <= 1e-4),
@@ -350,7 +347,6 @@ def exp_spectrum(cfg: ExperimentConfig) -> dict:
 
 def exp_quasipotential(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    sys = build_drift_system(params)
     prof = ness.solve_stationary_profile(params)
     spec = dirichlet_spectrum(params, params.n_sites)
     lam1 = float(spec.eigenvalues[0])
@@ -366,7 +362,7 @@ def exp_quasipotential(cfg: ExperimentConfig) -> dict:
     worst_gap = 0.0
     worst_identity = 0.0
     for name, rho in targets.items():
-        report = ldp.quasipotential(params, spec, prof, rho, T1, sys=sys)
+        report = ldp.quasipotential(params, spec, prof, rho, T1)
         with open(os.path.join(cfg.out_dir, f"rate_{name}.json"), "w") as fh:
             fh.write(report.to_json())
         w_val = report.breakdown["w_target"]
@@ -443,6 +439,9 @@ def _config_error(cfg: ExperimentConfig):
         params = cfg.params()
     except ValueError as exc:
         return str(exc)
+    if cfg.experiment == "figure1" and cfg.phi_l == cfg.phi_r:
+        return ("figure1 needs phi_l != phi_r (a flat profile is not monotone), "
+                f"got both {cfg.phi_l!r}")
     if cfg.experiment == "adjoint" and cfg.n > _ADJOINT_MAX_N:
         return f"adjoint needs n <= {_ADJOINT_MAX_N}, got {cfg.n}"
     if cfg.experiment == "hydro-limit" and cfg.n <= 8:

@@ -8,8 +8,7 @@ checked through boundary block averages rather than imposed.
 The spectral integrator works in the eigenbasis of M and is exact for H = 0
 (variation of constants, Phi_t = Phi_ss + e^{Mt}(g - Phi_ss)); with a field
 it uses an exponential integrator that treats the per-mode forcing as
-piecewise linear on substeps, so stiffness never restricts the step.  The
-fixed-step RK4 integrator is a cross-check and requires dt lambda_max < 0.1.
+piecewise linear on substeps, so stiffness never restricts the step.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import (DriftSystem, build_drift_system, discrete_fractional_laplacian,
-                     discrete_inner_seminorm)
+from .kernel import discrete_fractional_laplacian, discrete_inner_seminorm
 from .ness import solve_stationary_profile
 from .operators import dirichlet_spectrum
 from .params import ModelParams, as_grid_function
@@ -62,102 +60,59 @@ def l2_distance(params: ModelParams, f, g) -> float:
 
 def solve_hydrodynamic(params: ModelParams, g, times,
                        field: Optional[ExternalField] = None,
-                       method: str = "spectral_exact",
-                       sys: Optional[DriftSystem] = None,
                        substep: float = 1e-3) -> DeterministicTrajectory:
-    """Integrate d Phi/dt = M Phi + b + u_t from Phi_0 = g.
+    """Integrate d Phi/dt = M Phi + b + u_t from Phi_0 = g in the eigenbasis of M.
+
+    Exact for H = 0; with a field, exponentially integrated with the
+    forcing sampled on substeps of length <= `substep`.
 
     Parameters
     ----------
     times : ascending array starting at 0
         Recording grid.
-    method : "spectral_exact" or "rk4"
-        The spectral route is exact for H = 0 and exponentially integrated
-        otherwise (forcing sampled on substeps of length <= `substep`).
-        RK4 enforces dt lambda_max < 0.1 against its stiffness limit.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be ascending and start at 0")
     g = as_grid_function(params, g)
-    sys = sys or build_drift_system(params)
     phiss = solve_stationary_profile(params).profile
-
-    if method == "spectral_exact":
-        spec = dirichlet_spectrum(params, params.n_sites)
-        lam = spec.eigenvalues
-        coeff = spec.project(g - phiss)
-        if field is None:
-            # variation of constants at every recorded time at once
-            decay = np.multiply.outer(-times, lam)
-            np.exp(decay, out=decay)
-            decay *= coeff
-            profiles = spec.synthesize(decay)
-            profiles += phiss
-            profiles[0] = g
-            return DeterministicTrajectory(params=params, times=times.copy(),
-                                           profiles=profiles)
-        profiles = [g.copy()]
-        t_prev = 0.0
-        for t_next in times[1:]:
-            span = t_next - t_prev
-            n_sub = max(1, int(np.ceil(span / substep)))
-            h = span / n_sub
-            decay = np.exp(-lam * h)
-            alpha = -np.expm1(-lam * h) / lam          # int_0^h e^{-lam s} ds
-            beta = (h - alpha) / (lam * h)             # weight of the forward node
-            t_sub = t_prev
-            u1 = spec.project(field.tilt_drift(sys, t_sub))
-            for _ in range(n_sub):
-                u0 = u1
-                u1 = spec.project(field.tilt_drift(sys, t_sub + h))
-                coeff = decay * coeff + u0 * (alpha - beta) + u1 * beta
-                t_sub += h
-            profiles.append(phiss + spec.synthesize(coeff))
-            t_prev = t_next
+    spec = dirichlet_spectrum(params, params.n_sites)
+    lam = spec.eigenvalues
+    coeff = spec.project(g - phiss)
+    if field is None:
+        # variation of constants at every recorded time at once
+        decay = np.multiply.outer(-times, lam)
+        np.exp(decay, out=decay)
+        decay *= coeff
+        profiles = spec.synthesize(decay)
+        profiles += phiss
+        profiles[0] = g
         return DeterministicTrajectory(params=params, times=times.copy(),
-                                       profiles=np.array(profiles), field=field)
-
-    if method != "rk4":
-        raise ValueError(f"unknown method {method!r}")
-    lam_max = 2.0 * params.speed * (1.0 + float(sys.row_sums.max()))
-    dt = 0.099 / lam_max
-    if np.min(np.diff(times)) < dt and times.size > 1:
-        dt = float(np.min(np.diff(times)))
-    if dt * lam_max >= 0.1:
-        raise ValueError("rk4 step cannot satisfy dt * lambda_max < 0.1 "
-                         "on this recording grid")
-
-    def rhs(t, y):
-        out = sys.m @ y + sys.b
-        if field is not None:
-            out = out + field.tilt_drift(sys, t)
-        return out
-
+                                       profiles=profiles)
     profiles = [g.copy()]
-    y = g.copy()
     t_prev = 0.0
     for t_next in times[1:]:
         span = t_next - t_prev
-        n_sub = max(1, int(np.ceil(span / dt)))
+        n_sub = max(1, int(np.ceil(span / substep)))
         h = span / n_sub
-        t = t_prev
+        decay = np.exp(-lam * h)
+        alpha = -np.expm1(-lam * h) / lam          # int_0^h e^{-lam s} ds
+        beta = (h - alpha) / (lam * h)             # weight of the forward node
+        t_sub = t_prev
+        u1 = spec.project(field.tilt_drift(params, t_sub))
         for _ in range(n_sub):
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        profiles.append(y.copy())
+            u0 = u1
+            u1 = spec.project(field.tilt_drift(params, t_sub + h))
+            coeff = decay * coeff + u0 * (alpha - beta) + u1 * beta
+            t_sub += h
+        profiles.append(phiss + spec.synthesize(coeff))
         t_prev = t_next
     return DeterministicTrajectory(params=params, times=times.copy(),
                                    profiles=np.array(profiles), field=field)
 
 
 def weak_residual(params: ModelParams, traj: DeterministicTrajectory,
-                  G_space, G_dt, t: float,
-                  sys: Optional[DriftSystem] = None) -> float:
+                  G_space, G_dt, t: float) -> float:
     """Weak-form defect of a path against a space-time test function.
 
         <Phi_t, G_t> - <g, G_0> - int_0^t <Phi_s, (d_s + L_n) G_s> ds
@@ -175,7 +130,6 @@ def weak_residual(params: ModelParams, traj: DeterministicTrajectory,
     G_dt : callable (t, u_array) -> array
         Its time derivative.
     """
-    sys = sys or build_drift_system(params)
     times = traj.times
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
         raise ValueError("t outside the trajectory span")
@@ -191,7 +145,7 @@ def weak_residual(params: ModelParams, traj: DeterministicTrajectory,
     integrand = np.sum(phis * (dgs + discrete_fractional_laplacian(params, gs)),
                        axis=-1) / n
     if traj.field is not None:
-        hv, _ = traj.field.lattice(sys, ts)
+        hv, _ = traj.field.lattice(params, ts)
         integrand += discrete_inner_seminorm(params, hv, gs)
     time_int = float(np.trapezoid(integrand, ts))
     return (float(phis[-1] @ gs[-1]) - float(phis[0] @ gs[0])) / n - time_int

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .hydro import DeterministicTrajectory, l2_distance, solve_hydrodynamic
-from .kernel import (DriftSystem, build_drift_system, dirichlet_energy,
-                     discrete_inner_seminorm)
+from .kernel import dirichlet_energy, discrete_inner_seminorm
 from .ness import StationaryProfile
 from .operators import SpectralData, inverse_dirichlet_apply
 from .params import ModelParams, as_grid_function
@@ -68,28 +66,24 @@ class RateReport:
 
 
 def rate_from_field(params: ModelParams, H: ExternalField, T: float,
-                    dt: float = 1e-3,
-                    sys: Optional[DriftSystem] = None) -> float:
+                    dt: float = 1e-3) -> float:
     """Dynamical cost (1/4) int_0^T ||H_t||^2_{n,gamma/2} dt, trapezoid in time."""
-    sys = sys or build_drift_system(params)
     ts = np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
-    hv, _ = H.lattice(sys, ts)
+    hv, _ = H.lattice(params, ts)
     return 0.25 * float(np.trapezoid(discrete_inner_seminorm(params, hv, hv), ts))
 
 
 def j_functional(params: ModelParams, traj: DeterministicTrajectory, g,
-                 G: ExternalField,
-                 sys: Optional[DriftSystem] = None) -> float:
+                 G: ExternalField) -> float:
     """Evaluate J_G(pi | g) for a recorded path, with lattice pairings (1/n),
     the discrete operator on G, and trapezoid time quadrature on the
     trajectory's grid.  G must carry a time derivative."""
-    sys = sys or build_drift_system(params)
     g = as_grid_function(params, g)
     if l2_distance(params, traj.profiles[0], g) > 1e-9:
         raise ValueError("g is not the initial profile of the trajectory")
     ts = traj.times
-    hv, lap = G.lattice(sys, ts)
-    integrand = (np.sum(traj.profiles * (G.dt_lattice(sys, ts) + lap), axis=-1)
+    hv, lap = G.lattice(params, ts)
+    integrand = (np.sum(traj.profiles * (G.dt_lattice(params, ts) + lap), axis=-1)
                  / params.n + discrete_inner_seminorm(params, hv, hv))
     return ((float(traj.profiles[-1] @ hv[-1]) - float(g @ hv[0])) / params.n
             - float(np.trapezoid(integrand, ts)))
@@ -134,7 +128,7 @@ def _stable_field_ratio(lam: np.ndarray, t) -> np.ndarray:
 
 def clever_path(params: ModelParams, spec: SpectralData,
                 profile: StationaryProfile, psi,
-                n_times: int = 2001, sys: Optional[DriftSystem] = None):
+                n_times: int = 2001):
     """Finite-cost bridge from Phi_ss to a target psi over the unit interval.
 
     The driving source is the spectral interpolation
@@ -176,7 +170,6 @@ def clever_path(params: ModelParams, spec: SpectralData,
 
 def quasipotential(params: ModelParams, spec: SpectralData,
                    profile: StationaryProfile, rho, T1: float,
-                   sys: Optional[DriftSystem] = None,
                    n_times: int = 4001) -> RateReport:
     """Upper-bound construction for the quasi-potential at a target rho.
 
@@ -193,7 +186,6 @@ def quasipotential(params: ModelParams, spec: SpectralData,
     """
     if T1 <= 0:
         raise ValueError("T1 must be positive")
-    sys = sys or build_drift_system(params)
     rho = as_grid_function(params, rho)
 
     if l2_distance(params, rho, profile.profile) < 1e-14:
@@ -204,13 +196,13 @@ def quasipotential(params: ModelParams, spec: SpectralData,
 
     # graded grid: the energy integrand has its fast transient at t = 0
     ts = T1 * np.linspace(0.0, 1.0, n_times) ** 2
-    relax = solve_hydrodynamic(params, rho, ts, sys=sys)
+    relax = solve_hydrodynamic(params, rho, ts)
     phi_t1 = relax.profiles[-1]
 
     energies = dirichlet_energy(params, relax.profiles - profile.profile)
     reversal_cost = float(np.trapezoid(energies, ts))
 
-    _, bridge_cost = clever_path(params, spec, profile, phi_t1, sys=sys)
+    _, bridge_cost = clever_path(params, spec, profile, phi_t1)
 
     w_target = static_rate_w(params, profile, rho)
     w_relaxed = static_rate_w(params, profile, phi_t1)

@@ -71,10 +71,6 @@ class TestFunction:
     d2f: Callable[[np.ndarray], np.ndarray]
     support: Optional[tuple] = None
 
-    @property
-    def compactly_supported(self) -> bool:
-        return self.support is not None
-
 
 class SmoothBump(TestFunction):
     """C-infinity bump amp * exp(1 - 1/(1 - w^2)) on [a, b], w the affine

@@ -76,18 +76,14 @@ class ExternalField:
         Field values; must vanish at u = 0 and u = 1 for all t.
     dh_dt : callable or None
         Time derivative, needed by the weak-form functionals.
-    support : (a, b)
-        Spatial support, a fixed compact subinterval of (0, 1).
 
     The lattice methods take one time or an array of times; `h` and `dh_dt`
     are called once per time with the 1-d grid.
     """
 
-    def __init__(self, h: Callable, dh_dt: Optional[Callable] = None,
-                 support: tuple = (0.0, 1.0)):
+    def __init__(self, h: Callable, dh_dt: Optional[Callable] = None):
         self.h = h
         self.dh_dt = dh_dt
-        self.support = support
         for t_probe in (0.0, 0.37, 1.0):
             ends = np.asarray(h(t_probe, np.array([0.0, 1.0])), dtype=float)
             if np.any(np.abs(ends) > 1e-12):
@@ -105,22 +101,22 @@ class ExternalField:
             def dh_dt(t, u):
                 return time_fn_prime(t) * bump.f(u)
 
-        return cls(h=h, dh_dt=dh_dt, support=bump.support or (0.0, 1.0))
+        return cls(h=h, dh_dt=dh_dt)
 
-    def lattice(self, sys: DriftSystem, t):
+    def lattice(self, params: ModelParams, t):
         """(H_t, L_n H_t) on the interior sites; (times, sites) arrays when t
         is an array of times."""
-        hv = _on_grid(self.h, sys.params, t)
-        return hv, discrete_fractional_laplacian(sys.params, hv)
+        hv = _on_grid(self.h, params, t)
+        return hv, discrete_fractional_laplacian(params, hv)
 
-    def tilt_drift(self, sys: DriftSystem, t) -> np.ndarray:
+    def tilt_drift(self, params: ModelParams, t) -> np.ndarray:
         """u_t = -(L_n H_t) on the lattice."""
-        return -self.lattice(sys, t)[1]
+        return -self.lattice(params, t)[1]
 
-    def dt_lattice(self, sys: DriftSystem, t) -> np.ndarray:
+    def dt_lattice(self, params: ModelParams, t) -> np.ndarray:
         if self.dh_dt is None:
             raise ValueError("field has no time derivative")
-        return _on_grid(self.dh_dt, sys.params, t)
+        return _on_grid(self.dh_dt, params, t)
 
 
 def _on_grid(fn: Callable, params: ModelParams, t) -> np.ndarray:
@@ -140,9 +136,6 @@ class Trajectory:
     scheme: str
     log_girsanov: Optional[float] = None
     params: Optional[ModelParams] = None
-
-    def state(self, i: int) -> FieldState:
-        return FieldState(phi=self.phis[i], time=float(self.times[i]))
 
 
 def euler_stability_limit(sys: DriftSystem) -> float:
@@ -196,7 +189,7 @@ def _euler(sys: DriftSystem, phi: np.ndarray, t0: float, T: float, dt: float,
         new = phi @ step_mat
         new += dt * sys.b
         if field is not None:
-            u = field.tilt_drift(sys, t)
+            u = field.tilt_drift(sys.params, t)
             if tilted:
                 new += dt * u
         step_noise = sqdt * (rng.standard_normal(phi.shape) @ factor)
@@ -238,10 +231,10 @@ def step_euler(state: FieldState, sys: DriftSystem,
     return FieldState(phi=out["phi"][0], time=state.time + dt)
 
 
-def propagate_exact(state: FieldState, sys: DriftSystem,
-                    profile: StationaryProfile, t: float,
+def propagate_exact(state: FieldState, profile: StationaryProfile, t: float,
                     rng: np.random.Generator) -> FieldState:
-    """Exact Gaussian transition over a time t of the untilted dynamics.
+    """Exact Gaussian transition over a time t of the untilted dynamics of
+    `profile.params`.
 
     `state.phi` may be one configuration or a batch with sites last; the
     standard normals drawn have the shape of the state.  Tilted dynamics is
@@ -250,7 +243,7 @@ def propagate_exact(state: FieldState, sys: DriftSystem,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    params = sys.params
+    params = profile.params
     phi = np.asarray(state.phi, dtype=float)
     if phi.shape[-1:] != (params.n_sites,) or not np.all(np.isfinite(phi)):
         raise ValueError(f"state must be finite with {params.n_sites} sites last, "
@@ -275,7 +268,8 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
     With a tilt field present the scheme must be "euler"; the returned
     trajectory then carries the accumulated log Girsanov weight of the
     tilted path relative to the untilted law.  T = 0 returns the initial
-    state alone.
+    state alone.  The exact scheme needs the stationary profile of
+    `sys.params`.
     """
     params = sys.params
     phi0 = as_grid_function(params, init.phi)
@@ -290,6 +284,8 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
     if scheme == "exact":
         if profile is None:
             raise ValueError("exact scheme needs the stationary profile")
+        if profile.params != params:
+            raise ValueError("profile does not match the drift system's params")
         if dt is None:
             n_rec = 1
         else:
@@ -299,7 +295,7 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
         phis = [phi0.copy()]
         state = FieldState(phi=phi0.copy(), time=init.time)
         for _ in range(n_rec):
-            state = propagate_exact(state, sys, profile, rec_dt, rng)
+            state = propagate_exact(state, profile, rec_dt, rng)
             times.append(state.time)
             phis.append(state.phi)
         return Trajectory(times=np.array(times), phis=np.array(phis),
@@ -378,7 +374,7 @@ def boundary_block_average(state, side: str, eps: float, n: Optional[int] = None
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def martingale_qv_rate(params: ModelParams, sys: DriftSystem, G) -> float:
+def martingale_qv_rate(params: ModelParams, G) -> float:
     """Deterministic quadratic-variation rate of the Dynkin martingale of
     <pi, G> (time-independent G):
 
@@ -402,26 +398,26 @@ def dynkin_diagnostics(traj: Trajectory, sys: DriftSystem, G,
     with the generator's drift (including the tilt when a field is given)
     integrated by the left-endpoint rule on the recording grid, matching the
     Euler discretization exactly.  Returns the martingale value at the final
-    time and the deterministic predicted quadratic variation.
+    time and the deterministic predicted quadratic variation.  Raises
+    ValueError when the trajectory records params other than `sys.params`.
     """
-    params = traj.params or sys.params
+    params = sys.params
+    if traj.params is not None and traj.params != params:
+        raise ValueError("trajectory does not match the drift system's params")
     G = as_grid_function(params, G)
     times, phis = traj.times, traj.phis
     if len(times) < 2:
         raise ValueError("trajectory must contain at least two recorded states")
-    drift_int = 0.0
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        drift = sys.m @ phis[k] + sys.b
-        if field is not None:
-            drift = drift + field.tilt_drift(sys, float(times[k]))
-        drift_int += h * empirical_pairing(drift, G)
+    drift = sys.drift(phis[:-1])
+    if field is not None:
+        drift += field.tilt_drift(params, times[:-1])
+    drift_int = float(np.diff(times) @ empirical_pairing(drift, G))
     m_t = (empirical_pairing(phis[-1], G) - empirical_pairing(phis[0], G)
            - drift_int)
     span = float(times[-1] - times[0])
     return {
         "martingale": float(m_t),
-        "predicted_qv": martingale_qv_rate(params, sys, G) * span,
+        "predicted_qv": martingale_qv_rate(params, G) * span,
         "span": span,
     }
 

@@ -22,7 +22,7 @@ def edge_euler(sys, phi, T, dt, rng, field):
     v = edge_vectors(sys.params)
     logw, q = np.zeros(len(phi)), 0.0
     for k in range(int(round(T / dt))):
-        lam = 0.5 * v[:-2] @ field.lattice(sys, k * dt)[0]
+        lam = 0.5 * v[:-2] @ field.lattice(sys.params, k * dt)[0]
         xi = rng.standard_normal((len(phi), len(v)))
         logw += np.sqrt(dt) * xi[:, :-2] @ lam - 0.5 * dt * lam @ lam
         q += dt * lam @ lam

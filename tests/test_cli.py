@@ -51,6 +51,7 @@ def test_invalid_params_status_1(tmp_path):
     ["hydro-limit", "--replicas", "1"],
     ["adjoint", "--n", "40"],
     ["hydro-limit", "--n", "3"],
+    ["figure1", "--phi-l", "1", "--phi-r", "1"],
 ])
 def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     # the fixed replica count goes first, so a case's own --replicas wins

@@ -30,13 +30,13 @@ def eval_poly(basis, coeff, prof, phi):
 
 def test_generator_annihilates_constants(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof, sys=sys)
+    basis, L = generator_matrix_poly2(params, prof)
     assert np.max(np.abs(L[:, 0])) == 0.0
 
 
 def test_generator_linear_rows_reproduce_drift(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof, sys=sys)
+    basis, L = generator_matrix_poly2(params, prof)
     k = basis.k
     for i in range(k):
         col = L[:, basis.linear_index(i)]
@@ -48,7 +48,7 @@ def test_generator_linear_rows_reproduce_drift(setup8):
 
 def test_generator_closed_on_degree_two(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof, sys=sys)
+    basis, L = generator_matrix_poly2(params, prof)
     assert L.shape == (basis.size, basis.size)
     assert np.all(np.isfinite(L))
 
@@ -63,9 +63,8 @@ def test_size_guard():
 def test_generator_matches_monte_carlo_time_derivative():
     # d/dt E[f(phi_t)] at t=0 from MC vs the matrix action, random quadratic f
     params = ModelParams(6, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
-    basis, L = generator_matrix_poly2(params, prof, sys=sys)
+    basis, L = generator_matrix_poly2(params, prof)
     rng = make_rng(5, "poly-mc")
     coeff = rng.standard_normal(basis.size)
     phi0 = prof.profile + rng.standard_normal(params.n_sites)
@@ -79,7 +78,7 @@ def test_generator_matches_monte_carlo_time_derivative():
     state = FieldState(phi=phi0)
     for i in range(reps):
         vals[i] = eval_poly(basis, coeff, prof,
-                            propagate_exact(state, sys, prof, delta, gen).phi)
+                            propagate_exact(state, prof, delta, gen).phi)
     f0 = eval_poly(basis, coeff, prof, phi0)
     fd = (vals.mean() - f0) / delta
     stderr = vals.std(ddof=1) / np.sqrt(reps) / delta
@@ -89,7 +88,7 @@ def test_generator_matches_monte_carlo_time_derivative():
 
 def test_adjoint_invariance(setup8):
     params, sys, prof = setup8
-    report = adjoint_defect(params, prof, sys=sys)
+    report = adjoint_defect(params, prof)
     assert report["invariance_residual"] <= 1e-10
 
 
@@ -106,14 +105,14 @@ def test_adjoint_defect_reported_out_of_equilibrium(setup8):
     # harmonicity cancels the first-order terms, so the computed value sits
     # at machine scale even though phi_l != phi_r
     params, sys, prof = setup8
-    report = adjoint_defect(params, prof, sys=sys)
+    report = adjoint_defect(params, prof)
     assert np.isfinite(report["defect_norm"])
     assert report["defect_norm"] < 1e-6
 
 
 def test_dirichlet_form_nonneg_on_poly2(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof, sys=sys)
+    basis, L = generator_matrix_poly2(params, prof)
     G = basis.gram()
     quad = -G @ L
     rng = make_rng(7, "dform")
@@ -124,7 +123,7 @@ def test_dirichlet_form_nonneg_on_poly2(setup8):
 
 def test_symmetric_part_pairing_identity(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof, sys=sys)
+    basis, L = generator_matrix_poly2(params, prof)
     Ls = adjoint_matrix_poly2(basis, L)
     S = 0.5 * (L + Ls)
     G = basis.gram()
@@ -138,13 +137,13 @@ def test_symmetric_part_pairing_identity(setup8):
 
 def test_dirichlet_form_linear_cases(setup8):
     params, sys, prof = setup8
-    assert dirichlet_form_linear(params, np.zeros(params.n_sites), sys=sys) == 0.0
+    assert dirichlet_form_linear(params, np.zeros(params.n_sites)) == 0.0
     c = np.full(params.n_sites, 1.3)
-    assert dirichlet_form_linear(params, c, sys=sys) == pytest.approx(
+    assert dirichlet_form_linear(params, c) == pytest.approx(
         params.speed * 2.0 * 1.3 ** 2, rel=1e-12)
     rng = make_rng(9, "dlin")
     v = rng.standard_normal(params.n_sites)
-    assert dirichlet_form_linear(params, v, sys=sys) == pytest.approx(
+    assert dirichlet_form_linear(params, v) == pytest.approx(
         float(v @ (-sys.m) @ v), rel=1e-12)
 
 
@@ -152,7 +151,7 @@ def test_dirichlet_form_linear_matches_monte_carlo(setup8):
     params, sys, prof = setup8
     rng = make_rng(10, "dlin-mc")
     c = rng.standard_normal(params.n_sites)
-    exact = dirichlet_form_linear(params, c, sys=sys)
+    exact = dirichlet_form_linear(params, c)
     reps = 200000
     draws = sample_ness(params, prof, reps, seed=11)
     f_vals = draws @ c

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from fracgl import (ExternalField, ModelParams, SmoothBump, build_drift_system,
                     dirichlet_spectrum, l2_distance, relaxation_rate,
@@ -37,26 +39,32 @@ def test_stationary_profile_is_fixed_point():
         np.testing.assert_allclose(p, prof.profile, atol=1e-11)
 
 
-def test_spectral_matches_rk4():
+def test_spectral_matches_expm():
+    # variation of constants with a dense matrix exponential as the reference
     params = ModelParams(64, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     u = params.grid()
     g = prof.profile + SmoothBump(0.3, 0.7, 0.8).f(u)
     times = np.array([0.0, 0.5, 1.0])
-    spectral = solve_hydrodynamic(params, g, times, method="spectral_exact")
-    rk4 = solve_hydrodynamic(params, g, times, method="rk4")
-    assert np.max(np.abs(spectral.profiles[-1] - rk4.profiles[-1])) < 1e-6
+    spectral = solve_hydrodynamic(params, g, times)
+    m = build_drift_system(params).m
+    reference = prof.profile + expm(m * times[-1]) @ (g - prof.profile)
+    assert np.max(np.abs(spectral.profiles[-1] - reference)) < 1e-6
 
 
-def test_spectral_matches_rk4_with_field():
+def test_spectral_with_field_matches_radau():
+    # the exponential integrator against a stiff implicit ODE solve
     params = ModelParams(32, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     field = bump_field()
     times = np.array([0.0, 0.25, 0.5])
     spectral = solve_hydrodynamic(params, prof.profile, times, field=field,
                                   substep=2e-4)
-    rk4 = solve_hydrodynamic(params, prof.profile, times, field=field)
-    assert np.max(np.abs(spectral.profiles[-1] - rk4.profiles[-1])) < 1e-6
+    sys = build_drift_system(params)
+    radau = solve_ivp(lambda t, y: sys.drift(y) + field.tilt_drift(params, t),
+                      (0.0, times[-1]), prof.profile, method="Radau",
+                      rtol=1e-10, atol=1e-12, jac=sys.m)
+    assert np.max(np.abs(spectral.profiles[-1] - radau.y[:, -1])) < 1e-6
 
 
 def test_exponential_decay_bound():

@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 
 from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
-                    build_drift_system, clever_path, dirichlet_spectrum,
-                    gamma_identity_defect, j_functional, l2_distance,
-                    quasipotential, rate_from_field, solve_hydrodynamic,
-                    solve_stationary_profile, static_cumulant, static_rate_w)
+                    clever_path, dirichlet_spectrum, gamma_identity_defect,
+                    j_functional, l2_distance, quasipotential, rate_from_field,
+                    solve_hydrodynamic, solve_stationary_profile,
+                    static_cumulant, static_rate_w)
 from fracgl.rng import make_rng
 
 
 @pytest.fixture(scope="module")
 def setup32():
     params = ModelParams(32, 1.5, 0.5, 1.5)
-    sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     spec = dirichlet_spectrum(params, params.n_sites)
-    return params, sys, prof, spec
+    return params, prof, spec
 
 
 def bump_field(amp=1.0, a=0.25, b=0.75, omega=2.0):
@@ -28,8 +27,7 @@ def bump_field(amp=1.0, a=0.25, b=0.75, omega=2.0):
 
 def half_of(field):
     return ExternalField(h=lambda t, u: 0.5 * field.h(t, u),
-                         dh_dt=lambda t, u: 0.5 * field.dh_dt(t, u),
-                         support=field.support)
+                         dh_dt=lambda t, u: 0.5 * field.dh_dt(t, u))
 
 
 def test_rate_report_rejects_negative():
@@ -48,24 +46,23 @@ def test_rate_report_json_round_trip():
 
 
 def test_rate_from_field_zero_and_homogeneity(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     zero = ExternalField(h=lambda t, u: np.zeros_like(u),
                          dh_dt=lambda t, u: np.zeros_like(u))
-    assert rate_from_field(params, zero, 0.5, sys=sys) == 0.0
+    assert rate_from_field(params, zero, 0.5) == 0.0
     field = bump_field()
     double = ExternalField(h=lambda t, u: 2.0 * field.h(t, u),
-                           dh_dt=lambda t, u: 2.0 * field.dh_dt(t, u),
-                           support=field.support)
-    r1 = rate_from_field(params, field, 0.5, sys=sys)
-    r2 = rate_from_field(params, double, 0.5, sys=sys)
+                           dh_dt=lambda t, u: 2.0 * field.dh_dt(t, u))
+    r1 = rate_from_field(params, field, 0.5)
+    r2 = rate_from_field(params, double, 0.5)
     assert r2 == pytest.approx(4.0 * r1, rel=1e-12)
 
 
 def test_rate_from_field_refinement(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     field = bump_field()
-    coarse = rate_from_field(params, field, 0.5, dt=2e-3, sys=sys)
-    fine = rate_from_field(params, field, 0.5, dt=1e-3, sys=sys)
+    coarse = rate_from_field(params, field, 0.5, dt=2e-3)
+    fine = rate_from_field(params, field, 0.5, dt=1e-3)
     assert abs(fine - coarse) < 1e-6
     # doubling n moves the value at the lattice-consistency pace n^(gamma-2);
     # assert the measured band in the resolved regime
@@ -75,23 +72,23 @@ def test_rate_from_field_refinement(setup32):
 
 
 def test_j_functional_zero_field(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     times = np.linspace(0.0, 0.3, 301)
-    traj = solve_hydrodynamic(params, prof.profile, times, sys=sys)
+    traj = solve_hydrodynamic(params, prof.profile, times)
     zero = ExternalField(h=lambda t, u: np.zeros_like(u),
                          dh_dt=lambda t, u: np.zeros_like(u))
-    assert j_functional(params, traj, prof.profile, zero, sys=sys) == pytest.approx(0.0, abs=1e-14)
+    assert j_functional(params, traj, prof.profile, zero) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_j_identity_and_variational_bound(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     field = bump_field()
     T = 0.25
     times = np.linspace(0.0, T, 2501)
     traj = solve_hydrodynamic(params, prof.profile, times, field=field,
-                              sys=sys, substep=T / 2500)
-    rate = rate_from_field(params, field, T, dt=T / 2500, sys=sys)
-    j_half = j_functional(params, traj, prof.profile, half_of(field), sys=sys)
+                              substep=T / 2500)
+    rate = rate_from_field(params, field, T, dt=T / 2500)
+    j_half = j_functional(params, traj, prof.profile, half_of(field))
     assert j_half == pytest.approx(rate, rel=1e-4)
     rng = make_rng(0, "ldp-fields")
     for _ in range(20):
@@ -100,24 +97,24 @@ def test_j_identity_and_variational_bound(setup32):
         a = rng.uniform(0.1, 0.35)
         b = rng.uniform(0.6, 0.9)
         test = bump_field(amp=amp, a=a, b=b, omega=om)
-        assert j_functional(params, traj, prof.profile, test, sys=sys) <= rate + 1e-6
+        assert j_functional(params, traj, prof.profile, test) <= rate + 1e-6
 
 
 def test_j_of_free_path_nonpositive(setup32):
     # the unperturbed solution has zero cost: every J_G certificate is <= 0
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     u = params.grid()
     g = prof.profile + SmoothBump(0.3, 0.7, 0.6).f(u)
     times = np.linspace(0.0, 0.3, 1501)
-    traj = solve_hydrodynamic(params, g, times, sys=sys)
+    traj = solve_hydrodynamic(params, g, times)
     rng = make_rng(1, "free-path")
     for _ in range(10):
         test = bump_field(amp=rng.uniform(0.2, 1.0), omega=rng.uniform(0.5, 4.0))
-        assert j_functional(params, traj, g, test, sys=sys) <= 1e-6
+        assert j_functional(params, traj, g, test) <= 1e-6
 
 
 def test_static_rate_values(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     assert static_rate_w(params, prof, prof.profile) == 0.0
     delta = 0.37
     rho = prof.profile + delta * spec.modes[:, 0]
@@ -125,7 +122,7 @@ def test_static_rate_values(setup32):
 
 
 def test_legendre_transform_recovers_w(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     u = params.grid()
     rho = prof.profile + SmoothBump(0.25, 0.75, 0.8).f(u)
     w = static_rate_w(params, prof, rho)
@@ -142,7 +139,7 @@ def test_legendre_transform_recovers_w(setup32):
 
 
 def test_gamma_identity(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     rng = make_rng(3, "gamma-id")
     for _ in range(5):
         rho = prof.profile + rng.standard_normal(params.n_sites)
@@ -152,19 +149,19 @@ def test_gamma_identity(setup32):
 
 
 def test_clever_path_trivial_target(setup32):
-    params, sys, prof, spec = setup32
-    traj, cost = clever_path(params, spec, prof, prof.profile, sys=sys)
+    params, prof, spec = setup32
+    traj, cost = clever_path(params, spec, prof, prof.profile)
     assert cost == pytest.approx(0.0, abs=1e-14)
     for p in traj.profiles[:: len(traj.profiles) // 4]:
         np.testing.assert_allclose(p, prof.profile, atol=1e-12)
 
 
 def test_clever_path_single_mode_closed_form(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     lam1 = float(spec.eigenvalues[0])
     delta = 0.3
     psi = prof.profile + delta * spec.modes[:, 0]
-    traj, cost = clever_path(params, spec, prof, psi, sys=sys)
+    traj, cost = clever_path(params, spec, prof, psi)
     assert l2_distance(params, traj.profiles[-1], psi) <= 1e-6
     # closed form: (delta^2 lam/4) (e^lam - 1)^-2 int_0^1 (2 e^{lam t} - 1)^2 dt
     integral = (2.0 * np.expm1(2.0 * lam1) / lam1
@@ -174,42 +171,42 @@ def test_clever_path_single_mode_closed_form(setup32):
 
 
 def test_clever_path_cost_bounded_by_target_norm(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     rng = make_rng(4, "clever")
     ratios = []
     for _ in range(20):
         coeff = rng.standard_normal(params.n_sites) * np.exp(
             -0.6 * np.arange(params.n_sites))
         psi = prof.profile + spec.synthesize(coeff) * 0.3
-        _, cost = clever_path(params, spec, prof, psi, n_times=801, sys=sys)
+        _, cost = clever_path(params, spec, prof, psi, n_times=801)
         norm2 = l2_distance(params, psi, prof.profile) ** 2
         ratios.append(cost / norm2)
     assert max(ratios) < 50.0 * min(ratios) and np.isfinite(max(ratios))
 
 
 def test_clever_path_mode_residual_error(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     truncated = dirichlet_spectrum(params, 5)
     bad = prof.profile + spec.modes[:, -1]
     with pytest.raises(RuntimeError, match="residual"):
-        clever_path(params, truncated, prof, bad, sys=sys)
+        clever_path(params, truncated, prof, bad)
 
 
 def test_quasipotential_at_stationary_profile(setup32):
-    params, sys, prof, spec = setup32
-    rep = quasipotential(params, spec, prof, prof.profile, 1.0, sys=sys)
+    params, prof, spec = setup32
+    rep = quasipotential(params, spec, prof, prof.profile, 1.0)
     assert rep.value == 0.0
 
 
 def test_quasipotential_converges_to_w(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     lam1 = float(spec.eigenvalues[0])
     u = params.grid()
     rho = prof.profile + SmoothBump(0.25, 0.75, 0.5).f(u)
     w = static_rate_w(params, prof, rho)
     gaps = []
     for t_factor in (3.0, 6.5):
-        rep = quasipotential(params, spec, prof, rho, t_factor / lam1, sys=sys)
+        rep = quasipotential(params, spec, prof, rho, t_factor / lam1)
         gaps.append(abs(rep.value - w) / w)
         assert abs(rep.breakdown["reversal_identity_gap"]) <= 1e-4
     assert gaps[1] < 0.05
@@ -217,20 +214,20 @@ def test_quasipotential_converges_to_w(setup32):
 
 
 def test_quasipotential_quadratic_scaling(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     lam1 = float(spec.eigenvalues[0])
     u = params.grid()
     direction = SmoothBump(0.3, 0.7, 0.6).f(u)
     vals = []
     for delta in (1.0, 0.5, 0.25):
         rep = quasipotential(params, spec, prof,
-                             prof.profile + delta * direction, 6.5 / lam1, sys=sys)
+                             prof.profile + delta * direction, 6.5 / lam1)
         vals.append(rep.value / delta ** 2)
     assert vals[1] == pytest.approx(vals[0], rel=1e-6)
     assert vals[2] == pytest.approx(vals[0], rel=1e-6)
 
 
 def test_quasipotential_rejects_bad_horizon(setup32):
-    params, sys, prof, spec = setup32
+    params, prof, spec = setup32
     with pytest.raises(ValueError):
-        quasipotential(params, spec, prof, prof.profile, 0.0, sys=sys)
+        quasipotential(params, spec, prof, prof.profile, 0.0)

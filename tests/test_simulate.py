@@ -26,36 +26,36 @@ def test_field_must_vanish_at_ends():
         ExternalField(h=lambda t, u: np.ones_like(u))
 
 
-def test_field_tilt_drift_is_minus_laplacian(sys16):
+def test_field_tilt_drift_is_minus_laplacian(params16):
     from fracgl import discrete_fractional_laplacian
     field = bump_field()
-    hv, lap = field.lattice(sys16, 0.3)
+    hv, lap = field.lattice(params16, 0.3)
     np.testing.assert_allclose(
-        lap, discrete_fractional_laplacian(sys16.params, hv), atol=1e-10)
-    np.testing.assert_allclose(field.tilt_drift(sys16, 0.3), -lap, atol=0)
+        lap, discrete_fractional_laplacian(params16, hv), atol=1e-10)
+    np.testing.assert_allclose(field.tilt_drift(params16, 0.3), -lap, atol=0)
 
 
-def test_field_lattice_on_time_array_matches_per_time(sys16):
+def test_field_lattice_on_time_array_matches_per_time(params16):
     field = bump_field()
     ts = np.linspace(0.0, 0.5, 6)
-    hv, lap = field.lattice(sys16, ts)
-    dh = field.dt_lattice(sys16, ts)
-    assert hv.shape == lap.shape == dh.shape == (ts.size, sys16.params.n_sites)
+    hv, lap = field.lattice(params16, ts)
+    dh = field.dt_lattice(params16, ts)
+    assert hv.shape == lap.shape == dh.shape == (ts.size, params16.n_sites)
     for i, t in enumerate(ts):
-        h_t, lap_t = field.lattice(sys16, float(t))
+        h_t, lap_t = field.lattice(params16, float(t))
         np.testing.assert_array_equal(hv[i], h_t)
         np.testing.assert_allclose(lap[i], lap_t, rtol=0,
                                    atol=1e-12 * np.abs(lap).max())
-        np.testing.assert_array_equal(dh[i], field.dt_lattice(sys16, float(t)))
+        np.testing.assert_array_equal(dh[i], field.dt_lattice(params16, float(t)))
 
 
-def test_site_tilt_is_half_field(sys16):
+def test_site_tilt_is_half_field(params16, sys16):
     # the site-space Girsanov tilt theta = (-M)^{-1} u / 2 is H / 2 exactly
     # for a field that vanishes at sites 1 and n-1
     field = bump_field()
-    hv, _ = field.lattice(sys16, 0.2)
+    hv, _ = field.lattice(params16, 0.2)
     assert hv[0] == hv[-1] == 0.0
-    theta = 0.5 * sys16.solve_spd(field.tilt_drift(sys16, 0.2))
+    theta = 0.5 * sys16.solve_spd(field.tilt_drift(params16, 0.2))
     np.testing.assert_allclose(theta, 0.5 * hv, rtol=0, atol=1e-12)
 
 
@@ -125,11 +125,11 @@ def test_factor_noise_matches_edge_noise_in_law():
         assert abs(logw.var(ddof=1) - q) <= 4.0 * q * np.sqrt(2.0 / (replicas - 1))
 
 
-def test_propagate_exact_limits(params16, sys16, profile16):
+def test_propagate_exact_limits(params16, profile16):
     rng = np.random.default_rng(3)
     phi0 = profile16.profile + rng.standard_normal(params16.n_sites)
     # short time: output concentrates at the input
-    short = propagate_exact(FieldState(phi=phi0.copy()), sys16, profile16,
+    short = propagate_exact(FieldState(phi=phi0.copy()), profile16,
                             1e-9, make_rng(1, "x"))
     assert np.max(np.abs(short.phi - phi0)) < 1e-3
     # long time: law matches the NESS moments
@@ -137,24 +137,24 @@ def test_propagate_exact_limits(params16, sys16, profile16):
     t_long = 32.0 / lam1
     reps = 20000
     state = FieldState(phi=np.broadcast_to(phi0, (reps, params16.n_sites)))
-    final = propagate_exact(state, sys16, profile16, t_long,
+    final = propagate_exact(state, profile16, t_long,
                             make_rng(7, "exact-long")).phi
     assert np.max(np.abs(final.mean(axis=0) - profile16.profile)) <= 4.0 / np.sqrt(reps)
     assert np.max(np.abs(final.var(axis=0) - 1.0)) <= 4.0 * np.sqrt(2.0 / reps)
 
 
-def test_propagate_exact_stationarity(params16, sys16, profile16):
+def test_propagate_exact_stationarity(params16, profile16):
     reps = 20000
     draws = sample_ness(params16, profile16, reps, seed=9)
-    out = propagate_exact(FieldState(phi=draws), sys16, profile16, 0.37,
+    out = propagate_exact(FieldState(phi=draws), profile16, 0.37,
                           make_rng(10, "stat")).phi
     assert np.max(np.abs(out.mean(axis=0) - profile16.profile)) <= 4.0 / np.sqrt(reps)
     assert np.max(np.abs(out.var(axis=0) - 1.0)) <= 4.0 * np.sqrt(2.0 / reps)
 
 
-def test_propagate_exact_rejects_nonpositive_time(params16, sys16, profile16):
+def test_propagate_exact_rejects_nonpositive_time(profile16):
     with pytest.raises(ValueError):
-        propagate_exact(FieldState(phi=profile16.profile), sys16, profile16,
+        propagate_exact(FieldState(phi=profile16.profile), profile16,
                         0.0, make_rng(0, "x"))
 
 
@@ -190,6 +190,13 @@ def test_simulate_trajectory_requires_euler_for_tilt(params16, sys16, profile16)
     with pytest.raises(ValueError, match="euler"):
         simulate_trajectory(sys16, FieldState(phi=profile16.profile), 0.1,
                             scheme="exact", field=field, profile=profile16)
+
+
+def test_exact_scheme_rejects_mismatched_profile(sys16):
+    other = solve_stationary_profile(ModelParams(16, 1.2, 0.0, 1.0))
+    with pytest.raises(ValueError, match="does not match"):
+        simulate_trajectory(sys16, FieldState(phi=other.profile), 0.1,
+                            scheme="exact", profile=other)
 
 
 def test_girsanov_weight_mean_one():
@@ -301,7 +308,7 @@ def test_dynkin_martingale_moments():
     phi0 = sample_ness(params, prof, reps, seed=41)
     out = euler_ensemble(sys, phi0, T, dt, seed=42, martingale_g=G)
     m = out["martingale"]
-    qv = martingale_qv_rate(params, sys, G) * T
+    qv = martingale_qv_rate(params, G) * T
     assert abs(m.mean()) <= 3.0 * m.std(ddof=1) / np.sqrt(reps)
     z_var = abs(m.var(ddof=1) - qv) / (m.var(ddof=1) * np.sqrt(2.0 / (reps - 1)))
     assert z_var <= 3.0
@@ -312,18 +319,29 @@ def test_dynkin_diagnostics_matches_ensemble_accumulator():
     sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     G = np.sin(np.pi * params.grid())
-    traj = simulate_trajectory(sys, FieldState(phi=prof.profile.copy()), 0.05,
-                               dt=2e-4, seed=17, record_every=1)
-    rep = dynkin_diagnostics(traj, sys, G)
-    # recompute the martingale from the recorded increments directly
-    manual = 0.0
-    for k in range(len(traj.times) - 1):
-        h = traj.times[k + 1] - traj.times[k]
-        drift = sys.m @ traj.phis[k] + sys.b
-        manual += (empirical_pairing(traj.phis[k + 1] - traj.phis[k], G)
-                   - h * empirical_pairing(drift, G))
-    assert rep["martingale"] == pytest.approx(manual, rel=1e-10)
-    assert rep["predicted_qv"] > 0
+    for field in (None, bump_field()):
+        traj = simulate_trajectory(sys, FieldState(phi=prof.profile.copy()), 0.05,
+                                   dt=2e-4, seed=17, record_every=1, field=field)
+        rep = dynkin_diagnostics(traj, sys, G, field=field)
+        # recompute the martingale from the recorded increments directly
+        manual = 0.0
+        for k in range(len(traj.times) - 1):
+            h = traj.times[k + 1] - traj.times[k]
+            drift = sys.m @ traj.phis[k] + sys.b
+            if field is not None:
+                drift = drift + field.tilt_drift(params, traj.times[k])
+            manual += (empirical_pairing(traj.phis[k + 1] - traj.phis[k], G)
+                       - h * empirical_pairing(drift, G))
+        assert rep["martingale"] == pytest.approx(manual, rel=1e-10)
+        assert rep["predicted_qv"] > 0
+
+
+def test_dynkin_rejects_mismatched_trajectory(params16, sys16, profile16):
+    traj = simulate_trajectory(sys16, FieldState(phi=profile16.profile), 0.01,
+                               dt=1e-3, seed=2)
+    other = build_drift_system(ModelParams(16, 1.2, 0.0, 1.0))
+    with pytest.raises(ValueError, match="does not match"):
+        dynkin_diagnostics(traj, other, np.ones(params16.n_sites))
 
 
 def test_martingale_qv_rate_direct_sum_oracle():
@@ -338,7 +356,7 @@ def test_martingale_qv_rate_direct_sum_oracle():
             total += row[x, y] * (G[y] - G[x]) ** 2
     total += 2.0 * G[0] ** 2 + 2.0 * G[-1] ** 2
     expected = params.speed * total / params.n_sites ** 2
-    assert martingale_qv_rate(params, sys, G) == pytest.approx(expected, rel=1e-12)
+    assert martingale_qv_rate(params, G) == pytest.approx(expected, rel=1e-12)
 
 
 def test_trajectory_csv(tmp_path, params16, sys16, profile16):
