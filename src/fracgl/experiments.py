@@ -146,7 +146,7 @@ def exp_stationarity(cfg: ExperimentConfig) -> dict:
     block_table = {f"eps={eps}": {
         "left": simulate.boundary_block_average(mean, "left", eps),
         "right": simulate.boundary_block_average(mean, "right", eps)}
-        for eps in (0.25, 0.1, 1.0 / params.n)}
+        for eps in _BLOCK_EPS + (1.0 / params.n,)}
     return {"checks": checks,
             "outputs": {"max_mean_dev": float(np.max(np.abs(mean - prof.profile))),
                         "max_var_dev": float(np.max(np.abs(var - 1.0))),
@@ -348,8 +348,7 @@ def exp_spectrum(cfg: ExperimentConfig) -> dict:
 def exp_quasipotential(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
     prof = ness.solve_stationary_profile(params)
-    spec = dirichlet_spectrum(params, params.n_sites)
-    lam1 = float(spec.eigenvalues[0])
+    lam1 = float(dirichlet_spectrum(params, 1).eigenvalues[0])
     T1 = 6.5 / lam1
     u = params.grid()
     targets = {
@@ -362,7 +361,7 @@ def exp_quasipotential(cfg: ExperimentConfig) -> dict:
     worst_gap = 0.0
     worst_identity = 0.0
     for name, rho in targets.items():
-        report = ldp.quasipotential(params, spec, prof, rho, T1)
+        report = ldp.quasipotential(prof, rho, T1)
         with open(os.path.join(cfg.out_dir, f"rate_{name}.json"), "w") as fh:
             fh.write(report.to_json())
         w_val = report.breakdown["w_target"]
@@ -417,6 +416,9 @@ EXPERIMENTS = {
 
 
 _EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
+# every experiment builds dense (n-1) x (n-1) matrices; 4096 keeps one at 134 MB
+_DENSE_MAX_N = 4096
+_BLOCK_EPS = (0.25, 0.1)  # stationarity's boundary blocks, next to eps = 1/n
 # sample variances need two replicas
 _ENSEMBLE_EXPERIMENTS = _EULER_EXPERIMENTS + ("hydro-limit",)
 
@@ -435,6 +437,10 @@ def _config_error(cfg: ExperimentConfig):
             return f"{name} must be positive and finite, got {value!r}"
     if cfg.experiment in _ENSEMBLE_EXPERIMENTS and cfg.replicas < 2:
         return f"{cfg.experiment} needs replicas >= 2, got {cfg.replicas}"
+    if cfg.n > _DENSE_MAX_N:
+        gib = (cfg.n - 1) ** 2 * 8 / 2 ** 30
+        return (f"n={cfg.n} is above the cap n <= {_DENSE_MAX_N} on the dense (n-1)^2 "
+                f"operators ({gib:.1f} GiB each at this n)")
     try:
         params = cfg.params()
     except ValueError as exc:
@@ -446,6 +452,14 @@ def _config_error(cfg: ExperimentConfig):
         return f"adjoint needs n <= {_ADJOINT_MAX_N}, got {cfg.n}"
     if cfg.experiment == "hydro-limit" and cfg.n <= 8:
         return f"hydro-limit compares n against max(8, n // 4) and needs n > 8, got {cfg.n}"
+    if cfg.experiment == "stationarity" and int(min(_BLOCK_EPS) * cfg.n) < 1:
+        return f"stationarity's boundary-block table needs n >= 10, got {cfg.n}"
+    if cfg.experiment == "spectrum":
+        # beyond e^-27.6 = 1e-12 of decay the fitted distance nears float64 rounding
+        decay = cfg.T * float(dirichlet_spectrum(params, 1).eigenvalues[0])
+        if decay > 27.6:
+            return ("spectrum's fit window [T/2, T] has decayed to the stationary state: "
+                    f"lambda_1 T = {decay:.3g} > 27.6")
     if cfg.experiment in _EULER_EXPERIMENTS:
         limit = simulate.euler_stability_limit(build_drift_system(params))
         if cfg.dt >= limit:

@@ -8,7 +8,9 @@ checked through boundary block averages rather than imposed.
 The spectral integrator works in the eigenbasis of M and is exact for H = 0
 (variation of constants, Phi_t = Phi_ss + e^{Mt}(g - Phi_ss)); with a field
 it uses an exponential integrator that treats the per-mode forcing as
-piecewise linear on substeps, so stiffness never restricts the step.
+piecewise linear on substeps, so stiffness never restricts the step.  The
+forcing is evaluated and projected once for every substep of the time grid;
+only the per-mode recurrence runs step by step.
 """
 
 from __future__ import annotations
@@ -81,34 +83,31 @@ def solve_hydrodynamic(params: ModelParams, g, times,
     coeff = spec.project(g - phiss)
     if field is None:
         # variation of constants at every recorded time at once
-        decay = np.multiply.outer(-times, lam)
-        np.exp(decay, out=decay)
-        decay *= coeff
-        profiles = spec.synthesize(decay)
-        profiles += phiss
-        profiles[0] = g
-        return DeterministicTrajectory(params=params, times=times.copy(),
-                                       profiles=profiles)
-    profiles = [g.copy()]
-    t_prev = 0.0
-    for t_next in times[1:]:
-        span = t_next - t_prev
-        n_sub = max(1, int(np.ceil(span / substep)))
-        h = span / n_sub
-        decay = np.exp(-lam * h)
-        alpha = -np.expm1(-lam * h) / lam          # int_0^h e^{-lam s} ds
-        beta = (h - alpha) / (lam * h)             # weight of the forward node
-        t_sub = t_prev
-        u1 = spec.project(field.tilt_drift(params, t_sub))
-        for _ in range(n_sub):
-            u0 = u1
-            u1 = spec.project(field.tilt_drift(params, t_sub + h))
-            coeff = decay * coeff + u0 * (alpha - beta) + u1 * beta
-            t_sub += h
-        profiles.append(phiss + spec.synthesize(coeff))
-        t_prev = t_next
+        coeffs = np.multiply.outer(-times, lam)
+        np.exp(coeffs, out=coeffs)
+        coeffs *= coeff
+    else:
+        # forcing at every substep node of the grid, projected in one batch
+        n_sub = np.maximum(1, np.ceil(np.diff(times) / substep).astype(int))
+        first = np.cumsum(n_sub) - n_sub
+        h = np.repeat(np.diff(times) / n_sub, n_sub)[:, None]
+        k = np.arange(h.size) - np.repeat(first, n_sub)
+        t_sub = np.append(np.repeat(times[:-1], n_sub) + k * h[:, 0], times[-1])
+        u = spec.project(field.tilt_drift(params, t_sub))
+        decay = np.exp(-h * lam)
+        alpha = -np.expm1(-h * lam) / lam            # int_0^h e^{-lam s} ds
+        beta = (h - alpha) / (h * lam)               # weight of the forward node
+        forcing = u[:-1] * (alpha - beta) + u[1:] * beta
+        state = np.empty_like(forcing)               # coefficients after each substep
+        c = coeff
+        for j in range(h.size):
+            c = state[j] = decay[j] * c + forcing[j]
+        coeffs = np.vstack([coeff, state[first + n_sub - 1]])
+    profiles = spec.synthesize(coeffs)
+    profiles += phiss
+    profiles[0] = g
     return DeterministicTrajectory(params=params, times=times.copy(),
-                                   profiles=np.array(profiles), field=field)
+                                   profiles=profiles, field=field)
 
 
 def weak_residual(params: ModelParams, traj: DeterministicTrajectory,

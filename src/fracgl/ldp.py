@@ -33,7 +33,7 @@ import numpy as np
 from .hydro import DeterministicTrajectory, l2_distance, solve_hydrodynamic
 from .kernel import dirichlet_energy, discrete_inner_seminorm
 from .ness import StationaryProfile
-from .operators import SpectralData, inverse_dirichlet_apply
+from .operators import dirichlet_spectrum, inverse_dirichlet_apply
 from .params import ModelParams, as_grid_function
 from .simulate import ExternalField
 
@@ -126,9 +126,7 @@ def _stable_field_ratio(lam: np.ndarray, t) -> np.ndarray:
     return (2.0 * np.exp(lam * (t - 1.0)) - np.exp(-lam)) / (-np.expm1(-lam))
 
 
-def clever_path(params: ModelParams, spec: SpectralData,
-                profile: StationaryProfile, psi,
-                n_times: int = 2001):
+def clever_path(profile: StationaryProfile, psi, n_times: int = 2001):
     """Finite-cost bridge from Phi_ss to a target psi over the unit interval.
 
     The driving source is the spectral interpolation
@@ -136,23 +134,19 @@ def clever_path(params: ModelParams, spec: SpectralData,
         T_t = sum_k lambda_k (2 e^{lambda_k t} - 1) / (e^{lambda_k} - 1)
                     <psi - Phi_ss, e_k> e_k,
 
-    the field solves (-M) H_t = T_t through `inverse_dirichlet_apply`, and
-    the path integrates d Phi/dt = M Phi + b + T_t from Phi_ss over [0, 1].
+    over the full spectrum of `profile.params`, the field solves
+    (-M) H_t = T_t through `inverse_dirichlet_apply`, and the path integrates
+    d Phi/dt = M Phi + b + T_t from Phi_ss over [0, 1].
     Returns (DeterministicTrajectory, cost) with
     cost = (1/4) int_0^1 <H_t, (-M) H_t>/n dt by trapezoid quadrature.
 
-    Raises RuntimeError if psi - Phi_ss has unresolved mode content or the
-    endpoint misses psi by more than 1e-6 in lattice L^2.
+    Raises RuntimeError if the endpoint misses psi by more than 1e-6 in
+    lattice L^2.
     """
+    params = profile.params
+    spec = dirichlet_spectrum(params, params.n_sites)
     psi = as_grid_function(params, psi)
-    target = psi - profile.profile
-    coeff = spec.project(target)
-    recon = spec.synthesize(coeff)
-    resid = float(np.sum((target - recon) ** 2) / params.n)
-    if resid > 1e-8:
-        raise RuntimeError(
-            f"target has mode residual {resid:.3e} beyond the retained basis")
-
+    coeff = spec.project(psi - profile.profile)
     lam = spec.eigenvalues
     ts = np.linspace(0.0, 1.0, n_times)
     t_col = ts[:, None]
@@ -168,8 +162,7 @@ def clever_path(params: ModelParams, spec: SpectralData,
     return traj, cost
 
 
-def quasipotential(params: ModelParams, spec: SpectralData,
-                   profile: StationaryProfile, rho, T1: float,
+def quasipotential(profile: StationaryProfile, rho, T1: float,
                    n_times: int = 4001) -> RateReport:
     """Upper-bound construction for the quasi-potential at a target rho.
 
@@ -186,6 +179,7 @@ def quasipotential(params: ModelParams, spec: SpectralData,
     """
     if T1 <= 0:
         raise ValueError("T1 must be positive")
+    params = profile.params
     rho = as_grid_function(params, rho)
 
     if l2_distance(params, rho, profile.profile) < 1e-14:
@@ -202,7 +196,7 @@ def quasipotential(params: ModelParams, spec: SpectralData,
     energies = dirichlet_energy(params, relax.profiles - profile.profile)
     reversal_cost = float(np.trapezoid(energies, ts))
 
-    _, bridge_cost = clever_path(params, spec, profile, phi_t1)
+    _, bridge_cost = clever_path(profile, phi_t1)
 
     w_target = static_rate_w(params, profile, rho)
     w_relaxed = static_rate_w(params, profile, phi_t1)

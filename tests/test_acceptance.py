@@ -139,7 +139,7 @@ def test_criterion_10_clever_path():
     lam1 = float(spec.eigenvalues[0])
     delta = 0.3
     psi = prof.profile + delta * spec.modes[:, 0]
-    _, cost = clever_path(params, spec, prof, psi)
+    _, cost = clever_path(prof, psi)
     integral = (2.0 * np.expm1(2.0 * lam1) / lam1
                 - 4.0 * np.expm1(lam1) / lam1 + 1.0) / np.expm1(lam1) ** 2
     closed = delta ** 2 * lam1 / 4.0 * integral
@@ -151,7 +151,7 @@ def test_criterion_10_clever_path():
         coeff = rng.standard_normal(params.n_sites) * np.exp(
             -0.35 * np.arange(params.n_sites))
         target = prof.profile + 0.25 * spec.synthesize(coeff)
-        _, c = clever_path(params, spec, prof, target, n_times=601)
+        _, c = clever_path(prof, target, n_times=601)
         ratios.append(c / l2_distance(params, target, prof.profile) ** 2)
     bounded = np.isfinite(max(ratios))
     ok &= bounded
@@ -171,8 +171,7 @@ def test_criterion_11_operator_consistency():
         for n in (64, 128):
             p = ModelParams(n, gamma)
             u = p.grid()
-            cont = np.array([regional_laplacian_pointwise(gamma, F, float(ui))
-                             for ui in u])
+            cont = regional_laplacian_pointwise(gamma, F, u)
             disc = discrete_fractional_laplacian(p, F.f(u))
             gaps[n] = float(np.max(np.abs(cont - disc)))
         ratio = gaps[64] / gaps[128]

@@ -52,6 +52,9 @@ def test_invalid_params_status_1(tmp_path):
     ["adjoint", "--n", "40"],
     ["hydro-limit", "--n", "3"],
     ["figure1", "--phi-l", "1", "--phi-r", "1"],
+    ["stationarity", "--n", "3"],
+    ["spectrum", "--t", "1e300"],
+    ["figure1", "--n", "100000"],
 ])
 def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     # the fixed replica count goes first, so a case's own --replicas wins

@@ -150,7 +150,7 @@ def test_gamma_identity(setup32):
 
 def test_clever_path_trivial_target(setup32):
     params, prof, spec = setup32
-    traj, cost = clever_path(params, spec, prof, prof.profile)
+    traj, cost = clever_path(prof, prof.profile)
     assert cost == pytest.approx(0.0, abs=1e-14)
     for p in traj.profiles[:: len(traj.profiles) // 4]:
         np.testing.assert_allclose(p, prof.profile, atol=1e-12)
@@ -161,7 +161,7 @@ def test_clever_path_single_mode_closed_form(setup32):
     lam1 = float(spec.eigenvalues[0])
     delta = 0.3
     psi = prof.profile + delta * spec.modes[:, 0]
-    traj, cost = clever_path(params, spec, prof, psi)
+    traj, cost = clever_path(prof, psi)
     assert l2_distance(params, traj.profiles[-1], psi) <= 1e-6
     # closed form: (delta^2 lam/4) (e^lam - 1)^-2 int_0^1 (2 e^{lam t} - 1)^2 dt
     integral = (2.0 * np.expm1(2.0 * lam1) / lam1
@@ -178,23 +178,40 @@ def test_clever_path_cost_bounded_by_target_norm(setup32):
         coeff = rng.standard_normal(params.n_sites) * np.exp(
             -0.6 * np.arange(params.n_sites))
         psi = prof.profile + spec.synthesize(coeff) * 0.3
-        _, cost = clever_path(params, spec, prof, psi, n_times=801)
+        _, cost = clever_path(prof, psi, n_times=801)
         norm2 = l2_distance(params, psi, prof.profile) ** 2
         ratios.append(cost / norm2)
     assert max(ratios) < 50.0 * min(ratios) and np.isfinite(max(ratios))
 
 
-def test_clever_path_mode_residual_error(setup32):
-    params, prof, spec = setup32
-    truncated = dirichlet_spectrum(params, 5)
-    bad = prof.profile + spec.modes[:, -1]
-    with pytest.raises(RuntimeError, match="residual"):
-        clever_path(params, truncated, prof, bad)
+def _closed_form_bridge_cost(spec, target):
+    """(1/4) sum_k lambda_k c_k^2 int_0^1 r_k(t)^2 dt, r_k = (2 e^{lambda_k t} - 1)
+    / (e^{lambda_k} - 1), written in e^{-lambda_k} so that no term overflows."""
+    lam = spec.eigenvalues
+    c = spec.project(target)
+    q = np.exp(-lam)
+    integral = (2.0 * (1.0 - q * q) / lam - 4.0 * q * (1.0 - q) / lam + q * q) / (1.0 - q) ** 2
+    return 0.25 * float(np.sum(lam * c * c * integral))
+
+
+def test_clever_path_reads_spectrum_from_profile():
+    # the bridge uses the spectrum of profile.params: a gamma 1.5 profile
+    # gives the gamma 1.5 cost (a gamma 1.2 spectrum once gave 0.0751 here)
+    for gamma in (1.5, 1.2):
+        params = ModelParams(32, gamma, 0.5, 1.5)
+        prof = solve_stationary_profile(params)
+        psi = prof.profile + SmoothBump(0.25, 0.75, 0.5).f(params.grid())
+        _, cost = clever_path(prof, psi)
+        closed = _closed_form_bridge_cost(dirichlet_spectrum(params, params.n_sites),
+                                          psi - prof.profile)
+        assert cost == pytest.approx(closed, rel=1e-3)
+        if gamma == 1.5:
+            assert cost == pytest.approx(0.0310, abs=1e-4)
 
 
 def test_quasipotential_at_stationary_profile(setup32):
     params, prof, spec = setup32
-    rep = quasipotential(params, spec, prof, prof.profile, 1.0)
+    rep = quasipotential(prof, prof.profile, 1.0)
     assert rep.value == 0.0
 
 
@@ -206,7 +223,7 @@ def test_quasipotential_converges_to_w(setup32):
     w = static_rate_w(params, prof, rho)
     gaps = []
     for t_factor in (3.0, 6.5):
-        rep = quasipotential(params, spec, prof, rho, t_factor / lam1)
+        rep = quasipotential(prof, rho, t_factor / lam1)
         gaps.append(abs(rep.value - w) / w)
         assert abs(rep.breakdown["reversal_identity_gap"]) <= 1e-4
     assert gaps[1] < 0.05
@@ -220,8 +237,7 @@ def test_quasipotential_quadratic_scaling(setup32):
     direction = SmoothBump(0.3, 0.7, 0.6).f(u)
     vals = []
     for delta in (1.0, 0.5, 0.25):
-        rep = quasipotential(params, spec, prof,
-                             prof.profile + delta * direction, 6.5 / lam1)
+        rep = quasipotential(prof, prof.profile + delta * direction, 6.5 / lam1)
         vals.append(rep.value / delta ** 2)
     assert vals[1] == pytest.approx(vals[0], rel=1e-6)
     assert vals[2] == pytest.approx(vals[0], rel=1e-6)
@@ -230,4 +246,4 @@ def test_quasipotential_quadratic_scaling(setup32):
 def test_quasipotential_rejects_bad_horizon(setup32):
     params, prof, spec = setup32
     with pytest.raises(ValueError):
-        quasipotential(params, spec, prof, prof.profile, 0.0)
+        quasipotential(prof, prof.profile, 0.0)

@@ -88,10 +88,26 @@ def test_regional_laplacian_quadrature_refinement():
         assert abs(a - b) < 1e-7
 
 
+def test_regional_laplacian_array_matches_float_calls():
+    u = np.array([0.0, 1e-6, 0.1, 0.25, 0.3, 0.5, 0.62, 0.75, 0.9, 1.0])
+    for F in (SmoothBump(0.25, 0.75), PolyBump(0.25, 0.75)):
+        vals = regional_laplacian_pointwise(1.5, F, u)
+        assert isinstance(vals, np.ndarray) and vals.shape == u.shape
+        for ui, v in zip(u, vals):
+            single = regional_laplacian_pointwise(1.5, F, float(ui))
+            assert type(single) is float
+            assert v == pytest.approx(single, rel=1e-14, abs=0.0)
+        grid = regional_laplacian_pointwise(1.5, F, u.reshape(2, 5))
+        np.testing.assert_array_equal(grid, vals.reshape(2, 5))
+    assert type(regional_laplacian_pointwise(1.5, F, np.float64(0.3))) is float
+
+
 def test_regional_laplacian_domain_errors():
     F = SmoothBump(0.25, 0.75)
     with pytest.raises(ValueError):
         regional_laplacian_pointwise(1.5, F, 1.2)
+    with pytest.raises(ValueError):
+        regional_laplacian_pointwise(1.5, F, np.array([0.5, -0.1]))
     broken = TestFunction(f=F.f, df=None, d2f=None, support=F.support)
     with pytest.raises(ValueError):
         regional_laplacian_pointwise(1.5, broken, 0.5)
@@ -112,13 +128,12 @@ def test_continuum_green_identity():
     G = SmoothBump(0.35, 0.85)
     semi = continuum_seminorm(gamma, F, G)
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    pair = 0.0
     edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, 81),
                                       [0.2, 0.35, 0.6, 0.85]]))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for x, w in zip(mid + hw * nodes, hw * weights):
-            pair += w * float(F.f(x)) * (-regional_laplacian_pointwise(gamma, G, float(x)))
+    mid, hw = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    x = (mid[:, None] + hw[:, None] * nodes).ravel()
+    w = (hw[:, None] * weights).ravel()
+    pair = float(w @ (F.f(x) * -regional_laplacian_pointwise(gamma, G, x)))
     assert semi == pytest.approx(pair, abs=1e-6)
 
 
@@ -127,6 +142,7 @@ def test_continuum_seminorm_refinement_stability():
     F = SmoothBump(0.25, 0.75)
     a = continuum_seminorm(gamma, F, F)
     b = continuum_seminorm(gamma, F, F, refine=2)
+    assert type(a) is float
     assert abs(a - b) < 1e-7
 
 
@@ -153,7 +169,7 @@ def test_sup_gap_contraction_rate():
     for n in (64, 128):
         p = ModelParams(n, gamma)
         u = p.grid()
-        cont = np.array([regional_laplacian_pointwise(gamma, F, float(ui)) for ui in u])
+        cont = regional_laplacian_pointwise(gamma, F, u)
         disc = discrete_fractional_laplacian(p, F.f(u))
         gaps[n] = float(np.max(np.abs(cont - disc)))
     ratio = gaps[64] / gaps[128]
