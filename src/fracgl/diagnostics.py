@@ -83,7 +83,7 @@ class PolyObservableBasis:
         return G
 
 
-def generator_matrix_poly2(params: ModelParams, profile: StationaryProfile):
+def generator_matrix_poly2(profile: StationaryProfile):
     """Exact matrix L of the generator on the degree-<=2 centered basis.
 
     Columns hold the coefficients of the image of each basis element; the
@@ -92,6 +92,7 @@ def generator_matrix_poly2(params: ModelParams, profile: StationaryProfile):
 
     Returns (basis, L).
     """
+    params = profile.params
     if params.n > _MAX_N:
         raise ValueError(f"poly-2 representation restricted to n <= {_MAX_N}")
     sys = build_drift_system(params)
@@ -132,7 +133,7 @@ def adjoint_matrix_poly2(basis: PolyObservableBasis, L: np.ndarray) -> np.ndarra
     return solve(G, L.T @ G)
 
 
-def adjoint_defect(params: ModelParams, profile: StationaryProfile) -> dict:
+def adjoint_defect(profile: StationaryProfile) -> dict:
     """Antisymmetric defect of the generator on the poly-2 basis.
 
     Returns a dict with:
@@ -142,7 +143,7 @@ def adjoint_defect(params: ModelParams, profile: StationaryProfile) -> dict:
         product, restricted to mean-zero observables (reported, and expected
         to vanish at equilibrium phi_l = phi_r).
     """
-    basis, L = generator_matrix_poly2(params, profile)
+    basis, L = generator_matrix_poly2(profile)
     Ls = adjoint_matrix_poly2(basis, L)
     G = basis.gram()
 
@@ -164,6 +165,7 @@ def adjoint_defect(params: ModelParams, profile: StationaryProfile) -> dict:
     rhs = basis_v.T @ G @ basis_v
     vals = eigh(lhs, rhs, eigvals_only=True)
     defect = float(np.sqrt(max(vals.max(), 0.0)))
+    params = profile.params
     return {
         "n": params.n,
         "gamma": params.gamma,

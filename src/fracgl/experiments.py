@@ -130,7 +130,7 @@ def exp_stationarity(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
     sys = build_drift_system(params)
     prof = ness.solve_stationary_profile(params)
-    phi0 = ness.sample_ness(params, prof, cfg.replicas, cfg.seed)
+    phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
     out = simulate.euler_ensemble(sys, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1)
     phi = out["phi"]
     mean = phi.mean(axis=0)
@@ -201,7 +201,7 @@ def exp_martingale(cfg: ExperimentConfig) -> dict:
     prof = ness.solve_stationary_profile(params)
     u = params.grid()
     G = np.sin(np.pi * u) * (1.0 + 0.3 * u)
-    phi0 = ness.sample_ness(params, prof, cfg.replicas, cfg.seed)
+    phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
     out = simulate.euler_ensemble(sys, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
                                   martingale_g=G)
     m = out["martingale"]
@@ -236,7 +236,7 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     u = params.grid()
     G = np.sin(np.pi * u)
 
-    phi0 = ness.sample_ness(params, prof, cfg.replicas, cfg.seed)
+    phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
     plain = simulate.euler_ensemble(sys, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
                                     field=field, tilted=False, girsanov=True)
     w = np.exp(plain["log_weight"])
@@ -248,7 +248,7 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     est_weighted = wf.mean()
     se_weighted = wf.std(ddof=1) / np.sqrt(cfg.replicas)
 
-    phi0b = ness.sample_ness(params, prof, cfg.replicas, cfg.seed + 7)
+    phi0b = ness.sample_ness(prof, cfg.replicas, cfg.seed + 7)
     tilted = simulate.euler_ensemble(sys, phi0b, cfg.T, cfg.dt, seed=cfg.seed + 8,
                                      field=field, tilted=True, girsanov=True)
     f_tilt = np.tanh(tilted["phi"] @ G / params.n_sites)
@@ -321,11 +321,10 @@ def exp_spectrum(cfg: ExperimentConfig) -> dict:
     prof = ness.solve_stationary_profile(params)
     u = params.grid()
     g = prof.profile + SmoothBump(0.2, 0.8, 0.8).f(u) + 0.2 * np.sin(2 * np.pi * u) * u * (1 - u)
-    T = cfg.T if cfg.T * lam1 > 4 else 8.0 / lam1
-    fitted = hydro.relaxation_rate(params, g, T)
+    fitted = hydro.relaxation_rate(params, g, cfg.T)
     rel = abs(fitted - lam1) / lam1
 
-    times = np.linspace(0.0, T, 160)
+    times = np.linspace(0.0, cfg.T, 160)
     traj = hydro.solve_hydrodynamic(params, g, times)
     d0 = hydro.l2_distance(params, g, prof.profile)
     dists = np.array([hydro.l2_distance(params, p, prof.profile)
@@ -381,12 +380,10 @@ def exp_quasipotential(cfg: ExperimentConfig) -> dict:
 
 def exp_adjoint(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    prof = ness.solve_stationary_profile(params)
-    report = adjoint_defect(params, prof)
+    report = adjoint_defect(ness.solve_stationary_profile(params))
 
     eq_params = ModelParams(params.n, params.gamma, 0.7, 0.7)
-    eq_prof = ness.solve_stationary_profile(eq_params)
-    eq_report = adjoint_defect(eq_params, eq_prof)
+    eq_report = adjoint_defect(ness.solve_stationary_profile(eq_params))
     checks = {
         "invariance": _check(report["invariance_residual"], 1e-10,
                              report["invariance_residual"] <= 1e-10),
@@ -455,11 +452,17 @@ def _config_error(cfg: ExperimentConfig):
     if cfg.experiment == "stationarity" and int(min(_BLOCK_EPS) * cfg.n) < 1:
         return f"stationarity's boundary-block table needs n >= 10, got {cfg.n}"
     if cfg.experiment == "spectrum":
-        # beyond e^-27.6 = 1e-12 of decay the fitted distance nears float64 rounding
+        # beyond e^-27.6 = 1e-12 of decay the fitted distance nears float64
+        # rounding; below e^-4 the slower modes still bias the fitted rate
         decay = cfg.T * float(dirichlet_spectrum(params, 1).eigenvalues[0])
         if decay > 27.6:
             return ("spectrum's fit window [T/2, T] has decayed to the stationary state: "
                     f"lambda_1 T = {decay:.3g} > 27.6")
+        if decay <= 4:
+            return f"spectrum's fit needs lambda_1 T > 4, got {decay:.3g}"
+    if cfg.experiment == "rate-check" and cfg.n < 10:
+        # test fields supported in [0.1, 0.9] vanish at sites 1 and n-1 from n = 10
+        return f"rate-check's test fields need n >= 10, got {cfg.n}"
     if cfg.experiment in _EULER_EXPERIMENTS:
         limit = simulate.euler_stability_limit(build_drift_system(params))
         if cfg.dt >= limit:

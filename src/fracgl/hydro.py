@@ -46,12 +46,6 @@ class DeterministicTrajectory:
     profiles: np.ndarray
     field: Optional[ExternalField] = None
 
-    def profile_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} not on the recorded grid")
-        return self.profiles[i]
-
 
 def l2_distance(params: ModelParams, f, g) -> float:
     """Lattice L^2 distance sqrt((1/n) sum (f-g)^2)."""

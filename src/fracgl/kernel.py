@@ -9,19 +9,20 @@ interior lattice {1, ..., n-1} the dynamics is the linear diffusion
 where M = n^gamma (P - D - B) collects the bulk exchange rates P[x, y] =
 p(y - x), the diagonal D of kernel row sums, and the reservoir relaxation B
 at sites 1 and n-1; b carries the reservoir densities.  The noise is
-Gaussian in site space with covariance -2 M per unit time, drawn through the
-Cholesky factor of -2 M.  This is the same law as one independent driver of
-rate 2 n^gamma p(y - x) per unordered bulk pair {x, y}, acting with opposite
-signs at the two sites, plus drivers of rate 2 n^gamma at sites 1 and n-1:
-those rates assemble to exactly -2 M.
+Gaussian in site space with covariance -2 M per unit time.  This is the same
+law as one independent driver of rate 2 n^gamma p(y - x) per unordered bulk
+pair {x, y}, acting with opposite signs at the two sites, plus drivers of
+rate 2 n^gamma at sites 1 and n-1: those rates assemble to exactly -2 M.
+The stepper draws it in the eigenbasis of M: sqrt(2 lambda_k dt / n) times
+a standard normal per (1/n)-orthonormal mode of rate lambda_k.
 
 All of these objects come from one operator per (n, gamma), built once and
 kept in a bounded cache: the kernel row, P, its row sums, M and, on first
-use, the Cholesky factors of -M and -2M and the eigenpairs of -M.  Its
-arrays are read-only and shared by every DriftSystem of that (n, gamma),
-whatever the reservoir densities.  The Laplacian, the seminorm and the
-energy below are the only evaluations of L_n and of the quadratic forms;
-each accepts one grid function or a (times, sites) batch with sites last.
+use, the Cholesky factor of -M and the eigenpairs of -M.  Its arrays are
+read-only and shared by every DriftSystem of that (n, gamma), whatever the
+reservoir densities.  The Laplacian, the seminorm and the energy below are
+the only evaluations of L_n and of the quadratic forms; each accepts one
+grid function or a (times, sites) batch with sites last.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def kernel_row(params: ModelParams) -> np.ndarray:
 
 
 class _LatticeOperator:
-    """Kernel data of one (n, gamma), read-only; the factorizations and the
-    spectrum are computed on first use."""
+    """Kernel data of one (n, gamma), read-only; the Cholesky factor of -M
+    and the spectrum are computed on first use."""
 
     def __init__(self, n: int, gamma: float):
         params = ModelParams(n, gamma)
@@ -87,12 +88,6 @@ class _LatticeOperator:
         self.m = m
         for arr in (self.kernel_matrix, self.row_sums, self.m):
             arr.setflags(write=False)
-
-    @cached_property
-    def noise_factor(self) -> np.ndarray:
-        factor = np.linalg.cholesky(-2.0 * self.m)
-        factor.setflags(write=False)
-        return factor
 
     @cached_property
     def cho_neg_m(self):
@@ -149,10 +144,6 @@ class DriftSystem:
     def drift(self, phi: np.ndarray) -> np.ndarray:
         """Drift vector M phi + b (phi may be a batch with sites last)."""
         return phi @ self.m.T + self.b
-
-    def noise_factor(self) -> np.ndarray:
-        """Cholesky factor L with L L^T = -2 m."""
-        return _operator_of(self.params).noise_factor
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (-m) x = rhs through the Cholesky factor of -m."""

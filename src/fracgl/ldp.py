@@ -89,14 +89,13 @@ def j_functional(params: ModelParams, traj: DeterministicTrajectory, g,
             - float(np.trapezoid(integrand, ts)))
 
 
-def static_rate_w(params: ModelParams, profile: StationaryProfile, rho) -> float:
+def static_rate_w(profile: StationaryProfile, rho) -> float:
     """Static rate W(rho) = (1/2n) sum_x (rho(x) - Phi_ss(x))^2."""
-    rho = as_grid_function(params, rho)
-    diff = rho - profile.profile
-    return 0.5 * float(np.sum(diff * diff)) / params.n
+    diff = as_grid_function(profile.params, rho) - profile.profile
+    return 0.5 * float(np.sum(diff * diff)) / profile.params.n
 
 
-def gamma_identity_defect(params: ModelParams, profile: StationaryProfile, rho):
+def gamma_identity_defect(profile: StationaryProfile, rho):
     """Both sides of the discrete excess-energy identity for Gamma = rho - Phi_ss:
 
         ||Gamma||^2_{n,gamma/2} - <Gamma, rho>_{n,gamma/2}
@@ -107,6 +106,7 @@ def gamma_identity_defect(params: ModelParams, profile: StationaryProfile, rho):
     harmonicity of the stationary profile (zero only in the continuum limit).
     Returns (lhs, rhs).
     """
+    params = profile.params
     rho = as_grid_function(params, rho)
     gam = rho - profile.profile
     lhs = (discrete_inner_seminorm(params, gam, gam)
@@ -198,8 +198,8 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
 
     _, bridge_cost = clever_path(profile, phi_t1)
 
-    w_target = static_rate_w(params, profile, rho)
-    w_relaxed = static_rate_w(params, profile, phi_t1)
+    w_target = static_rate_w(profile, rho)
+    w_relaxed = static_rate_w(profile, phi_t1)
     return RateReport(
         value=bridge_cost + reversal_cost,
         breakdown={

@@ -118,27 +118,24 @@ def absorbed_walk_oracle(params: ModelParams, x: int, samples: int, seed: int):
     return p_left, 1.0 - p_left, stderr
 
 
-def sample_ness(params: ModelParams, profile: StationaryProfile,
-                count: int, seed: int) -> np.ndarray:
+def sample_ness(profile: StationaryProfile, count: int, seed: int) -> np.ndarray:
     """Independent NESS draws, phi(x) ~ Normal(Phi_ss(x), 1) across sites.
 
     Returns an array of shape (count, n-1); row i is one configuration.
     """
-    if profile.params != params:
-        raise ValueError("profile does not match params")
     rng = make_rng(seed, "ness-sample")
-    return profile.profile + rng.standard_normal((count, params.n_sites))
+    return profile.profile + rng.standard_normal((count, profile.params.n_sites))
 
 
-def static_cumulant(params: ModelParams, profile: StationaryProfile, G) -> float:
+def static_cumulant(profile: StationaryProfile, G) -> float:
     """Scaled log moment generating function of the stationary empirical pairing,
 
         (1/n) log E[exp(sum_x G(x/n) phi(x))] = (1/n) sum_x [G Phi_ss + G^2 / 2],
 
     exact for the product-Gaussian steady state.
     """
-    G = as_grid_function(params, G)
-    return float(np.sum(G * profile.profile + 0.5 * G * G) / params.n)
+    G = as_grid_function(profile.params, G)
+    return float(np.sum(G * profile.profile + 0.5 * G * G) / profile.params.n)
 
 
 def profile_to_csv(profile: StationaryProfile, path) -> None:

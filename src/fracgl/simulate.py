@@ -5,24 +5,30 @@ The state evolves by
     d phi = (M phi + b + u_t) dt + dW_t,    Cov(dW_t) = -2 M dt,
 
 where the tilt drift u_t(x) = -(L_n H_t)(x/n) comes from an external field H
-compactly supported in (0, 1).  The Euler chain draws its site noise
-eta = sqrt(dt) L z, with z standard normal per site and L the cached
-Cholesky factor of -2 M.
+compactly supported in (0, 1).  Every chain runs in the (1/n)-orthonormal
+modes e_k of -M (rates lambda_k), where both Gaussian transitions are the
+one recurrence of c_k = <phi, e_k>_(1/n), with c^ss those of Phi_ss:
 
-Girsanov weights are accumulated in site space from the same noise used for
-stepping.  The Euler transition is Gaussian with covariance -2 M dt, so its
-exact log-density ratio per step is, with theta_t = (-M)^{-1} u_t / 2,
+    c_k <- r_k c_k + (1 - r_k) c_k^ss + s_k z_k,    z_k standard normal.
+
+An Euler step dt has r_k = 1 - dt lambda_k and s_k = sqrt(2 lambda_k dt / n),
+so its noise eta has covariance -2 M dt; a tilt adds dt <u_t, e_k>_(1/n).  The
+exact transition over t has r_k = e^{-lambda_k t}, s_k = sqrt((1 - r_k^2) / n):
+phi_t ~ Normal(Phi_ss + e^{Mt}(phi_0 - Phi_ss), I - e^{2Mt}).  Sites are
+synthesized only at recorded steps and at the end.
+
+Girsanov weights use the noise of the step.  The Euler transition is
+Gaussian with covariance -2 M dt, so its exact log-density ratio per step is,
+with theta_t = (-M)^{-1} u_t / 2 (in modes <u_t, e_k>_(1/n) / (2 lambda_k)),
 
     d log M = eta . theta_t  -/+  (dt / 2) theta_t . u_t,
 
-with the minus sign on untilted runs and the plus sign on tilted ones.  This
-holds for any field, so E[M_T] = 1 holds exactly for the discrete chain and
+with the minus sign on untilted runs and the plus sign on tilted ones; a dot
+product of grid functions is n times that of their coefficients.  This holds
+for any field, so E[M_T] = 1 holds exactly for the discrete chain and
 weighted untilted averages reproduce tilted averages without discretization
 bias.  When H vanishes at sites 1 and n-1, theta_t = H_t / 2 and
 theta_t . u_t = (n/2) ||H_t||^2_{n,gamma/2}.
-
-For H = 0 the transition law is Gaussian and can be sampled exactly in the
-eigenbasis of M: phi_t ~ Normal(Phi_ss + e^{Mt}(phi_0 - Phi_ss), I - e^{2Mt}).
 
 A field is evaluated on the lattice when asked, with no per-time cache; an
 array of times gives (times, sites) arrays through one batched Laplacian.
@@ -38,7 +44,7 @@ import numpy as np
 
 from .kernel import DriftSystem, dirichlet_energy, discrete_fractional_laplacian
 from .ness import StationaryProfile
-from .operators import TestFunction, dirichlet_spectrum
+from .operators import SpectralData, TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function
 from .rng import make_rng
 
@@ -57,6 +63,8 @@ __all__ = [
     "dynkin_diagnostics",
     "trajectory_to_csv",
 ]
+
+_BLOCK = 20000  # replica rows per block of `euler_ensemble`, each with its stream
 
 
 @dataclass
@@ -147,81 +155,99 @@ def euler_stability_limit(sys: DriftSystem) -> float:
     return 0.5 / (sys.params.speed * (1.0 + float(s.max())))
 
 
-def _euler(sys: DriftSystem, phi: np.ndarray, t0: float, T: float, dt: float,
-           rng: np.random.Generator, field: Optional[ExternalField] = None,
-           tilted: bool = True, girsanov: bool = False,
-           g_vec: Optional[np.ndarray] = None,
-           record_every: Optional[int] = None) -> dict:
-    """Euler-Maruyama chain for the batch phi (replicas, n-1) over [t0, t0 + T].
-
-    The step taken is T / ceil(T / dt); dt must lie below the stability
-    bound.  With a field, `tilted` adds its tilt drift and `girsanov`
-    accumulates the log-weight of the tilted relative to the untilted chain.
-    With `g_vec`, the Dynkin martingale of phi . g_vec is accumulated.
-
-    Returns a dict with 'phi' and, on request, 'log_weight', 'martingale',
-    and the recorded 'times' and 'phis' (the initial state, every
-    `record_every`-th step and the last one).
+def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
+                    r: np.ndarray, s: np.ndarray, t0: float, dt: float,
+                    n_steps: int, rng: np.random.Generator,
+                    field: Optional[ExternalField] = None, tilted: bool = True,
+                    girsanov: bool = False, g_vec: Optional[np.ndarray] = None,
+                    record_every: Optional[int] = None) -> dict:
+    """The recurrence c <- r c + (1 - r) c_fixed + s z of the modal
+    coefficients of phi and of `fixed` (sites last) over n_steps steps of dt,
+    run on c - c_fixed.  With a field, `tilted` adds its tilt drift and `girsanov`
+    accumulates the log-weight of the tilted relative to the untilted chain;
+    `g_vec` accumulates the Dynkin martingale of phi . g_vec.  Returns a dict
+    with 'phi' and, on request, 'log_weight', 'martingale', and the recorded
+    'times' and 'phis' (the initial state, every `record_every`-th step and
+    the last one).
     """
+    if girsanov and field is None:
+        raise ValueError("girsanov accounting requires a field")
+    if record_every is not None and record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    n = spec.params.n
+    dev = spec.project(phi - fixed)
+    # compensated (Kahan) accumulation: the log-weight is a long sum of
+    # per-step increments that must stay exact in the exponent
+    logw = np.zeros(dev.shape[:-1])
+    logw_comp = np.zeros(dev.shape[:-1])
+    mart = np.zeros(dev.shape[:-1])
+    g_hat = None if g_vec is None else n * spec.project(g_vec)
+    times, phis = [t0], [phi]
+    for k in range(n_steps):
+        noise = rng.standard_normal(dev.shape)
+        noise *= s
+        dev *= r
+        if field is not None:
+            u_hat = spec.project(field.tilt_drift(spec.params, t0 + k * dt))
+            if tilted:
+                dev += dt * u_hat
+        if girsanov:
+            theta = (0.5 * n) * u_hat / spec.eigenvalues  # n theta_hat
+            quad = 0.5 * dt * float(theta @ u_hat)
+            y = noise @ theta + (quad if tilted else -quad) - logw_comp
+            tot = logw + y
+            logw_comp = (tot - logw) - y
+            logw = tot
+        if g_hat is not None:
+            mart += noise @ g_hat
+        dev += noise
+        if record_every is not None and ((k + 1) % record_every == 0
+                                         or k == n_steps - 1):
+            times.append(t0 + (k + 1) * dt)
+            phis.append(fixed + spec.synthesize(dev))
+
+    out = {"phi": fixed + spec.synthesize(dev)}
+    if girsanov:
+        out["log_weight"] = logw
+    if g_vec is not None:
+        out["martingale"] = mart
+    if record_every is not None:
+        out.update(times=np.array(times), phis=np.array(phis))
+    return out
+
+
+def _euler(sys: DriftSystem, phi: np.ndarray, t0: float, T: float, dt: float,
+           rng: np.random.Generator, **chain) -> dict:
+    """Euler-Maruyama chain over [t0, t0 + T] in steps of T / ceil(T / dt),
+    below the stability bound; `chain` goes to `_gaussian_chain`."""
     if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
         raise ValueError(f"T and dt must be positive and finite, got {T!r}, {dt!r}")
     limit = euler_stability_limit(sys)
     if dt >= limit:
         raise ValueError(f"dt={dt:.3e} violates the stability bound {limit:.3e}")
-    if girsanov and field is None:
-        raise ValueError("girsanov accounting requires a field")
-    if record_every is not None and record_every < 1:
-        raise ValueError("record_every must be >= 1")
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
     dt = T / n_steps
-    step_mat = (np.eye(sys.params.n_sites) + dt * sys.m).T
-    factor = sys.noise_factor().T  # step noise = sqdt * z @ factor
-    sqdt = np.sqrt(dt)
+    spec = dirichlet_spectrum(sys.params, sys.params.n_sites)
+    lam = spec.eigenvalues
+    return _gaussian_chain(spec, phi, sys.solve_spd(sys.b), 1.0 - dt * lam,
+                           np.sqrt(2.0 * dt * lam / sys.params.n), t0, dt, n_steps,
+                           rng, **chain)
 
-    # compensated (Kahan) accumulation: the log-weight is a long sum of
-    # per-step increments that must stay exact in the exponent
-    logw = np.zeros(phi.shape[0])
-    logw_comp = np.zeros(phi.shape[0])
-    mart = np.zeros(phi.shape[0])
-    recorded = [(t0, phi.copy())] if record_every is not None else None
-    for k in range(n_steps):
-        t = t0 + k * dt
-        new = phi @ step_mat
-        new += dt * sys.b
-        if field is not None:
-            u = field.tilt_drift(sys.params, t)
-            if tilted:
-                new += dt * u
-        step_noise = sqdt * (rng.standard_normal(phi.shape) @ factor)
-        if girsanov:
-            theta = 0.5 * sys.solve_spd(u)
-            quad = 0.5 * dt * float(theta @ u)
-            y = step_noise @ theta + (quad if tilted else -quad) - logw_comp
-            tot = logw + y
-            logw_comp = (tot - logw) - y
-            logw = tot
-        if g_vec is not None:
-            mart += step_noise @ g_vec
-        phi = new + step_noise
-        if recorded is not None and ((k + 1) % record_every == 0
-                                     or k == n_steps - 1):
-            recorded.append((t0 + (k + 1) * dt, phi.copy()))
 
-    out = {"phi": phi}
-    if girsanov:
-        out["log_weight"] = logw
-    if g_vec is not None:
-        out["martingale"] = mart
-    if recorded is not None:
-        out["times"] = np.array([t for t, _ in recorded])
-        out["phis"] = np.array([p for _, p in recorded])
-    return out
+def _exact(profile: StationaryProfile, phi: np.ndarray, t0: float, t: float,
+           n_steps: int, rng: np.random.Generator, **chain) -> dict:
+    """n_steps exact transitions of length t of the untilted dynamics."""
+    spec = dirichlet_spectrum(profile.params, profile.params.n_sites)
+    r = np.exp(-spec.eigenvalues * t)
+    s = np.sqrt(np.maximum(1.0 - r ** 2, 0.0) / profile.params.n)
+    return _gaussian_chain(spec, phi, profile.profile, r, s, t0, t, n_steps, rng,
+                           **chain)
 
 
 def step_euler(state: FieldState, sys: DriftSystem,
                field: Optional[ExternalField], dt: float,
                rng: np.random.Generator) -> FieldState:
-    """One Euler-Maruyama step with site noise.
+    """One Euler-Maruyama step with modal noise of covariance -2 M dt.
 
     Raises ValueError when dt is not positive or violates the stability
     bound.
@@ -248,13 +274,8 @@ def propagate_exact(state: FieldState, profile: StationaryProfile, t: float,
     if phi.shape[-1:] != (params.n_sites,) or not np.all(np.isfinite(phi)):
         raise ValueError(f"state must be finite with {params.n_sites} sites last, "
                          f"got shape {phi.shape}")
-    spec = dirichlet_spectrum(params, params.n_sites)
-    decay = np.exp(-spec.eigenvalues * t)
-    coeff = (phi - profile.profile) @ spec.modes * (decay / params.n)
-    std_modes = np.sqrt(np.maximum(1.0 - decay ** 2, 0.0) / params.n)
-    z = rng.standard_normal(phi.shape)
-    phi_t = profile.profile + (coeff + z * std_modes) @ spec.modes.T
-    return FieldState(phi=phi_t, time=state.time + t)
+    out = _exact(profile, phi, state.time, t, 1, rng)
+    return FieldState(phi=out["phi"], time=state.time + t)
 
 
 def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
@@ -269,7 +290,8 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
     trajectory then carries the accumulated log Girsanov weight of the
     tilted path relative to the untilted law.  T = 0 returns the initial
     state alone.  The exact scheme needs the stationary profile of
-    `sys.params`.
+    `sys.params`; it takes steps of record_every * dt (one step over T
+    without dt) and records each.
     """
     params = sys.params
     phi0 = as_grid_function(params, init.phi)
@@ -286,28 +308,17 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
             raise ValueError("exact scheme needs the stationary profile")
         if profile.params != params:
             raise ValueError("profile does not match the drift system's params")
+        n_rec = 1 if dt is None else max(1, int(np.ceil(T / (record_every * dt) - 1e-12)))
+        out = _exact(profile, phi0[None, :], init.time, T / n_rec, n_rec, rng,
+                     record_every=1)
+    elif scheme == "euler":
         if dt is None:
-            n_rec = 1
-        else:
-            n_rec = max(1, int(np.ceil(T / (record_every * dt) - 1e-12)))
-        rec_dt = T / n_rec
-        times = [init.time]
-        phis = [phi0.copy()]
-        state = FieldState(phi=phi0.copy(), time=init.time)
-        for _ in range(n_rec):
-            state = propagate_exact(state, profile, rec_dt, rng)
-            times.append(state.time)
-            phis.append(state.phi)
-        return Trajectory(times=np.array(times), phis=np.array(phis),
-                          scheme="exact", params=params)
-
-    if scheme != "euler":
+            dt = 0.5 * euler_stability_limit(sys)
+        out = _euler(sys, phi0[None, :], init.time, T, dt, rng, field=field,
+                     girsanov=field is not None, record_every=record_every)
+    else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if dt is None:
-        dt = 0.5 * euler_stability_limit(sys)
-    out = _euler(sys, phi0[None, :], init.time, T, dt, rng, field=field,
-                 girsanov=field is not None, record_every=record_every)
-    return Trajectory(times=out["times"], phis=out["phis"][:, 0], scheme="euler",
+    return Trajectory(times=out["times"], phis=out["phis"][:, 0], scheme=scheme,
                       params=params,
                       log_girsanov=(float(out["log_weight"][0])
                                     if field is not None else None))
@@ -316,7 +327,7 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
 def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
                    seed: int, field: Optional[ExternalField] = None,
                    tilted: bool = True, girsanov: bool = False,
-                   martingale_g=None, chunk: int = 20000) -> dict:
+                   martingale_g=None) -> dict:
     """Vectorized Euler evolution of a batch of replicas to time T.
 
     Parameters
@@ -328,12 +339,12 @@ def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
         Girsanov weight of the field is still accumulated (importance
         sampling of the tilted law from untilted paths).
     girsanov : bool
-        Accumulate log weights in site space (requires a field).
+        Accumulate log weights (requires a field).
     martingale_g : grid function, optional
         Accumulate the Dynkin martingale of <pi, G> along the path (exact
         telescoping of the noise pairings).
 
-    Replica blocks of `chunk` rows draw from the stream
+    Replica blocks of `_BLOCK` rows draw from the stream
     make_rng(seed, "euler-ensemble", first row of the block).
 
     Returns dict with keys 'phi', and optionally 'log_weight', 'martingale'.
@@ -343,10 +354,10 @@ def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
     g_vec = None
     if martingale_g is not None:
         g_vec = as_grid_function(sys.params, martingale_g) / sys.params.n_sites
-    blocks = [_euler(sys, phi0[lo:lo + chunk], 0.0, T, dt,
+    blocks = [_euler(sys, phi0[lo:lo + _BLOCK], 0.0, T, dt,
                      make_rng(seed, "euler-ensemble", lo), field=field,
                      tilted=tilted, girsanov=girsanov, g_vec=g_vec)
-              for lo in range(0, phi0.shape[0], chunk)]
+              for lo in range(0, phi0.shape[0], _BLOCK)]
     return {key: np.concatenate([block[key] for block in blocks])
             for key in blocks[0]}
 

@@ -1,4 +1,4 @@
-"""Edge-by-edge noise, the reference for fracgl's site-noise route: one driver
+"""Edge-by-edge noise, the reference for fracgl's modal noise route: one driver
 of rate 2 n^gamma p(y-x) per bulk pair x < y, with opposite signs on the two
 sites, and one of rate 2 n^gamma at each of sites 1 and n-1."""
 import numpy as np

@@ -209,22 +209,22 @@ def test_criterion_13_static_cumulant():
     prof = solve_stationary_profile(params)
     u = params.grid()
     G = 0.3 * np.sin(2.0 * np.pi * u) + 0.15
-    exact = static_cumulant(params, prof, G)
-    draws = sample_ness(params, prof, 10 ** 5, seed=131)
+    exact = static_cumulant(prof, G)
+    draws = sample_ness(prof, 10 ** 5, seed=131)
     w = np.exp(draws @ G)
     est = np.log(w.mean()) / params.n
     se = w.std(ddof=1) / (w.mean() * np.sqrt(len(w))) / params.n
     mc_ok = abs(est - exact) <= 4.0 * se
 
     rho = prof.profile + SmoothBump(0.25, 0.75, 0.7).f(u)
-    w_val = static_rate_w(params, prof, rho)
+    w_val = static_rate_w(prof, rho)
     g_star = rho - prof.profile
-    attained = float(rho @ g_star) / params.n - static_cumulant(params, prof, g_star)
+    attained = float(rho @ g_star) / params.n - static_cumulant(prof, g_star)
     legendre_ok = abs(attained - w_val) <= 1e-12
     rng = make_rng(13, "acceptance-legendre")
     for _ in range(40):
         G_try = g_star + rng.standard_normal(params.n_sites) * 0.3
-        val = float(rho @ G_try) / params.n - static_cumulant(params, prof, G_try)
+        val = float(rho @ G_try) / params.n - static_cumulant(prof, G_try)
         legendre_ok &= val <= w_val + 1e-12
     ok = mc_ok and legendre_ok
     _report(13, "static cumulant and Legendre transform", ok,

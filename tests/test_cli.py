@@ -55,6 +55,9 @@ def test_invalid_params_status_1(tmp_path):
     ["stationarity", "--n", "3"],
     ["spectrum", "--t", "1e300"],
     ["figure1", "--n", "100000"],
+    ["rate-check", "--n", "3"],
+    ["rate-check", "--n", "5"],
+    ["spectrum", "--t", "0.5"],
 ])
 def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     # the fixed replica count goes first, so a case's own --replicas wins

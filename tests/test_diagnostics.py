@@ -30,13 +30,13 @@ def eval_poly(basis, coeff, prof, phi):
 
 def test_generator_annihilates_constants(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof)
+    basis, L = generator_matrix_poly2(prof)
     assert np.max(np.abs(L[:, 0])) == 0.0
 
 
 def test_generator_linear_rows_reproduce_drift(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof)
+    basis, L = generator_matrix_poly2(prof)
     k = basis.k
     for i in range(k):
         col = L[:, basis.linear_index(i)]
@@ -48,7 +48,7 @@ def test_generator_linear_rows_reproduce_drift(setup8):
 
 def test_generator_closed_on_degree_two(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof)
+    basis, L = generator_matrix_poly2(prof)
     assert L.shape == (basis.size, basis.size)
     assert np.all(np.isfinite(L))
 
@@ -57,14 +57,14 @@ def test_size_guard():
     params = ModelParams(32, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     with pytest.raises(ValueError, match="n <= 16"):
-        generator_matrix_poly2(params, prof)
+        generator_matrix_poly2(prof)
 
 
 def test_generator_matches_monte_carlo_time_derivative():
     # d/dt E[f(phi_t)] at t=0 from MC vs the matrix action, random quadratic f
     params = ModelParams(6, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
-    basis, L = generator_matrix_poly2(params, prof)
+    basis, L = generator_matrix_poly2(prof)
     rng = make_rng(5, "poly-mc")
     coeff = rng.standard_normal(basis.size)
     phi0 = prof.profile + rng.standard_normal(params.n_sites)
@@ -88,14 +88,14 @@ def test_generator_matches_monte_carlo_time_derivative():
 
 def test_adjoint_invariance(setup8):
     params, sys, prof = setup8
-    report = adjoint_defect(params, prof)
+    report = adjoint_defect(prof)
     assert report["invariance_residual"] <= 1e-10
 
 
 def test_adjoint_defect_equilibrium_zero():
     params = ModelParams(8, 1.5, 0.7, 0.7)
     prof = solve_stationary_profile(params)
-    report = adjoint_defect(params, prof)
+    report = adjoint_defect(prof)
     assert report["defect_norm"] <= 1e-10
     assert report["invariance_residual"] <= 1e-10
 
@@ -105,14 +105,14 @@ def test_adjoint_defect_reported_out_of_equilibrium(setup8):
     # harmonicity cancels the first-order terms, so the computed value sits
     # at machine scale even though phi_l != phi_r
     params, sys, prof = setup8
-    report = adjoint_defect(params, prof)
+    report = adjoint_defect(prof)
     assert np.isfinite(report["defect_norm"])
     assert report["defect_norm"] < 1e-6
 
 
 def test_dirichlet_form_nonneg_on_poly2(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof)
+    basis, L = generator_matrix_poly2(prof)
     G = basis.gram()
     quad = -G @ L
     rng = make_rng(7, "dform")
@@ -123,7 +123,7 @@ def test_dirichlet_form_nonneg_on_poly2(setup8):
 
 def test_symmetric_part_pairing_identity(setup8):
     params, sys, prof = setup8
-    basis, L = generator_matrix_poly2(params, prof)
+    basis, L = generator_matrix_poly2(prof)
     Ls = adjoint_matrix_poly2(basis, L)
     S = 0.5 * (L + Ls)
     G = basis.gram()
@@ -153,7 +153,7 @@ def test_dirichlet_form_linear_matches_monte_carlo(setup8):
     c = rng.standard_normal(params.n_sites)
     exact = dirichlet_form_linear(params, c)
     reps = 200000
-    draws = sample_ness(params, prof, reps, seed=11)
+    draws = sample_ness(prof, reps, seed=11)
     f_vals = draws @ c
     lf_vals = (draws @ sys.m.T + sys.b) @ c
     prod = -f_vals * lf_vals

@@ -115,26 +115,26 @@ def test_j_of_free_path_nonpositive(setup32):
 
 def test_static_rate_values(setup32):
     params, prof, spec = setup32
-    assert static_rate_w(params, prof, prof.profile) == 0.0
+    assert static_rate_w(prof, prof.profile) == 0.0
     delta = 0.37
     rho = prof.profile + delta * spec.modes[:, 0]
-    assert static_rate_w(params, prof, rho) == pytest.approx(delta ** 2 / 2.0, abs=1e-10)
+    assert static_rate_w(prof, rho) == pytest.approx(delta ** 2 / 2.0, abs=1e-10)
 
 
 def test_legendre_transform_recovers_w(setup32):
     params, prof, spec = setup32
     u = params.grid()
     rho = prof.profile + SmoothBump(0.25, 0.75, 0.8).f(u)
-    w = static_rate_w(params, prof, rho)
+    w = static_rate_w(prof, rho)
     # analytic maximizer G* = rho - Phi_ss attains the supremum exactly
     g_star = rho - prof.profile
     pairing = float(rho @ g_star) / params.n
-    attained = pairing - static_cumulant(params, prof, g_star)
+    attained = pairing - static_cumulant(prof, g_star)
     assert attained == pytest.approx(w, rel=1e-12)
     rng = make_rng(2, "legendre")
     for _ in range(25):
         G = g_star + rng.standard_normal(params.n_sites) * rng.uniform(0.01, 0.5)
-        val = float(rho @ G) / params.n - static_cumulant(params, prof, G)
+        val = float(rho @ G) / params.n - static_cumulant(prof, G)
         assert val <= w + 1e-12
 
 
@@ -143,7 +143,7 @@ def test_gamma_identity(setup32):
     rng = make_rng(3, "gamma-id")
     for _ in range(5):
         rho = prof.profile + rng.standard_normal(params.n_sites)
-        lhs, rhs = gamma_identity_defect(params, prof, rho)
+        lhs, rhs = gamma_identity_defect(prof, rho)
         assert lhs == pytest.approx(rhs, abs=1e-10)
         assert abs(rhs) > 0  # boundary-touching perturbations have a defect
 
@@ -220,7 +220,7 @@ def test_quasipotential_converges_to_w(setup32):
     lam1 = float(spec.eigenvalues[0])
     u = params.grid()
     rho = prof.profile + SmoothBump(0.25, 0.75, 0.5).f(u)
-    w = static_rate_w(params, prof, rho)
+    w = static_rate_w(prof, rho)
     gaps = []
     for t_factor in (3.0, 6.5):
         rep = quasipotential(prof, rho, t_factor / lam1)

@@ -91,7 +91,7 @@ def test_sample_ness_moments():
     params = ModelParams(16, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     count = 40000
-    draws = sample_ness(params, prof, count, seed=3)
+    draws = sample_ness(prof, count, seed=3)
     assert draws.shape == (count, params.n_sites)
     tol = 4.0 / np.sqrt(count)
     assert np.max(np.abs(draws.mean(axis=0) - prof.profile)) <= tol
@@ -105,15 +105,15 @@ def test_sample_ness_moments():
 def test_sample_ness_reproducible():
     params = ModelParams(8, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
-    a = sample_ness(params, prof, 10, seed=42)
-    b = sample_ness(params, prof, 10, seed=42)
+    a = sample_ness(prof, 10, seed=42)
+    b = sample_ness(prof, 10, seed=42)
     np.testing.assert_array_equal(a, b)
 
 
 def test_static_cumulant_zero_field():
     params = ModelParams(16, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
-    assert static_cumulant(params, prof, np.zeros(params.n_sites)) == 0.0
+    assert static_cumulant(prof, np.zeros(params.n_sites)) == 0.0
 
 
 def test_static_cumulant_matches_monte_carlo():
@@ -121,8 +121,8 @@ def test_static_cumulant_matches_monte_carlo():
     prof = solve_stationary_profile(params)
     u = params.grid()
     G = 0.25 * np.sin(2.0 * np.pi * u) + 0.1
-    exact = static_cumulant(params, prof, G)
-    draws = sample_ness(params, prof, 10 ** 5, seed=77)
+    exact = static_cumulant(prof, G)
+    draws = sample_ness(prof, 10 ** 5, seed=77)
     w = np.exp(draws @ G)
     est = np.log(w.mean()) / params.n
     se = w.std(ddof=1) / (w.mean() * np.sqrt(len(w))) / params.n
@@ -137,7 +137,7 @@ def test_static_cumulant_large_n_limit():
         params = ModelParams(n, gamma, pl, pr)
         prof = solve_stationary_profile(params)
         G = np.sin(np.pi * params.grid())
-        vals.append(static_cumulant(params, prof, G))
+        vals.append(static_cumulant(prof, G))
     assert abs(vals[1] - vals[0]) < 0.02
 
 

@@ -10,7 +10,19 @@ from fracgl import (ExternalField, FieldState, ModelParams, SmoothBump,
                     propagate_exact, sample_ness, simulate_trajectory,
                     solve_stationary_profile, step_euler)
 from fracgl.rng import make_rng
-from fracgl.simulate import trajectory_to_csv
+from fracgl.simulate import _euler, trajectory_to_csv
+
+
+class FixedRng:
+    """Stands in for a Generator, handing out the given normals in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        z = self.draws.pop(0)
+        assert z.shape == tuple(shape)
+        return z.copy()
 
 
 def bump_field(amp=0.8, a=0.25, b=0.75, omega=2.0):
@@ -72,6 +84,76 @@ def test_step_euler_fixed_point_without_noise(params16, sys16, profile16):
     np.testing.assert_allclose(out.phi, profile16.profile, atol=1e-12)
 
 
+def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16):
+    # one step is dt (M phi + b) + sqrt(dt) S z with S S^T = -2 M
+    rng = np.random.default_rng(5)
+    phi = profile16.profile + rng.standard_normal(params16.n_sites)
+    z = rng.standard_normal((1, params16.n_sites))
+    spec = dirichlet_spectrum(params16, params16.n_sites)
+    S = spec.modes * np.sqrt(2.0 * spec.eigenvalues / params16.n)
+    scale = np.abs(sys16.m).max()
+    np.testing.assert_allclose(S @ S.T, -2.0 * sys16.m, rtol=0, atol=1e-12 * scale)
+    dt = 1e-4
+    out = step_euler(FieldState(phi=phi.copy()), sys16, None, dt, FixedRng(z))
+    expected = dt * (sys16.m @ phi + sys16.b) + np.sqrt(dt) * S @ z[0]
+    np.testing.assert_allclose(out.phi - phi, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilted):
+    # the modal log-weight of one step is eta.theta -/+ (dt/2) theta.u with
+    # theta = (-M)^{-1} u / 2 in site space
+    rng = np.random.default_rng(8)
+    phi = profile16.profile + rng.standard_normal((3, params16.n_sites))
+    z = rng.standard_normal(phi.shape)
+    field, t0, dt = bump_field(), 0.3, 1e-4
+    out = _euler(sys16, phi, t0, dt, dt, FixedRng(z), field=field, tilted=tilted,
+                 girsanov=True)
+    spec = dirichlet_spectrum(params16, params16.n_sites)
+    eta = np.sqrt(dt) * z @ (spec.modes * np.sqrt(2.0 * spec.eigenvalues
+                                                 / params16.n)).T
+    u = field.tilt_drift(params16, t0)
+    theta = 0.5 * sys16.solve_spd(u)
+    quad = 0.5 * dt * float(theta @ u)
+    np.testing.assert_allclose(out["log_weight"],
+                               eta @ theta + (quad if tilted else -quad),
+                               rtol=0, atol=1e-12)
+    step = phi + dt * (sys16.drift(phi) + (u if tilted else 0.0)) + eta
+    np.testing.assert_allclose(out["phi"], step, rtol=0, atol=1e-12)
+
+
+def test_propagate_exact_closed_form(params16, sys16, profile16):
+    # mean Phi + e^{Mt}(phi - Phi), noise S z with S S^T = I - e^{2Mt}
+    from scipy.linalg import expm
+    rng = np.random.default_rng(9)
+    phi = profile16.profile + rng.standard_normal(params16.n_sites)
+    z = rng.standard_normal(params16.n_sites)
+    t = 0.01
+    spec = dirichlet_spectrum(params16, params16.n_sites)
+    r = np.exp(-spec.eigenvalues * t)
+    S = spec.modes * np.sqrt((1.0 - r ** 2) / params16.n)
+    np.testing.assert_allclose(S @ S.T, np.eye(params16.n_sites) - expm(2.0 * t * sys16.m),
+                               rtol=0, atol=1e-12)
+    out = propagate_exact(FieldState(phi=phi), profile16, t, FixedRng(z)).phi
+    mean = profile16.profile + expm(t * sys16.m) @ (phi - profile16.profile)
+    np.testing.assert_allclose(out, mean + S @ z, rtol=0, atol=1e-12)
+
+
+def test_exact_trajectory_is_successive_propagations(params16, sys16, profile16):
+    rng = np.random.default_rng(4)
+    phi0 = profile16.profile + rng.standard_normal(params16.n_sites)
+    traj = simulate_trajectory(sys16, FieldState(phi=phi0.copy()), 0.05,
+                               scheme="exact", dt=1e-2, seed=6, profile=profile16)
+    assert traj.times.shape == (6,)
+    stream = make_rng(6, "trajectory")
+    state = FieldState(phi=phi0.copy())
+    np.testing.assert_array_equal(traj.phis[0], phi0)
+    for k in range(1, 6):
+        state = propagate_exact(state, profile16, 1e-2, stream)
+        assert traj.times[k] == pytest.approx(state.time, rel=0, abs=1e-12)
+        np.testing.assert_allclose(traj.phis[k], state.phi, rtol=0, atol=1e-12)
+
+
 def test_euler_mean_propagation_order(params16, sys16, profile16):
     # one noiseless Euler step vs the exact semigroup: O(dt^2) defect
     rng = np.random.default_rng(2)
@@ -102,13 +184,13 @@ def test_single_step_covariance_matches_diffusion():
 
 
 def test_factor_noise_matches_edge_noise_in_law():
-    # site noise with site-space weights against the edge-by-edge oracle
+    # the modal chain and its log-weights against the edge-by-edge oracle
     params = ModelParams(12, 1.5, 0.0, 1.0)
     sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     field = bump_field(amp=0.9)
     replicas, T, dt = 20000, 0.02, 5e-4
-    phi0 = sample_ness(params, prof, replicas, seed=1)
+    phi0 = sample_ness(prof, replicas, seed=1)
     site = euler_ensemble(sys, phi0, T, dt, seed=2, field=field, tilted=False,
                           girsanov=True)
     edge_phi, edge_logw, q = edge_euler(sys, phi0, T, dt, make_rng(3, "edges"), field)
@@ -145,7 +227,7 @@ def test_propagate_exact_limits(params16, profile16):
 
 def test_propagate_exact_stationarity(params16, profile16):
     reps = 20000
-    draws = sample_ness(params16, profile16, reps, seed=9)
+    draws = sample_ness(profile16, reps, seed=9)
     out = propagate_exact(FieldState(phi=draws), profile16, 0.37,
                           make_rng(10, "stat")).phi
     assert np.max(np.abs(out.mean(axis=0) - profile16.profile)) <= 4.0 / np.sqrt(reps)
@@ -205,7 +287,7 @@ def test_girsanov_weight_mean_one():
     prof = solve_stationary_profile(params)
     field = bump_field(amp=0.9)
     reps = 20000
-    phi0 = sample_ness(params, prof, reps, seed=21)
+    phi0 = sample_ness(prof, reps, seed=21)
     out = euler_ensemble(sys, phi0, 0.3, 1e-3, seed=22, field=field,
                          tilted=False, girsanov=True)
     w = np.exp(out["log_weight"])
@@ -220,12 +302,12 @@ def test_girsanov_tilted_vs_weighted():
     field = bump_field(amp=0.9)
     reps = 20000
     G = np.sin(np.pi * params.grid())
-    phi0 = sample_ness(params, prof, reps, seed=31)
+    phi0 = sample_ness(prof, reps, seed=31)
     plain = euler_ensemble(sys, phi0, 0.3, 1e-3, seed=32, field=field,
                            tilted=False, girsanov=True)
     w = np.exp(plain["log_weight"])
     f_plain = np.tanh(plain["phi"] @ G / params.n_sites)
-    phi0b = sample_ness(params, prof, reps, seed=33)
+    phi0b = sample_ness(prof, reps, seed=33)
     tilt = euler_ensemble(sys, phi0b, 0.3, 1e-3, seed=34, field=field,
                           tilted=True, girsanov=True)
     f_tilt = np.tanh(tilt["phi"] @ G / params.n_sites)
@@ -305,7 +387,7 @@ def test_dynkin_martingale_moments():
     prof = solve_stationary_profile(params)
     G = np.sin(np.pi * params.grid())
     reps, T, dt = 20000, 0.1, 2e-4
-    phi0 = sample_ness(params, prof, reps, seed=41)
+    phi0 = sample_ness(prof, reps, seed=41)
     out = euler_ensemble(sys, phi0, T, dt, seed=42, martingale_g=G)
     m = out["martingale"]
     qv = martingale_qv_rate(params, G) * T
