@@ -18,7 +18,8 @@ from .ness import (StationaryProfile, solve_stationary_profile,
                    absorbed_walk_oracle, sample_ness, static_cumulant)
 from .simulate import (FieldState, ExternalField, Trajectory,
                        euler_stability_limit, step_euler, propagate_exact,
-                       simulate_trajectory, euler_ensemble, empirical_pairing,
+                       simulate_trajectory, euler_ensemble,
+                       girsanov_log_weight_variance, empirical_pairing,
                        boundary_block_average, martingale_qv_rate,
                        dynkin_diagnostics)
 from .hydro import (DeterministicTrajectory, solve_hydrodynamic,

@@ -255,6 +255,7 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     est_tilted = f_tilt.mean()
     se_tilted = f_tilt.std(ddof=1) / np.sqrt(cfg.replicas)
 
+    q = simulate.girsanov_log_weight_variance(sys, field, cfg.T, cfg.dt)
     se_comb = float(np.hypot(se_weighted, se_tilted))
     z_obs = abs(est_weighted - est_tilted) / se_comb
     checks = {
@@ -271,6 +272,9 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
             "outputs": {"weight_mean": float(w.mean()),
                         "weighted_observable": float(est_weighted),
                         "tilted_observable": float(est_tilted),
+                        "q": q,
+                        "weight_var_exact": float(np.expm1(q)),
+                        "weight_mean_se_exact": float(np.sqrt(np.expm1(q) / cfg.replicas)),
                         "untilted_weights": _weight_health(plain["log_weight"]),
                         "tilted_weights": _weight_health(tilted["log_weight"])}}
 

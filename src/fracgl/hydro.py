@@ -131,7 +131,8 @@ def weak_residual(params: ModelParams, traj: DeterministicTrajectory,
     phis = traj.profiles[mask]
     n = params.n
 
-    gs, dgs = _on_grid(G_space, params, ts), _on_grid(G_dt, params, ts)
+    u = params.grid()
+    gs, dgs = _on_grid(G_space, ts, u), _on_grid(G_dt, ts, u)
     if abs(float(gs[0, 0])) > 1e-12 or abs(float(gs[0, -1])) > 1e-12:
         raise ValueError("test function must vanish at the boundary sites")
 

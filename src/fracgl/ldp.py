@@ -21,6 +21,9 @@ which is exactly what makes the time-reversal cost identity
 int ||lambda*_t - Phi_ss||^2 dt = W(rho) - W(Phi_T1) and the single-mode
 path-cost formulas hold at finite n instead of only in the n -> infinity
 limit.
+
+Both path costs are therefore evaluated in the (1/n)-orthonormal modes e_k of
+-M (rates lambda_k): a field sum_k a_k(t) e_k costs int sum_k lambda_k a_k^2 dt.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hydro import DeterministicTrajectory, l2_distance, solve_hydrodynamic
-from .kernel import dirichlet_energy, discrete_inner_seminorm
+from .hydro import DeterministicTrajectory, l2_distance
+from .kernel import discrete_inner_seminorm
 from .ness import StationaryProfile
-from .operators import dirichlet_spectrum, inverse_dirichlet_apply
+from .operators import dirichlet_spectrum
 from .params import ModelParams, as_grid_function
 from .simulate import ExternalField
 
@@ -46,6 +49,8 @@ __all__ = [
     "clever_path",
     "quasipotential",
 ]
+
+_BRIDGE_TIMES = 2001  # time nodes of the bridge over [0, 1]
 
 
 @dataclass
@@ -126,7 +131,14 @@ def _stable_field_ratio(lam: np.ndarray, t) -> np.ndarray:
     return (2.0 * np.exp(lam * (t - 1.0)) - np.exp(-lam)) / (-np.expm1(-lam))
 
 
-def clever_path(profile: StationaryProfile, psi, n_times: int = 2001):
+def _bridge_cost(lam: np.ndarray, coeff: np.ndarray, ts: np.ndarray) -> float:
+    """(1/4) int sum_k lambda_k coeff_k^2 F_k(t)^2 dt of the bridge to the
+    modal target `coeff`, F the field ratio; trapezoid over `ts`."""
+    ratio = _stable_field_ratio(lam, ts[:, None])
+    return 0.25 * float(np.trapezoid((ratio * ratio) @ (lam * coeff * coeff), ts))
+
+
+def clever_path(profile: StationaryProfile, psi, n_times: int = _BRIDGE_TIMES):
     """Finite-cost bridge from Phi_ss to a target psi over the unit interval.
 
     The driving source is the spectral interpolation
@@ -135,10 +147,11 @@ def clever_path(profile: StationaryProfile, psi, n_times: int = 2001):
                     <psi - Phi_ss, e_k> e_k,
 
     over the full spectrum of `profile.params`, the field solves
-    (-M) H_t = T_t through `inverse_dirichlet_apply`, and the path integrates
-    d Phi/dt = M Phi + b + T_t from Phi_ss over [0, 1].
+    (-M) H_t = T_t, and the path integrates d Phi/dt = M Phi + b + T_t from
+    Phi_ss over [0, 1].
     Returns (DeterministicTrajectory, cost) with
-    cost = (1/4) int_0^1 <H_t, (-M) H_t>/n dt by trapezoid quadrature.
+    cost = (1/4) int_0^1 <H_t, (-M) H_t>/n dt by trapezoid quadrature,
+    evaluated in modes.
 
     Raises RuntimeError if the endpoint misses psi by more than 1e-6 in
     lattice L^2.
@@ -149,17 +162,13 @@ def clever_path(profile: StationaryProfile, psi, n_times: int = 2001):
     coeff = spec.project(psi - profile.profile)
     lam = spec.eigenvalues
     ts = np.linspace(0.0, 1.0, n_times)
-    t_col = ts[:, None]
-    profiles = spec.synthesize(coeff * _stable_path_ratio(lam, t_col))
+    profiles = spec.synthesize(coeff * _stable_path_ratio(lam, ts[:, None]))
     profiles += profile.profile
-    source = spec.synthesize(lam * coeff * _stable_field_ratio(lam, t_col))
-    fields = inverse_dirichlet_apply(spec, source)
-    cost = 0.25 * float(np.trapezoid(dirichlet_energy(params, fields), ts))
     gap = l2_distance(params, profiles[-1], psi)
     if gap > 1e-6:
         raise RuntimeError(f"clever path misses the target by {gap:.3e}")
     traj = DeterministicTrajectory(params=params, times=ts, profiles=profiles)
-    return traj, cost
+    return traj, _bridge_cost(lam, coeff, ts)
 
 
 def quasipotential(profile: StationaryProfile, rho, T1: float,
@@ -167,15 +176,16 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
     """Upper-bound construction for the quasi-potential at a target rho.
 
     (i) relax rho forward under the free flow for a time T1;
-    (ii) bridge Phi_ss -> Phi_T1 with `clever_path`;
+    (ii) bridge Phi_ss -> Phi_T1 along the `clever_path` source;
     (iii) traverse the time-reversed relaxation from Phi_T1 back to rho,
     driven by H* = 2(lambda*_t - Phi_ss), whose cost
     int ||lambda*_t - Phi_ss||^2 dt equals W(rho) - W(Phi_T1).
 
     The estimate bridge + reversal converges to W(rho) as T1 grows (the
-    relative gap is exponentially small once lambda_1 T1 >> 1).  The
-    reversal cost is evaluated by energy quadrature along the relaxation
-    path, independently of the W difference reported next to it.
+    relative gap is exponentially small once lambda_1 T1 >> 1).  With
+    c = <rho - Phi_ss, e_k>_(1/n) the reversal cost is the trapezoid of
+    sum_k lambda_k c_k^2 e^{-2 lambda_k t} over a graded grid, independent of
+    the W difference reported next to it.
     """
     if T1 <= 0:
         raise ValueError("T1 must be positive")
@@ -188,18 +198,19 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
                                      "w_target": 0.0, "w_relaxed": 0.0},
                           discretization={"n": params.n, "T1": T1})
 
+    spec = dirichlet_spectrum(params, params.n_sites)
+    lam = spec.eigenvalues
+    coeff = spec.project(rho - profile.profile)
     # graded grid: the energy integrand has its fast transient at t = 0
     ts = T1 * np.linspace(0.0, 1.0, n_times) ** 2
-    relax = solve_hydrodynamic(params, rho, ts)
-    phi_t1 = relax.profiles[-1]
+    decay = np.exp(np.multiply.outer(-2.0 * ts, lam))
+    reversal_cost = float(np.trapezoid(decay @ (lam * coeff * coeff), ts))
 
-    energies = dirichlet_energy(params, relax.profiles - profile.profile)
-    reversal_cost = float(np.trapezoid(energies, ts))
-
-    _, bridge_cost = clever_path(profile, phi_t1)
+    coeff_t1 = coeff * np.exp(-lam * T1)
+    bridge_cost = _bridge_cost(lam, coeff_t1, np.linspace(0.0, 1.0, _BRIDGE_TIMES))
 
     w_target = static_rate_w(profile, rho)
-    w_relaxed = static_rate_w(profile, phi_t1)
+    w_relaxed = static_rate_w(profile, profile.profile + spec.synthesize(coeff_t1))
     return RateReport(
         value=bridge_cost + reversal_cost,
         breakdown={

@@ -31,7 +31,8 @@ bias.  When H vanishes at sites 1 and n-1, theta_t = H_t / 2 and
 theta_t . u_t = (n/2) ||H_t||^2_{n,gamma/2}.
 
 A field is evaluated on the lattice when asked, with no per-time cache; an
-array of times gives (times, sites) arrays through one batched Laplacian.
+array of times gives (times, sites) arrays from one call of the field on a
+column of times and one batched Laplacian.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernel import DriftSystem, dirichlet_energy, discrete_fractional_laplacian
-from .ness import StationaryProfile
+from .ness import StationaryProfile, solve_stationary_profile
 from .operators import SpectralData, TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function
 from .rng import make_rng
@@ -57,6 +58,7 @@ __all__ = [
     "propagate_exact",
     "simulate_trajectory",
     "euler_ensemble",
+    "girsanov_log_weight_variance",
     "empirical_pairing",
     "boundary_block_average",
     "martingale_qv_rate",
@@ -85,17 +87,26 @@ class ExternalField:
     dh_dt : callable or None
         Time derivative, needed by the weak-form functionals.
 
-    The lattice methods take one time or an array of times; `h` and `dh_dt`
-    are called once per time with the 1-d grid.
+    The lattice methods take one time or an array of times.  For one time
+    `h` and `dh_dt` are called with the time and the 1-d grid; for an array
+    of times they are called once, with the times as a (times, 1) column,
+    and their result must broadcast to (times, sites).  Both are probed so
+    at construction.
     """
 
     def __init__(self, h: Callable, dh_dt: Optional[Callable] = None):
         self.h = h
         self.dh_dt = dh_dt
-        for t_probe in (0.0, 0.37, 1.0):
-            ends = np.asarray(h(t_probe, np.array([0.0, 1.0])), dtype=float)
-            if np.any(np.abs(ends) > 1e-12):
-                raise ValueError("field must vanish at u = 0 and u = 1")
+        u_probe = np.array([0.0, 0.5, 1.0])
+        for fn in (h, dh_dt):
+            if fn is not None:
+                try:
+                    probe = _on_grid(fn, np.array([0.0, 0.37, 1.0]), u_probe)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError("field callables must broadcast (times, 1) times "
+                                     f"and (points,) u to (times, points): {exc}") from None
+                if fn is h and np.any(np.abs(probe[:, [0, -1]]) > 1e-12):
+                    raise ValueError("field must vanish at u = 0 and u = 1")
 
     @classmethod
     def separable(cls, time_fn: Callable, time_fn_prime: Optional[Callable],
@@ -114,7 +125,7 @@ class ExternalField:
     def lattice(self, params: ModelParams, t):
         """(H_t, L_n H_t) on the interior sites; (times, sites) arrays when t
         is an array of times."""
-        hv = _on_grid(self.h, params, t)
+        hv = _on_grid(self.h, t, params.grid())
         return hv, discrete_fractional_laplacian(params, hv)
 
     def tilt_drift(self, params: ModelParams, t) -> np.ndarray:
@@ -124,15 +135,18 @@ class ExternalField:
     def dt_lattice(self, params: ModelParams, t) -> np.ndarray:
         if self.dh_dt is None:
             raise ValueError("field has no time derivative")
-        return _on_grid(self.dh_dt, params, t)
+        return _on_grid(self.dh_dt, t, params.grid())
 
 
-def _on_grid(fn: Callable, params: ModelParams, t) -> np.ndarray:
-    """fn(t, grid) as floats; one row per time when t is an array."""
-    u = params.grid()
+def _on_grid(fn: Callable, t, u: np.ndarray) -> np.ndarray:
+    """fn(t, u) as floats for one time; for an array of times the one call
+    fn(t[:, None], u), broadcast to (times, points)."""
     if np.ndim(t) == 0:
         return np.asarray(fn(t, u), dtype=float)
-    return np.array([np.asarray(fn(float(s), u), dtype=float) for s in t])
+    t = np.asarray(t, dtype=float)
+    out = np.empty((t.size, u.size))
+    out[...] = fn(t[:, None], u)
+    return out
 
 
 @dataclass
@@ -216,6 +230,12 @@ def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
     return out
 
 
+def _step_grid(T: float, dt: float) -> tuple:
+    """Number of Euler steps over a horizon T and their length T / ceil(T / dt)."""
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    return n_steps, T / n_steps
+
+
 def _euler(sys: DriftSystem, phi: np.ndarray, t0: float, T: float, dt: float,
            rng: np.random.Generator, **chain) -> dict:
     """Euler-Maruyama chain over [t0, t0 + T] in steps of T / ceil(T / dt),
@@ -225,8 +245,7 @@ def _euler(sys: DriftSystem, phi: np.ndarray, t0: float, T: float, dt: float,
     limit = euler_stability_limit(sys)
     if dt >= limit:
         raise ValueError(f"dt={dt:.3e} violates the stability bound {limit:.3e}")
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    dt = T / n_steps
+    n_steps, dt = _step_grid(T, dt)
     spec = dirichlet_spectrum(sys.params, sys.params.n_sites)
     lam = spec.eigenvalues
     return _gaussian_chain(spec, phi, sys.solve_spd(sys.b), 1.0 - dt * lam,
@@ -282,14 +301,13 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
                         scheme: str = "euler",
                         field: Optional[ExternalField] = None,
                         record_every: int = 1, seed: int = 0,
-                        dt: Optional[float] = None,
-                        profile: Optional[StationaryProfile] = None) -> Trajectory:
+                        dt: Optional[float] = None) -> Trajectory:
     """Simulate one replica over [0, T] and record every `record_every` steps.
 
     With a tilt field present the scheme must be "euler"; the returned
     trajectory then carries the accumulated log Girsanov weight of the
     tilted path relative to the untilted law.  T = 0 returns the initial
-    state alone.  The exact scheme needs the stationary profile of
+    state alone.  The exact scheme relaxes toward the stationary profile of
     `sys.params`; it takes steps of record_every * dt (one step over T
     without dt) and records each.
     """
@@ -304,13 +322,9 @@ def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
     rng = make_rng(seed, "trajectory")
 
     if scheme == "exact":
-        if profile is None:
-            raise ValueError("exact scheme needs the stationary profile")
-        if profile.params != params:
-            raise ValueError("profile does not match the drift system's params")
         n_rec = 1 if dt is None else max(1, int(np.ceil(T / (record_every * dt) - 1e-12)))
-        out = _exact(profile, phi0[None, :], init.time, T / n_rec, n_rec, rng,
-                     record_every=1)
+        out = _exact(solve_stationary_profile(params), phi0[None, :], init.time,
+                     T / n_rec, n_rec, rng, record_every=1)
     elif scheme == "euler":
         if dt is None:
             dt = 0.5 * euler_stability_limit(sys)
@@ -360,6 +374,22 @@ def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
               for lo in range(0, phi0.shape[0], _BLOCK)]
     return {key: np.concatenate([block[key] for block in blocks])
             for key in blocks[0]}
+
+
+def girsanov_log_weight_variance(sys: DriftSystem, field: ExternalField,
+                                 T: float, dt: float) -> float:
+    """Exact variance q of the log Girsanov weight of `euler_ensemble` over [0, T],
+
+        q = (dt / 2) sum_k u_k . (-M)^{-1} u_k,
+
+    on the chain's step grid t_k = k T / K, K = ceil(T / dt).  Since theta_t
+    is deterministic the log-weight is exactly Normal(-q/2, q) on untilted
+    paths and Normal(q/2, q) on tilted ones, so an untilted weight has
+    variance e^q - 1.
+    """
+    n_steps, dt = _step_grid(T, dt)
+    u = field.tilt_drift(sys.params, dt * np.arange(n_steps))
+    return 0.5 * dt * float(np.sum(u * sys.solve_spd(u.T).T))
 
 
 def empirical_pairing(state, G) -> float:

@@ -22,9 +22,9 @@ def eval_poly(basis, coeff, prof, phi):
     val = coeff[0]
     k = basis.k
     for i in range(k):
-        val += coeff[basis.linear_index(i)] * w[i]
+        val = val + coeff[basis.linear_index(i)] * w[..., i]
         for j in range(i, k):
-            val += coeff[basis.pair_index(i, j)] * w[i] * w[j]
+            val = val + coeff[basis.pair_index(i, j)] * w[..., i] * w[..., j]
     return val
 
 
@@ -74,11 +74,9 @@ def test_generator_matches_monte_carlo_time_derivative():
 
     delta, reps = 1e-3, 200000
     gen = make_rng(6, "poly-mc-steps")
-    vals = np.empty(reps)
-    state = FieldState(phi=phi0)
-    for i in range(reps):
-        vals[i] = eval_poly(basis, coeff, prof,
-                            propagate_exact(state, prof, delta, gen).phi)
+    # one batched call: the normals fill row by row, as in one call per replica
+    state = FieldState(phi=np.broadcast_to(phi0, (reps, params.n_sites)))
+    vals = eval_poly(basis, coeff, prof, propagate_exact(state, prof, delta, gen).phi)
     f0 = eval_poly(basis, coeff, prof, phi0)
     fd = (vals.mean() - f0) / delta
     stderr = vals.std(ddof=1) / np.sqrt(reps) / delta

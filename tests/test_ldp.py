@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
-                    clever_path, dirichlet_spectrum, gamma_identity_defect,
-                    j_functional, l2_distance, quasipotential, rate_from_field,
+                    clever_path, dirichlet_energy, dirichlet_spectrum,
+                    gamma_identity_defect, inverse_dirichlet_apply, j_functional,
+                    l2_distance, quasipotential, rate_from_field,
                     solve_hydrodynamic, solve_stationary_profile,
                     static_cumulant, static_rate_w)
+from fracgl.ldp import _stable_field_ratio
 from fracgl.rng import make_rng
 
 
@@ -207,6 +209,31 @@ def test_clever_path_reads_spectrum_from_profile():
         assert cost == pytest.approx(closed, rel=1e-3)
         if gamma == 1.5:
             assert cost == pytest.approx(0.0310, abs=1e-4)
+
+
+def test_modal_costs_match_site_space_route(setup32):
+    # oracle: the site-space route the modal costs replace.  Relax rho on the
+    # sites and integrate the energy of lambda*_t - Phi_ss; synthesize the
+    # bridge source, solve (-M) H_t = T_t and integrate the energy of H_t.
+    params, prof, spec = setup32
+    lam = spec.eigenvalues
+    rho = prof.profile + SmoothBump(0.2, 0.6, 0.7).f(params.grid())
+    T1 = 3.0 / float(lam[0])
+    rep = quasipotential(prof, rho, T1)
+    ts = T1 * np.linspace(0.0, 1.0, 4001) ** 2
+    relax = solve_hydrodynamic(params, rho, ts)
+    reversal = np.trapezoid(dirichlet_energy(params, relax.profiles - prof.profile), ts)
+    assert rep.breakdown["reversal_cost"] == pytest.approx(reversal, rel=1e-10, abs=0)
+
+    psi = relax.profiles[-1]
+    tb = np.linspace(0.0, 1.0, 2001)
+    coeff = spec.project(psi - prof.profile)
+    source = spec.synthesize(lam * coeff * _stable_field_ratio(lam, tb[:, None]))
+    fields = inverse_dirichlet_apply(spec, source)
+    bridge = 0.25 * np.trapezoid(dirichlet_energy(params, fields), tb)
+    _, cost = clever_path(prof, psi)
+    assert cost == pytest.approx(bridge, rel=1e-10, abs=0)
+    assert rep.breakdown["bridge_cost"] == pytest.approx(bridge, rel=1e-10, abs=0)
 
 
 def test_quasipotential_at_stationary_profile(setup32):

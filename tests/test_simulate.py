@@ -6,7 +6,8 @@ from edge_oracle import edge_euler
 from fracgl import (ExternalField, FieldState, ModelParams, SmoothBump,
                     boundary_block_average, build_drift_system,
                     dirichlet_spectrum, dynkin_diagnostics, empirical_pairing,
-                    euler_ensemble, euler_stability_limit, martingale_qv_rate,
+                    euler_ensemble, euler_stability_limit,
+                    girsanov_log_weight_variance, martingale_qv_rate,
                     propagate_exact, sample_ness, simulate_trajectory,
                     solve_stationary_profile, step_euler)
 from fracgl.rng import make_rng
@@ -36,6 +37,27 @@ def bump_field(amp=0.8, a=0.25, b=0.75, omega=2.0):
 def test_field_must_vanish_at_ends():
     with pytest.raises(ValueError):
         ExternalField(h=lambda t, u: np.ones_like(u))
+
+
+def test_field_must_broadcast_over_times():
+    # a fixed-length list ignores the shape of u and cannot fill (times, points)
+    with pytest.raises(ValueError, match="broadcast"):
+        ExternalField(h=lambda t, u: [0.0, 0.0])
+    with pytest.raises(ValueError, match="broadcast"):
+        ExternalField(h=lambda t, u: np.zeros_like(u), dh_dt=lambda t, u: [0.0, 0.0])
+
+
+def test_time_independent_field_on_time_array(params16):
+    bump = SmoothBump(0.25, 0.75, 0.8)
+    field = ExternalField(h=lambda t, u: bump.f(u))
+    ts = np.linspace(0.0, 0.5, 4)
+    hv, lap = field.lattice(params16, ts)
+    assert hv.shape == lap.shape == (ts.size, params16.n_sites)
+    for row in hv:
+        np.testing.assert_array_equal(row, bump.f(params16.grid()))
+    u_one = field.tilt_drift(params16, float(ts[2]))
+    np.testing.assert_allclose(field.tilt_drift(params16, ts)[2], u_one, rtol=0,
+                               atol=1e-12 * np.abs(u_one).max())
 
 
 def test_field_tilt_drift_is_minus_laplacian(params16):
@@ -143,7 +165,7 @@ def test_exact_trajectory_is_successive_propagations(params16, sys16, profile16)
     rng = np.random.default_rng(4)
     phi0 = profile16.profile + rng.standard_normal(params16.n_sites)
     traj = simulate_trajectory(sys16, FieldState(phi=phi0.copy()), 0.05,
-                               scheme="exact", dt=1e-2, seed=6, profile=profile16)
+                               scheme="exact", dt=1e-2, seed=6)
     assert traj.times.shape == (6,)
     stream = make_rng(6, "trajectory")
     state = FieldState(phi=phi0.copy())
@@ -271,14 +293,7 @@ def test_simulate_trajectory_requires_euler_for_tilt(params16, sys16, profile16)
     field = bump_field()
     with pytest.raises(ValueError, match="euler"):
         simulate_trajectory(sys16, FieldState(phi=profile16.profile), 0.1,
-                            scheme="exact", field=field, profile=profile16)
-
-
-def test_exact_scheme_rejects_mismatched_profile(sys16):
-    other = solve_stationary_profile(ModelParams(16, 1.2, 0.0, 1.0))
-    with pytest.raises(ValueError, match="does not match"):
-        simulate_trajectory(sys16, FieldState(phi=other.profile), 0.1,
-                            scheme="exact", profile=other)
+                            scheme="exact", field=field)
 
 
 def test_girsanov_weight_mean_one():
@@ -314,6 +329,36 @@ def test_girsanov_tilted_vs_weighted():
     est_w, est_t = (w * f_plain).mean(), f_tilt.mean()
     se = np.hypot((w * f_plain).std(ddof=1), f_tilt.std(ddof=1)) / np.sqrt(reps)
     assert abs(est_w - est_t) <= 3.0 * se
+
+
+def test_girsanov_log_weight_variance_matches_step_loop():
+    params = ModelParams(8, 1.5, 0.0, 1.0)
+    sys = build_drift_system(params)
+    field = bump_field(amp=0.9)
+    T, dt = 0.3, 7e-4                        # 429 steps of 0.3 / 429
+    k_steps = int(np.ceil(T / dt))
+    h = T / k_steps
+    loop = 0.0
+    for k in range(k_steps):
+        u = field.tilt_drift(params, k * h)
+        loop += 0.5 * h * float(u @ sys.solve_spd(u))
+    q = girsanov_log_weight_variance(sys, field, T, dt)
+    assert q == pytest.approx(loop, rel=1e-12, abs=0)
+
+
+def test_girsanov_log_weight_law():
+    # theta_t is deterministic, so the untilted log-weight is Normal(-q/2, q)
+    params = ModelParams(8, 1.5, 0.0, 1.0)
+    sys = build_drift_system(params)
+    prof = solve_stationary_profile(params)
+    field = bump_field(amp=0.9)
+    reps, T, dt = 20000, 0.3, 1e-3
+    out = euler_ensemble(sys, sample_ness(prof, reps, seed=51), T, dt, seed=52,
+                         field=field, tilted=False, girsanov=True)
+    lw = out["log_weight"]
+    q = girsanov_log_weight_variance(sys, field, T, dt)
+    assert abs(lw.mean() + 0.5 * q) <= 5.0 * np.sqrt(q / reps)
+    assert abs(lw.var(ddof=1) - q) <= 5.0 * q * np.sqrt(2.0 / (reps - 1))
 
 
 def test_girsanov_requires_field(params16, sys16):
