@@ -22,9 +22,9 @@ def eval_poly(basis, coeff, prof, phi):
     val = coeff[0]
     k = basis.k
     for i in range(k):
-        val = val + coeff[basis.linear_index(i)] * w[..., i]
+        val += coeff[basis.linear_index(i)] * w[..., i]
         for j in range(i, k):
-            val = val + coeff[basis.pair_index(i, j)] * w[..., i] * w[..., j]
+            val += coeff[basis.pair_index(i, j)] * w[..., i] * w[..., j]
     return val
 
 
