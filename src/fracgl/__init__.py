@@ -12,16 +12,13 @@ from .kernel import (kernel_constant, kernel_row, DriftSystem, build_drift_syste
                      dirichlet_energy)
 from .operators import (TestFunction, SmoothBump, PolyBump, SineMode,
                         regional_laplacian_pointwise, continuum_seminorm,
-                        SpectralData, dirichlet_spectrum,
-                        inverse_dirichlet_apply)
+                        SpectralData, dirichlet_spectrum)
 from .ness import (StationaryProfile, solve_stationary_profile,
                    absorbed_walk_oracle, sample_ness, static_cumulant)
-from .simulate import (FieldState, ExternalField, Trajectory,
-                       euler_stability_limit, step_euler, propagate_exact,
-                       simulate_trajectory, euler_ensemble,
-                       girsanov_log_weight_variance, empirical_pairing,
-                       boundary_block_average, martingale_qv_rate,
-                       dynkin_diagnostics)
+from .simulate import (ExternalField, euler_stability_limit, euler_ensemble,
+                       propagate_exact, girsanov_log_weight_variance,
+                       empirical_pairing, boundary_block_average,
+                       martingale_qv_rate)
 from .hydro import (DeterministicTrajectory, solve_hydrodynamic,
                     weak_residual, relaxation_rate, l2_distance)
 from .ldp import (RateReport, rate_from_field, j_functional, static_rate_w,

@@ -42,8 +42,14 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, like every other exit 1, without the wrapped usage block
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracgl",
         description="Boundary-driven long-range Ginzburg-Landau experiments",
     )

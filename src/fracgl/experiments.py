@@ -161,8 +161,8 @@ def _hydro_limit_error(n, gamma, phi_l, phi_r, T, replicas, seed, ref_value):
     g = prof.profile + bump.f(u)
     G = np.sin(np.pi * u)
     rng = make_rng(seed, "hydro-limit", n)
-    start = simulate.FieldState(phi=np.broadcast_to(g, (replicas, params.n_sites)))
-    phi = simulate.propagate_exact(start, prof, T, rng).phi
+    start = np.broadcast_to(g, (replicas, params.n_sites))
+    phi = simulate.propagate_exact(start, prof, T, rng)
     avg = float(np.mean(phi @ G)) / params.n_sites
     return abs(avg - ref_value), avg
 
@@ -262,19 +262,31 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
         "mean_one_3se": _check(z_mean_one, 3.0, z_mean_one <= 3.0),
         "tilted_vs_weighted_3se": _check(z_obs, 3.0, z_obs <= 3.0),
     }
+    # the log-weight is exactly Normal(-q/2, q) untilted and Normal(q/2, q) tilted
+    se_log_mean = np.sqrt(q / cfg.replicas)
+    se_log_var = q * np.sqrt(2.0 / (cfg.replicas - 1))
+    for label, log_weight, mean in (("untilted", plain["log_weight"], -0.5 * q),
+                                    ("tilted", tilted["log_weight"], 0.5 * q)):
+        z_lm = abs(log_weight.mean() - mean) / se_log_mean
+        z_lv = abs(log_weight.var(ddof=1) - q) / se_log_var
+        checks[f"{label}_log_weight_mean_5se"] = _check(z_lm, 5.0, z_lm <= 5.0)
+        checks[f"{label}_log_weight_var_5se"] = _check(z_lv, 5.0, z_lv <= 5.0)
     with open(os.path.join(cfg.out_dir, "replicas.json"), "w") as fh:
         records = [{"replica": i, "seed": cfg.seed + 1,
                     "logweight": float(plain["log_weight"][i]),
                     "observables": {"tanh_pairing": float(f_plain[i])}}
                    for i in range(min(cfg.replicas, 200))]
         json.dump(records, fh, indent=1)
+    # a reported z, not a gate: the weight itself is log-normal, far from normal
+    se_w_exact = np.sqrt(np.expm1(q) / cfg.replicas)
     return {"checks": checks,
             "outputs": {"weight_mean": float(w.mean()),
                         "weighted_observable": float(est_weighted),
                         "tilted_observable": float(est_tilted),
                         "q": q,
                         "weight_var_exact": float(np.expm1(q)),
-                        "weight_mean_se_exact": float(np.sqrt(np.expm1(q) / cfg.replicas)),
+                        "weight_mean_se_exact": float(se_w_exact),
+                        "weight_mean_z_exact": float(abs(w.mean() - 1.0) / se_w_exact),
                         "untilted_weights": _weight_health(plain["log_weight"]),
                         "tilted_weights": _weight_health(tilted["log_weight"])}}
 
@@ -318,8 +330,11 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
 
 def exp_spectrum(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    spec = dirichlet_spectrum(params, min(params.n_sites, 40))
-    spectrum_to_csv(spec, os.path.join(cfg.out_dir, "spectrum.csv"))
+    spec = dirichlet_spectrum(params)
+    # the CSV keeps the 40 slowest modes
+    spectrum_to_csv(replace(spec, eigenvalues=spec.eigenvalues[:40],
+                            modes=spec.modes[:, :40]),
+                    os.path.join(cfg.out_dir, "spectrum.csv"))
     lam1 = float(spec.eigenvalues[0])
 
     prof = ness.solve_stationary_profile(params)
@@ -351,7 +366,7 @@ def exp_spectrum(cfg: ExperimentConfig) -> dict:
 def exp_quasipotential(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
     prof = ness.solve_stationary_profile(params)
-    lam1 = float(dirichlet_spectrum(params, 1).eigenvalues[0])
+    lam1 = float(dirichlet_spectrum(params).eigenvalues[0])
     T1 = 6.5 / lam1
     u = params.grid()
     targets = {
@@ -458,7 +473,7 @@ def _config_error(cfg: ExperimentConfig):
     if cfg.experiment == "spectrum":
         # beyond e^-27.6 = 1e-12 of decay the fitted distance nears float64
         # rounding; below e^-4 the slower modes still bias the fitted rate
-        decay = cfg.T * float(dirichlet_spectrum(params, 1).eigenvalues[0])
+        decay = cfg.T * float(dirichlet_spectrum(params).eigenvalues[0])
         if decay > 27.6:
             return ("spectrum's fit window [T/2, T] has decayed to the stationary state: "
                     f"lambda_1 T = {decay:.3g} > 27.6")

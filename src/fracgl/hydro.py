@@ -72,7 +72,7 @@ def solve_hydrodynamic(params: ModelParams, g, times,
         raise ValueError("times must be ascending and start at 0")
     g = as_grid_function(params, g)
     phiss = solve_stationary_profile(params).profile
-    spec = dirichlet_spectrum(params, params.n_sites)
+    spec = dirichlet_spectrum(params)
     lam = spec.eigenvalues
     coeff = spec.project(g - phiss)
     if field is None:

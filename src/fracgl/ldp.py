@@ -157,7 +157,7 @@ def clever_path(profile: StationaryProfile, psi, n_times: int = _BRIDGE_TIMES):
     lattice L^2.
     """
     params = profile.params
-    spec = dirichlet_spectrum(params, params.n_sites)
+    spec = dirichlet_spectrum(params)
     psi = as_grid_function(params, psi)
     coeff = spec.project(psi - profile.profile)
     lam = spec.eigenvalues
@@ -198,7 +198,7 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
                                      "w_target": 0.0, "w_relaxed": 0.0},
                           discretization={"n": params.n, "T1": T1})
 
-    spec = dirichlet_spectrum(params, params.n_sites)
+    spec = dirichlet_spectrum(params)
     lam = spec.eigenvalues
     coeff = spec.project(rho - profile.profile)
     # graded grid: the energy integrand has its fast transient at t = 0

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernel import _operator_of, kernel_constant
-from .params import ModelParams, as_grid_batch
+from .params import ModelParams
 
 __all__ = [
     "TestFunction",
@@ -52,7 +52,6 @@ __all__ = [
     "continuum_seminorm",
     "SpectralData",
     "dirichlet_spectrum",
-    "inverse_dirichlet_apply",
     "spectrum_to_csv",
 ]
 
@@ -281,12 +280,8 @@ class SpectralData:
     eigenvalues: np.ndarray
     modes: np.ndarray
 
-    @property
-    def k_max(self) -> int:
-        return self.eigenvalues.size
-
     def project(self, g: np.ndarray) -> np.ndarray:
-        """Coefficients <g, e_k>_(1/n) in the retained modes (sites last)."""
+        """Coefficients <g, e_k>_(1/n) (sites last)."""
         return np.asarray(g, dtype=float) @ self.modes / self.params.n
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
@@ -294,42 +289,18 @@ class SpectralData:
         return np.asarray(coeffs, dtype=float) @ self.modes.T
 
 
-def dirichlet_spectrum(params: ModelParams, k_max: int) -> SpectralData:
-    """k_max smallest eigenpairs of -M (drift matrix, reservoir densities
+def dirichlet_spectrum(params: ModelParams) -> SpectralData:
+    """All n-1 eigenpairs of -M (drift matrix, reservoir densities
     irrelevant: M does not depend on them).
 
     Eigenvalues are strictly positive and ascending.  The decomposition is
     computed once per (n, gamma); the arrays returned are read-only views
     of it.
     """
-    if not (1 <= k_max <= params.n_sites):
-        raise ValueError(f"k_max must lie in [1, {params.n_sites}]")
     lam, modes = _operator_of(params).spectrum
     if lam[0] <= 0:
         raise RuntimeError("drift matrix is not negative definite")
-    return SpectralData(params=params, eigenvalues=lam[:k_max],
-                        modes=modes[:, :k_max])
-
-
-def inverse_dirichlet_apply(spec: SpectralData, t, residual_tol: float = 1e-8):
-    """Solve (-M) H = t in the retained eigenbasis: H = sum lambda_k^-1 <t, e_k> e_k.
-
-    `t` may be a (times, sites) batch.  Raises RuntimeError with the largest
-    measured residual when a target has more than `residual_tol` relative
-    energy outside the retained modes.
-    """
-    t = as_grid_batch(spec.params, t)
-    coeff = spec.project(t)
-    recon = spec.synthesize(coeff)
-    norm = np.sum(t * t, axis=-1) / spec.params.n
-    residual = np.sum((t - recon) ** 2, axis=-1) / spec.params.n
-    bad = (norm > 0) & (residual > residual_tol * np.maximum(norm, 1.0))
-    if np.any(bad):
-        raise RuntimeError(
-            f"target has residual energy {np.max(residual[bad]):.3e} outside the "
-            f"{spec.k_max} retained modes (tolerance {residual_tol:.1e})"
-        )
-    return spec.synthesize(coeff / spec.eigenvalues)
+    return SpectralData(params=params, eigenvalues=lam, modes=modes)
 
 
 def spectrum_to_csv(spec: SpectralData, path) -> None:
@@ -338,6 +309,6 @@ def spectrum_to_csv(spec: SpectralData, path) -> None:
         writer = csv.writer(fh)
         header = ["k", "lambda_k"] + [f"e_x{x}" for x in range(1, spec.params.n)]
         writer.writerow(header)
-        for k in range(spec.k_max):
+        for k in range(spec.eigenvalues.size):
             writer.writerow([k + 1, repr(float(spec.eigenvalues[k]))]
                             + [repr(float(v)) for v in spec.modes[:, k]])

@@ -15,7 +15,11 @@ An Euler step dt has r_k = 1 - dt lambda_k and s_k = sqrt(2 lambda_k dt / n),
 so its noise eta has covariance -2 M dt; a tilt adds dt <u_t, e_k>_(1/n).  The
 exact transition over t has r_k = e^{-lambda_k t}, s_k = sqrt((1 - r_k^2) / n):
 phi_t ~ Normal(Phi_ss + e^{Mt}(phi_0 - Phi_ss), I - e^{2Mt}).  Sites are
-synthesized only at recorded steps and at the end.
+synthesized only at the end.  Each chain has one public entry point:
+`euler_ensemble` runs the Euler chain on a batch of replicas, with the
+Girsanov weight and the Dynkin martingale of <pi_t, G> accumulated on
+request, and `propagate_exact` makes one exact transition of a
+configuration or a batch.
 
 Girsanov weights use the noise of the step.  The Euler transition is
 Gaussian with covariance -2 M dt, so its exact log-density ratio per step is,
@@ -37,44 +41,28 @@ column of times and one batched Laplacian.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .kernel import DriftSystem, dirichlet_energy, discrete_fractional_laplacian
-from .ness import StationaryProfile, solve_stationary_profile
+from .ness import StationaryProfile
 from .operators import SpectralData, TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function
 from .rng import make_rng
 
 __all__ = [
-    "FieldState",
     "ExternalField",
-    "Trajectory",
     "euler_stability_limit",
-    "step_euler",
-    "propagate_exact",
-    "simulate_trajectory",
     "euler_ensemble",
+    "propagate_exact",
     "girsanov_log_weight_variance",
     "empirical_pairing",
     "boundary_block_average",
     "martingale_qv_rate",
-    "dynkin_diagnostics",
-    "trajectory_to_csv",
 ]
 
 _BLOCK = 20000  # replica rows per block of `euler_ensemble`, each with its stream
-
-
-@dataclass
-class FieldState:
-    """One field configuration at a macroscopic time."""
-
-    phi: np.ndarray
-    time: float = 0.0
 
 
 class ExternalField:
@@ -149,17 +137,6 @@ def _on_grid(fn: Callable, t, u: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class Trajectory:
-    """Recorded path: aligned times and configurations, optional log-weight."""
-
-    times: np.ndarray
-    phis: np.ndarray
-    scheme: str
-    log_girsanov: Optional[float] = None
-    params: Optional[ModelParams] = None
-
-
 def euler_stability_limit(sys: DriftSystem) -> float:
     """Largest admissible Euler step: dt n^gamma (1 + max row sum) < 1/2,
     the row sum including the boundary relaxation indicators."""
@@ -173,21 +150,16 @@ def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
                     r: np.ndarray, s: np.ndarray, t0: float, dt: float,
                     n_steps: int, rng: np.random.Generator,
                     field: Optional[ExternalField] = None, tilted: bool = True,
-                    girsanov: bool = False, g_vec: Optional[np.ndarray] = None,
-                    record_every: Optional[int] = None) -> dict:
+                    girsanov: bool = False, g_vec: Optional[np.ndarray] = None) -> dict:
     """The recurrence c <- r c + (1 - r) c_fixed + s z of the modal
     coefficients of phi and of `fixed` (sites last) over n_steps steps of dt,
     run on c - c_fixed.  With a field, `tilted` adds its tilt drift and `girsanov`
     accumulates the log-weight of the tilted relative to the untilted chain;
     `g_vec` accumulates the Dynkin martingale of phi . g_vec.  Returns a dict
-    with 'phi' and, on request, 'log_weight', 'martingale', and the recorded
-    'times' and 'phis' (the initial state, every `record_every`-th step and
-    the last one).
+    with 'phi' and, on request, 'log_weight' and 'martingale'.
     """
     if girsanov and field is None:
         raise ValueError("girsanov accounting requires a field")
-    if record_every is not None and record_every < 1:
-        raise ValueError("record_every must be >= 1")
     n = spec.params.n
     dev = spec.project(phi - fixed)
     # compensated (Kahan) accumulation: the log-weight is a long sum of
@@ -196,7 +168,6 @@ def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
     logw_comp = np.zeros(dev.shape[:-1])
     mart = np.zeros(dev.shape[:-1])
     g_hat = None if g_vec is None else n * spec.project(g_vec)
-    times, phis = [t0], [phi]
     for k in range(n_steps):
         noise = rng.standard_normal(dev.shape)
         noise *= s
@@ -215,18 +186,12 @@ def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
         if g_hat is not None:
             mart += noise @ g_hat
         dev += noise
-        if record_every is not None and ((k + 1) % record_every == 0
-                                         or k == n_steps - 1):
-            times.append(t0 + (k + 1) * dt)
-            phis.append(fixed + spec.synthesize(dev))
 
     out = {"phi": fixed + spec.synthesize(dev)}
     if girsanov:
         out["log_weight"] = logw
     if g_vec is not None:
         out["martingale"] = mart
-    if record_every is not None:
-        out.update(times=np.array(times), phis=np.array(phis))
     return out
 
 
@@ -246,103 +211,22 @@ def _euler(sys: DriftSystem, phi: np.ndarray, t0: float, T: float, dt: float,
     if dt >= limit:
         raise ValueError(f"dt={dt:.3e} violates the stability bound {limit:.3e}")
     n_steps, dt = _step_grid(T, dt)
-    spec = dirichlet_spectrum(sys.params, sys.params.n_sites)
+    spec = dirichlet_spectrum(sys.params)
     lam = spec.eigenvalues
     return _gaussian_chain(spec, phi, sys.solve_spd(sys.b), 1.0 - dt * lam,
                            np.sqrt(2.0 * dt * lam / sys.params.n), t0, dt, n_steps,
                            rng, **chain)
 
 
-def _exact(profile: StationaryProfile, phi: np.ndarray, t0: float, t: float,
-           n_steps: int, rng: np.random.Generator, **chain) -> dict:
-    """n_steps exact transitions of length t of the untilted dynamics."""
-    spec = dirichlet_spectrum(profile.params, profile.params.n_sites)
-    r = np.exp(-spec.eigenvalues * t)
-    s = np.sqrt(np.maximum(1.0 - r ** 2, 0.0) / profile.params.n)
-    return _gaussian_chain(spec, phi, profile.profile, r, s, t0, t, n_steps, rng,
-                           **chain)
-
-
-def step_euler(state: FieldState, sys: DriftSystem,
-               field: Optional[ExternalField], dt: float,
-               rng: np.random.Generator) -> FieldState:
-    """One Euler-Maruyama step with modal noise of covariance -2 M dt.
-
-    Raises ValueError when dt is not positive or violates the stability
-    bound.
-    """
-    phi = as_grid_function(sys.params, state.phi)
-    out = _euler(sys, phi[None, :], state.time, dt, dt, rng, field=field)
-    return FieldState(phi=out["phi"][0], time=state.time + dt)
-
-
-def propagate_exact(state: FieldState, profile: StationaryProfile, t: float,
-                    rng: np.random.Generator) -> FieldState:
-    """Exact Gaussian transition over a time t of the untilted dynamics of
-    `profile.params`.
-
-    `state.phi` may be one configuration or a batch with sites last; the
-    standard normals drawn have the shape of the state.  Tilted dynamics is
-    not supported by this scheme; request it through the Euler stepper
-    instead.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    params = profile.params
-    phi = np.asarray(state.phi, dtype=float)
-    if phi.shape[-1:] != (params.n_sites,) or not np.all(np.isfinite(phi)):
-        raise ValueError(f"state must be finite with {params.n_sites} sites last, "
-                         f"got shape {phi.shape}")
-    out = _exact(profile, phi, state.time, t, 1, rng)
-    return FieldState(phi=out["phi"], time=state.time + t)
-
-
-def simulate_trajectory(sys: DriftSystem, init: FieldState, T: float,
-                        scheme: str = "euler",
-                        field: Optional[ExternalField] = None,
-                        record_every: int = 1, seed: int = 0,
-                        dt: Optional[float] = None) -> Trajectory:
-    """Simulate one replica over [0, T] and record every `record_every` steps.
-
-    With a tilt field present the scheme must be "euler"; the returned
-    trajectory then carries the accumulated log Girsanov weight of the
-    tilted path relative to the untilted law.  T = 0 returns the initial
-    state alone.  The exact scheme relaxes toward the stationary profile of
-    `sys.params`; it takes steps of record_every * dt (one step over T
-    without dt) and records each.
-    """
-    params = sys.params
-    phi0 = as_grid_function(params, init.phi)
-    if T == 0:
-        return Trajectory(times=np.array([init.time]), phis=phi0[None, :].copy(),
-                          scheme=scheme, params=params,
-                          log_girsanov=0.0 if field is not None else None)
-    if field is not None and scheme != "euler":
-        raise ValueError("tilted dynamics requires the euler scheme")
-    rng = make_rng(seed, "trajectory")
-
-    if scheme == "exact":
-        n_rec = 1 if dt is None else max(1, int(np.ceil(T / (record_every * dt) - 1e-12)))
-        out = _exact(solve_stationary_profile(params), phi0[None, :], init.time,
-                     T / n_rec, n_rec, rng, record_every=1)
-    elif scheme == "euler":
-        if dt is None:
-            dt = 0.5 * euler_stability_limit(sys)
-        out = _euler(sys, phi0[None, :], init.time, T, dt, rng, field=field,
-                     girsanov=field is not None, record_every=record_every)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return Trajectory(times=out["times"], phis=out["phis"][:, 0], scheme=scheme,
-                      params=params,
-                      log_girsanov=(float(out["log_weight"][0])
-                                    if field is not None else None))
-
-
 def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
                    seed: int, field: Optional[ExternalField] = None,
                    tilted: bool = True, girsanov: bool = False,
                    martingale_g=None) -> dict:
-    """Vectorized Euler evolution of a batch of replicas to time T.
+    """Euler-Maruyama evolution of a batch of replicas over [0, T], the one
+    Euler entry point.
+
+    Steps have length T / ceil(T / dt); dt must lie below
+    `euler_stability_limit(sys)`.
 
     Parameters
     ----------
@@ -355,8 +239,13 @@ def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
     girsanov : bool
         Accumulate log weights (requires a field).
     martingale_g : grid function, optional
-        Accumulate the Dynkin martingale of <pi, G> along the path (exact
-        telescoping of the noise pairings).
+        Accumulate the Dynkin martingale of <pi_t, G>,
+
+            M_T = <pi_T, G> - <pi_0, G> - sum_k dt <M phi_k + b + u_k, G>,
+
+        with the tilt u_k on tilted runs, as the sum of the noise pairings
+        <eta_k, G> / (n-1); for the chain this is the left-endpoint Dynkin
+        sum exactly.
 
     Replica blocks of `_BLOCK` rows draw from the stream
     make_rng(seed, "euler-ensemble", first row of the block).
@@ -376,6 +265,31 @@ def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
             for key in blocks[0]}
 
 
+def propagate_exact(phi: np.ndarray, profile: StationaryProfile, t: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Exact Gaussian transition over a time t of the untilted dynamics of
+    `profile.params`, the one exact entry point:
+
+        phi_t ~ Normal(Phi_ss + e^{Mt}(phi - Phi_ss), I - e^{2Mt}).
+
+    `phi` is one configuration or a batch with sites last, and the result
+    has its shape; the standard normals drawn have that shape too, filled
+    row by row.  Tilted dynamics has no exact transition here; run it with
+    `euler_ensemble`.
+    """
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    params = profile.params
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape[-1:] != (params.n_sites,) or not np.all(np.isfinite(phi)):
+        raise ValueError(f"state must be finite with {params.n_sites} sites last, "
+                         f"got shape {phi.shape}")
+    spec = dirichlet_spectrum(params)
+    r = np.exp(-spec.eigenvalues * t)
+    s = np.sqrt(np.maximum(1.0 - r ** 2, 0.0) / params.n)
+    return _gaussian_chain(spec, phi, profile.profile, r, s, 0.0, t, 1, rng)["phi"]
+
+
 def girsanov_log_weight_variance(sys: DriftSystem, field: ExternalField,
                                  T: float, dt: float) -> float:
     """Exact variance q of the log Girsanov weight of `euler_ensemble` over [0, T],
@@ -392,18 +306,18 @@ def girsanov_log_weight_variance(sys: DriftSystem, field: ExternalField,
     return 0.5 * dt * float(np.sum(u * sys.solve_spd(u.T).T))
 
 
-def empirical_pairing(state, G) -> float:
+def empirical_pairing(phi, G) -> float:
     """Empirical-measure pairing <pi, G> = (1/(n-1)) sum_x G(x/n) phi(x)."""
-    phi = state.phi if isinstance(state, FieldState) else np.asarray(state, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     G = np.asarray(G, dtype=float)
     if G.shape != phi.shape[-1:]:
         raise ValueError("G must match the number of interior sites")
     return float(phi @ G) / G.size if phi.ndim == 1 else (phi @ G) / G.size
 
 
-def boundary_block_average(state, side: str, eps: float, n: Optional[int] = None) -> float:
+def boundary_block_average(phi, side: str, eps: float, n: Optional[int] = None) -> float:
     """Average of the first (or last) floor(eps*n) sites of the configuration."""
-    phi = state.phi if isinstance(state, FieldState) else np.asarray(state, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     n = n if n is not None else phi.size + 1
     ell = int(np.floor(eps * n))
     if not (1 <= ell <= n - 2):
@@ -428,47 +342,3 @@ def martingale_qv_rate(params: ModelParams, G) -> float:
     """
     # the bracket is 2 <G, (-M) G> = 2 n dirichlet_energy(G)
     return 2.0 * params.n * dirichlet_energy(params, G) / params.n_sites ** 2
-
-
-def dynkin_diagnostics(traj: Trajectory, sys: DriftSystem, G,
-                       field: Optional[ExternalField] = None) -> dict:
-    """Dynkin martingale of <pi_t, G> along a recorded trajectory.
-
-        M_t = <pi_t, G> - <pi_0, G> - int_0^t <drift(phi_s, s), G> ds,
-
-    with the generator's drift (including the tilt when a field is given)
-    integrated by the left-endpoint rule on the recording grid, matching the
-    Euler discretization exactly.  Returns the martingale value at the final
-    time and the deterministic predicted quadratic variation.  Raises
-    ValueError when the trajectory records params other than `sys.params`.
-    """
-    params = sys.params
-    if traj.params is not None and traj.params != params:
-        raise ValueError("trajectory does not match the drift system's params")
-    G = as_grid_function(params, G)
-    times, phis = traj.times, traj.phis
-    if len(times) < 2:
-        raise ValueError("trajectory must contain at least two recorded states")
-    drift = sys.drift(phis[:-1])
-    if field is not None:
-        drift += field.tilt_drift(params, times[:-1])
-    drift_int = float(np.diff(times) @ empirical_pairing(drift, G))
-    m_t = (empirical_pairing(phis[-1], G) - empirical_pairing(phis[0], G)
-           - drift_int)
-    span = float(times[-1] - times[0])
-    return {
-        "martingale": float(m_t),
-        "predicted_qv": martingale_qv_rate(params, G) * span,
-        "span": span,
-    }
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write the trajectory as rows t,x,phi."""
-    n = (traj.params.n if traj.params is not None else traj.phis.shape[1] + 1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "phi"])
-        for t, row in zip(traj.times, traj.phis):
-            for x, val in enumerate(row, start=1):
-                writer.writerow([repr(float(t)), x, repr(float(val))])

@@ -135,7 +135,7 @@ def test_criterion_09_quasipotential_equals_w(tmp_path):
 def test_criterion_10_clever_path():
     params = ModelParams(128, 1.5, 0.5, 1.5)
     prof = solve_stationary_profile(params)
-    spec = dirichlet_spectrum(params, params.n_sites)
+    spec = dirichlet_spectrum(params)
     lam1 = float(spec.eigenvalues[0])
     delta = 0.3
     psi = prof.profile + delta * spec.modes[:, 0]

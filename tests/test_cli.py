@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracgl.cli import main
-from fracgl.experiments import DEFAULTS, ExperimentConfig, run
+from fracgl.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, run
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_figure1_artifacts(tmp_path):
@@ -58,6 +65,8 @@ def test_invalid_params_status_1(tmp_path):
     ["rate-check", "--n", "3"],
     ["rate-check", "--n", "5"],
     ["spectrum", "--t", "0.5"],
+    ["stationarity", "--phi-l", "-inf"],
+    ["stationarity", "--n", "nan"],
 ])
 def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     # the fixed replica count goes first, so a case's own --replicas wins
@@ -113,3 +122,44 @@ def test_experiment_defaults_table():
     for name, values in DEFAULTS.items():
         cfg = ExperimentConfig(experiment=name, **values)
         cfg.params()  # validates
+
+
+# values each input rejects; an example swaps in at most one of them
+_INVALID = {"n": [0, 1, 2, -4], "gamma": [0.0, -1.5, 1.0, 2.0, NAN, INF],
+            "phi_l": [NAN, INF, -INF], "phi_r": [NAN, INF, -INF],
+            "T": [0.0, -0.5, NAN, INF],
+            "dt": [0.0, -1e-3, NAN, INF], "replicas": [0, 1, -3]}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(experiment=st.sampled_from(sorted(EXPERIMENTS)),
+       n=st.integers(3, 24),
+       gamma=st.sampled_from([1.2, 1.5, 1.8]),
+       phi_l=st.floats(-2.0, 2.0),
+       phi_r=st.floats(-2.0, 2.0),
+       steps=st.integers(1, 200),
+       dt=st.sampled_from([1e-5, 1e-4, 1e-3, 1e-2]),
+       replicas=st.integers(2, 40),
+       seed=st.integers(-5, 10 ** 6),
+       invalid=st.one_of(st.none(), st.sampled_from(
+           [(key, value) for key, values in _INVALID.items() for value in values])))
+def test_cli_input_contract(experiment, n, gamma, phi_l, phi_r, steps, dt, replicas,
+                            seed, invalid):
+    # any input ends in exit 0 or 2 with a summary, or exit 1 with one line;
+    # n <= 24, replicas <= 40 and T / dt <= 200 keep each run small
+    cfg = dict(n=n, gamma=gamma, phi_l=phi_l, phi_r=phi_r, T=steps * dt, dt=dt,
+               replicas=replicas, seed=seed)
+    if invalid is not None:
+        cfg[invalid[0]] = invalid[1]
+    # --flag=value, since argparse reads "-inf" or "-1e-05" after a space as a flag
+    argv = [experiment] + [f"--{key.lower().replace('_', '-')}={value!r}"
+                           for key, value in cfg.items()]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        status = main(argv + ["--out", out])
+        wrote_summary = os.path.exists(os.path.join(out, "summary.json"))
+    assert status in (0, 1, 2)
+    if status == 1:
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().strip().splitlines()) == 1
+    assert wrote_summary == (status != 1)

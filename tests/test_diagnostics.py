@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracgl import (FieldState, ModelParams, adjoint_defect,
+from fracgl import (ModelParams, adjoint_defect,
                     adjoint_matrix_poly2, build_drift_system,
                     dirichlet_form_linear, generator_matrix_poly2,
                     propagate_exact, sample_ness, solve_stationary_profile)
@@ -75,8 +75,8 @@ def test_generator_matches_monte_carlo_time_derivative():
     delta, reps = 1e-3, 200000
     gen = make_rng(6, "poly-mc-steps")
     # one batched call: the normals fill row by row, as in one call per replica
-    state = FieldState(phi=np.broadcast_to(phi0, (reps, params.n_sites)))
-    vals = eval_poly(basis, coeff, prof, propagate_exact(state, prof, delta, gen).phi)
+    state = np.broadcast_to(phi0, (reps, params.n_sites))
+    vals = eval_poly(basis, coeff, prof, propagate_exact(state, prof, delta, gen))
     f0 = eval_poly(basis, coeff, prof, phi0)
     fd = (vals.mean() - f0) / delta
     stderr = vals.std(ddof=1) / np.sqrt(reps) / delta

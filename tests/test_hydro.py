@@ -70,7 +70,7 @@ def test_spectral_with_field_matches_radau():
 def test_exponential_decay_bound():
     params = ModelParams(64, 1.5, 0.5, 1.5)
     prof = solve_stationary_profile(params)
-    lam1 = float(dirichlet_spectrum(params, 1).eigenvalues[0])
+    lam1 = float(dirichlet_spectrum(params).eigenvalues[0])
     u = params.grid()
     g = prof.profile + SmoothBump(0.2, 0.8, 1.0).f(u)
     times = np.linspace(0.0, 2.0, 41)
@@ -148,7 +148,7 @@ def test_weak_residual_support_violation():
 def test_relaxation_rate_pure_mode():
     params = ModelParams(64, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
-    spec = dirichlet_spectrum(params, 1)
+    spec = dirichlet_spectrum(params)
     lam1 = float(spec.eigenvalues[0])
     g = prof.profile + 0.4 * spec.modes[:, 0]
     fitted = relaxation_rate(params, g, 6.0 / lam1)
@@ -160,7 +160,7 @@ def test_relaxation_rate_scale_invariance():
     prof = solve_stationary_profile(params)
     u = params.grid()
     bump = SmoothBump(0.25, 0.75, 1.0).f(u)
-    lam1 = float(dirichlet_spectrum(params, 1).eigenvalues[0])
+    lam1 = float(dirichlet_spectrum(params).eigenvalues[0])
     r1 = relaxation_rate(params, prof.profile + bump, 6.0 / lam1)
     r2 = relaxation_rate(params, prof.profile + 1e-3 * bump, 6.0 / lam1)
     assert r1 == pytest.approx(r2, abs=1e-10)

@@ -196,7 +196,7 @@ def test_drift_systems_share_one_operator(monkeypatch):
     assert a.m is b.m and a.kernel_matrix is b.kernel_matrix
     assert not a.m.flags.writeable and not a.kernel_matrix.flags.writeable
     assert not np.array_equal(a.b, b.b)
-    spec_a, spec_b = dirichlet_spectrum(pa, 5), dirichlet_spectrum(pb, pb.n_sites)
+    spec_a, spec_b = dirichlet_spectrum(pa), dirichlet_spectrum(pb)
     assert np.shares_memory(spec_a.modes, spec_b.modes)
     assert not spec_b.modes.flags.writeable
     assert calls == [(pa.n_sites, pa.n_sites)]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
-                    clever_path, dirichlet_energy, dirichlet_spectrum,
-                    gamma_identity_defect, inverse_dirichlet_apply, j_functional,
+                    build_drift_system, clever_path, dirichlet_energy,
+                    dirichlet_spectrum, gamma_identity_defect, j_functional,
                     l2_distance, quasipotential, rate_from_field,
                     solve_hydrodynamic, solve_stationary_profile,
                     static_cumulant, static_rate_w)
@@ -15,7 +15,7 @@ from fracgl.rng import make_rng
 def setup32():
     params = ModelParams(32, 1.5, 0.5, 1.5)
     prof = solve_stationary_profile(params)
-    spec = dirichlet_spectrum(params, params.n_sites)
+    spec = dirichlet_spectrum(params)
     return params, prof, spec
 
 
@@ -204,7 +204,7 @@ def test_clever_path_reads_spectrum_from_profile():
         prof = solve_stationary_profile(params)
         psi = prof.profile + SmoothBump(0.25, 0.75, 0.5).f(params.grid())
         _, cost = clever_path(prof, psi)
-        closed = _closed_form_bridge_cost(dirichlet_spectrum(params, params.n_sites),
+        closed = _closed_form_bridge_cost(dirichlet_spectrum(params),
                                           psi - prof.profile)
         assert cost == pytest.approx(closed, rel=1e-3)
         if gamma == 1.5:
@@ -229,7 +229,7 @@ def test_modal_costs_match_site_space_route(setup32):
     tb = np.linspace(0.0, 1.0, 2001)
     coeff = spec.project(psi - prof.profile)
     source = spec.synthesize(lam * coeff * _stable_field_ratio(lam, tb[:, None]))
-    fields = inverse_dirichlet_apply(spec, source)
+    fields = build_drift_system(params).solve_spd(source.T).T
     bridge = 0.25 * np.trapezoid(dirichlet_energy(params, fields), tb)
     _, cost = clever_path(prof, psi)
     assert cost == pytest.approx(bridge, rel=1e-10, abs=0)

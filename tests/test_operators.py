@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from fracgl import (ModelParams, PolyBump, SineMode, SmoothBump, TestFunction,
                     build_drift_system, continuum_seminorm,
                     dirichlet_spectrum, discrete_fractional_laplacian,
-                    discrete_inner_seminorm, inverse_dirichlet_apply,
+                    discrete_inner_seminorm,
                     kernel_constant, regional_laplacian_pointwise)
 from fracgl.hydro import relaxation_rate
 from fracgl.operators import spectrum_to_csv
@@ -178,12 +178,12 @@ def test_sup_gap_contraction_rate():
 
 def test_spectrum_orthonormal_positive_ascending():
     p = ModelParams(64, 1.5)
-    spec = dirichlet_spectrum(p, 20)
+    spec = dirichlet_spectrum(p)
     lam = spec.eigenvalues
     assert lam[0] > 0
     assert np.all(np.diff(lam) >= -1e-12)
     gram = spec.modes.T @ spec.modes / p.n
-    np.testing.assert_allclose(gram, np.eye(20), atol=1e-10)
+    np.testing.assert_allclose(gram, np.eye(p.n_sites), atol=1e-10)
     sys = build_drift_system(p)
     for k in (0, 5, 19):
         resid = (-sys.m) @ spec.modes[:, k] - lam[k] * spec.modes[:, k]
@@ -194,14 +194,14 @@ def test_spectrum_cauchy_refinement():
     # the discrete ground eigenvalue refines slowly (measured ~3% per
     # doubling at gamma=1.5 around n=128); assert the measured band and
     # that the refinement step shrinks with n
-    lams = {n: dirichlet_spectrum(ModelParams(n, 1.5), 1).eigenvalues[0]
+    lams = {n: dirichlet_spectrum(ModelParams(n, 1.5)).eigenvalues[0]
             for n in (128, 256)}
     assert abs(lams[256] - lams[128]) / lams[128] < 0.04
 
 
 def test_spectrum_matches_relaxation_rate():
     p = ModelParams(64, 1.5, 0.0, 1.0)
-    spec = dirichlet_spectrum(p, 1)
+    spec = dirichlet_spectrum(p)
     lam1 = float(spec.eigenvalues[0])
     rng = np.random.default_rng(21)
     from fracgl import solve_stationary_profile
@@ -216,18 +216,15 @@ def test_spectral_parseval_residual_decreases():
     rng = np.random.default_rng(9)
     f = rng.standard_normal(p.n_sites)
     norm2 = float(np.sum(f * f)) / p.n
-    residuals = []
-    for k_max in (8, 32, 63):
-        spec = dirichlet_spectrum(p, k_max)
-        coeff = spec.project(f)
-        residuals.append(norm2 - float(np.sum(coeff ** 2)))
+    coeff = dirichlet_spectrum(p).project(f)
+    residuals = [norm2 - float(np.sum(coeff[:k] ** 2)) for k in (8, 32, 63)]
     assert residuals[0] > residuals[1] > residuals[2] >= -1e-12
     assert abs(residuals[-1]) < 1e-10
 
 
 def test_fractional_poincare():
     p = ModelParams(64, 1.5)
-    lam1 = float(dirichlet_spectrum(p, 1).eigenvalues[0])
+    lam1 = float(dirichlet_spectrum(p).eigenvalues[0])
     rng = np.random.default_rng(64)
     for _ in range(100):
         f = rng.standard_normal(p.n_sites)
@@ -237,36 +234,13 @@ def test_fractional_poincare():
         assert l2 <= semi / lam1 * (1.0 + 1e-10)
 
 
-def test_inverse_dirichlet_apply():
-    p = ModelParams(32, 1.5)
-    sys = build_drift_system(p)
-    spec = dirichlet_spectrum(p, 10)
-    # single mode
-    t = spec.eigenvalues[0] * spec.modes[:, 0]
-    np.testing.assert_allclose(inverse_dirichlet_apply(spec, t),
-                               spec.modes[:, 0], atol=1e-10)
-    # zero target
-    np.testing.assert_allclose(inverse_dirichlet_apply(spec, np.zeros(p.n_sites)),
-                               np.zeros(p.n_sites), atol=1e-14)
-    # random target within the retained modes: forward application recovers it
-    rng = np.random.default_rng(17)
-    t = spec.synthesize(rng.standard_normal(10))
-    h = inverse_dirichlet_apply(spec, t)
-    assert np.linalg.norm((-sys.m) @ h - t) <= 1e-8
-    # unresolved target raises with the measured residual
-    full = dirichlet_spectrum(p, p.n_sites)
-    bad = full.modes[:, -1]
-    with pytest.raises(RuntimeError, match="residual"):
-        inverse_dirichlet_apply(spec, bad)
-
-
 def test_spectrum_csv(tmp_path):
     p = ModelParams(16, 1.5)
-    spec = dirichlet_spectrum(p, 3)
+    spec = dirichlet_spectrum(p)
     path = tmp_path / "spec.csv"
     spectrum_to_csv(spec, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("k,lambda_k,e_x1")
-    assert len(lines) == 4
+    assert len(lines) == 1 + p.n_sites
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(spec.eigenvalues[0])

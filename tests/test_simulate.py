@@ -3,15 +3,14 @@ import pytest
 
 from conftest import ZeroRng
 from edge_oracle import edge_euler
-from fracgl import (ExternalField, FieldState, ModelParams, SmoothBump,
+from fracgl import (ExternalField, ModelParams, SmoothBump,
                     boundary_block_average, build_drift_system,
-                    dirichlet_spectrum, dynkin_diagnostics, empirical_pairing,
-                    euler_ensemble, euler_stability_limit,
-                    girsanov_log_weight_variance, martingale_qv_rate,
-                    propagate_exact, sample_ness, simulate_trajectory,
-                    solve_stationary_profile, step_euler)
+                    dirichlet_spectrum, empirical_pairing, euler_ensemble,
+                    euler_stability_limit, girsanov_log_weight_variance,
+                    martingale_qv_rate, propagate_exact, sample_ness,
+                    solve_stationary_profile)
 from fracgl.rng import make_rng
-from fracgl.simulate import _euler, trajectory_to_csv
+from fracgl.simulate import _euler
 
 
 class FixedRng:
@@ -94,16 +93,15 @@ def test_site_tilt_is_half_field(params16, sys16):
 
 
 def test_step_euler_stability_guard(sys16):
-    state = FieldState(phi=np.zeros(sys16.params.n_sites))
+    phi = np.zeros((1, sys16.params.n_sites))
     bad_dt = 1.01 * euler_stability_limit(sys16)
     with pytest.raises(ValueError, match="stability"):
-        step_euler(state, sys16, None, bad_dt, make_rng(0, "t"))
+        _euler(sys16, phi, 0.0, bad_dt, bad_dt, make_rng(0, "t"))
 
 
 def test_step_euler_fixed_point_without_noise(params16, sys16, profile16):
-    state = FieldState(phi=profile16.profile.copy())
-    out = step_euler(state, sys16, None, 1e-4, ZeroRng())
-    np.testing.assert_allclose(out.phi, profile16.profile, atol=1e-12)
+    out = _euler(sys16, profile16.profile[None, :], 0.0, 1e-4, 1e-4, ZeroRng())
+    np.testing.assert_allclose(out["phi"][0], profile16.profile, atol=1e-12)
 
 
 def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16):
@@ -111,14 +109,14 @@ def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16):
     rng = np.random.default_rng(5)
     phi = profile16.profile + rng.standard_normal(params16.n_sites)
     z = rng.standard_normal((1, params16.n_sites))
-    spec = dirichlet_spectrum(params16, params16.n_sites)
+    spec = dirichlet_spectrum(params16)
     S = spec.modes * np.sqrt(2.0 * spec.eigenvalues / params16.n)
     scale = np.abs(sys16.m).max()
     np.testing.assert_allclose(S @ S.T, -2.0 * sys16.m, rtol=0, atol=1e-12 * scale)
     dt = 1e-4
-    out = step_euler(FieldState(phi=phi.copy()), sys16, None, dt, FixedRng(z))
+    out = _euler(sys16, phi[None, :], 0.0, dt, dt, FixedRng(z))["phi"][0]
     expected = dt * (sys16.m @ phi + sys16.b) + np.sqrt(dt) * S @ z[0]
-    np.testing.assert_allclose(out.phi - phi, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out - phi, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tilted", [False, True])
@@ -131,7 +129,7 @@ def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilte
     field, t0, dt = bump_field(), 0.3, 1e-4
     out = _euler(sys16, phi, t0, dt, dt, FixedRng(z), field=field, tilted=tilted,
                  girsanov=True)
-    spec = dirichlet_spectrum(params16, params16.n_sites)
+    spec = dirichlet_spectrum(params16)
     eta = np.sqrt(dt) * z @ (spec.modes * np.sqrt(2.0 * spec.eigenvalues
                                                  / params16.n)).T
     u = field.tilt_drift(params16, t0)
@@ -151,40 +149,24 @@ def test_propagate_exact_closed_form(params16, sys16, profile16):
     phi = profile16.profile + rng.standard_normal(params16.n_sites)
     z = rng.standard_normal(params16.n_sites)
     t = 0.01
-    spec = dirichlet_spectrum(params16, params16.n_sites)
+    spec = dirichlet_spectrum(params16)
     r = np.exp(-spec.eigenvalues * t)
     S = spec.modes * np.sqrt((1.0 - r ** 2) / params16.n)
     np.testing.assert_allclose(S @ S.T, np.eye(params16.n_sites) - expm(2.0 * t * sys16.m),
                                rtol=0, atol=1e-12)
-    out = propagate_exact(FieldState(phi=phi), profile16, t, FixedRng(z)).phi
+    out = propagate_exact(phi, profile16, t, FixedRng(z))
     mean = profile16.profile + expm(t * sys16.m) @ (phi - profile16.profile)
     np.testing.assert_allclose(out, mean + S @ z, rtol=0, atol=1e-12)
-
-
-def test_exact_trajectory_is_successive_propagations(params16, sys16, profile16):
-    rng = np.random.default_rng(4)
-    phi0 = profile16.profile + rng.standard_normal(params16.n_sites)
-    traj = simulate_trajectory(sys16, FieldState(phi=phi0.copy()), 0.05,
-                               scheme="exact", dt=1e-2, seed=6)
-    assert traj.times.shape == (6,)
-    stream = make_rng(6, "trajectory")
-    state = FieldState(phi=phi0.copy())
-    np.testing.assert_array_equal(traj.phis[0], phi0)
-    for k in range(1, 6):
-        state = propagate_exact(state, profile16, 1e-2, stream)
-        assert traj.times[k] == pytest.approx(state.time, rel=0, abs=1e-12)
-        np.testing.assert_allclose(traj.phis[k], state.phi, rtol=0, atol=1e-12)
 
 
 def test_euler_mean_propagation_order(params16, sys16, profile16):
     # one noiseless Euler step vs the exact semigroup: O(dt^2) defect
     rng = np.random.default_rng(2)
     phi0 = profile16.profile + rng.standard_normal(params16.n_sites)
-    spec = dirichlet_spectrum(params16, params16.n_sites)
+    spec = dirichlet_spectrum(params16)
     gaps = []
     for dt in (2e-4, 1e-4):
-        euler_mean = step_euler(FieldState(phi=phi0.copy()), sys16, None, dt,
-                                ZeroRng()).phi
+        euler_mean = _euler(sys16, phi0[None, :], 0.0, dt, dt, ZeroRng())["phi"][0]
         coeff = spec.project(phi0 - profile16.profile) * np.exp(-spec.eigenvalues * dt)
         exact_mean = profile16.profile + spec.synthesize(coeff)
         gaps.append(np.max(np.abs(euler_mean - exact_mean)))
@@ -233,16 +215,14 @@ def test_propagate_exact_limits(params16, profile16):
     rng = np.random.default_rng(3)
     phi0 = profile16.profile + rng.standard_normal(params16.n_sites)
     # short time: output concentrates at the input
-    short = propagate_exact(FieldState(phi=phi0.copy()), profile16,
-                            1e-9, make_rng(1, "x"))
-    assert np.max(np.abs(short.phi - phi0)) < 1e-3
+    short = propagate_exact(phi0, profile16, 1e-9, make_rng(1, "x"))
+    assert np.max(np.abs(short - phi0)) < 1e-3
     # long time: law matches the NESS moments
-    lam1 = dirichlet_spectrum(params16, 1).eigenvalues[0]
+    lam1 = dirichlet_spectrum(params16).eigenvalues[0]
     t_long = 32.0 / lam1
     reps = 20000
-    state = FieldState(phi=np.broadcast_to(phi0, (reps, params16.n_sites)))
-    final = propagate_exact(state, profile16, t_long,
-                            make_rng(7, "exact-long")).phi
+    state = np.broadcast_to(phi0, (reps, params16.n_sites))
+    final = propagate_exact(state, profile16, t_long, make_rng(7, "exact-long"))
     assert np.max(np.abs(final.mean(axis=0) - profile16.profile)) <= 4.0 / np.sqrt(reps)
     assert np.max(np.abs(final.var(axis=0) - 1.0)) <= 4.0 * np.sqrt(2.0 / reps)
 
@@ -250,23 +230,24 @@ def test_propagate_exact_limits(params16, profile16):
 def test_propagate_exact_stationarity(params16, profile16):
     reps = 20000
     draws = sample_ness(profile16, reps, seed=9)
-    out = propagate_exact(FieldState(phi=draws), profile16, 0.37,
-                          make_rng(10, "stat")).phi
+    out = propagate_exact(draws, profile16, 0.37, make_rng(10, "stat"))
     assert np.max(np.abs(out.mean(axis=0) - profile16.profile)) <= 4.0 / np.sqrt(reps)
     assert np.max(np.abs(out.var(axis=0) - 1.0)) <= 4.0 * np.sqrt(2.0 / reps)
 
 
 def test_propagate_exact_rejects_nonpositive_time(profile16):
-    with pytest.raises(ValueError):
-        propagate_exact(FieldState(phi=profile16.profile), profile16,
-                        0.0, make_rng(0, "x"))
+    for t in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            propagate_exact(profile16.profile, profile16, t, make_rng(0, "x"))
+    with pytest.raises(ValueError, match="sites last"):
+        propagate_exact(profile16.profile[:-1], profile16, 0.1, make_rng(0, "x"))
 
 
 def test_exact_vs_euler_mean_gap_order_dt():
     # deterministic check on the mean propagators: (I + dt M)^K vs e^{MT}
     params = ModelParams(16, 1.5, 0.0, 1.0)
     sys = build_drift_system(params)
-    spec = dirichlet_spectrum(params, params.n_sites)
+    spec = dirichlet_spectrum(params)
     T = 0.2
     v = spec.modes @ spec.project(np.sin(np.pi * params.grid()))
     gaps = []
@@ -280,20 +261,6 @@ def test_exact_vs_euler_mean_gap_order_dt():
         gaps.append(np.linalg.norm(spec.synthesize((euler_factor - exact_factor) * coeff)))
     slopes = np.diff(np.log(gaps)) / np.diff(np.log(dts))
     assert np.all(np.abs(slopes - 1.0) <= 0.2)
-
-
-def test_simulate_trajectory_zero_horizon(params16, sys16):
-    init = FieldState(phi=np.zeros(params16.n_sites))
-    traj = simulate_trajectory(sys16, init, 0.0)
-    assert traj.times.shape == (1,)
-    np.testing.assert_array_equal(traj.phis[0], init.phi)
-
-
-def test_simulate_trajectory_requires_euler_for_tilt(params16, sys16, profile16):
-    field = bump_field()
-    with pytest.raises(ValueError, match="euler"):
-        simulate_trajectory(sys16, FieldState(phi=profile16.profile), 0.1,
-                            scheme="exact", field=field)
 
 
 def test_girsanov_weight_mean_one():
@@ -371,7 +338,7 @@ def test_empirical_pairing_basics(params16):
     rng = np.random.default_rng(12)
     phi = rng.standard_normal(params16.n_sites)
     ones = np.ones(params16.n_sites)
-    assert empirical_pairing(FieldState(phi=phi), ones) == pytest.approx(phi.mean())
+    assert empirical_pairing(phi, ones) == pytest.approx(phi.mean())
     G1, G2 = rng.standard_normal((2, params16.n_sites))
     lhs = empirical_pairing(phi, 2.0 * G1 - G2)
     assert lhs == pytest.approx(2 * empirical_pairing(phi, G1)
@@ -419,11 +386,11 @@ def test_boundary_block_average_near_reservoir():
 
 
 def test_dynkin_zero_testfunction(params16, sys16, profile16):
-    traj = simulate_trajectory(sys16, FieldState(phi=profile16.profile), 0.02,
-                               dt=2e-4, seed=5)
-    rep = dynkin_diagnostics(traj, sys16, np.zeros(params16.n_sites))
-    assert rep["martingale"] == 0.0
-    assert rep["predicted_qv"] == 0.0
+    zero = np.zeros(params16.n_sites)
+    out = euler_ensemble(sys16, np.tile(profile16.profile, (3, 1)), 0.02, 2e-4,
+                         seed=5, martingale_g=zero)
+    assert np.all(out["martingale"] == 0.0)
+    assert martingale_qv_rate(params16, zero) == 0.0
 
 
 def test_dynkin_martingale_moments():
@@ -442,33 +409,32 @@ def test_dynkin_martingale_moments():
 
 
 def test_dynkin_diagnostics_matches_ensemble_accumulator():
+    # oracle: the left-endpoint Dynkin sum of <pi_t, G> along a site-space
+    # Euler path driven by the same normals,
+    #   sum_k <phi_{k+1} - phi_k - dt (M phi_k + b + u_k), G> / (n-1)
     params = ModelParams(12, 1.5, 0.0, 1.0)
     sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     G = np.sin(np.pi * params.grid())
+    spec = dirichlet_spectrum(params)
+    rng = np.random.default_rng(17)
+    n_steps, dt, reps = 25, 2e-4, 3
+    phi0 = prof.profile + rng.standard_normal((reps, params.n_sites))
+    z = rng.standard_normal((n_steps, reps, params.n_sites))
+    S = spec.modes * np.sqrt(2.0 * spec.eigenvalues / params.n)
     for field in (None, bump_field()):
-        traj = simulate_trajectory(sys, FieldState(phi=prof.profile.copy()), 0.05,
-                                   dt=2e-4, seed=17, record_every=1, field=field)
-        rep = dynkin_diagnostics(traj, sys, G, field=field)
-        # recompute the martingale from the recorded increments directly
-        manual = 0.0
-        for k in range(len(traj.times) - 1):
-            h = traj.times[k + 1] - traj.times[k]
-            drift = sys.m @ traj.phis[k] + sys.b
+        out = _euler(sys, phi0, 0.0, n_steps * dt, dt, FixedRng(*z), field=field,
+                     g_vec=G / params.n_sites)
+        phi, dynkin = phi0.copy(), np.zeros(reps)
+        for k in range(n_steps):
+            drift = sys.drift(phi)
             if field is not None:
-                drift = drift + field.tilt_drift(params, traj.times[k])
-            manual += (empirical_pairing(traj.phis[k + 1] - traj.phis[k], G)
-                       - h * empirical_pairing(drift, G))
-        assert rep["martingale"] == pytest.approx(manual, rel=1e-10)
-        assert rep["predicted_qv"] > 0
-
-
-def test_dynkin_rejects_mismatched_trajectory(params16, sys16, profile16):
-    traj = simulate_trajectory(sys16, FieldState(phi=profile16.profile), 0.01,
-                               dt=1e-3, seed=2)
-    other = build_drift_system(ModelParams(16, 1.2, 0.0, 1.0))
-    with pytest.raises(ValueError, match="does not match"):
-        dynkin_diagnostics(traj, other, np.ones(params16.n_sites))
+                drift = drift + field.tilt_drift(params, k * dt)
+            step = phi + dt * drift + np.sqrt(dt) * z[k] @ S.T
+            dynkin += empirical_pairing(step - phi - dt * drift, G)
+            phi = step
+        np.testing.assert_allclose(out["phi"], phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out["martingale"], dynkin, rtol=0, atol=1e-12)
 
 
 def test_martingale_qv_rate_direct_sum_oracle():
@@ -484,13 +450,3 @@ def test_martingale_qv_rate_direct_sum_oracle():
     total += 2.0 * G[0] ** 2 + 2.0 * G[-1] ** 2
     expected = params.speed * total / params.n_sites ** 2
     assert martingale_qv_rate(params, G) == pytest.approx(expected, rel=1e-12)
-
-
-def test_trajectory_csv(tmp_path, params16, sys16, profile16):
-    traj = simulate_trajectory(sys16, FieldState(phi=profile16.profile), 0.01,
-                               dt=1e-3, seed=2)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x,phi"
-    assert len(lines) == 1 + len(traj.times) * params16.n_sites
