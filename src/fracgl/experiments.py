@@ -19,7 +19,6 @@ import numpy as np
 
 from . import hydro, ldp, ness, simulate, svg
 from .diagnostics import _MAX_N as _ADJOINT_MAX_N, adjoint_defect
-from .kernel import build_drift_system
 from .operators import SmoothBump, dirichlet_spectrum, spectrum_to_csv
 from .params import ModelParams
 from .rng import make_rng
@@ -128,10 +127,9 @@ def exp_figure1(cfg: ExperimentConfig) -> dict:
 
 def exp_stationarity(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    sys = build_drift_system(params)
     prof = ness.solve_stationary_profile(params)
     phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-    out = simulate.euler_ensemble(sys, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1)
+    out = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1)
     phi = out["phi"]
     mean = phi.mean(axis=0)
     var = phi.var(axis=0, ddof=1)
@@ -176,7 +174,7 @@ def exp_hydro_limit(cfg: ExperimentConfig) -> dict:
     u_ref = ref_params.grid()
     bump = SmoothBump(0.3, 0.7, 0.75)
     g_ref = ref_prof.profile + bump.f(u_ref)
-    traj = hydro.solve_hydrodynamic(ref_params, g_ref, np.array([0.0, cfg.T]))
+    traj = hydro.solve_hydrodynamic(ref_prof, g_ref, np.array([0.0, cfg.T]))
     ref_value = float(traj.profiles[-1] @ np.sin(np.pi * u_ref)) / n_ref
 
     n_hi = cfg.n
@@ -197,12 +195,11 @@ def exp_hydro_limit(cfg: ExperimentConfig) -> dict:
 
 def exp_martingale(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    sys = build_drift_system(params)
     prof = ness.solve_stationary_profile(params)
     u = params.grid()
     G = np.sin(np.pi * u) * (1.0 + 0.3 * u)
     phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-    out = simulate.euler_ensemble(sys, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
+    out = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
                                   martingale_g=G)
     m = out["martingale"]
     qv = simulate.martingale_qv_rate(params, G) * cfg.T
@@ -230,18 +227,19 @@ def _weight_health(log_weight: np.ndarray) -> dict:
 
 def exp_girsanov(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    sys = build_drift_system(params)
     prof = ness.solve_stationary_profile(params)
     field = _bump_field(0.25, 0.75, 0.8)
     u = params.grid()
     G = np.sin(np.pi * u)
 
     phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-    plain = simulate.euler_ensemble(sys, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
-                                    field=field, tilted=False, girsanov=True)
+    plain = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
+                                    field=field, tilted=False)
     w = np.exp(plain["log_weight"])
     se_w = w.std(ddof=1) / np.sqrt(cfg.replicas)
-    z_mean_one = abs(w.mean() - 1.0) / se_w
+    dev_one = abs(w.mean() - 1.0)
+    # equal weights (q below the last bit) have se 0; no deviation then reads 0
+    z_mean_one = dev_one / se_w if se_w > 0 else (0.0 if dev_one == 0 else np.inf)
 
     f_plain = np.tanh(plain["phi"] @ G / params.n_sites)
     wf = w * f_plain
@@ -249,13 +247,13 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     se_weighted = wf.std(ddof=1) / np.sqrt(cfg.replicas)
 
     phi0b = ness.sample_ness(prof, cfg.replicas, cfg.seed + 7)
-    tilted = simulate.euler_ensemble(sys, phi0b, cfg.T, cfg.dt, seed=cfg.seed + 8,
-                                     field=field, tilted=True, girsanov=True)
+    tilted = simulate.euler_ensemble(prof, phi0b, cfg.T, cfg.dt, seed=cfg.seed + 8,
+                                     field=field, tilted=True)
     f_tilt = np.tanh(tilted["phi"] @ G / params.n_sites)
     est_tilted = f_tilt.mean()
     se_tilted = f_tilt.std(ddof=1) / np.sqrt(cfg.replicas)
 
-    q = simulate.girsanov_log_weight_variance(sys, field, cfg.T, cfg.dt)
+    q = simulate.girsanov_log_weight_variance(params, field, cfg.T, cfg.dt)
     se_comb = float(np.hypot(se_weighted, se_tilted))
     z_obs = abs(est_weighted - est_tilted) / se_comb
     checks = {
@@ -296,13 +294,13 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
     prof = ness.solve_stationary_profile(params)
     field = _bump_field(0.25, 0.75, 1.0)
     times = np.linspace(0.0, cfg.T, int(np.ceil(cfg.T / cfg.dt)) + 1)
-    traj = hydro.solve_hydrodynamic(params, prof.profile, times, field=field,
+    traj = hydro.solve_hydrodynamic(prof, prof.profile, times, field=field,
                                     substep=cfg.dt)
     rate = ldp.rate_from_field(params, field, cfg.T, dt=cfg.dt)
 
     half = simulate.ExternalField(h=lambda t, u: 0.5 * field.h(t, u),
                                   dh_dt=lambda t, u: 0.5 * field.dh_dt(t, u))
-    j_half = ldp.j_functional(params, traj, prof.profile, half)
+    j_half = ldp.j_functional(traj, half)
     rel = abs(j_half - rate) / rate
 
     rng = make_rng(cfg.seed, "rate-check")
@@ -317,7 +315,7 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
             lambda t, a0=a0, a1=a1, om=om: a0 + a1 * np.cos(om * t),
             lambda t, a1=a1, om=om: -a1 * om * np.sin(om * t),
             SmoothBump(lo, hi, amp))
-        j_val = ldp.j_functional(params, traj, prof.profile, test)
+        j_val = ldp.j_functional(traj, test)
         max_excess = max(max_excess, j_val - rate)
     checks = {
         "optimal_field_identity": _check(rel, 1e-4, rel <= 1e-4),
@@ -340,11 +338,11 @@ def exp_spectrum(cfg: ExperimentConfig) -> dict:
     prof = ness.solve_stationary_profile(params)
     u = params.grid()
     g = prof.profile + SmoothBump(0.2, 0.8, 0.8).f(u) + 0.2 * np.sin(2 * np.pi * u) * u * (1 - u)
-    fitted = hydro.relaxation_rate(params, g, cfg.T)
+    fitted = hydro.relaxation_rate(prof, g, cfg.T)
     rel = abs(fitted - lam1) / lam1
 
     times = np.linspace(0.0, cfg.T, 160)
-    traj = hydro.solve_hydrodynamic(params, g, times)
+    traj = hydro.solve_hydrodynamic(prof, g, times)
     d0 = hydro.l2_distance(params, g, prof.profile)
     dists = np.array([hydro.l2_distance(params, p, prof.profile)
                       for p in traj.profiles])
@@ -483,7 +481,7 @@ def _config_error(cfg: ExperimentConfig):
         # test fields supported in [0.1, 0.9] vanish at sites 1 and n-1 from n = 10
         return f"rate-check's test fields need n >= 10, got {cfg.n}"
     if cfg.experiment in _EULER_EXPERIMENTS:
-        limit = simulate.euler_stability_limit(build_drift_system(params))
+        limit = simulate.euler_stability_limit(params)
         if cfg.dt >= limit:
             return f"dt={cfg.dt:.3e} violates the Euler stability bound {limit:.3e}"
     return None

@@ -10,22 +10,23 @@ The spectral integrator works in the eigenbasis of M and is exact for H = 0
 it uses an exponential integrator that treats the per-mode forcing as
 piecewise linear on substeps, so stiffness never restricts the step.  The
 forcing is evaluated and projected once for every substep of the time grid;
-only the per-mode recurrence runs step by step.
+only the per-mode recurrence runs step by step.  The integrator and the
+relaxation fit take the StationaryProfile (the model and Phi_ss); the
+weak-form defect reads the model, g and the field from the recorded path.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .kernel import discrete_fractional_laplacian, discrete_inner_seminorm
-from .ness import solve_stationary_profile
+from .kernel import discrete_inner_seminorm
+from .ness import StationaryProfile
 from .operators import dirichlet_spectrum
 from .params import ModelParams, as_grid_function
-from .simulate import ExternalField, _on_grid
+from .simulate import ExternalField
 
 __all__ = [
     "DeterministicTrajectory",
@@ -33,7 +34,6 @@ __all__ = [
     "weak_residual",
     "relaxation_rate",
     "l2_distance",
-    "deterministic_to_csv",
 ]
 
 
@@ -54,10 +54,11 @@ def l2_distance(params: ModelParams, f, g) -> float:
     return float(np.sqrt(np.sum((f - g) ** 2) / params.n))
 
 
-def solve_hydrodynamic(params: ModelParams, g, times,
+def solve_hydrodynamic(profile: StationaryProfile, g, times,
                        field: Optional[ExternalField] = None,
                        substep: float = 1e-3) -> DeterministicTrajectory:
-    """Integrate d Phi/dt = M Phi + b + u_t from Phi_0 = g in the eigenbasis of M.
+    """Integrate d Phi/dt = M Phi + b + u_t of `profile.params` from Phi_0 = g
+    in the eigenbasis of M, around the stationary profile Phi_ss it carries.
 
     Exact for H = 0; with a field, exponentially integrated with the
     forcing sampled on substeps of length <= `substep`.
@@ -70,8 +71,8 @@ def solve_hydrodynamic(params: ModelParams, g, times,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be ascending and start at 0")
+    params, phiss = profile.params, profile.profile
     g = as_grid_function(params, g)
-    phiss = solve_stationary_profile(params).profile
     spec = dirichlet_spectrum(params)
     lam = spec.eigenvalues
     coeff = spec.project(g - phiss)
@@ -104,24 +105,17 @@ def solve_hydrodynamic(params: ModelParams, g, times,
                                    profiles=profiles, field=field)
 
 
-def weak_residual(params: ModelParams, traj: DeterministicTrajectory,
-                  G_space, G_dt, t: float) -> float:
-    """Weak-form defect of a path against a space-time test function.
+def weak_residual(traj: DeterministicTrajectory, G: ExternalField, t: float) -> float:
+    """Weak-form defect of a path, driven by its field H, against a
+    space-time test field G with a time derivative:
 
         <Phi_t, G_t> - <g, G_0> - int_0^t <Phi_s, (d_s + L_n) G_s> ds
                                 - int_0^t <H_s, G_s>_{n,gamma/2} ds,
 
-    lattice pairings (1/n) sum, discrete operator on the sampled test
-    function, trapezoid rule in time over the recorded grid.  Vanishes to
+    g = Phi_0, lattice pairings (1/n) sum, discrete operator on the sampled
+    test field, trapezoid rule in time over the recorded grid.  Vanishes to
     time-quadrature accuracy on true solutions when G is compactly
     supported away from the boundary sites.
-
-    Parameters
-    ----------
-    G_space : callable (t, u_array) -> array
-        Test function values; must vanish outside a compact subset of (0,1).
-    G_dt : callable (t, u_array) -> array
-        Its time derivative.
     """
     times = traj.times
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
@@ -129,48 +123,38 @@ def weak_residual(params: ModelParams, traj: DeterministicTrajectory,
     mask = times <= t + 1e-12
     ts = times[mask]
     phis = traj.profiles[mask]
+    params = traj.params
     n = params.n
 
-    u = params.grid()
-    gs, dgs = _on_grid(G_space, ts, u), _on_grid(G_dt, ts, u)
+    gs, lap = G.lattice(params, ts)
     if abs(float(gs[0, 0])) > 1e-12 or abs(float(gs[0, -1])) > 1e-12:
         raise ValueError("test function must vanish at the boundary sites")
 
-    integrand = np.sum(phis * (dgs + discrete_fractional_laplacian(params, gs)),
-                       axis=-1) / n
+    integrand = np.sum(phis * (G.dt_lattice(params, ts) + lap), axis=-1) / n
     if traj.field is not None:
-        hv, _ = traj.field.lattice(params, ts)
+        hv = gs if traj.field is G else traj.field.lattice(params, ts)[0]
         integrand += discrete_inner_seminorm(params, hv, gs)
     time_int = float(np.trapezoid(integrand, ts))
     return (float(phis[-1] @ gs[-1]) - float(phis[0] @ gs[0])) / n - time_int
 
 
-def relaxation_rate(params: ModelParams, g, T: float,
+def relaxation_rate(profile: StationaryProfile, g, T: float,
                     n_times: int = 256) -> float:
-    """Fitted exponential decay rate of ||Phi_t - Phi_ss||_2 on [T/2, T].
+    """Fitted exponential decay rate of ||Phi_t - Phi_ss||_2 on [T/2, T] of
+    the free flow of `profile.params` from g.
 
     Least-squares slope of the log distance over the tail window; raises on
     a degenerate input already at the stationary profile.
     """
+    params, phiss = profile.params, profile.profile
     g = as_grid_function(params, g)
-    phiss = solve_stationary_profile(params).profile
     if l2_distance(params, g, phiss) < 1e-13:
         raise ValueError("initial profile already at the stationary state")
     times = np.linspace(0.0, T, n_times)
-    traj = solve_hydrodynamic(params, g, times)
+    traj = solve_hydrodynamic(profile, g, times)
     d = np.array([l2_distance(params, p, phiss) for p in traj.profiles])
     window = times >= T / 2.0
     if np.any(d[window] < 1e-300):
         raise ValueError("profile reaches the stationary state inside the window")
     slope = np.polyfit(times[window], np.log(d[window]), 1)[0]
     return float(-slope)
-
-
-def deterministic_to_csv(traj: DeterministicTrajectory, path) -> None:
-    """Write the deterministic trajectory as rows t,x,phi."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "phi"])
-        for t, row in zip(traj.times, traj.profiles):
-            for x, val in enumerate(row, start=1):
-                writer.writerow([repr(float(t)), x, repr(float(val))])

@@ -29,11 +29,11 @@ Both path costs are therefore evaluated in the (1/n)-orthonormal modes e_k of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hydro import DeterministicTrajectory, l2_distance
+from .hydro import DeterministicTrajectory, l2_distance, weak_residual
 from .kernel import discrete_inner_seminorm
 from .ness import StationaryProfile
 from .operators import dirichlet_spectrum
@@ -78,20 +78,11 @@ def rate_from_field(params: ModelParams, H: ExternalField, T: float,
     return 0.25 * float(np.trapezoid(discrete_inner_seminorm(params, hv, hv), ts))
 
 
-def j_functional(params: ModelParams, traj: DeterministicTrajectory, g,
-                 G: ExternalField) -> float:
-    """Evaluate J_G(pi | g) for a recorded path, with lattice pairings (1/n),
-    the discrete operator on G, and trapezoid time quadrature on the
-    trajectory's grid.  G must carry a time derivative."""
-    g = as_grid_function(params, g)
-    if l2_distance(params, traj.profiles[0], g) > 1e-9:
-        raise ValueError("g is not the initial profile of the trajectory")
-    ts = traj.times
-    hv, lap = G.lattice(params, ts)
-    integrand = (np.sum(traj.profiles * (G.dt_lattice(params, ts) + lap), axis=-1)
-                 / params.n + discrete_inner_seminorm(params, hv, hv))
-    return ((float(traj.profiles[-1] @ hv[-1]) - float(g @ hv[0])) / params.n
-            - float(np.trapezoid(integrand, ts)))
+def j_functional(traj: DeterministicTrajectory, G: ExternalField) -> float:
+    """J_G(pi | g) of a recorded path pi, g = pi_0: the weak-form defect
+    `hydro.weak_residual` of the path over its whole span with G as its own
+    source.  G must carry a time derivative and vanish at the boundary sites."""
+    return weak_residual(replace(traj, field=G), G, traj.times[-1])
 
 
 def static_rate_w(profile: StationaryProfile, rho) -> float:

@@ -15,11 +15,11 @@ An Euler step dt has r_k = 1 - dt lambda_k and s_k = sqrt(2 lambda_k dt / n),
 so its noise eta has covariance -2 M dt; a tilt adds dt <u_t, e_k>_(1/n).  The
 exact transition over t has r_k = e^{-lambda_k t}, s_k = sqrt((1 - r_k^2) / n):
 phi_t ~ Normal(Phi_ss + e^{Mt}(phi_0 - Phi_ss), I - e^{2Mt}).  Sites are
-synthesized only at the end.  Each chain has one public entry point:
-`euler_ensemble` runs the Euler chain on a batch of replicas, with the
-Girsanov weight and the Dynkin martingale of <pi_t, G> accumulated on
-request, and `propagate_exact` makes one exact transition of a
-configuration or a batch.
+synthesized only at the end.  Each chain has one public entry point, which
+takes the StationaryProfile whose Phi_ss is the fixed point: `euler_ensemble`
+runs the Euler chain on a batch of replicas, with the Girsanov weight of a
+given field and, on request, the Dynkin martingale of <pi_t, G>, and
+`propagate_exact` makes one exact transition of a configuration or a batch.
 
 Girsanov weights use the noise of the step.  The Euler transition is
 Gaussian with covariance -2 M dt, so its exact log-density ratio per step is,
@@ -45,7 +45,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import DriftSystem, dirichlet_energy, discrete_fractional_laplacian
+from .kernel import (_operator_of, build_drift_system, dirichlet_energy,
+                     discrete_fractional_laplacian)
 from .ness import StationaryProfile
 from .operators import SpectralData, TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function
@@ -137,29 +138,27 @@ def _on_grid(fn: Callable, t, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def euler_stability_limit(sys: DriftSystem) -> float:
+def euler_stability_limit(params: ModelParams) -> float:
     """Largest admissible Euler step: dt n^gamma (1 + max row sum) < 1/2,
     the row sum including the boundary relaxation indicators."""
-    s = sys.row_sums.copy()
+    s = _operator_of(params).row_sums.copy()
     s[0] += 1.0
     s[-1] += 1.0
-    return 0.5 / (sys.params.speed * (1.0 + float(s.max())))
+    return 0.5 / (params.speed * (1.0 + float(s.max())))
 
 
 def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
                     r: np.ndarray, s: np.ndarray, t0: float, dt: float,
                     n_steps: int, rng: np.random.Generator,
                     field: Optional[ExternalField] = None, tilted: bool = True,
-                    girsanov: bool = False, g_vec: Optional[np.ndarray] = None) -> dict:
+                    g_vec: Optional[np.ndarray] = None) -> dict:
     """The recurrence c <- r c + (1 - r) c_fixed + s z of the modal
     coefficients of phi and of `fixed` (sites last) over n_steps steps of dt,
-    run on c - c_fixed.  With a field, `tilted` adds its tilt drift and `girsanov`
-    accumulates the log-weight of the tilted relative to the untilted chain;
+    run on c - c_fixed.  With a field, `tilted` adds its tilt drift and the
+    log-weight of the tilted relative to the untilted chain is accumulated;
     `g_vec` accumulates the Dynkin martingale of phi . g_vec.  Returns a dict
-    with 'phi' and, on request, 'log_weight' and 'martingale'.
+    of 'phi', 'log_weight' with a field and 'martingale' with `g_vec`.
     """
-    if girsanov and field is None:
-        raise ValueError("girsanov accounting requires a field")
     n = spec.params.n
     dev = spec.project(phi - fixed)
     # compensated (Kahan) accumulation: the log-weight is a long sum of
@@ -176,7 +175,6 @@ def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
             u_hat = spec.project(field.tilt_drift(spec.params, t0 + k * dt))
             if tilted:
                 dev += dt * u_hat
-        if girsanov:
             theta = (0.5 * n) * u_hat / spec.eigenvalues  # n theta_hat
             quad = 0.5 * dt * float(theta @ u_hat)
             y = noise @ theta + (quad if tilted else -quad) - logw_comp
@@ -188,7 +186,7 @@ def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
         dev += noise
 
     out = {"phi": fixed + spec.synthesize(dev)}
-    if girsanov:
+    if field is not None:
         out["log_weight"] = logw
     if g_vec is not None:
         out["martingale"] = mart
@@ -201,43 +199,43 @@ def _step_grid(T: float, dt: float) -> tuple:
     return n_steps, T / n_steps
 
 
-def _euler(sys: DriftSystem, phi: np.ndarray, t0: float, T: float, dt: float,
-           rng: np.random.Generator, **chain) -> dict:
-    """Euler-Maruyama chain over [t0, t0 + T] in steps of T / ceil(T / dt),
-    below the stability bound; `chain` goes to `_gaussian_chain`."""
+def _euler(profile: StationaryProfile, phi: np.ndarray, t0: float, T: float,
+           dt: float, rng: np.random.Generator, **chain) -> dict:
+    """Euler-Maruyama chain around `profile.profile` over [t0, t0 + T] in steps
+    of T / ceil(T / dt) below the stability bound; `chain` goes to `_gaussian_chain`."""
     if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
         raise ValueError(f"T and dt must be positive and finite, got {T!r}, {dt!r}")
-    limit = euler_stability_limit(sys)
+    params = profile.params
+    limit = euler_stability_limit(params)
     if dt >= limit:
         raise ValueError(f"dt={dt:.3e} violates the stability bound {limit:.3e}")
     n_steps, dt = _step_grid(T, dt)
-    spec = dirichlet_spectrum(sys.params)
+    spec = dirichlet_spectrum(params)
     lam = spec.eigenvalues
-    return _gaussian_chain(spec, phi, sys.solve_spd(sys.b), 1.0 - dt * lam,
-                           np.sqrt(2.0 * dt * lam / sys.params.n), t0, dt, n_steps,
+    return _gaussian_chain(spec, phi, profile.profile, 1.0 - dt * lam,
+                           np.sqrt(2.0 * dt * lam / params.n), t0, dt, n_steps,
                            rng, **chain)
 
 
-def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
-                   seed: int, field: Optional[ExternalField] = None,
-                   tilted: bool = True, girsanov: bool = False,
-                   martingale_g=None) -> dict:
-    """Euler-Maruyama evolution of a batch of replicas over [0, T], the one
-    Euler entry point.
+def euler_ensemble(profile: StationaryProfile, phi0: np.ndarray, T: float,
+                   dt: float, seed: int, field: Optional[ExternalField] = None,
+                   tilted: bool = True, martingale_g=None) -> dict:
+    """Euler-Maruyama evolution of a batch of replicas of the dynamics of
+    `profile.params` over [0, T], the one Euler entry point.
 
     Steps have length T / ceil(T / dt); dt must lie below
-    `euler_stability_limit(sys)`.
+    `euler_stability_limit(profile.params)`.
 
     Parameters
     ----------
+    profile : StationaryProfile
+        The model and the chain's fixed point Phi_ss.
     phi0 : ndarray (replicas, n-1)
         Initial configurations (consumed, not modified).
     field : ExternalField, optional
-        Tilt field.  With `tilted=False` the untilted dynamics runs but the
-        Girsanov weight of the field is still accumulated (importance
-        sampling of the tilted law from untilted paths).
-    girsanov : bool
-        Accumulate log weights (requires a field).
+        Tilt field; its Girsanov log-weight is accumulated.  With
+        `tilted=False` the untilted dynamics runs but the weight is still
+        kept (importance sampling of the tilted law from untilted paths).
     martingale_g : grid function, optional
         Accumulate the Dynkin martingale of <pi_t, G>,
 
@@ -250,16 +248,16 @@ def euler_ensemble(sys: DriftSystem, phi0: np.ndarray, T: float, dt: float,
     Replica blocks of `_BLOCK` rows draw from the stream
     make_rng(seed, "euler-ensemble", first row of the block).
 
-    Returns dict with keys 'phi', and optionally 'log_weight', 'martingale'.
+    Returns a dict of 'phi', 'log_weight' with a field and 'martingale' with G.
     """
     if phi0.ndim != 2 or phi0.shape[0] == 0:
         raise ValueError(f"phi0 must be a (replicas, n-1) batch, got shape {phi0.shape}")
     g_vec = None
     if martingale_g is not None:
-        g_vec = as_grid_function(sys.params, martingale_g) / sys.params.n_sites
-    blocks = [_euler(sys, phi0[lo:lo + _BLOCK], 0.0, T, dt,
+        g_vec = as_grid_function(profile.params, martingale_g) / profile.params.n_sites
+    blocks = [_euler(profile, phi0[lo:lo + _BLOCK], 0.0, T, dt,
                      make_rng(seed, "euler-ensemble", lo), field=field,
-                     tilted=tilted, girsanov=girsanov, g_vec=g_vec)
+                     tilted=tilted, g_vec=g_vec)
               for lo in range(0, phi0.shape[0], _BLOCK)]
     return {key: np.concatenate([block[key] for block in blocks])
             for key in blocks[0]}
@@ -290,7 +288,7 @@ def propagate_exact(phi: np.ndarray, profile: StationaryProfile, t: float,
     return _gaussian_chain(spec, phi, profile.profile, r, s, 0.0, t, 1, rng)["phi"]
 
 
-def girsanov_log_weight_variance(sys: DriftSystem, field: ExternalField,
+def girsanov_log_weight_variance(params: ModelParams, field: ExternalField,
                                  T: float, dt: float) -> float:
     """Exact variance q of the log Girsanov weight of `euler_ensemble` over [0, T],
 
@@ -302,8 +300,8 @@ def girsanov_log_weight_variance(sys: DriftSystem, field: ExternalField,
     variance e^q - 1.
     """
     n_steps, dt = _step_grid(T, dt)
-    u = field.tilt_drift(sys.params, dt * np.arange(n_steps))
-    return 0.5 * dt * float(np.sum(u * sys.solve_spd(u.T).T))
+    u = field.tilt_drift(params, dt * np.arange(n_steps))
+    return 0.5 * dt * float(np.sum(u * build_drift_system(params).solve_spd(u.T).T))
 
 
 def empirical_pairing(phi, G) -> float:
@@ -315,10 +313,10 @@ def empirical_pairing(phi, G) -> float:
     return float(phi @ G) / G.size if phi.ndim == 1 else (phi @ G) / G.size
 
 
-def boundary_block_average(phi, side: str, eps: float, n: Optional[int] = None) -> float:
-    """Average of the first (or last) floor(eps*n) sites of the configuration."""
+def boundary_block_average(phi, side: str, eps: float) -> float:
+    """Average of the first (or last) floor(eps*n) of the n - 1 sites of phi."""
     phi = np.asarray(phi, dtype=float)
-    n = n if n is not None else phi.size + 1
+    n = phi.size + 1
     ell = int(np.floor(eps * n))
     if not (1 <= ell <= n - 2):
         raise ValueError(f"eps={eps} gives block length {ell} outside [1, {n - 2}]")

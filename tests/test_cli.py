@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fracgl import kernel, ness
 from fracgl.cli import main
 from fracgl.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, run
 
@@ -118,6 +120,36 @@ def test_run_rejects_bad_replicas(tmp_path):
     assert run(cfg) == 1
 
 
+@pytest.mark.parametrize("experiment, overrides, systems", [
+    ("spectrum", dict(n=32), 1),
+    ("rate-check", dict(n=16, T=0.01, dt=1e-3), 1),
+    ("stationarity", dict(n=16, T=0.01, replicas=50), 1),
+    ("martingale", dict(n=16, T=0.01, replicas=50), 1),
+    # the second drift system is the Cholesky solve of girsanov's exact q
+    ("girsanov", dict(n=16, T=0.01, replicas=50), 2),
+])
+def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
+                                            overrides, systems):
+    # one stationary-profile solve per model, handed down to every layer; a
+    # drift system also counts a solve hidden behind solve_spd(b)
+    calls = {"profile": [], "system": []}
+    for fn, key in ((ness.solve_stationary_profile, "profile"),
+                    (kernel.build_drift_system, "system")):
+        def counted(params, *args, _fn=fn, _key=key, **kwargs):
+            calls[_key].append(params)
+            return _fn(params, *args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name == "fracgl" or name.startswith("fracgl."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    cfg = ExperimentConfig(experiment=experiment, out_dir=str(tmp_path),
+                           **{**DEFAULTS[experiment], **overrides})
+    assert run(cfg) in (0, 2)
+    assert calls["profile"] == [cfg.params()]
+    assert calls["system"] == [cfg.params()] * systems
+
+
 def test_experiment_defaults_table():
     for name, values in DEFAULTS.items():
         cfg = ExperimentConfig(experiment=name, **values)
@@ -131,6 +163,9 @@ _INVALID = {"n": [0, 1, 2, -4], "gamma": [0.0, -1.5, 1.0, 2.0, NAN, INF],
             "dt": [0.0, -1e-3, NAN, INF], "replicas": [0, 1, -3]}
 
 
+# valid input whose weights are all exactly 1.0, so the mean-one se is 0
+@example(experiment="girsanov", n=3, gamma=1.2, phi_l=0.0, phi_r=0.0, steps=1, dt=1e-05,
+         replicas=2, seed=0, invalid=None)
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(experiment=st.sampled_from(sorted(EXPERIMENTS)),
        n=st.integers(3, 24),

@@ -7,7 +7,6 @@ from fracgl import (ExternalField, ModelParams, SmoothBump, build_drift_system,
                     dirichlet_spectrum, l2_distance, relaxation_rate,
                     solve_hydrodynamic, solve_stationary_profile, weak_residual,
                     dirichlet_energy)
-from fracgl.hydro import deterministic_to_csv
 
 
 def bump_field(amp=1.0):
@@ -19,22 +18,16 @@ def bump_field(amp=1.0):
 
 
 def space_time_g():
-    bump = SmoothBump(0.3, 0.7, 1.0)
-
-    def g(t, u):
-        return (1.0 + 0.5 * np.sin(2.0 * t)) * bump.f(u)
-
-    def g_dt(t, u):
-        return np.cos(2.0 * t) * bump.f(u)
-
-    return g, g_dt
+    return ExternalField.separable(lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
+                                   lambda t: np.cos(2.0 * t),
+                                   SmoothBump(0.3, 0.7, 1.0))
 
 
 def test_stationary_profile_is_fixed_point():
     params = ModelParams(32, 1.5, 1.0, 2.0)
     prof = solve_stationary_profile(params)
     times = np.linspace(0.0, 1.0, 5)
-    traj = solve_hydrodynamic(params, prof.profile, times)
+    traj = solve_hydrodynamic(prof, prof.profile, times)
     for p in traj.profiles:
         np.testing.assert_allclose(p, prof.profile, atol=1e-11)
 
@@ -46,7 +39,7 @@ def test_spectral_matches_expm():
     u = params.grid()
     g = prof.profile + SmoothBump(0.3, 0.7, 0.8).f(u)
     times = np.array([0.0, 0.5, 1.0])
-    spectral = solve_hydrodynamic(params, g, times)
+    spectral = solve_hydrodynamic(prof, g, times)
     m = build_drift_system(params).m
     reference = prof.profile + expm(m * times[-1]) @ (g - prof.profile)
     assert np.max(np.abs(spectral.profiles[-1] - reference)) < 1e-6
@@ -58,7 +51,7 @@ def test_spectral_with_field_matches_radau():
     prof = solve_stationary_profile(params)
     field = bump_field()
     times = np.array([0.0, 0.25, 0.5])
-    spectral = solve_hydrodynamic(params, prof.profile, times, field=field,
+    spectral = solve_hydrodynamic(prof, prof.profile, times, field=field,
                                   substep=2e-4)
     sys = build_drift_system(params)
     radau = solve_ivp(lambda t, y: sys.drift(y) + field.tilt_drift(params, t),
@@ -74,7 +67,7 @@ def test_exponential_decay_bound():
     u = params.grid()
     g = prof.profile + SmoothBump(0.2, 0.8, 1.0).f(u)
     times = np.linspace(0.0, 2.0, 41)
-    traj = solve_hydrodynamic(params, g, times)
+    traj = solve_hydrodynamic(prof, g, times)
     d0 = l2_distance(params, g, prof.profile)
     dists = np.array([l2_distance(params, p, prof.profile) for p in traj.profiles])
     assert np.all(dists <= d0 * np.exp(-lam1 * times) * (1.0 + 1e-10) + 1e-14)
@@ -90,7 +83,7 @@ def test_energy_balance():
     g = prof.profile + SmoothBump(0.25, 0.75, 0.7).f(u)
     T = 0.5
     times = T * np.linspace(0.0, 1.0, 4001) ** 2
-    traj = solve_hydrodynamic(params, g, times)
+    traj = solve_hydrodynamic(prof, g, times)
     energies = np.array([dirichlet_energy(params, p - prof.profile)
                          for p in traj.profiles])
     lhs = l2_distance(params, traj.profiles[-1], prof.profile) ** 2
@@ -104,10 +97,9 @@ def test_weak_residual_solution_small():
     prof = solve_stationary_profile(params)
     field = bump_field()
     times = np.linspace(0.0, 0.5, 501)
-    traj = solve_hydrodynamic(params, prof.profile, times, field=field,
+    traj = solve_hydrodynamic(prof, prof.profile, times, field=field,
                               substep=2.5e-4)
-    g, g_dt = space_time_g()
-    res = weak_residual(params, traj, g, g_dt, 0.5)
+    res = weak_residual(traj, space_time_g(), 0.5)
     assert abs(res) <= 1e-3
 
 
@@ -115,9 +107,9 @@ def test_weak_residual_zero_testfunction():
     params = ModelParams(32, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     times = np.linspace(0.0, 0.2, 41)
-    traj = solve_hydrodynamic(params, prof.profile, times)
+    traj = solve_hydrodynamic(prof, prof.profile, times)
     zero = lambda t, u: np.zeros_like(u)
-    assert weak_residual(params, traj, zero, zero, 0.2) == 0.0
+    assert weak_residual(traj, ExternalField(h=zero, dh_dt=zero), 0.2) == 0.0
 
 
 def test_weak_residual_detects_wrong_path():
@@ -129,8 +121,7 @@ def test_weak_residual_detects_wrong_path():
     from fracgl.hydro import DeterministicTrajectory
     frozen = DeterministicTrajectory(params=params, times=times,
                                      profiles=np.tile(g0, (times.size, 1)))
-    g, g_dt = space_time_g()
-    res = weak_residual(params, frozen, g, g_dt, 0.5)
+    res = weak_residual(frozen, space_time_g(), 0.5)
     assert abs(res) > 1e-2
 
 
@@ -138,11 +129,12 @@ def test_weak_residual_support_violation():
     params = ModelParams(16, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     times = np.linspace(0.0, 0.1, 11)
-    traj = solve_hydrodynamic(params, prof.profile, times)
-    ones = lambda t, u: np.ones_like(u)
-    zero = lambda t, u: np.zeros_like(u)
+    traj = solve_hydrodynamic(prof, prof.profile, times)
+    # sin(pi u) vanishes at u = 0 and 1, as a field must, but not at site 1
+    sine = ExternalField(h=lambda t, u: np.sin(np.pi * u),
+                         dh_dt=lambda t, u: np.zeros_like(u))
     with pytest.raises(ValueError, match="vanish"):
-        weak_residual(params, traj, ones, zero, 0.1)
+        weak_residual(traj, sine, 0.1)
 
 
 def test_relaxation_rate_pure_mode():
@@ -151,7 +143,7 @@ def test_relaxation_rate_pure_mode():
     spec = dirichlet_spectrum(params)
     lam1 = float(spec.eigenvalues[0])
     g = prof.profile + 0.4 * spec.modes[:, 0]
-    fitted = relaxation_rate(params, g, 6.0 / lam1)
+    fitted = relaxation_rate(prof, g, 6.0 / lam1)
     assert fitted == pytest.approx(lam1, rel=1e-4)
 
 
@@ -161,8 +153,8 @@ def test_relaxation_rate_scale_invariance():
     u = params.grid()
     bump = SmoothBump(0.25, 0.75, 1.0).f(u)
     lam1 = float(dirichlet_spectrum(params).eigenvalues[0])
-    r1 = relaxation_rate(params, prof.profile + bump, 6.0 / lam1)
-    r2 = relaxation_rate(params, prof.profile + 1e-3 * bump, 6.0 / lam1)
+    r1 = relaxation_rate(prof, prof.profile + bump, 6.0 / lam1)
+    r2 = relaxation_rate(prof, prof.profile + 1e-3 * bump, 6.0 / lam1)
     assert r1 == pytest.approx(r2, abs=1e-10)
 
 
@@ -170,15 +162,4 @@ def test_relaxation_rate_degenerate_input():
     params = ModelParams(16, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     with pytest.raises(ValueError, match="stationary"):
-        relaxation_rate(params, prof.profile, 1.0)
-
-
-def test_deterministic_csv(tmp_path):
-    params = ModelParams(8, 1.5, 0.0, 1.0)
-    prof = solve_stationary_profile(params)
-    traj = solve_hydrodynamic(params, prof.profile, np.array([0.0, 0.1]))
-    path = tmp_path / "det.csv"
-    deterministic_to_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x,phi"
-    assert len(lines) == 1 + 2 * params.n_sites
+        relaxation_rate(prof, prof.profile, 1.0)

@@ -3,7 +3,8 @@ import pytest
 
 from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
                     build_drift_system, clever_path, dirichlet_energy,
-                    dirichlet_spectrum, gamma_identity_defect, j_functional,
+                    dirichlet_spectrum, discrete_inner_seminorm,
+                    gamma_identity_defect, j_functional,
                     l2_distance, quasipotential, rate_from_field,
                     solve_hydrodynamic, solve_stationary_profile,
                     static_cumulant, static_rate_w)
@@ -76,10 +77,10 @@ def test_rate_from_field_refinement(setup32):
 def test_j_functional_zero_field(setup32):
     params, prof, spec = setup32
     times = np.linspace(0.0, 0.3, 301)
-    traj = solve_hydrodynamic(params, prof.profile, times)
+    traj = solve_hydrodynamic(prof, prof.profile, times)
     zero = ExternalField(h=lambda t, u: np.zeros_like(u),
                          dh_dt=lambda t, u: np.zeros_like(u))
-    assert j_functional(params, traj, prof.profile, zero) == pytest.approx(0.0, abs=1e-14)
+    assert j_functional(traj, zero) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_j_identity_and_variational_bound(setup32):
@@ -87,10 +88,10 @@ def test_j_identity_and_variational_bound(setup32):
     field = bump_field()
     T = 0.25
     times = np.linspace(0.0, T, 2501)
-    traj = solve_hydrodynamic(params, prof.profile, times, field=field,
+    traj = solve_hydrodynamic(prof, prof.profile, times, field=field,
                               substep=T / 2500)
     rate = rate_from_field(params, field, T, dt=T / 2500)
-    j_half = j_functional(params, traj, prof.profile, half_of(field))
+    j_half = j_functional(traj, half_of(field))
     assert j_half == pytest.approx(rate, rel=1e-4)
     rng = make_rng(0, "ldp-fields")
     for _ in range(20):
@@ -99,7 +100,7 @@ def test_j_identity_and_variational_bound(setup32):
         a = rng.uniform(0.1, 0.35)
         b = rng.uniform(0.6, 0.9)
         test = bump_field(amp=amp, a=a, b=b, omega=om)
-        assert j_functional(params, traj, prof.profile, test) <= rate + 1e-6
+        assert j_functional(traj, test) <= rate + 1e-6
 
 
 def test_j_of_free_path_nonpositive(setup32):
@@ -108,11 +109,29 @@ def test_j_of_free_path_nonpositive(setup32):
     u = params.grid()
     g = prof.profile + SmoothBump(0.3, 0.7, 0.6).f(u)
     times = np.linspace(0.0, 0.3, 1501)
-    traj = solve_hydrodynamic(params, g, times)
+    traj = solve_hydrodynamic(prof, g, times)
     rng = make_rng(1, "free-path")
     for _ in range(10):
         test = bump_field(amp=rng.uniform(0.2, 1.0), omega=rng.uniform(0.5, 4.0))
-        assert j_functional(params, traj, g, test) <= 1e-6
+        assert j_functional(traj, test) <= 1e-6
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_j_functional_matches_explicit_formula(driven):
+    # J_G = <pi_T, G_T> - <g, G_0> - int <pi, (d_s + L_n) G> - int ||G||^2,
+    # each term built here from G's lattice values, trapezoid on the path's grid
+    params = ModelParams(16, 1.5, 0.5, 1.5)
+    prof = solve_stationary_profile(params)
+    g = prof.profile + SmoothBump(0.3, 0.7, 0.6).f(params.grid())
+    times = np.linspace(0.0, 0.2, 201)
+    traj = solve_hydrodynamic(prof, g, times, field=bump_field() if driven else None)
+    G = bump_field(amp=0.7, a=0.2, b=0.8, omega=3.0)
+    hv, lap = G.lattice(params, times)
+    pairing = np.sum(traj.profiles * (G.dt_lattice(params, times) + lap), axis=1) / params.n
+    energy = discrete_inner_seminorm(params, hv, hv)
+    expected = ((traj.profiles[-1] @ hv[-1] - g @ hv[0]) / params.n
+                - np.trapezoid(pairing, times) - np.trapezoid(energy, times))
+    assert j_functional(traj, G) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_static_rate_values(setup32):
@@ -221,7 +240,7 @@ def test_modal_costs_match_site_space_route(setup32):
     T1 = 3.0 / float(lam[0])
     rep = quasipotential(prof, rho, T1)
     ts = T1 * np.linspace(0.0, 1.0, 4001) ** 2
-    relax = solve_hydrodynamic(params, rho, ts)
+    relax = solve_hydrodynamic(prof, rho, ts)
     reversal = np.trapezoid(dirichlet_energy(params, relax.profiles - prof.profile), ts)
     assert rep.breakdown["reversal_cost"] == pytest.approx(reversal, rel=1e-10, abs=0)
 

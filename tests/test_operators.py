@@ -207,7 +207,7 @@ def test_spectrum_matches_relaxation_rate():
     from fracgl import solve_stationary_profile
     prof = solve_stationary_profile(p)
     g = prof.profile + 0.5 * np.sin(np.pi * p.grid())
-    fitted = relaxation_rate(p, g, 8.0 / lam1)
+    fitted = relaxation_rate(prof, g, 8.0 / lam1)
     assert fitted == pytest.approx(lam1, rel=0.02)
 
 

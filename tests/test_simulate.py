@@ -92,15 +92,15 @@ def test_site_tilt_is_half_field(params16, sys16):
     np.testing.assert_allclose(theta, 0.5 * hv, rtol=0, atol=1e-12)
 
 
-def test_step_euler_stability_guard(sys16):
-    phi = np.zeros((1, sys16.params.n_sites))
-    bad_dt = 1.01 * euler_stability_limit(sys16)
+def test_step_euler_stability_guard(params16, profile16):
+    phi = np.zeros((1, params16.n_sites))
+    bad_dt = 1.01 * euler_stability_limit(params16)
     with pytest.raises(ValueError, match="stability"):
-        _euler(sys16, phi, 0.0, bad_dt, bad_dt, make_rng(0, "t"))
+        _euler(profile16, phi, 0.0, bad_dt, bad_dt, make_rng(0, "t"))
 
 
-def test_step_euler_fixed_point_without_noise(params16, sys16, profile16):
-    out = _euler(sys16, profile16.profile[None, :], 0.0, 1e-4, 1e-4, ZeroRng())
+def test_step_euler_fixed_point_without_noise(profile16):
+    out = _euler(profile16, profile16.profile[None, :], 0.0, 1e-4, 1e-4, ZeroRng())
     np.testing.assert_allclose(out["phi"][0], profile16.profile, atol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16):
     scale = np.abs(sys16.m).max()
     np.testing.assert_allclose(S @ S.T, -2.0 * sys16.m, rtol=0, atol=1e-12 * scale)
     dt = 1e-4
-    out = _euler(sys16, phi[None, :], 0.0, dt, dt, FixedRng(z))["phi"][0]
+    out = _euler(profile16, phi[None, :], 0.0, dt, dt, FixedRng(z))["phi"][0]
     expected = dt * (sys16.m @ phi + sys16.b) + np.sqrt(dt) * S @ z[0]
     np.testing.assert_allclose(out - phi, expected, rtol=0, atol=1e-12)
 
@@ -127,8 +127,7 @@ def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilte
     phi = profile16.profile + rng.standard_normal((3, params16.n_sites))
     z = rng.standard_normal(phi.shape)
     field, t0, dt = bump_field(), 0.3, 1e-4
-    out = _euler(sys16, phi, t0, dt, dt, FixedRng(z), field=field, tilted=tilted,
-                 girsanov=True)
+    out = _euler(profile16, phi, t0, dt, dt, FixedRng(z), field=field, tilted=tilted)
     spec = dirichlet_spectrum(params16)
     eta = np.sqrt(dt) * z @ (spec.modes * np.sqrt(2.0 * spec.eigenvalues
                                                  / params16.n)).T
@@ -159,14 +158,14 @@ def test_propagate_exact_closed_form(params16, sys16, profile16):
     np.testing.assert_allclose(out, mean + S @ z, rtol=0, atol=1e-12)
 
 
-def test_euler_mean_propagation_order(params16, sys16, profile16):
+def test_euler_mean_propagation_order(params16, profile16):
     # one noiseless Euler step vs the exact semigroup: O(dt^2) defect
     rng = np.random.default_rng(2)
     phi0 = profile16.profile + rng.standard_normal(params16.n_sites)
     spec = dirichlet_spectrum(params16)
     gaps = []
     for dt in (2e-4, 1e-4):
-        euler_mean = _euler(sys16, phi0[None, :], 0.0, dt, dt, ZeroRng())["phi"][0]
+        euler_mean = _euler(profile16, phi0[None, :], 0.0, dt, dt, ZeroRng())["phi"][0]
         coeff = spec.project(phi0 - profile16.profile) * np.exp(-spec.eigenvalues * dt)
         exact_mean = profile16.profile + spec.synthesize(coeff)
         gaps.append(np.max(np.abs(euler_mean - exact_mean)))
@@ -179,7 +178,7 @@ def test_single_step_covariance_matches_diffusion():
     prof = solve_stationary_profile(params)
     replicas, dt = 40000, 1e-4
     phi0 = np.tile(prof.profile, (replicas, 1))
-    out = euler_ensemble(sys, phi0, dt, dt, seed=4)
+    out = euler_ensemble(prof, phi0, dt, dt, seed=4)
     inc = out["phi"] - prof.profile
     cov = inc.T @ inc / replicas
     target = -2.0 * sys.m * dt
@@ -195,8 +194,7 @@ def test_factor_noise_matches_edge_noise_in_law():
     field = bump_field(amp=0.9)
     replicas, T, dt = 20000, 0.02, 5e-4
     phi0 = sample_ness(prof, replicas, seed=1)
-    site = euler_ensemble(sys, phi0, T, dt, seed=2, field=field, tilted=False,
-                          girsanov=True)
+    site = euler_ensemble(prof, phi0, T, dt, seed=2, field=field, tilted=False)
     edge_phi, edge_logw, q = edge_euler(sys, phi0, T, dt, make_rng(3, "edges"), field)
     mean_gap = site["phi"].mean(axis=0) - edge_phi.mean(axis=0)
     var = 0.5 * (site["phi"].var(axis=0) + edge_phi.var(axis=0))
@@ -246,7 +244,6 @@ def test_propagate_exact_rejects_nonpositive_time(profile16):
 def test_exact_vs_euler_mean_gap_order_dt():
     # deterministic check on the mean propagators: (I + dt M)^K vs e^{MT}
     params = ModelParams(16, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
     spec = dirichlet_spectrum(params)
     T = 0.2
     v = spec.modes @ spec.project(np.sin(np.pi * params.grid()))
@@ -265,13 +262,12 @@ def test_exact_vs_euler_mean_gap_order_dt():
 
 def test_girsanov_weight_mean_one():
     params = ModelParams(8, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     field = bump_field(amp=0.9)
     reps = 20000
     phi0 = sample_ness(prof, reps, seed=21)
-    out = euler_ensemble(sys, phi0, 0.3, 1e-3, seed=22, field=field,
-                         tilted=False, girsanov=True)
+    out = euler_ensemble(prof, phi0, 0.3, 1e-3, seed=22, field=field,
+                         tilted=False)
     w = np.exp(out["log_weight"])
     z = abs(w.mean() - 1.0) / (w.std(ddof=1) / np.sqrt(reps))
     assert z <= 3.0
@@ -279,19 +275,18 @@ def test_girsanov_weight_mean_one():
 
 def test_girsanov_tilted_vs_weighted():
     params = ModelParams(8, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     field = bump_field(amp=0.9)
     reps = 20000
     G = np.sin(np.pi * params.grid())
     phi0 = sample_ness(prof, reps, seed=31)
-    plain = euler_ensemble(sys, phi0, 0.3, 1e-3, seed=32, field=field,
-                           tilted=False, girsanov=True)
+    plain = euler_ensemble(prof, phi0, 0.3, 1e-3, seed=32, field=field,
+                           tilted=False)
     w = np.exp(plain["log_weight"])
     f_plain = np.tanh(plain["phi"] @ G / params.n_sites)
     phi0b = sample_ness(prof, reps, seed=33)
-    tilt = euler_ensemble(sys, phi0b, 0.3, 1e-3, seed=34, field=field,
-                          tilted=True, girsanov=True)
+    tilt = euler_ensemble(prof, phi0b, 0.3, 1e-3, seed=34, field=field,
+                          tilted=True)
     f_tilt = np.tanh(tilt["phi"] @ G / params.n_sites)
     est_w, est_t = (w * f_plain).mean(), f_tilt.mean()
     se = np.hypot((w * f_plain).std(ddof=1), f_tilt.std(ddof=1)) / np.sqrt(reps)
@@ -309,29 +304,22 @@ def test_girsanov_log_weight_variance_matches_step_loop():
     for k in range(k_steps):
         u = field.tilt_drift(params, k * h)
         loop += 0.5 * h * float(u @ sys.solve_spd(u))
-    q = girsanov_log_weight_variance(sys, field, T, dt)
+    q = girsanov_log_weight_variance(params, field, T, dt)
     assert q == pytest.approx(loop, rel=1e-12, abs=0)
 
 
 def test_girsanov_log_weight_law():
     # theta_t is deterministic, so the untilted log-weight is Normal(-q/2, q)
     params = ModelParams(8, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     field = bump_field(amp=0.9)
     reps, T, dt = 20000, 0.3, 1e-3
-    out = euler_ensemble(sys, sample_ness(prof, reps, seed=51), T, dt, seed=52,
-                         field=field, tilted=False, girsanov=True)
+    out = euler_ensemble(prof, sample_ness(prof, reps, seed=51), T, dt, seed=52,
+                         field=field, tilted=False)
     lw = out["log_weight"]
-    q = girsanov_log_weight_variance(sys, field, T, dt)
+    q = girsanov_log_weight_variance(params, field, T, dt)
     assert abs(lw.mean() + 0.5 * q) <= 5.0 * np.sqrt(q / reps)
     assert abs(lw.var(ddof=1) - q) <= 5.0 * q * np.sqrt(2.0 / (reps - 1))
-
-
-def test_girsanov_requires_field(params16, sys16):
-    phi0 = np.zeros((4, params16.n_sites))
-    with pytest.raises(ValueError, match="field"):
-        euler_ensemble(sys16, phi0, 0.01, 1e-4, seed=0, girsanov=True)
 
 
 def test_empirical_pairing_basics(params16):
@@ -385,9 +373,9 @@ def test_boundary_block_average_near_reservoir():
     assert first[256] < first[64]                # innermost block -> phi_l
 
 
-def test_dynkin_zero_testfunction(params16, sys16, profile16):
+def test_dynkin_zero_testfunction(params16, profile16):
     zero = np.zeros(params16.n_sites)
-    out = euler_ensemble(sys16, np.tile(profile16.profile, (3, 1)), 0.02, 2e-4,
+    out = euler_ensemble(profile16, np.tile(profile16.profile, (3, 1)), 0.02, 2e-4,
                          seed=5, martingale_g=zero)
     assert np.all(out["martingale"] == 0.0)
     assert martingale_qv_rate(params16, zero) == 0.0
@@ -395,12 +383,11 @@ def test_dynkin_zero_testfunction(params16, sys16, profile16):
 
 def test_dynkin_martingale_moments():
     params = ModelParams(16, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     G = np.sin(np.pi * params.grid())
     reps, T, dt = 20000, 0.1, 2e-4
     phi0 = sample_ness(prof, reps, seed=41)
-    out = euler_ensemble(sys, phi0, T, dt, seed=42, martingale_g=G)
+    out = euler_ensemble(prof, phi0, T, dt, seed=42, martingale_g=G)
     m = out["martingale"]
     qv = martingale_qv_rate(params, G) * T
     assert abs(m.mean()) <= 3.0 * m.std(ddof=1) / np.sqrt(reps)
@@ -423,7 +410,7 @@ def test_dynkin_diagnostics_matches_ensemble_accumulator():
     z = rng.standard_normal((n_steps, reps, params.n_sites))
     S = spec.modes * np.sqrt(2.0 * spec.eigenvalues / params.n)
     for field in (None, bump_field()):
-        out = _euler(sys, phi0, 0.0, n_steps * dt, dt, FixedRng(*z), field=field,
+        out = _euler(prof, phi0, 0.0, n_steps * dt, dt, FixedRng(*z), field=field,
                      g_vec=G / params.n_sites)
         phi, dynkin = phi0.copy(), np.zeros(reps)
         for k in range(n_steps):
