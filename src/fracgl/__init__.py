@@ -16,7 +16,7 @@ from .operators import (TestFunction, SmoothBump, PolyBump, SineMode,
 from .ness import (StationaryProfile, solve_stationary_profile,
                    absorbed_walk_oracle, sample_ness, static_cumulant)
 from .simulate import (ExternalField, euler_stability_limit, euler_ensemble,
-                       propagate_exact, girsanov_log_weight_variance,
+                       euler_chain_law, propagate_exact, girsanov_log_weight_variance,
                        empirical_pairing, boundary_block_average,
                        martingale_qv_rate)
 from .hydro import (DeterministicTrajectory, solve_hydrodynamic,

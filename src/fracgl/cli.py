@@ -14,8 +14,8 @@ from dataclasses import fields, replace
 
 from .experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig
 
-_FLOAT_KEYS = {"gamma", "phi_l", "phi_r", "T", "dt"}
-_INT_KEYS = {"n", "replicas", "seed"}
+_KEYS = {"gamma": float, "phi_l": float, "phi_r": float, "T": float, "dt": float,
+         "n": int, "replicas": int, "seed": int, "experiment": str, "out_dir": str}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -29,16 +29,10 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key == "t":
-                key = "T"
-            if key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in {"experiment", "out_dir", "out"}:
-                values["out_dir" if key == "out" else key] = val
-            else:
+            key = {"t": "T", "out": "out_dir"}.get(key, key)
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = _KEYS[key](val)
     return values
 
 
@@ -67,10 +61,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_numbers(argv: list) -> list:
+    """Join a token that parses as a float to the value flag before it, so
+    that argparse reads `--phi-l -1e-05` (or `-inf`, `-1E3`) as a value."""
+    out = []
+    for token in argv:
+        try:
+            float(token)
+            if out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--help":
+                out[-1] += "=" + token
+                continue
+        except (ValueError, IndexError):
+            pass
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 

@@ -135,18 +135,26 @@ def exp_stationarity(cfg: ExperimentConfig) -> dict:
     var = phi.var(axis=0, ddof=1)
     se_mean = phi.std(axis=0, ddof=1) / np.sqrt(cfg.replicas)
     se_var = var * np.sqrt(2.0 / (cfg.replicas - 1))
+    se_mean_ness, se_var_ness = 1.0 / np.sqrt(cfg.replicas), np.sqrt(2.0 / (cfg.replicas - 1))
     z_mean = float(np.max(np.abs(mean - prof.profile) / se_mean))
     z_var = float(np.max(np.abs(var - 1.0) / se_var))
     checks = {
         "mean_within_4se": _check(z_mean, 4.0, z_mean <= 4.0),
         "var_within_4se": _check(z_var, 4.0, z_var <= 4.0),
     }
+    # the chain's exact per-site bias at T, in units of each estimate's se
+    # under the NESS, from the start's modes Normal(0, 1/n) about Phi_ss
+    spec, law = simulate.euler_chain_law(params, cfg.T, cfg.dt)
+    mean_bias = spec.synthesize(law["decay"] * spec.project(prof.profile - prof.profile))
+    var_bias = spec.modes ** 2 @ (law["decay"] ** 2 / params.n + law["sd"] ** 2) - 1.0
     block_table = {f"eps={eps}": {
         "left": simulate.boundary_block_average(mean, "left", eps),
         "right": simulate.boundary_block_average(mean, "right", eps)}
         for eps in _BLOCK_EPS + (1.0 / params.n,)}
     return {"checks": checks,
-            "outputs": {"max_mean_dev": float(np.max(np.abs(mean - prof.profile))),
+            "outputs": {"mean_bias_se": float(np.max(np.abs(mean_bias)) / se_mean_ness),
+                        "var_bias_se": float(np.max(np.abs(var_bias)) / se_var_ness),
+                        "max_mean_dev": float(np.max(np.abs(mean - prof.profile))),
                         "max_var_dev": float(np.max(np.abs(var - 1.0))),
                         "boundary_block_averages": block_table}}
 

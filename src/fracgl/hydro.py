@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import discrete_inner_seminorm
 from .ness import StationaryProfile
 from .operators import dirichlet_spectrum
 from .params import ModelParams, as_grid_function
@@ -133,7 +132,7 @@ def weak_residual(traj: DeterministicTrajectory, G: ExternalField, t: float) -> 
     integrand = np.sum(phis * (G.dt_lattice(params, ts) + lap), axis=-1) / n
     if traj.field is not None:
         hv = gs if traj.field is G else traj.field.lattice(params, ts)[0]
-        integrand += discrete_inner_seminorm(params, hv, gs)
+        integrand -= np.vecdot(hv, lap) / n   # <H, G>_{n,gamma/2}, L_n G in hand
     time_int = float(np.trapezoid(integrand, ts))
     return (float(phis[-1] @ gs[-1]) - float(phis[0] @ gs[0])) / n - time_int
 

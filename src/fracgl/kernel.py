@@ -13,8 +13,7 @@ Gaussian in site space with covariance -2 M per unit time.  This is the same
 law as one independent driver of rate 2 n^gamma p(y - x) per unordered bulk
 pair {x, y}, acting with opposite signs at the two sites, plus drivers of
 rate 2 n^gamma at sites 1 and n-1: those rates assemble to exactly -2 M.
-The stepper draws it in the eigenbasis of M: sqrt(2 lambda_k dt / n) times
-a standard normal per (1/n)-orthonormal mode of rate lambda_k.
+The chains of `simulate` draw it mode by mode in the eigenbasis of M.
 
 All of these objects come from one operator per (n, gamma), built once and
 kept in a bounded cache: the kernel row, P, its row sums, M and, on first

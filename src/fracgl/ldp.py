@@ -74,8 +74,8 @@ def rate_from_field(params: ModelParams, H: ExternalField, T: float,
                     dt: float = 1e-3) -> float:
     """Dynamical cost (1/4) int_0^T ||H_t||^2_{n,gamma/2} dt, trapezoid in time."""
     ts = np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
-    hv, _ = H.lattice(params, ts)
-    return 0.25 * float(np.trapezoid(discrete_inner_seminorm(params, hv, hv), ts))
+    hv, lap = H.lattice(params, ts)   # ||H||^2_{n,gamma/2} = -(1/n) H . L_n H
+    return 0.25 * float(np.trapezoid(-np.vecdot(hv, lap) / params.n, ts))
 
 
 def j_functional(traj: DeterministicTrajectory, G: ExternalField) -> float:

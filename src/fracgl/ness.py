@@ -58,7 +58,9 @@ def solve_stationary_profile(params: ModelParams) -> StationaryProfile:
     max norm of the defining (unscaled) equation.
     """
     sys = build_drift_system(params)
-    phi = sys.solve_spd(sys.b)
+    # equal reservoirs: the exact constant, which a solve misses by up to 2e-11
+    phi = (np.full(params.n_sites, params.phi_l) if params.phi_l == params.phi_r
+           else sys.solve_spd(sys.b))
     residual = float(np.max(np.abs(sys.m @ phi + sys.b))) / params.speed
     return StationaryProfile(params=params, profile=phi, residual=residual)
 

@@ -1,12 +1,11 @@
 """Reproducible random number generation.
 
 All Monte Carlo entry points take an integer seed and derive independent
-Philox (counter-based) streams from it.  Streams are keyed by
-(seed, purpose, index): the same seed never produces correlated streams in
-different roles, and replica blocks can be split deterministically.  Results
-are bit-reproducible for fixed (seed, n, dt, replica layout); parallel
-reductions may perturb the last bits of aggregates, so tests compare with
-tolerances rather than bit equality.
+Philox (counter-based) streams from it, keyed by (seed, purpose, index):
+the same seed never produces correlated streams in different roles, and the
+index tells apart the streams of one role (one per lattice size in
+`hydro-limit`).  Results are bit-reproducible for a fixed configuration;
+tests compare aggregates with tolerances rather than bit equality.
 """
 
 from __future__ import annotations

@@ -5,38 +5,33 @@ The state evolves by
     d phi = (M phi + b + u_t) dt + dW_t,    Cov(dW_t) = -2 M dt,
 
 where the tilt drift u_t(x) = -(L_n H_t)(x/n) comes from an external field H
-compactly supported in (0, 1).  Every chain runs in the (1/n)-orthonormal
-modes e_k of -M (rates lambda_k), where both Gaussian transitions are the
-one recurrence of c_k = <phi, e_k>_(1/n), with c^ss those of Phi_ss:
+compactly supported in (0, 1).  Both Gaussian chains are one recurrence of
+the coefficients c_k = <phi, e_k>_(1/n) in the (1/n)-orthonormal modes e_k
+of -M (rates lambda_k), with c^ss those of Phi_ss:
 
-    c_k <- r_k c_k + (1 - r_k) c_k^ss + s_k z_k,    z_k standard normal.
+    c_k <- r_k c_k + (1 - r_k) c_k^ss + s_k z_k  (+ h u_jk at step j, tilted).
 
-An Euler step dt has r_k = 1 - dt lambda_k and s_k = sqrt(2 lambda_k dt / n),
-so its noise eta has covariance -2 M dt; a tilt adds dt <u_t, e_k>_(1/n).  The
-exact transition over t has r_k = e^{-lambda_k t}, s_k = sqrt((1 - r_k^2) / n):
-phi_t ~ Normal(Phi_ss + e^{Mt}(phi_0 - Phi_ss), I - e^{2Mt}).  Sites are
-synthesized only at the end.  Each chain has one public entry point, which
-takes the StationaryProfile whose Phi_ss is the fixed point: `euler_ensemble`
-runs the Euler chain on a batch of replicas, with the Girsanov weight of a
-given field and, on request, the Dynkin martingale of <pi_t, G>, and
-`propagate_exact` makes one exact transition of a configuration or a batch.
+An Euler step h has r_k = 1 - h lambda_k, s_k = sqrt(2 lambda_k h / n) and
+u_jk = <u_jh, e_k>_(1/n); the exact transition over t is one step with
+r_k = e^{-lambda_k t}, s_k = sqrt((1 - r_k^2) / n).  No chain runs step by
+step: K steps are linear in their normals, so the state at T is drawn from
+its exact Gaussian law (`_chain_law`), one normal per replica and mode; for
+Euler that is the chain's own law, with its (1 - h lambda / 2) variance bias
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2003, ch. 3).
+`euler_ensemble` draws the Euler chain at T for a batch of replicas, with
+the Girsanov log-weight of a field and the Dynkin martingale of <pi_t, G>,
+drawn jointly with the state; `propagate_exact` makes one exact transition.
 
-Girsanov weights use the noise of the step.  The Euler transition is
-Gaussian with covariance -2 M dt, so its exact log-density ratio per step is,
-with theta_t = (-M)^{-1} u_t / 2 (in modes <u_t, e_k>_(1/n) / (2 lambda_k)),
+The log-weight is the exact log-density ratio of the tilted and untilted
+Euler chains, with eta_j the noise of step j and theta_j = (-M)^{-1} u_j / 2
+(in modes u_jk / (2 lambda_k)):
 
-    d log M = eta . theta_t  -/+  (dt / 2) theta_t . u_t,
+    log M_T = sum_j [eta_j . theta_j  -/+  (h / 2) theta_j . u_j],
 
-with the minus sign on untilted runs and the plus sign on tilted ones; a dot
-product of grid functions is n times that of their coefficients.  This holds
-for any field, so E[M_T] = 1 holds exactly for the discrete chain and
-weighted untilted averages reproduce tilted averages without discretization
-bias.  When H vanishes at sites 1 and n-1, theta_t = H_t / 2 and
-theta_t . u_t = (n/2) ||H_t||^2_{n,gamma/2}.
-
-A field is evaluated on the lattice when asked, with no per-time cache; an
-array of times gives (times, sites) arrays from one call of the field on a
-column of times and one batched Laplacian.
+minus on untilted runs; a dot product of grid functions is n times that of
+their coefficients.  So E[M_T] = 1 exactly for the discrete chain, for any
+field, and weighted untilted averages reproduce tilted ones without
+discretization bias.  When H vanishes at sites 1 and n-1, theta_j = H_jh / 2.
 """
 
 from __future__ import annotations
@@ -45,8 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import (_operator_of, build_drift_system, dirichlet_energy,
-                     discrete_fractional_laplacian)
+from .kernel import _operator_of, dirichlet_energy, discrete_fractional_laplacian
 from .ness import StationaryProfile
 from .operators import SpectralData, TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function
@@ -56,6 +50,7 @@ __all__ = [
     "ExternalField",
     "euler_stability_limit",
     "euler_ensemble",
+    "euler_chain_law",
     "propagate_exact",
     "girsanov_log_weight_variance",
     "empirical_pairing",
@@ -63,7 +58,7 @@ __all__ = [
     "martingale_qv_rate",
 ]
 
-_BLOCK = 20000  # replica rows per block of `euler_ensemble`, each with its stream
+_CHUNK = 1 << 18  # field values (steps x sites) per chunk of the chain's step sums
 
 
 class ExternalField:
@@ -101,15 +96,9 @@ class ExternalField:
     def separable(cls, time_fn: Callable, time_fn_prime: Optional[Callable],
                   bump: TestFunction) -> "ExternalField":
         """Field a(t) * B(u) from a time amplitude and a spatial TestFunction."""
-        def h(t, u):
-            return time_fn(t) * bump.f(u)
-
-        dh_dt = None
-        if time_fn_prime is not None:
-            def dh_dt(t, u):
-                return time_fn_prime(t) * bump.f(u)
-
-        return cls(h=h, dh_dt=dh_dt)
+        return cls(h=lambda t, u: time_fn(t) * bump.f(u),
+                   dh_dt=None if time_fn_prime is None
+                   else lambda t, u: time_fn_prime(t) * bump.f(u))
 
     def lattice(self, params: ModelParams, t):
         """(H_t, L_n H_t) on the interior sites; (times, sites) arrays when t
@@ -147,120 +136,117 @@ def euler_stability_limit(params: ModelParams) -> float:
     return 0.5 / (params.speed * (1.0 + float(s.max())))
 
 
-def _gaussian_chain(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray,
-                    r: np.ndarray, s: np.ndarray, t0: float, dt: float,
-                    n_steps: int, rng: np.random.Generator,
-                    field: Optional[ExternalField] = None, tilted: bool = True,
-                    g_vec: Optional[np.ndarray] = None) -> dict:
-    """The recurrence c <- r c + (1 - r) c_fixed + s z of the modal
-    coefficients of phi and of `fixed` (sites last) over n_steps steps of dt,
-    run on c - c_fixed.  With a field, `tilted` adds its tilt drift and the
-    log-weight of the tilted relative to the untilted chain is accumulated;
-    `g_vec` accumulates the Dynkin martingale of phi . g_vec.  Returns a dict
-    of 'phi', 'log_weight' with a field and 'martingale' with `g_vec`.
-    """
-    n = spec.params.n
-    dev = spec.project(phi - fixed)
-    # compensated (Kahan) accumulation: the log-weight is a long sum of
-    # per-step increments that must stay exact in the exponent
-    logw = np.zeros(dev.shape[:-1])
-    logw_comp = np.zeros(dev.shape[:-1])
-    mart = np.zeros(dev.shape[:-1])
-    g_hat = None if g_vec is None else n * spec.project(g_vec)
-    for k in range(n_steps):
-        noise = rng.standard_normal(dev.shape)
-        noise *= s
-        dev *= r
-        if field is not None:
-            u_hat = spec.project(field.tilt_drift(spec.params, t0 + k * dt))
-            if tilted:
-                dev += dt * u_hat
-            theta = (0.5 * n) * u_hat / spec.eigenvalues  # n theta_hat
-            quad = 0.5 * dt * float(theta @ u_hat)
-            y = noise @ theta + (quad if tilted else -quad) - logw_comp
-            tot = logw + y
-            logw_comp = (tot - logw) - y
-            logw = tot
-        if g_hat is not None:
-            mart += noise @ g_hat
-        dev += noise
+def _geometric(log_r: np.ndarray, k: int) -> np.ndarray:
+    """sum_{j<k} r^j = (1 - r^k) / (1 - r) for r = e^{log_r}; exactly 1 for k = 1."""
+    return np.expm1(k * log_r) / np.expm1(log_r) if k > 1 else np.ones_like(log_r)
 
-    out = {"phi": fixed + spec.synthesize(dev)}
-    if field is not None:
-        out["log_weight"] = logw
+
+def _chain_law(spec: SpectralData, log_r: np.ndarray, s: np.ndarray, n_steps: int,
+               h: float = 0.0, field: Optional[ExternalField] = None,
+               tilted: bool = True, g_vec: Optional[np.ndarray] = None) -> dict:
+    """Exact law of n_steps steps of h of the modal recurrence, r = e^{log_r}.
+
+    Per mode, c - c^ss ends as 'decay' = r^K times its start, plus 'shift' =
+    h sum_j r^{K-1-j} u_jk on tilted runs, plus independent noise A_k of
+    variance 'sd'^2 = s^2 (1 - r^{2K}) / (1 - r^2).  The outputs 'keys' (the
+    martingale B = sum_j eta_j . g_vec, then the log-weight C) have means
+    'mean' (0, then -/+ q/2), covariance 'joint' and covariances 'cross'
+    (modes, keys) with the A_k; with g_k = n <g_vec, e_k>_(1/n),
+
+        Var B = K sum_k s_k^2 g_k^2,   Cov(A_k, B) = s_k^2 g_k (1 - r^K) / (1 - r),
+        Var C = q = (h n / 2) sum_j sum_k u_jk^2 / lambda_k,   Cov(B, C) = h g . sum_j u_j,
+        Cov(A_k, C) = s_k^2 sum_j r^{K-1-j} n theta_jk = h sum_j r^{K-1-j} u_jk.
+    """
+    outputs, shift = [], 0.0
     if g_vec is not None:
-        out["martingale"] = mart
+        g_hat = spec.params.n * spec.project(g_vec)
+        outputs.append(("martingale", 0.0, s ** 2 * g_hat * _geometric(log_r, n_steps),
+                        n_steps * float(np.sum((s * g_hat) ** 2))))
+    if field is not None:
+        lam, late, total, q = spec.eigenvalues, 0.0, 0.0, 0.0
+        per_chunk = max(1, _CHUNK // lam.size)    # steps of the field at a time
+        for lo in range(0, n_steps, per_chunk):
+            j = np.arange(lo, min(lo + per_chunk, n_steps))
+            u_hat = spec.project(field.tilt_drift(spec.params, h * j))
+            late = late + np.sum(np.exp(np.outer(n_steps - 1 - j, log_r)) * u_hat, axis=0)
+            total = total + u_hat.sum(axis=0)
+            q += float(np.sum(u_hat ** 2 / lam))
+        q *= 0.5 * h * spec.params.n
+        shift = h * late if tilted else 0.0
+        outputs.append(("log_weight", 0.5 * q if tilted else -0.5 * q, h * late, q))
+    keys, mean, cross, var = zip(*outputs) if outputs else ((),) * 4
+    joint = np.diag(var)
+    if len(keys) == 2:
+        joint[0, 1] = joint[1, 0] = h * float(g_hat @ total)
+    return {"decay": np.exp(n_steps * log_r), "shift": shift,
+            "sd": s * np.sqrt(_geometric(2.0 * log_r, n_steps)), "keys": keys,
+            "mean": np.array(mean), "cross": np.array(cross).T, "joint": joint}
+
+
+def _draw(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray, law: dict,
+          rng: np.random.Generator) -> dict:
+    """One draw of `law` from each configuration of phi (sites last): the
+    modes' noise from one block of normals, then the outputs 'keys' given it
+    from one more.  Returns a dict of 'phi' and the keys."""
+    z = rng.standard_normal(phi.shape[:-1] + law["sd"].shape)
+    dev = spec.project(phi - fixed) * law["decay"] + law["shift"]
+    out = {}
+    if law["keys"]:
+        beta = law["cross"] / law["sd"][:, None]    # covariances with the z_k
+        # a square root of the residual covariance, safe where it is singular
+        w, v = np.linalg.eigh(law["joint"] - beta.T @ beta)
+        extra = z @ beta + law["mean"]
+        extra += rng.standard_normal(extra.shape) @ (v * np.sqrt(np.maximum(w, 0.0))).T
+        out = {key: extra[..., i] for i, key in enumerate(law["keys"])}
+    dev += z * law["sd"]
+    out["phi"] = fixed + spec.synthesize(dev)
     return out
 
 
-def _step_grid(T: float, dt: float) -> tuple:
-    """Number of Euler steps over a horizon T and their length T / ceil(T / dt)."""
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    return n_steps, T / n_steps
-
-
-def _euler(profile: StationaryProfile, phi: np.ndarray, t0: float, T: float,
-           dt: float, rng: np.random.Generator, **chain) -> dict:
-    """Euler-Maruyama chain around `profile.profile` over [t0, t0 + T] in steps
-    of T / ceil(T / dt) below the stability bound; `chain` goes to `_gaussian_chain`."""
+def euler_chain_law(params: ModelParams, T: float, dt: float,
+                    field: Optional[ExternalField] = None, tilted: bool = True,
+                    martingale_g=None) -> tuple:
+    """(spectrum, `_chain_law`) of the K = ceil(T / dt) steps of h = T / K of
+    the Euler chain of `euler_ensemble` with the same arguments."""
     if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
         raise ValueError(f"T and dt must be positive and finite, got {T!r}, {dt!r}")
-    params = profile.params
     limit = euler_stability_limit(params)
     if dt >= limit:
         raise ValueError(f"dt={dt:.3e} violates the stability bound {limit:.3e}")
-    n_steps, dt = _step_grid(T, dt)
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    h = T / n_steps
     spec = dirichlet_spectrum(params)
     lam = spec.eigenvalues
-    return _gaussian_chain(spec, phi, profile.profile, 1.0 - dt * lam,
-                           np.sqrt(2.0 * dt * lam / params.n), t0, dt, n_steps,
-                           rng, **chain)
+    g_vec = (None if martingale_g is None
+             else as_grid_function(params, martingale_g) / params.n_sites)
+    return spec, _chain_law(spec, np.log1p(-h * lam), np.sqrt(2.0 * h * lam / params.n),
+                            n_steps, h, field, tilted, g_vec)
 
 
 def euler_ensemble(profile: StationaryProfile, phi0: np.ndarray, T: float,
                    dt: float, seed: int, field: Optional[ExternalField] = None,
                    tilted: bool = True, martingale_g=None) -> dict:
-    """Euler-Maruyama evolution of a batch of replicas of the dynamics of
-    `profile.params` over [0, T], the one Euler entry point.
+    """The Euler-Maruyama chain of `profile.params` over [0, T] in steps of
+    T / ceil(T / dt) below `euler_stability_limit`, drawn at T for a batch of
+    replicas `phi0` (replicas, n-1): the one Euler entry point.
 
-    Steps have length T / ceil(T / dt); dt must lie below
-    `euler_stability_limit(profile.params)`.
+    With a `field`, its Girsanov log-weight is drawn with the state; with
+    `tilted=False` the untilted dynamics runs and the weight is still kept
+    (importance sampling of the tilted law).  With `martingale_g`, so is the
+    Dynkin martingale of <pi_t, G>, the sum of the noise pairings
+    <eta_k, G> / (n-1):
 
-    Parameters
-    ----------
-    profile : StationaryProfile
-        The model and the chain's fixed point Phi_ss.
-    phi0 : ndarray (replicas, n-1)
-        Initial configurations (consumed, not modified).
-    field : ExternalField, optional
-        Tilt field; its Girsanov log-weight is accumulated.  With
-        `tilted=False` the untilted dynamics runs but the weight is still
-        kept (importance sampling of the tilted law from untilted paths).
-    martingale_g : grid function, optional
-        Accumulate the Dynkin martingale of <pi_t, G>,
+        M_T = <pi_T, G> - <pi_0, G> - sum_k dt <M phi_k + b + u_k, G>,
 
-            M_T = <pi_T, G> - <pi_0, G> - sum_k dt <M phi_k + b + u_k, G>,
-
-        with the tilt u_k on tilted runs, as the sum of the noise pairings
-        <eta_k, G> / (n-1); for the chain this is the left-endpoint Dynkin
-        sum exactly.
-
-    Replica blocks of `_BLOCK` rows draw from the stream
-    make_rng(seed, "euler-ensemble", first row of the block).
-
-    Returns a dict of 'phi', 'log_weight' with a field and 'martingale' with G.
+    with the tilt u_k on tilted runs.  All replicas draw from the stream
+    make_rng(seed, "euler-ensemble"): one normal per replica and mode, then
+    one per replica and requested output.  Returns a dict of 'phi',
+    'log_weight' with a field and 'martingale' with G.
     """
     if phi0.ndim != 2 or phi0.shape[0] == 0:
         raise ValueError(f"phi0 must be a (replicas, n-1) batch, got shape {phi0.shape}")
-    g_vec = None
-    if martingale_g is not None:
-        g_vec = as_grid_function(profile.params, martingale_g) / profile.params.n_sites
-    blocks = [_euler(profile, phi0[lo:lo + _BLOCK], 0.0, T, dt,
-                     make_rng(seed, "euler-ensemble", lo), field=field,
-                     tilted=tilted, g_vec=g_vec)
-              for lo in range(0, phi0.shape[0], _BLOCK)]
-    return {key: np.concatenate([block[key] for block in blocks])
-            for key in blocks[0]}
+    spec, law = euler_chain_law(profile.params, T, dt, field, tilted, martingale_g)
+    return _draw(spec, phi0, profile.profile, law, make_rng(seed, "euler-ensemble"))
 
 
 def propagate_exact(phi: np.ndarray, profile: StationaryProfile, t: float,
@@ -283,25 +269,22 @@ def propagate_exact(phi: np.ndarray, profile: StationaryProfile, t: float,
         raise ValueError(f"state must be finite with {params.n_sites} sites last, "
                          f"got shape {phi.shape}")
     spec = dirichlet_spectrum(params)
-    r = np.exp(-spec.eigenvalues * t)
-    s = np.sqrt(np.maximum(1.0 - r ** 2, 0.0) / params.n)
-    return _gaussian_chain(spec, phi, profile.profile, r, s, 0.0, t, 1, rng)["phi"]
+    log_r = -spec.eigenvalues * t
+    s = np.sqrt(np.maximum(1.0 - np.exp(log_r) ** 2, 0.0) / params.n)
+    return _draw(spec, phi, profile.profile, _chain_law(spec, log_r, s, 1), rng)["phi"]
 
 
 def girsanov_log_weight_variance(params: ModelParams, field: ExternalField,
                                  T: float, dt: float) -> float:
     """Exact variance q of the log Girsanov weight of `euler_ensemble` over [0, T],
 
-        q = (dt / 2) sum_k u_k . (-M)^{-1} u_k,
+        q = (h / 2) sum_j u_j . (-M)^{-1} u_j = (h n / 2) sum_j sum_k u_jk^2 / lambda_k,
 
-    on the chain's step grid t_k = k T / K, K = ceil(T / dt).  Since theta_t
-    is deterministic the log-weight is exactly Normal(-q/2, q) on untilted
-    paths and Normal(q/2, q) on tilted ones, so an untilted weight has
-    variance e^q - 1.
+    on the chain's step grid t_j = j h, h = T / ceil(T / dt), as drawn.  The
+    log-weight is exactly Normal(-q/2, q) on untilted paths and Normal(q/2, q)
+    on tilted ones, so an untilted weight has variance e^q - 1.
     """
-    n_steps, dt = _step_grid(T, dt)
-    u = field.tilt_drift(params, dt * np.arange(n_steps))
-    return 0.5 * dt * float(np.sum(u * build_drift_system(params).solve_spd(u.T).T))
+    return float(euler_chain_law(params, T, dt, field)[1]["joint"][-1, -1])
 
 
 def empirical_pairing(phi, G) -> float:

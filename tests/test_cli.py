@@ -5,10 +5,11 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracgl import kernel, ness
+from fracgl import dirichlet_spectrum, kernel, ness
 from fracgl.cli import main
 from fracgl.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, run
 
@@ -80,6 +81,30 @@ def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("value", ["-1e-05", "-1E3", "-0.5"])
+def test_negative_value_after_a_space(tmp_path, value):
+    # argparse alone reads "-1e-05" after a space as a flag
+    assert main(["stationarity", "--phi-l", value, "--t", "0.01", "--replicas", "50",
+                 "--out", str(tmp_path)]) in (0, 2)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["config"]["phi_l"] == float(value)
+
+
+def test_stationarity_reports_the_exact_chain_bias(tmp_path):
+    # per site, Var phi_T = sum_k e_k^2 [r^2K / n + (1 - r^2K) / (n (1 - h lambda / 2))]
+    # from the NESS start, with r = 1 - h lambda; the mean keeps Phi_ss
+    cfg = ExperimentConfig(experiment="stationarity", n=16, T=0.01, dt=5e-4,
+                           replicas=50, out_dir=str(tmp_path))
+    assert run(cfg) in (0, 2)
+    outputs = json.loads((tmp_path / "summary.json").read_text())["outputs"]
+    spec = dirichlet_spectrum(cfg.params())
+    lam, r2k = spec.eigenvalues, (1.0 - 5e-4 * spec.eigenvalues) ** 40
+    var = spec.modes ** 2 @ ((r2k + (1.0 - r2k) / (1.0 - 2.5e-4 * lam)) / 16)
+    se = np.sqrt(2.0 / 49)
+    assert outputs["var_bias_se"] == pytest.approx(np.max(np.abs(var - 1.0)) / se, rel=1e-10)
+    assert outputs["mean_bias_se"] == 0.0
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 32\ngamma = 1.4\nphi-l = 1.0\nphi-r = 2.0\nseed = 7\n")
@@ -125,8 +150,7 @@ def test_run_rejects_bad_replicas(tmp_path):
     ("rate-check", dict(n=16, T=0.01, dt=1e-3), 1),
     ("stationarity", dict(n=16, T=0.01, replicas=50), 1),
     ("martingale", dict(n=16, T=0.01, replicas=50), 1),
-    # the second drift system is the Cholesky solve of girsanov's exact q
-    ("girsanov", dict(n=16, T=0.01, replicas=50), 2),
+    ("girsanov", dict(n=16, T=0.01, replicas=50), 1),
 ])
 def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
                                             overrides, systems):
@@ -163,9 +187,13 @@ _INVALID = {"n": [0, 1, 2, -4], "gamma": [0.0, -1.5, 1.0, 2.0, NAN, INF],
             "dt": [0.0, -1e-3, NAN, INF], "replicas": [0, 1, -3]}
 
 
+# valid input whose n=1024 reference profile is flat, once solved outside the
+# maximum principle's slack
+@example(experiment="hydro-limit", n=9, gamma=1.5, phi_l=1.0, phi_r=1.0, steps=1, dt=1e-05,
+         replicas=2, seed=0, invalid=None, spaced=True)
 # valid input whose weights are all exactly 1.0, so the mean-one se is 0
 @example(experiment="girsanov", n=3, gamma=1.2, phi_l=0.0, phi_r=0.0, steps=1, dt=1e-05,
-         replicas=2, seed=0, invalid=None)
+         replicas=2, seed=0, invalid=None, spaced=False)
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(experiment=st.sampled_from(sorted(EXPERIMENTS)),
        n=st.integers(3, 24),
@@ -177,18 +205,21 @@ _INVALID = {"n": [0, 1, 2, -4], "gamma": [0.0, -1.5, 1.0, 2.0, NAN, INF],
        replicas=st.integers(2, 40),
        seed=st.integers(-5, 10 ** 6),
        invalid=st.one_of(st.none(), st.sampled_from(
-           [(key, value) for key, values in _INVALID.items() for value in values])))
+           [(key, value) for key, values in _INVALID.items() for value in values])),
+       spaced=st.booleans())
 def test_cli_input_contract(experiment, n, gamma, phi_l, phi_r, steps, dt, replicas,
-                            seed, invalid):
+                            seed, invalid, spaced):
     # any input ends in exit 0 or 2 with a summary, or exit 1 with one line;
     # n <= 24, replicas <= 40 and T / dt <= 200 keep each run small
     cfg = dict(n=n, gamma=gamma, phi_l=phi_l, phi_r=phi_r, T=steps * dt, dt=dt,
                replicas=replicas, seed=seed)
     if invalid is not None:
         cfg[invalid[0]] = invalid[1]
-    # --flag=value, since argparse reads "-inf" or "-1e-05" after a space as a flag
-    argv = [experiment] + [f"--{key.lower().replace('_', '-')}={value!r}"
-                           for key, value in cfg.items()]
+    # each value after a space ("--t -1e-05") or joined ("--t=-1e-05")
+    argv = [experiment]
+    for key, value in cfg.items():
+        flag = f"--{key.lower().replace('_', '-')}"
+        argv += [flag, repr(value)] if spaced else [f"{flag}={value!r}"]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         status = main(argv + ["--out", out])

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from chain_oracle import euler_loop, loop_law
 from conftest import ZeroRng
 from edge_oracle import edge_euler
 from fracgl import (ExternalField, ModelParams, SmoothBump,
                     boundary_block_average, build_drift_system,
-                    dirichlet_spectrum, empirical_pairing, euler_ensemble,
-                    euler_stability_limit, girsanov_log_weight_variance,
+                    dirichlet_spectrum, empirical_pairing, euler_chain_law,
+                    euler_ensemble, euler_stability_limit, girsanov_log_weight_variance,
                     martingale_qv_rate, propagate_exact, sample_ness,
-                    solve_stationary_profile)
+                    solve_stationary_profile, simulate)
 from fracgl.rng import make_rng
-from fracgl.simulate import _euler
 
 
 class FixedRng:
@@ -92,19 +92,26 @@ def test_site_tilt_is_half_field(params16, sys16):
     np.testing.assert_allclose(theta, 0.5 * hv, rtol=0, atol=1e-12)
 
 
+def use_normals(monkeypatch, rng):
+    """Point the stream of `euler_ensemble` at a stand-in generator."""
+    monkeypatch.setattr(simulate, "make_rng", lambda *key: rng)
+
+
 def test_step_euler_stability_guard(params16, profile16):
     phi = np.zeros((1, params16.n_sites))
     bad_dt = 1.01 * euler_stability_limit(params16)
     with pytest.raises(ValueError, match="stability"):
-        _euler(profile16, phi, 0.0, bad_dt, bad_dt, make_rng(0, "t"))
+        euler_ensemble(profile16, phi, bad_dt, bad_dt, seed=0)
 
 
-def test_step_euler_fixed_point_without_noise(profile16):
-    out = _euler(profile16, profile16.profile[None, :], 0.0, 1e-4, 1e-4, ZeroRng())
+def test_step_euler_fixed_point_without_noise(profile16, monkeypatch):
+    use_normals(monkeypatch, ZeroRng())
+    out = euler_ensemble(profile16, profile16.profile[None, :], 1e-2, 1e-4, seed=0)
     np.testing.assert_allclose(out["phi"][0], profile16.profile, atol=1e-12)
 
 
-def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16):
+def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16,
+                                                  monkeypatch):
     # one step is dt (M phi + b) + sqrt(dt) S z with S S^T = -2 M
     rng = np.random.default_rng(5)
     phi = profile16.profile + rng.standard_normal(params16.n_sites)
@@ -114,24 +121,28 @@ def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16):
     scale = np.abs(sys16.m).max()
     np.testing.assert_allclose(S @ S.T, -2.0 * sys16.m, rtol=0, atol=1e-12 * scale)
     dt = 1e-4
-    out = _euler(profile16, phi[None, :], 0.0, dt, dt, FixedRng(z))["phi"][0]
+    use_normals(monkeypatch, FixedRng(z))
+    out = euler_ensemble(profile16, phi[None, :], dt, dt, seed=0)["phi"][0]
     expected = dt * (sys16.m @ phi + sys16.b) + np.sqrt(dt) * S @ z[0]
     np.testing.assert_allclose(out - phi, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tilted", [False, True])
-def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilted):
+def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilted,
+                                               monkeypatch):
     # the modal log-weight of one step is eta.theta -/+ (dt/2) theta.u with
-    # theta = (-M)^{-1} u / 2 in site space
+    # theta = (-M)^{-1} u / 2 in site space; one step leaves the weight no
+    # noise of its own, so the second block of normals is all zeros
     rng = np.random.default_rng(8)
     phi = profile16.profile + rng.standard_normal((3, params16.n_sites))
     z = rng.standard_normal(phi.shape)
-    field, t0, dt = bump_field(), 0.3, 1e-4
-    out = _euler(profile16, phi, t0, dt, dt, FixedRng(z), field=field, tilted=tilted)
+    field, dt = bump_field(), 1e-4
+    use_normals(monkeypatch, FixedRng(z, np.zeros((3, 1))))
+    out = euler_ensemble(profile16, phi, dt, dt, seed=0, field=field, tilted=tilted)
     spec = dirichlet_spectrum(params16)
     eta = np.sqrt(dt) * z @ (spec.modes * np.sqrt(2.0 * spec.eigenvalues
                                                  / params16.n)).T
-    u = field.tilt_drift(params16, t0)
+    u = field.tilt_drift(params16, 0.0)
     theta = 0.5 * sys16.solve_spd(u)
     quad = 0.5 * dt * float(theta @ u)
     np.testing.assert_allclose(out["log_weight"],
@@ -139,6 +150,65 @@ def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilte
                                rtol=0, atol=1e-12)
     step = phi + dt * (sys16.drift(phi) + (u if tilted else 0.0)) + eta
     np.testing.assert_allclose(out["phi"], step, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, T, dt, tilted", [(5, 0.05, 1e-3, True),
+                                              (8, 0.02, 4e-4, False),
+                                              (8, 0.02, 4e-4, True)])
+def test_chain_law_matches_step_recursion(n, T, dt, tilted):
+    # the closed-form law of K steps against the loop's exact moments
+    params = ModelParams(n, 1.5, 0.0, 1.0)
+    prof = solve_stationary_profile(params)
+    field, G = bump_field(amp=0.9), np.sin(np.pi * params.grid())
+    phi0 = prof.profile + np.cos(3.0 * params.grid())
+    spec, law = euler_chain_law(params, T, dt, field, tilted, G)
+    mean, cov = loop_law(prof, phi0, T, dt, field, tilted, G / params.n_sites)
+    modes = params.n_sites
+    exact_mean = np.concatenate([law["decay"] * spec.project(phi0 - prof.profile)
+                                 + law["shift"], law["mean"]])
+    exact_cov = np.block([[np.diag(law["sd"] ** 2), law["cross"]],
+                          [law["cross"].T, law["joint"]]])
+    assert law["keys"] == ("martingale", "log_weight")
+    np.testing.assert_allclose(mean, exact_mean, rtol=0,
+                               atol=1e-13 * np.abs(exact_mean).max())
+    scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    np.testing.assert_allclose(cov / scale, exact_cov / scale, rtol=0, atol=1e-13)
+    assert np.diag(cov)[:modes] == pytest.approx(law["sd"] ** 2, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_one_shot_draw_matches_loop_law(tilted):
+    # n=12: the draw of (modes of phi_T - Phi_ss, martingale, log-weight)
+    # against the exact law of the step-by-step loop; over 200 steps the fast
+    # modes forget their early noise, so the martingale and the log-weight
+    # also carry noise of their own beyond the modes' at T
+    params = ModelParams(12, 1.5, 0.0, 1.0)
+    prof = solve_stationary_profile(params)
+    field, G = bump_field(amp=0.9), np.sin(np.pi * params.grid())
+    T, dt, reps = 0.1, 5e-4, 20000
+    phi0 = prof.profile + np.cos(3.0 * params.grid())
+    mean, cov = loop_law(prof, phi0, T, dt, field, tilted, G / params.n_sites)
+    out = euler_ensemble(prof, np.tile(phi0, (reps, 1)), T, dt, seed=61, field=field,
+                         tilted=tilted, martingale_g=G)
+    spec = dirichlet_spectrum(params)
+    x = np.column_stack([spec.project(out["phi"] - prof.profile),
+                         out["martingale"], out["log_weight"]])
+    d = np.diag(cov)
+    assert np.max(np.abs(x.mean(axis=0) - mean) / np.sqrt(d / reps)) <= 4.0
+    se_cov = np.sqrt((np.outer(d, d) + cov ** 2) / reps)
+    upper = np.triu_indices(d.size)
+    assert np.max(np.abs(np.cov(x.T) - cov)[upper] / se_cov[upper]) <= 4.5
+
+
+def test_step_sums_do_not_depend_on_the_chunk(params16, monkeypatch):
+    # the law's sums over the steps, taken 300 steps at once and 7 at a time
+    G = np.sin(np.pi * params16.grid())
+    whole = euler_chain_law(params16, 0.3, 1e-3, bump_field(), False, G)[1]
+    monkeypatch.setattr(simulate, "_CHUNK", 7 * params16.n_sites)
+    chunked = euler_chain_law(params16, 0.3, 1e-3, bump_field(), False, G)[1]
+    for key in ("cross", "joint", "mean"):
+        np.testing.assert_allclose(chunked[key], whole[key], rtol=1e-13,
+                                   atol=1e-15 * np.abs(whole[key]).max())
 
 
 def test_propagate_exact_closed_form(params16, sys16, profile16):
@@ -158,14 +228,15 @@ def test_propagate_exact_closed_form(params16, sys16, profile16):
     np.testing.assert_allclose(out, mean + S @ z, rtol=0, atol=1e-12)
 
 
-def test_euler_mean_propagation_order(params16, profile16):
+def test_euler_mean_propagation_order(params16, profile16, monkeypatch):
     # one noiseless Euler step vs the exact semigroup: O(dt^2) defect
     rng = np.random.default_rng(2)
     phi0 = profile16.profile + rng.standard_normal(params16.n_sites)
     spec = dirichlet_spectrum(params16)
+    use_normals(monkeypatch, ZeroRng())
     gaps = []
     for dt in (2e-4, 1e-4):
-        euler_mean = _euler(profile16, phi0[None, :], 0.0, dt, dt, ZeroRng())["phi"][0]
+        euler_mean = euler_ensemble(profile16, phi0[None, :], dt, dt, seed=0)["phi"][0]
         coeff = spec.project(phi0 - profile16.profile) * np.exp(-spec.eigenvalues * dt)
         exact_mean = profile16.profile + spec.synthesize(coeff)
         gaps.append(np.max(np.abs(euler_mean - exact_mean)))
@@ -396,8 +467,8 @@ def test_dynkin_martingale_moments():
 
 
 def test_dynkin_diagnostics_matches_ensemble_accumulator():
-    # oracle: the left-endpoint Dynkin sum of <pi_t, G> along a site-space
-    # Euler path driven by the same normals,
+    # the step-by-step oracle's martingale is the left-endpoint Dynkin sum of
+    # <pi_t, G> along a site-space Euler path driven by the same normals,
     #   sum_k <phi_{k+1} - phi_k - dt (M phi_k + b + u_k), G> / (n-1)
     params = ModelParams(12, 1.5, 0.0, 1.0)
     sys = build_drift_system(params)
@@ -410,8 +481,8 @@ def test_dynkin_diagnostics_matches_ensemble_accumulator():
     z = rng.standard_normal((n_steps, reps, params.n_sites))
     S = spec.modes * np.sqrt(2.0 * spec.eigenvalues / params.n)
     for field in (None, bump_field()):
-        out = _euler(prof, phi0, 0.0, n_steps * dt, dt, FixedRng(*z), field=field,
-                     g_vec=G / params.n_sites)
+        out = euler_loop(prof, phi0, n_steps * dt, dt, FixedRng(*z), field=field,
+                         g_vec=G / params.n_sites)
         phi, dynkin = phi0.copy(), np.zeros(reps)
         for k in range(n_steps):
             drift = sys.drift(phi)
