@@ -12,8 +12,8 @@ from .kernel import (kernel_constant, kernel_row, DriftSystem, build_drift_syste
                      dirichlet_energy)
 from .operators import (TestFunction, SmoothBump, PolyBump, SineMode,
                         regional_laplacian_pointwise, continuum_seminorm,
-                        SpectralData, dirichlet_spectrum)
-from .ness import (StationaryProfile, solve_stationary_profile,
+                        dirichlet_spectrum)
+from .ness import (StationaryProfile, reservoir_drift, solve_stationary_profile,
                    absorbed_walk_oracle, sample_ness, static_cumulant)
 from .simulate import (ExternalField, euler_stability_limit, euler_ensemble,
                        euler_chain_law, propagate_exact, girsanov_log_weight_variance,

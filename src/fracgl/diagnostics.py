@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh, solve
 
 from .kernel import build_drift_system, dirichlet_energy
-from .ness import StationaryProfile
+from .ness import StationaryProfile, reservoir_drift
 from .params import ModelParams, as_grid_function
 
 __all__ = [
@@ -95,13 +95,12 @@ def generator_matrix_poly2(profile: StationaryProfile):
     params = profile.params
     if params.n > _MAX_N:
         raise ValueError(f"poly-2 representation restricted to n <= {_MAX_N}")
-    sys = build_drift_system(params)
     basis = PolyObservableBasis(params)
     k = basis.k
-    m = sys.m
+    m = build_drift_system(params).m
     a = -2.0 * m
     # residual affine drift in centered coordinates; zero up to solve accuracy
-    r = m @ profile.profile + sys.b
+    r = m @ profile.profile + reservoir_drift(params)
 
     L = np.zeros((basis.size, basis.size))
     for i in range(k):

@@ -15,18 +15,17 @@ pair {x, y}, acting with opposite signs at the two sites, plus drivers of
 rate 2 n^gamma at sites 1 and n-1: those rates assemble to exactly -2 M.
 The chains of `simulate` draw it mode by mode in the eigenbasis of M.
 
-All of these objects come from one operator per (n, gamma), built once and
-kept in a bounded cache: the kernel row, P, its row sums, M and, on first
-use, the Cholesky factor of -M and the eigenpairs of -M.  Its arrays are
-read-only and shared by every DriftSystem of that (n, gamma), whatever the
-reservoir densities.  The Laplacian, the seminorm and the energy below are
-the only evaluations of L_n and of the quadratic forms; each accepts one
-grid function or a (times, sites) batch with sites last.
+All of these objects but b come from one DriftSystem per (n, gamma), built
+once and kept in a bounded cache: P, its row sums, M and, on first use, the
+Cholesky factor of -M and the eigenpairs of -M.  Every model of that
+(n, gamma) shares it and its read-only arrays, whatever the reservoir
+densities; b is `ness.reservoir_drift`.  The Laplacian, the seminorm and the
+energy below are the only evaluations of L_n and of the quadratic forms;
+each accepts one grid function or a (times, sites) batch with sites last.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -71,9 +70,27 @@ def kernel_row(params: ModelParams) -> np.ndarray:
     return row
 
 
-class _LatticeOperator:
-    """Kernel data of one (n, gamma), read-only; the Cholesky factor of -M
-    and the spectrum are computed on first use."""
+class DriftSystem:
+    """The lattice operator of one (n, gamma), shared by every model of that
+    (n, gamma) whatever its reservoir densities.
+
+    Attributes
+    ----------
+    n : int
+    kernel_matrix : ndarray, shape (n-1, n-1)
+        Toeplitz matrix P[x, y] = p(y - x).
+    row_sums : ndarray, shape (n-1,)
+        s[x] = sum_{y in lattice} p(y - x).
+    m : ndarray, shape (n-1, n-1)
+        Symmetric negative-definite drift matrix n^gamma (P - D - B); the
+        drift is m @ phi + b with b from `ness.reservoir_drift`.
+
+    The arrays are read-only.  The Cholesky factor of -M and the spectrum of
+    -M are computed on first use: `eigenvalues` are the ascending rates of
+    -M (the n^gamma factor retained), and the columns of `modes` its
+    eigenvectors, orthonormal under the (1/n)-weighted inner product so that
+    they discretize L^2([0,1]) functions.
+    """
 
     def __init__(self, n: int, gamma: float):
         params = ModelParams(n, gamma)
@@ -89,80 +106,51 @@ class _LatticeOperator:
             arr.setflags(write=False)
 
     @cached_property
-    def cho_neg_m(self):
+    def _cho_neg_m(self):
         factor = cho_factor(-self.m, overwrite_a=True)
         factor[0].setflags(write=False)
         return factor
 
+    def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (-m) x = rhs through the Cholesky factor of -m."""
+        return cho_solve(self._cho_neg_m, rhs)
+
     @cached_property
-    def spectrum(self):
-        """Ascending eigenvalues of -M and its eigenvectors scaled to be
-        orthonormal under the (1/n)-weighted inner product."""
+    def _spectrum(self):
         lam, vec = eigh(-self.m, overwrite_a=True)
+        if lam[0] <= 0:
+            raise RuntimeError("drift matrix is not negative definite")
         vec *= np.sqrt(self.n)
         lam.setflags(write=False)
         vec.setflags(write=False)
         return lam, vec
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def modes(self) -> np.ndarray:
+        return self._spectrum[1]
+
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """Coefficients <g, e_k>_(1/n) (sites last)."""
+        return np.asarray(g, dtype=float) @ self.modes / self.n
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid function(s) sum_k coeffs_k e_k (modes last)."""
+        return np.asarray(coeffs, dtype=float) @ self.modes.T
+
 
 @lru_cache(maxsize=8)
-def _lattice_operator(n: int, gamma: float) -> _LatticeOperator:
-    return _LatticeOperator(n, gamma)
-
-
-def _operator_of(params: ModelParams) -> _LatticeOperator:
-    return _lattice_operator(params.n, params.gamma)
-
-
-@dataclass(frozen=True)
-class DriftSystem:
-    """Drift matrix, affine drift and kernel data of the lattice dynamics.
-
-    Attributes
-    ----------
-    params : ModelParams
-    m : ndarray, shape (n-1, n-1)
-        Symmetric negative-definite drift matrix; drift(phi) = m @ phi + b.
-    b : ndarray, shape (n-1,)
-        Affine drift, b[0] = n^gamma phi_l, b[-1] = n^gamma phi_r.
-    kernel_matrix : ndarray
-        Toeplitz matrix P[x, y] = p(y - x).
-    row_sums : ndarray
-        s[x] = sum_{y in lattice} p(y - x).
-
-    `m`, `kernel_matrix` and `row_sums` are the read-only arrays of the
-    shared operator of (n, gamma).
-    """
-
-    params: ModelParams
-    m: np.ndarray
-    b: np.ndarray
-    kernel_matrix: np.ndarray
-    row_sums: np.ndarray
-
-    def drift(self, phi: np.ndarray) -> np.ndarray:
-        """Drift vector M phi + b (phi may be a batch with sites last)."""
-        return phi @ self.m.T + self.b
-
-    def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (-m) x = rhs through the Cholesky factor of -m."""
-        return cho_solve(_operator_of(self.params).cho_neg_m, rhs)
+def _drift_system(n: int, gamma: float) -> DriftSystem:
+    return DriftSystem(n, gamma)
 
 
 def build_drift_system(params: ModelParams) -> DriftSystem:
-    """Assemble the DriftSystem for the given parameters.
-
-    The constant profile phi = Phi is a fixed point whenever
-    phi_l = phi_r = Phi, and m is symmetric negative definite.  Only b is
-    built here; the matrices come from the shared operator of (n, gamma).
-    """
-    op = _operator_of(params)
-    b = np.zeros(params.n_sites)
-    b[0] = params.speed * params.phi_l
-    b[-1] = params.speed * params.phi_r
-    b.setflags(write=False)
-    return DriftSystem(params=params, m=op.m, b=b, kernel_matrix=op.kernel_matrix,
-                       row_sums=op.row_sums)
+    """The shared DriftSystem of (params.n, params.gamma), built on first use
+    and kept in a bounded cache; the reservoir densities play no part."""
+    return _drift_system(params.n, params.gamma)
 
 
 def _per_row(values: np.ndarray):
@@ -178,7 +166,7 @@ def discrete_fractional_laplacian(params: ModelParams, g) -> np.ndarray:
     its shape.
     """
     g = as_grid_batch(params, g)
-    op = _operator_of(params)
+    op = build_drift_system(params)
     lap = g @ op.kernel_matrix
     lap -= op.row_sums * g
     lap *= params.speed

@@ -25,6 +25,7 @@ from .rng import make_rng
 
 __all__ = [
     "StationaryProfile",
+    "reservoir_drift",
     "solve_stationary_profile",
     "absorbed_walk_oracle",
     "sample_ness",
@@ -50,18 +51,28 @@ class StationaryProfile:
             raise ValueError(f"stationary residual {self.residual:.2e} exceeds 1e-10")
 
 
+def reservoir_drift(params: ModelParams) -> np.ndarray:
+    """Affine drift b of the dynamics d phi = (M phi + b) dt + noise:
+    b[0] = n^gamma phi_l, b[-1] = n^gamma phi_r, zero elsewhere."""
+    b = np.zeros(params.n_sites)
+    b[0] = params.speed * params.phi_l
+    b[-1] = params.speed * params.phi_r
+    return b
+
+
 def solve_stationary_profile(params: ModelParams) -> StationaryProfile:
     """Solve (D + B - P) Phi = phi_l e_1 + phi_r e_{n-1} by SPD factorization.
 
-    Equivalent to M Phi + b = 0 for the DriftSystem, and solved as
-    (-M) Phi = b through its Cholesky factor.  The residual reported is the
-    max norm of the defining (unscaled) equation.
+    Equivalent to M Phi + b = 0 with b = `reservoir_drift(params)`, and
+    solved as (-M) Phi = b through the Cholesky factor of the shared
+    DriftSystem.  The residual reported is the max norm of the defining
+    (unscaled) equation.
     """
-    sys = build_drift_system(params)
+    sys, b = build_drift_system(params), reservoir_drift(params)
     # equal reservoirs: the exact constant, which a solve misses by up to 2e-11
     phi = (np.full(params.n_sites, params.phi_l) if params.phi_l == params.phi_r
-           else sys.solve_spd(sys.b))
-    residual = float(np.max(np.abs(sys.m @ phi + sys.b))) / params.speed
+           else sys.solve_spd(b))
+    residual = float(np.max(np.abs(sys.m @ phi + b))) / params.speed
     return StationaryProfile(params=params, profile=phi, residual=residual)
 
 

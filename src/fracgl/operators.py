@@ -1,9 +1,8 @@
 """Regional fractional Laplacian on [0,1], Gagliardo seminorms, and the
 discrete Dirichlet spectrum.
 
-The spectrum is that of the shared lattice operator of (n, gamma) in
-`kernel`: one eigendecomposition per (n, gamma), handed out as read-only
-views.
+The spectrum is that of the shared `kernel.DriftSystem` of (n, gamma): one
+eigendecomposition per (n, gamma), handed out as read-only arrays.
 
 The regional operator is the principal value
 
@@ -40,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import _operator_of, kernel_constant
+from .kernel import DriftSystem, build_drift_system, kernel_constant
 from .params import ModelParams
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "SineMode",
     "regional_laplacian_pointwise",
     "continuum_seminorm",
-    "SpectralData",
     "dirichlet_spectrum",
     "spectrum_to_csv",
 ]
@@ -267,48 +265,20 @@ def continuum_seminorm(gamma: float, F: TestFunction, G: TestFunction,
     return result
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenpairs of the positive-definite matrix -M.
-
-    Eigenvalues are ascending rates (the n^gamma factor retained);
-    eigenvectors are columns of `modes`, orthonormal under the (1/n)-weighted
-    inner product so they discretize L^2([0,1]) functions.
-    """
-
-    params: ModelParams
-    eigenvalues: np.ndarray
-    modes: np.ndarray
-
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """Coefficients <g, e_k>_(1/n) (sites last)."""
-        return np.asarray(g, dtype=float) @ self.modes / self.params.n
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid function(s) sum_k coeffs_k e_k (modes last)."""
-        return np.asarray(coeffs, dtype=float) @ self.modes.T
+def dirichlet_spectrum(params: ModelParams) -> DriftSystem:
+    """The DriftSystem of (params.n, params.gamma) with all n-1 eigenpairs of
+    -M computed: strictly positive ascending `eigenvalues` and read-only
+    `modes`, one eigendecomposition per (n, gamma).  The reservoir densities
+    play no part: M does not depend on them."""
+    sys = build_drift_system(params)
+    sys.eigenvalues  # the one eigh of (n, gamma), checked positive there
+    return sys
 
 
-def dirichlet_spectrum(params: ModelParams) -> SpectralData:
-    """All n-1 eigenpairs of -M (drift matrix, reservoir densities
-    irrelevant: M does not depend on them).
-
-    Eigenvalues are strictly positive and ascending.  The decomposition is
-    computed once per (n, gamma); the arrays returned are read-only views
-    of it.
-    """
-    lam, modes = _operator_of(params).spectrum
-    if lam[0] <= 0:
-        raise RuntimeError("drift matrix is not negative definite")
-    return SpectralData(params=params, eigenvalues=lam, modes=modes)
-
-
-def spectrum_to_csv(spec: SpectralData, path) -> None:
-    """Write rows k, lambda_k, e_k(1), ..., e_k(n-1)."""
+def spectrum_to_csv(eigenvalues: np.ndarray, modes: np.ndarray, path) -> None:
+    """Write rows k, lambda_k, e_k(1), ..., e_k(n-1) for the given columns."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["k", "lambda_k"] + [f"e_x{x}" for x in range(1, spec.params.n)]
-        writer.writerow(header)
-        for k in range(spec.eigenvalues.size):
-            writer.writerow([k + 1, repr(float(spec.eigenvalues[k]))]
-                            + [repr(float(v)) for v in spec.modes[:, k]])
+        writer.writerow(["k", "lambda_k"] + [f"e_x{x}" for x in range(1, modes.shape[0] + 1)])
+        for k, lam in enumerate(eigenvalues):
+            writer.writerow([k + 1, repr(float(lam))] + [repr(float(v)) for v in modes[:, k]])

@@ -7,7 +7,8 @@ The state evolves by
 where the tilt drift u_t(x) = -(L_n H_t)(x/n) comes from an external field H
 compactly supported in (0, 1).  Both Gaussian chains are one recurrence of
 the coefficients c_k = <phi, e_k>_(1/n) in the (1/n)-orthonormal modes e_k
-of -M (rates lambda_k), with c^ss those of Phi_ss:
+of -M (rates lambda_k), the spectrum of the shared `kernel.DriftSystem` of
+(n, gamma), with c^ss those of Phi_ss:
 
     c_k <- r_k c_k + (1 - r_k) c_k^ss + s_k z_k  (+ h u_jk at step j, tilted).
 
@@ -40,9 +41,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import _operator_of, dirichlet_energy, discrete_fractional_laplacian
+from .kernel import (DriftSystem, build_drift_system, dirichlet_energy,
+                     discrete_fractional_laplacian)
 from .ness import StationaryProfile
-from .operators import SpectralData, TestFunction, dirichlet_spectrum
+from .operators import TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function
 from .rng import make_rng
 
@@ -130,7 +132,7 @@ def _on_grid(fn: Callable, t, u: np.ndarray) -> np.ndarray:
 def euler_stability_limit(params: ModelParams) -> float:
     """Largest admissible Euler step: dt n^gamma (1 + max row sum) < 1/2,
     the row sum including the boundary relaxation indicators."""
-    s = _operator_of(params).row_sums.copy()
+    s = build_drift_system(params).row_sums.copy()
     s[0] += 1.0
     s[-1] += 1.0
     return 0.5 / (params.speed * (1.0 + float(s.max())))
@@ -141,7 +143,7 @@ def _geometric(log_r: np.ndarray, k: int) -> np.ndarray:
     return np.expm1(k * log_r) / np.expm1(log_r) if k > 1 else np.ones_like(log_r)
 
 
-def _chain_law(spec: SpectralData, log_r: np.ndarray, s: np.ndarray, n_steps: int,
+def _chain_law(params: ModelParams, log_r: np.ndarray, s: np.ndarray, n_steps: int,
                h: float = 0.0, field: Optional[ExternalField] = None,
                tilted: bool = True, g_vec: Optional[np.ndarray] = None) -> dict:
     """Exact law of n_steps steps of h of the modal recurrence, r = e^{log_r}.
@@ -157,9 +159,9 @@ def _chain_law(spec: SpectralData, log_r: np.ndarray, s: np.ndarray, n_steps: in
         Var C = q = (h n / 2) sum_j sum_k u_jk^2 / lambda_k,   Cov(B, C) = h g . sum_j u_j,
         Cov(A_k, C) = s_k^2 sum_j r^{K-1-j} n theta_jk = h sum_j r^{K-1-j} u_jk.
     """
-    outputs, shift = [], 0.0
+    spec, outputs, shift = dirichlet_spectrum(params), [], 0.0
     if g_vec is not None:
-        g_hat = spec.params.n * spec.project(g_vec)
+        g_hat = params.n * spec.project(g_vec)
         outputs.append(("martingale", 0.0, s ** 2 * g_hat * _geometric(log_r, n_steps),
                         n_steps * float(np.sum((s * g_hat) ** 2))))
     if field is not None:
@@ -167,11 +169,11 @@ def _chain_law(spec: SpectralData, log_r: np.ndarray, s: np.ndarray, n_steps: in
         per_chunk = max(1, _CHUNK // lam.size)    # steps of the field at a time
         for lo in range(0, n_steps, per_chunk):
             j = np.arange(lo, min(lo + per_chunk, n_steps))
-            u_hat = spec.project(field.tilt_drift(spec.params, h * j))
+            u_hat = spec.project(field.tilt_drift(params, h * j))
             late = late + np.sum(np.exp(np.outer(n_steps - 1 - j, log_r)) * u_hat, axis=0)
             total = total + u_hat.sum(axis=0)
             q += float(np.sum(u_hat ** 2 / lam))
-        q *= 0.5 * h * spec.params.n
+        q *= 0.5 * h * params.n
         shift = h * late if tilted else 0.0
         outputs.append(("log_weight", 0.5 * q if tilted else -0.5 * q, h * late, q))
     keys, mean, cross, var = zip(*outputs) if outputs else ((),) * 4
@@ -183,7 +185,7 @@ def _chain_law(spec: SpectralData, log_r: np.ndarray, s: np.ndarray, n_steps: in
             "mean": np.array(mean), "cross": np.array(cross).T, "joint": joint}
 
 
-def _draw(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray, law: dict,
+def _draw(spec: DriftSystem, phi: np.ndarray, fixed: np.ndarray, law: dict,
           rng: np.random.Generator) -> dict:
     """One draw of `law` from each configuration of phi (sites last): the
     modes' noise from one block of normals, then the outputs 'keys' given it
@@ -206,8 +208,9 @@ def _draw(spec: SpectralData, phi: np.ndarray, fixed: np.ndarray, law: dict,
 def euler_chain_law(params: ModelParams, T: float, dt: float,
                     field: Optional[ExternalField] = None, tilted: bool = True,
                     martingale_g=None) -> tuple:
-    """(spectrum, `_chain_law`) of the K = ceil(T / dt) steps of h = T / K of
-    the Euler chain of `euler_ensemble` with the same arguments."""
+    """(`dirichlet_spectrum(params)`, `_chain_law`) of the K = ceil(T / dt)
+    steps of h = T / K of the Euler chain of `euler_ensemble` with the same
+    arguments."""
     if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
         raise ValueError(f"T and dt must be positive and finite, got {T!r}, {dt!r}")
     limit = euler_stability_limit(params)
@@ -219,7 +222,7 @@ def euler_chain_law(params: ModelParams, T: float, dt: float,
     lam = spec.eigenvalues
     g_vec = (None if martingale_g is None
              else as_grid_function(params, martingale_g) / params.n_sites)
-    return spec, _chain_law(spec, np.log1p(-h * lam), np.sqrt(2.0 * h * lam / params.n),
+    return spec, _chain_law(params, np.log1p(-h * lam), np.sqrt(2.0 * h * lam / params.n),
                             n_steps, h, field, tilted, g_vec)
 
 
@@ -271,7 +274,7 @@ def propagate_exact(phi: np.ndarray, profile: StationaryProfile, t: float,
     spec = dirichlet_spectrum(params)
     log_r = -spec.eigenvalues * t
     s = np.sqrt(np.maximum(1.0 - np.exp(log_r) ** 2, 0.0) / params.n)
-    return _draw(spec, phi, profile.profile, _chain_law(spec, log_r, s, 1), rng)["phi"]
+    return _draw(spec, phi, profile.profile, _chain_law(params, log_r, s, 1), rng)["phi"]
 
 
 def girsanov_log_weight_variance(params: ModelParams, field: ExternalField,

@@ -145,7 +145,7 @@ def test_run_rejects_bad_replicas(tmp_path):
     assert run(cfg) == 1
 
 
-@pytest.mark.parametrize("experiment, overrides, systems", [
+@pytest.mark.parametrize("experiment, overrides, solves", [
     ("spectrum", dict(n=32), 1),
     ("rate-check", dict(n=16, T=0.01, dt=1e-3), 1),
     ("stationarity", dict(n=16, T=0.01, replicas=50), 1),
@@ -153,25 +153,31 @@ def test_run_rejects_bad_replicas(tmp_path):
     ("girsanov", dict(n=16, T=0.01, replicas=50), 1),
 ])
 def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
-                                            overrides, systems):
-    # one stationary-profile solve per model, handed down to every layer; a
-    # drift system also counts a solve hidden behind solve_spd(b)
-    calls = {"profile": [], "system": []}
-    for fn, key in ((ness.solve_stationary_profile, "profile"),
-                    (kernel.build_drift_system, "system")):
-        def counted(params, *args, _fn=fn, _key=key, **kwargs):
-            calls[_key].append(params)
-            return _fn(params, *args, **kwargs)
-        for name, module in list(sys.modules.items()):
-            if name == "fracgl" or name.startswith("fracgl."):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, counted)
+                                            overrides, solves):
+    # one stationary-profile solve per model, handed down to every layer, and
+    # one Cholesky solve, that profile's: no layer solves again behind solve_spd
+    calls = {"profile": [], "solve": []}
+    fn = ness.solve_stationary_profile
+
+    def counted(params, *args, **kwargs):
+        calls["profile"].append(params)
+        return fn(params, *args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name == "fracgl" or name.startswith("fracgl."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    solve_spd = kernel.DriftSystem.solve_spd
+
+    def counted_solve(self, rhs):
+        calls["solve"].append(self)
+        return solve_spd(self, rhs)
+    monkeypatch.setattr(kernel.DriftSystem, "solve_spd", counted_solve)
     cfg = ExperimentConfig(experiment=experiment, out_dir=str(tmp_path),
                            **{**DEFAULTS[experiment], **overrides})
     assert run(cfg) in (0, 2)
     assert calls["profile"] == [cfg.params()]
-    assert calls["system"] == [cfg.params()] * systems
+    assert calls["solve"] == [kernel.build_drift_system(cfg.params())] * solves
 
 
 def test_experiment_defaults_table():

@@ -5,7 +5,7 @@ from edge_oracle import edge_vectors
 from fracgl import (ModelParams, build_drift_system, dirichlet_energy,
                     dirichlet_spectrum, discrete_fractional_laplacian,
                     discrete_inner_seminorm, kernel_constant, kernel_row,
-                    solve_stationary_profile)
+                    reservoir_drift, solve_stationary_profile)
 
 
 def oracle_kernel_constant(gamma, cutoff=10 ** 6):
@@ -60,8 +60,7 @@ def test_drift_system_n3_hand_assembled():
 def test_equilibrium_constant_profile_is_fixed_point():
     phi = 0.7
     p = ModelParams(24, 1.3, phi, phi)
-    sys = build_drift_system(p)
-    drift = sys.drift(np.full(p.n_sites, phi))
+    drift = build_drift_system(p).m @ np.full(p.n_sites, phi) + reservoir_drift(p)
     assert np.max(np.abs(drift)) < 1e-9
 
 
@@ -182,24 +181,27 @@ def test_dirichlet_energy_is_drift_quadratic_form():
 
 
 def test_drift_systems_share_one_operator(monkeypatch):
-    # same (n, gamma), different reservoirs: one read-only m, one spectrum
+    # same (n, gamma), different reservoirs: one object, with one read-only
+    # m, one Cholesky factor and one spectrum
     import fracgl.kernel as kernel
-    real_eigh, calls = kernel.eigh, []
-
-    def counting_eigh(a, **kwargs):
-        calls.append(a.shape)
-        return real_eigh(a, **kwargs)
-
-    monkeypatch.setattr(kernel, "eigh", counting_eigh)
+    calls = {"eigh": [], "cho_factor": []}
+    for name in calls:
+        def counting(a, *args, _name=name, _fn=getattr(kernel, name), **kwargs):
+            calls[_name].append(a.shape)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(kernel, name, counting)
     pa, pb = ModelParams(23, 1.37, 0.0, 1.0), ModelParams(23, 1.37, 2.0, -1.0)
-    a, b = build_drift_system(pa), build_drift_system(pb)
-    assert a.m is b.m and a.kernel_matrix is b.kernel_matrix
-    assert not a.m.flags.writeable and not a.kernel_matrix.flags.writeable
-    assert not np.array_equal(a.b, b.b)
-    spec_a, spec_b = dirichlet_spectrum(pa), dirichlet_spectrum(pb)
-    assert np.shares_memory(spec_a.modes, spec_b.modes)
-    assert not spec_b.modes.flags.writeable
-    assert calls == [(pa.n_sites, pa.n_sites)]
+    sys = build_drift_system(pa)
+    assert build_drift_system(pb) is sys
+    assert dirichlet_spectrum(pa) is sys and dirichlet_spectrum(pb) is sys
+    assert not sys.m.flags.writeable and not sys.kernel_matrix.flags.writeable
+    assert not sys.modes.flags.writeable and not sys.eigenvalues.flags.writeable
+    assert not np.array_equal(reservoir_drift(pa), reservoir_drift(pb))
+    for p in (pa, pb):
+        phi = solve_stationary_profile(p).profile
+        np.testing.assert_allclose(sys.m @ phi + reservoir_drift(p), 0.0,
+                                   atol=1e-10 * p.speed)
+    assert calls == {"eigh": [(22, 22)], "cho_factor": [(22, 22)]}
 
 
 def test_batched_operators_match_row_by_row():

@@ -238,9 +238,13 @@ def test_spectrum_csv(tmp_path):
     p = ModelParams(16, 1.5)
     spec = dirichlet_spectrum(p)
     path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec, path)
+    spectrum_to_csv(spec.eigenvalues, spec.modes, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("k,lambda_k,e_x1")
     assert len(lines) == 1 + p.n_sites
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(spec.eigenvalues[0])
+    # the slowest modes alone still list every site
+    spectrum_to_csv(spec.eigenvalues[:3], spec.modes[:, :3], path)
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 4 and lines[0].endswith(f",e_x{p.n_sites}")

@@ -8,8 +8,8 @@ from fracgl import (ExternalField, ModelParams, SmoothBump,
                     boundary_block_average, build_drift_system,
                     dirichlet_spectrum, empirical_pairing, euler_chain_law,
                     euler_ensemble, euler_stability_limit, girsanov_log_weight_variance,
-                    martingale_qv_rate, propagate_exact, sample_ness,
-                    solve_stationary_profile, simulate)
+                    martingale_qv_rate, propagate_exact, reservoir_drift,
+                    sample_ness, solve_stationary_profile, simulate)
 from fracgl.rng import make_rng
 
 
@@ -123,7 +123,7 @@ def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16,
     dt = 1e-4
     use_normals(monkeypatch, FixedRng(z))
     out = euler_ensemble(profile16, phi[None, :], dt, dt, seed=0)["phi"][0]
-    expected = dt * (sys16.m @ phi + sys16.b) + np.sqrt(dt) * S @ z[0]
+    expected = dt * (sys16.m @ phi + reservoir_drift(params16)) + np.sqrt(dt) * S @ z[0]
     np.testing.assert_allclose(out - phi, expected, rtol=0, atol=1e-12)
 
 
@@ -148,7 +148,8 @@ def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilte
     np.testing.assert_allclose(out["log_weight"],
                                eta @ theta + (quad if tilted else -quad),
                                rtol=0, atol=1e-12)
-    step = phi + dt * (sys16.drift(phi) + (u if tilted else 0.0)) + eta
+    drift = phi @ sys16.m.T + reservoir_drift(params16)
+    step = phi + dt * (drift + (u if tilted else 0.0)) + eta
     np.testing.assert_allclose(out["phi"], step, rtol=0, atol=1e-12)
 
 
@@ -260,13 +261,12 @@ def test_single_step_covariance_matches_diffusion():
 def test_factor_noise_matches_edge_noise_in_law():
     # the modal chain and its log-weights against the edge-by-edge oracle
     params = ModelParams(12, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     field = bump_field(amp=0.9)
     replicas, T, dt = 20000, 0.02, 5e-4
     phi0 = sample_ness(prof, replicas, seed=1)
     site = euler_ensemble(prof, phi0, T, dt, seed=2, field=field, tilted=False)
-    edge_phi, edge_logw, q = edge_euler(sys, phi0, T, dt, make_rng(3, "edges"), field)
+    edge_phi, edge_logw, q = edge_euler(params, phi0, T, dt, make_rng(3, "edges"), field)
     mean_gap = site["phi"].mean(axis=0) - edge_phi.mean(axis=0)
     var = 0.5 * (site["phi"].var(axis=0) + edge_phi.var(axis=0))
     assert np.max(np.abs(mean_gap) / np.sqrt(2.0 * var / replicas)) <= 4.0
@@ -471,7 +471,7 @@ def test_dynkin_diagnostics_matches_ensemble_accumulator():
     # <pi_t, G> along a site-space Euler path driven by the same normals,
     #   sum_k <phi_{k+1} - phi_k - dt (M phi_k + b + u_k), G> / (n-1)
     params = ModelParams(12, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
+    m, b = build_drift_system(params).m, reservoir_drift(params)
     prof = solve_stationary_profile(params)
     G = np.sin(np.pi * params.grid())
     spec = dirichlet_spectrum(params)
@@ -485,7 +485,7 @@ def test_dynkin_diagnostics_matches_ensemble_accumulator():
                          g_vec=G / params.n_sites)
         phi, dynkin = phi0.copy(), np.zeros(reps)
         for k in range(n_steps):
-            drift = sys.drift(phi)
+            drift = phi @ m.T + b
             if field is not None:
                 drift = drift + field.tilt_drift(params, k * dt)
             step = phi + dt * drift + np.sqrt(dt) * z[k] @ S.T
