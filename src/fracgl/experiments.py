@@ -242,6 +242,7 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     u = params.grid()
     G = np.sin(np.pi * u)
 
+    # the tilted pair draws stream index 1 of the untilted pair's keys
     phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
     plain = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
                                     field=field, tilted=False)
@@ -256,9 +257,9 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     est_weighted = wf.mean()
     se_weighted = wf.std(ddof=1) / np.sqrt(cfg.replicas)
 
-    phi0b = ness.sample_ness(prof, cfg.replicas, cfg.seed + 7)
-    tilted = simulate.euler_ensemble(prof, phi0b, cfg.T, cfg.dt, seed=cfg.seed + 8,
-                                     field=field, tilted=True)
+    phi0b = ness.sample_ness(prof, cfg.replicas, cfg.seed, index=1)
+    tilted = simulate.euler_ensemble(prof, phi0b, cfg.T, cfg.dt, seed=cfg.seed + 1,
+                                     field=field, tilted=True, index=1)
     f_tilt = np.tanh(tilted["phi"] @ G / params.n_sites)
     est_tilted = f_tilt.mean()
     se_tilted = f_tilt.std(ddof=1) / np.sqrt(cfg.replicas)

@@ -17,7 +17,9 @@ The chains of `simulate` draw it mode by mode in the eigenbasis of M.
 
 All of these objects but b come from one DriftSystem per (n, gamma), built
 once and kept in a bounded cache: P, its row sums, M and, on first use, the
-Cholesky factor of -M and the eigenpairs of -M.  Every model of that
+Cholesky factors and the eigenpairs of -M.  M commutes with the flip
+x -> n - x, which only b breaks, so both are made on the even and odd halves
+of -M, and every mode is exactly even or odd.  Every model of that
 (n, gamma) shares it and its read-only arrays, whatever the reservoir
 densities; b is `ness.reservoir_drift`.  The Laplacian, the seminorm and the
 energy below are the only evaluations of L_n and of the quadratic forms;
@@ -85,42 +87,77 @@ class DriftSystem:
         Symmetric negative-definite drift matrix n^gamma (P - D - B); the
         drift is m @ phi + b with b from `ness.reservoir_drift`.
 
-    The arrays are read-only.  The Cholesky factor of -M and the spectrum of
-    -M are computed on first use: `eigenvalues` are the ascending rates of
-    -M (the n^gamma factor retained), and the columns of `modes` its
-    eigenvectors, orthonormal under the (1/n)-weighted inner product so that
-    they discretize L^2([0,1]) functions.
+    The arrays are read-only, and m is exactly symmetric under the flip
+    J: x -> n - x.  The Cholesky factors and the spectrum of -M are computed
+    on first use, on its even and odd halves under J: `eigenvalues` are the
+    ascending rates of -M (the n^gamma factor retained), and the columns of
+    `modes` its eigenvectors, each exactly even or odd under J and positive
+    at site 1 (like sqrt 2 sin(k pi u)), orthonormal under the (1/n)-weighted
+    inner product so that they discretize L^2([0,1]) functions.
     """
 
     def __init__(self, n: int, gamma: float):
         params = ModelParams(n, gamma)
         self.n = n
-        self.kernel_matrix = toeplitz(kernel_row(params))
-        self.row_sums = self.kernel_matrix.sum(axis=1)
+        row = kernel_row(params)
+        self.kernel_matrix = toeplitz(row)
+        cum = np.cumsum(row)  # row x sums p(0..x) and p(0..n-2-x), as row n-2-x does
+        self.row_sums = cum + cum[::-1]
         relax = self.row_sums.copy()
         relax[[0, -1]] += 1.0
-        m = params.speed * self.kernel_matrix
+        self.m = m = params.speed * self.kernel_matrix
         m[np.diag_indices_from(m)] = -(params.speed * relax)
-        self.m = m
         for arr in (self.kernel_matrix, self.row_sums, self.m):
             arr.setflags(write=False)
 
+    def _halves(self):
+        """-M on its even and odd halves under x -> n - x, in the bases
+        (e_x +- e_{n-x}) / sqrt 2, x < n/2, plus e_{n/2} in the even one if n is
+        even; returned transposed, in the Fortran order LAPACK overwrites."""
+        N, p = self.n - 1, (self.n - 1) // 2
+        top, flip = self.m[:N - p, :N - p], self.m[:N - p, ::-1][:, :N - p]
+        even = np.negative(top)
+        even -= flip
+        even[p:] /= np.sqrt(2.0)
+        even[:, p:] /= np.sqrt(2.0)
+        return even.T, (flip[:p, :p] - top[:p, :p]).T
+
     @cached_property
-    def _cho_neg_m(self):
-        factor = cho_factor(-self.m, overwrite_a=True)
-        factor[0].setflags(write=False)
-        return factor
+    def _cho_halves(self):
+        return [cho_factor(half, overwrite_a=True) for half in self._halves()]
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (-m) x = rhs through the Cholesky factor of -m."""
-        return cho_solve(self._cho_neg_m, rhs)
+        """Solve (-m) x = rhs (sites first) on the even and odd halves of -m."""
+        even, odd = self._cho_halves
+        rhs = np.asarray(rhs, dtype=float)
+        N, p = self.n - 1, odd[0].shape[0]
+        fold = rhs[:N - p] + rhs[::-1][:N - p]
+        fold[p:] /= np.sqrt(2.0)
+        y_even, y_odd = cho_solve(even, fold), cho_solve(odd, rhs[:p] - rhs[::-1][:p])
+        y_even[p:] *= np.sqrt(2.0)
+        x = np.concatenate([y_even, (y_even[:p] - y_odd)[::-1]])
+        x[:p] += y_odd
+        return 0.5 * x
 
     @cached_property
     def _spectrum(self):
-        lam, vec = eigh(-self.m, overwrite_a=True)
-        if lam[0] <= 0:
+        (lam_e, v_e), (lam_o, v_o) = (eigh(h, overwrite_a=True) for h in self._halves())
+        lam = np.concatenate([lam_e, lam_o])
+        if lam.min() <= 0:
             raise RuntimeError("drift matrix is not negative definite")
-        vec *= np.sqrt(self.n)
+        order = np.argsort(lam, kind="stable")
+        place = np.argsort(order)  # the sorted column of each half's mode
+        N, p = lam.size, lam_o.size
+        vec = np.zeros((N, N))
+        # each mode [v; +-Jv] / sqrt 2 (v_c at the centre if even) goes into
+        # its sorted column, signed positive at site 1
+        for v, cols, parity in ((v_e, place[:N - p], 1.0), (v_o, place[N - p:], -1.0)):
+            v *= np.copysign(np.sqrt(self.n / 2.0), v[0])
+            v[p:] *= np.sqrt(2.0)
+            vec[:len(v), cols] = v
+            v *= parity
+            vec[::-1][:p, cols] = v[:p]
+        lam = lam[order]
         lam.setflags(write=False)
         vec.setflags(write=False)
         return lam, vec

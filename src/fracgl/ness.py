@@ -64,7 +64,7 @@ def solve_stationary_profile(params: ModelParams) -> StationaryProfile:
     """Solve (D + B - P) Phi = phi_l e_1 + phi_r e_{n-1} by SPD factorization.
 
     Equivalent to M Phi + b = 0 with b = `reservoir_drift(params)`, and
-    solved as (-M) Phi = b through the Cholesky factor of the shared
+    solved as (-M) Phi = b through the Cholesky factors of the shared
     DriftSystem.  The residual reported is the max norm of the defining
     (unscaled) equation.
     """
@@ -131,12 +131,13 @@ def absorbed_walk_oracle(params: ModelParams, x: int, samples: int, seed: int):
     return p_left, 1.0 - p_left, stderr
 
 
-def sample_ness(profile: StationaryProfile, count: int, seed: int) -> np.ndarray:
-    """Independent NESS draws, phi(x) ~ Normal(Phi_ss(x), 1) across sites.
+def sample_ness(profile: StationaryProfile, count: int, seed: int, index: int = 0) -> np.ndarray:
+    """Independent NESS draws, phi(x) ~ Normal(Phi_ss(x), 1) across sites,
+    from the stream make_rng(seed, "ness-sample", index).
 
     Returns an array of shape (count, n-1); row i is one configuration.
     """
-    rng = make_rng(seed, "ness-sample")
+    rng = make_rng(seed, "ness-sample", index)
     return profile.profile + rng.standard_normal((count, profile.params.n_sites))
 
 

@@ -228,7 +228,7 @@ def euler_chain_law(params: ModelParams, T: float, dt: float,
 
 def euler_ensemble(profile: StationaryProfile, phi0: np.ndarray, T: float,
                    dt: float, seed: int, field: Optional[ExternalField] = None,
-                   tilted: bool = True, martingale_g=None) -> dict:
+                   tilted: bool = True, martingale_g=None, index: int = 0) -> dict:
     """The Euler-Maruyama chain of `profile.params` over [0, T] in steps of
     T / ceil(T / dt) below `euler_stability_limit`, drawn at T for a batch of
     replicas `phi0` (replicas, n-1): the one Euler entry point.
@@ -242,14 +242,14 @@ def euler_ensemble(profile: StationaryProfile, phi0: np.ndarray, T: float,
         M_T = <pi_T, G> - <pi_0, G> - sum_k dt <M phi_k + b + u_k, G>,
 
     with the tilt u_k on tilted runs.  All replicas draw from the stream
-    make_rng(seed, "euler-ensemble"): one normal per replica and mode, then
+    make_rng(seed, "euler-ensemble", index): one normal per replica and mode, then
     one per replica and requested output.  Returns a dict of 'phi',
     'log_weight' with a field and 'martingale' with G.
     """
     if phi0.ndim != 2 or phi0.shape[0] == 0:
         raise ValueError(f"phi0 must be a (replicas, n-1) batch, got shape {phi0.shape}")
     spec, law = euler_chain_law(profile.params, T, dt, field, tilted, martingale_g)
-    return _draw(spec, phi0, profile.profile, law, make_rng(seed, "euler-ensemble"))
+    return _draw(spec, phi0, profile.profile, law, make_rng(seed, "euler-ensemble", index))
 
 
 def propagate_exact(phi: np.ndarray, profile: StationaryProfile, t: float,

@@ -180,6 +180,28 @@ def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
     assert calls["solve"] == [kernel.build_drift_system(cfg.params())] * solves
 
 
+def test_girsanov_seeds_seven_apart_share_no_stream(tmp_path, monkeypatch):
+    # each run draws its tilted pair from streams of its own seed only; two
+    # chains on one stream would give equal log-weights up to their means
+    from fracgl import simulate
+    log_weights, draw = [], simulate.euler_ensemble
+
+    def kept(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        log_weights.append(out["log_weight"] - out["log_weight"].mean())
+        return out
+    monkeypatch.setattr(simulate, "euler_ensemble", kept)
+    for seed in (1234, 1241):
+        out = tmp_path / str(seed)
+        out.mkdir()
+        assert main(["girsanov", "--n", "16", "--t", "0.01", "--replicas", "50",
+                     "--seed", str(seed), "--out", str(out)]) in (0, 2)
+    assert len(log_weights) == 4
+    for a in log_weights[:2]:
+        for b in log_weights[2:]:
+            assert not np.isclose(a, b).any()
+
+
 def test_experiment_defaults_table():
     for name, values in DEFAULTS.items():
         cfg = ExperimentConfig(experiment=name, **values)

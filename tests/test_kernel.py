@@ -182,7 +182,7 @@ def test_dirichlet_energy_is_drift_quadratic_form():
 
 def test_drift_systems_share_one_operator(monkeypatch):
     # same (n, gamma), different reservoirs: one object, with one read-only
-    # m, one Cholesky factor and one spectrum
+    # m and one factoring and one spectrum, each made on the two halves of -m
     import fracgl.kernel as kernel
     calls = {"eigh": [], "cho_factor": []}
     for name in calls:
@@ -201,7 +201,32 @@ def test_drift_systems_share_one_operator(monkeypatch):
         phi = solve_stationary_profile(p).profile
         np.testing.assert_allclose(sys.m @ phi + reservoir_drift(p), 0.0,
                                    atol=1e-10 * p.speed)
-    assert calls == {"eigh": [(22, 22)], "cho_factor": [(22, 22)]}
+    assert calls == {"eigh": [(11, 11), (11, 11)], "cho_factor": [(11, 11), (11, 11)]}
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 33])
+def test_split_spectrum_matches_dense_eigh(n):
+    # -M commutes with the flip x -> n - x; its two halves give the spectrum
+    sys = build_drift_system(ModelParams(n, 1.5))
+    m, lam, modes = sys.m, sys.eigenvalues, sys.modes / np.sqrt(n)
+    assert np.array_equal(m, m[::-1, ::-1])
+    flipped = modes[::-1]
+    assert all(np.array_equal(flipped[:, k], modes[:, k])
+               or np.array_equal(flipped[:, k], -modes[:, k]) for k in range(n - 1))
+    assert np.all(modes[0] > 0)
+    lam_dense, vec_dense = np.linalg.eigh(-m)
+    np.testing.assert_allclose(lam, lam_dense, rtol=1e-12)
+    np.testing.assert_allclose(modes, vec_dense * np.sign(vec_dense[0]), atol=1e-10)
+    assert np.abs(-m @ modes - modes * lam).max() <= 1e-13 * lam[-1]
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 33])
+def test_solve_spd_on_halves_matches_dense_solve(n):
+    sys = build_drift_system(ModelParams(n, 1.5))
+    rng = np.random.default_rng(n)
+    for rhs in (rng.standard_normal(n - 1), rng.standard_normal((n - 1, 3))):
+        np.testing.assert_allclose(sys.solve_spd(rhs), np.linalg.solve(-sys.m, rhs),
+                                   rtol=1e-12)
 
 
 def test_batched_operators_match_row_by_row():
