@@ -82,7 +82,8 @@ def exp_ness_profile(cfg: ExperimentConfig) -> dict:
     anti = float(np.max(np.abs(prof.profile + prof.profile[::-1]
                                - (params.phi_l + params.phi_r))))
     checks = {
-        "residual": _check(prof.residual, 1e-10, prof.residual <= 1e-10),
+        "residual": _check(prof.residual, prof.residual_bound,
+                           prof.residual <= prof.residual_bound),
         "maximum_principle": _check(
             max(lo - prof.profile.min(), prof.profile.max() - hi), 1e-12,
             prof.profile.min() >= lo - 1e-12 and prof.profile.max() <= hi + 1e-12),
@@ -108,8 +109,8 @@ def exp_figure1(cfg: ExperimentConfig) -> dict:
     checks = {
         "range": _check(max(lo - prof.profile.min(), prof.profile.max() - hi),
                         1e-12, in_range),
-        "monotone": _check(float(np.min(np.diff(prof.profile))
-                                 * np.sign(params.phi_r - params.phi_l)),
+        "monotone": _check(float(np.min(np.diff(prof.profile)
+                                        * np.sign(params.phi_r - params.phi_l))),
                            0.0, increasing),
     }
     outputs = {

@@ -16,14 +16,15 @@ rate 2 n^gamma at sites 1 and n-1: those rates assemble to exactly -2 M.
 The chains of `simulate` draw it mode by mode in the eigenbasis of M.
 
 All of these objects but b come from one DriftSystem per (n, gamma), built
-once and kept in a bounded cache: P, its row sums, M and, on first use, the
-Cholesky factors and the eigenpairs of -M.  M commutes with the flip
-x -> n - x, which only b breaks, so both are made on the even and odd halves
-of -M, and every mode is exactly even or odd.  Every model of that
-(n, gamma) shares it and its read-only arrays, whatever the reservoir
-densities; b is `ness.reservoir_drift`.  The Laplacian, the seminorm and the
-energy below are the only evaluations of L_n and of the quadratic forms;
-each accepts one grid function or a (times, sites) batch with sites last.
+once and kept in a bounded cache: the row sums of P, the one dense matrix M
+and, on first use, the eigenpairs of -M, which serve every solve with -M.
+M commutes with the flip x -> n - x, which only b breaks, so the spectrum
+is made on the even and odd halves of -M, and every mode is exactly even or
+odd.  Every model of that (n, gamma) shares it and its read-only arrays,
+whatever the reservoir densities; b is `ness.reservoir_drift`.  The
+Laplacian, the seminorm and the energy below are the only evaluations of L_n
+and of the quadratic forms; each reads M and accepts one grid function or a
+(times, sites) batch with sites last.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
+from scipy.linalg import eigh, toeplitz
 from scipy.special import zeta
 
 from .params import ModelParams, as_grid_batch
@@ -79,8 +80,6 @@ class DriftSystem:
     Attributes
     ----------
     n : int
-    kernel_matrix : ndarray, shape (n-1, n-1)
-        Toeplitz matrix P[x, y] = p(y - x).
     row_sums : ndarray, shape (n-1,)
         s[x] = sum_{y in lattice} p(y - x).
     m : ndarray, shape (n-1, n-1)
@@ -88,26 +87,26 @@ class DriftSystem:
         drift is m @ phi + b with b from `ness.reservoir_drift`.
 
     The arrays are read-only, and m is exactly symmetric under the flip
-    J: x -> n - x.  The Cholesky factors and the spectrum of -M are computed
-    on first use, on its even and odd halves under J: `eigenvalues` are the
-    ascending rates of -M (the n^gamma factor retained), and the columns of
-    `modes` its eigenvectors, each exactly even or odd under J and positive
-    at site 1 (like sqrt 2 sin(k pi u)), orthonormal under the (1/n)-weighted
-    inner product so that they discretize L^2([0,1]) functions.
+    J: x -> n - x.  The spectrum of -M is computed on first use, on its even
+    and odd halves under J: `eigenvalues` are the ascending rates of -M (the
+    n^gamma factor retained), and the columns of `modes` its eigenvectors,
+    each exactly even or odd under J and positive at site 1 (like
+    sqrt 2 sin(k pi u)), orthonormal under the (1/n)-weighted inner product
+    so that they discretize L^2([0,1]) functions.
     """
 
     def __init__(self, n: int, gamma: float):
         params = ModelParams(n, gamma)
         self.n = n
         row = kernel_row(params)
-        self.kernel_matrix = toeplitz(row)
         cum = np.cumsum(row)  # row x sums p(0..x) and p(0..n-2-x), as row n-2-x does
         self.row_sums = cum + cum[::-1]
         relax = self.row_sums.copy()
         relax[[0, -1]] += 1.0
-        self.m = m = params.speed * self.kernel_matrix
+        self.m = m = toeplitz(row)
+        m *= params.speed
         m[np.diag_indices_from(m)] = -(params.speed * relax)
-        for arr in (self.kernel_matrix, self.row_sums, self.m):
+        for arr in (self.row_sums, self.m):
             arr.setflags(write=False)
 
     def _halves(self):
@@ -121,23 +120,6 @@ class DriftSystem:
         even[p:] /= np.sqrt(2.0)
         even[:, p:] /= np.sqrt(2.0)
         return even.T, (flip[:p, :p] - top[:p, :p]).T
-
-    @cached_property
-    def _cho_halves(self):
-        return [cho_factor(half, overwrite_a=True) for half in self._halves()]
-
-    def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (-m) x = rhs (sites first) on the even and odd halves of -m."""
-        even, odd = self._cho_halves
-        rhs = np.asarray(rhs, dtype=float)
-        N, p = self.n - 1, odd[0].shape[0]
-        fold = rhs[:N - p] + rhs[::-1][:N - p]
-        fold[p:] /= np.sqrt(2.0)
-        y_even, y_odd = cho_solve(even, fold), cho_solve(odd, rhs[:p] - rhs[::-1][:p])
-        y_even[p:] *= np.sqrt(2.0)
-        x = np.concatenate([y_even, (y_even[:p] - y_odd)[::-1]])
-        x[:p] += y_odd
-        return 0.5 * x
 
     @cached_property
     def _spectrum(self):
@@ -199,14 +181,13 @@ def discrete_fractional_laplacian(params: ModelParams, g) -> np.ndarray:
     """Discrete fractional Laplacian (L_n g)(x) = n^gamma sum_y p(y-x)(g_y - g_x).
 
     The sum runs over interior sites only; reservoir relaxation is not part
-    of this operator.  `g` may be a (times, sites) batch; the result has
+    of this operator, so it is g M with the relaxation n^gamma g added back
+    at sites 1 and n-1.  `g` may be a (times, sites) batch; the result has
     its shape.
     """
     g = as_grid_batch(params, g)
-    op = build_drift_system(params)
-    lap = g @ op.kernel_matrix
-    lap -= op.row_sums * g
-    lap *= params.speed
+    lap = g @ build_drift_system(params).m
+    lap[..., [0, -1]] += params.speed * g[..., [0, -1]]
     return lap
 
 
@@ -237,6 +218,4 @@ def dirichlet_energy(params: ModelParams, f):
     finite n.  Per time for a (times, sites) batch.
     """
     f = as_grid_batch(params, f)
-    semi = discrete_inner_seminorm(params, f, f)
-    boundary = params.speed / params.n * (f[..., 0] ** 2 + f[..., -1] ** 2)
-    return _per_row(np.asarray(semi + boundary))
+    return _per_row(-np.vecdot(f, f @ build_drift_system(params).m) / params.n)

@@ -131,11 +131,9 @@ def _on_grid(fn: Callable, t, u: np.ndarray) -> np.ndarray:
 
 def euler_stability_limit(params: ModelParams) -> float:
     """Largest admissible Euler step: dt n^gamma (1 + max row sum) < 1/2,
-    the row sum including the boundary relaxation indicators."""
-    s = build_drift_system(params).row_sums.copy()
-    s[0] += 1.0
-    s[-1] += 1.0
-    return 0.5 / (params.speed * (1.0 + float(s.max())))
+    the row sum including the boundary relaxation indicators, which is
+    dt (n^gamma + max -M[x, x]) < 1/2."""
+    return 0.5 / (params.speed + float(-build_drift_system(params).m.diagonal().min()))
 
 
 def _geometric(log_r: np.ndarray, k: int) -> np.ndarray:

@@ -1,4 +1,10 @@
-import numpy as np
+import os
+
+# one BLAS thread, as perfbench runs: the half-size eighs of every profile
+# solve lose far more to thread start-up than they gain on two cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from fracgl import ModelParams, build_drift_system, solve_stationary_profile

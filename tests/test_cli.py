@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -31,6 +32,22 @@ def test_figure1_artifacts(tmp_path):
         assert "threshold" in check
     svg = (tmp_path / "profile.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize("argv", [["ness-profile", "--n", "1024", "--phi-r", "30"],
+                                  ["figure1", "--n", "1024", "--phi-r", "100"]])
+def test_large_n_profiles_pass_their_symmetry_checks(tmp_path, argv):
+    # the mean plus an odd part: antisymmetry and midpoint hold to rounding
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("phi_l, phi_r", [(1.0, 2.0), (2.0, 1.0)])
+def test_figure1_monotone_value_is_smallest_step(tmp_path, phi_l, phi_r):
+    assert main(["figure1", "--phi-l", str(phi_l), "--phi-r", str(phi_r),
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    phi = np.loadtxt(tmp_path / "profile.csv", delimiter=",", skiprows=1)[:, 2]
+    assert summary["checks"]["monotone"]["value"] == np.abs(np.diff(phi)).min()
 
 
 def test_missing_out_dir_fails_with_status_1(tmp_path):
@@ -145,7 +162,7 @@ def test_run_rejects_bad_replicas(tmp_path):
     assert run(cfg) == 1
 
 
-@pytest.mark.parametrize("experiment, overrides, solves", [
+@pytest.mark.parametrize("experiment, overrides, spectra", [
     ("spectrum", dict(n=32), 1),
     ("rate-check", dict(n=16, T=0.01, dt=1e-3), 1),
     ("stationarity", dict(n=16, T=0.01, replicas=50), 1),
@@ -153,10 +170,11 @@ def test_run_rejects_bad_replicas(tmp_path):
     ("girsanov", dict(n=16, T=0.01, replicas=50), 1),
 ])
 def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
-                                            overrides, solves):
+                                            overrides, spectra):
     # one stationary-profile solve per model, handed down to every layer, and
-    # one Cholesky solve, that profile's: no layer solves again behind solve_spd
-    calls = {"profile": [], "solve": []}
+    # one spectrum, made on the two halves of -M in a fresh drift-system
+    # cache, which serves that solve and every layer after it
+    calls = {"profile": [], "eigh": []}
     fn = ness.solve_stationary_profile
 
     def counted(params, *args, **kwargs):
@@ -167,17 +185,18 @@ def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
-    solve_spd = kernel.DriftSystem.solve_spd
+    eigh = kernel.eigh
 
-    def counted_solve(self, rhs):
-        calls["solve"].append(self)
-        return solve_spd(self, rhs)
-    monkeypatch.setattr(kernel.DriftSystem, "solve_spd", counted_solve)
+    def counted_eigh(a, *args, **kwargs):
+        calls["eigh"].append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(kernel, "eigh", counted_eigh)
+    monkeypatch.setattr(kernel, "_drift_system", lru_cache(maxsize=8)(kernel.DriftSystem))
     cfg = ExperimentConfig(experiment=experiment, out_dir=str(tmp_path),
                            **{**DEFAULTS[experiment], **overrides})
     assert run(cfg) in (0, 2)
     assert calls["profile"] == [cfg.params()]
-    assert calls["solve"] == [kernel.build_drift_system(cfg.params())] * solves
+    assert calls["eigh"] == [cfg.n // 2, (cfg.n - 1) // 2] * spectra
 
 
 def test_girsanov_seeds_seven_apart_share_no_stream(tmp_path, monkeypatch):
@@ -222,6 +241,9 @@ _INVALID = {"n": [0, 1, 2, -4], "gamma": [0.0, -1.5, 1.0, 2.0, NAN, INF],
 # valid input whose weights are all exactly 1.0, so the mean-one se is 0
 @example(experiment="girsanov", n=3, gamma=1.2, phi_l=0.0, phi_r=0.0, steps=1, dt=1e-05,
          replicas=2, seed=0, invalid=None, spaced=False)
+# valid input whose profile, stored near 1e6, carries an ulp of 1.2e-10
+@example(experiment="ness-profile", n=8, gamma=1.5, phi_l=1e6, phi_r=1000001.0, steps=1,
+         dt=1e-05, replicas=2, seed=0, invalid=None, spaced=True)
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(experiment=st.sampled_from(sorted(EXPERIMENTS)),
        n=st.integers(3, 24),

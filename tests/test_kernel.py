@@ -45,8 +45,8 @@ def test_kernel_row_symmetry():
     p = ModelParams(32, 1.7)
     row = kernel_row(p)
     assert row[0] == 0.0
-    P = build_drift_system(p).kernel_matrix
-    assert np.array_equal(P, P.T)
+    m = build_drift_system(p).m
+    assert np.array_equal(m, m.T)
 
 
 def test_drift_system_n3_hand_assembled():
@@ -182,26 +182,27 @@ def test_dirichlet_energy_is_drift_quadratic_form():
 
 def test_drift_systems_share_one_operator(monkeypatch):
     # same (n, gamma), different reservoirs: one object, with one read-only
-    # m and one factoring and one spectrum, each made on the two halves of -m
+    # m and one spectrum, made on the two halves of -m, that serves each solve
     import fracgl.kernel as kernel
-    calls = {"eigh": [], "cho_factor": []}
-    for name in calls:
-        def counting(a, *args, _name=name, _fn=getattr(kernel, name), **kwargs):
-            calls[_name].append(a.shape)
-            return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(kernel, name, counting)
+    assert not hasattr(kernel, "cho_factor")
+    calls, eigh = [], kernel.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(kernel, "eigh", counting)
     pa, pb = ModelParams(23, 1.37, 0.0, 1.0), ModelParams(23, 1.37, 2.0, -1.0)
     sys = build_drift_system(pa)
     assert build_drift_system(pb) is sys
     assert dirichlet_spectrum(pa) is sys and dirichlet_spectrum(pb) is sys
-    assert not sys.m.flags.writeable and not sys.kernel_matrix.flags.writeable
+    assert not sys.m.flags.writeable and not sys.row_sums.flags.writeable
     assert not sys.modes.flags.writeable and not sys.eigenvalues.flags.writeable
     assert not np.array_equal(reservoir_drift(pa), reservoir_drift(pb))
     for p in (pa, pb):
         phi = solve_stationary_profile(p).profile
         np.testing.assert_allclose(sys.m @ phi + reservoir_drift(p), 0.0,
                                    atol=1e-10 * p.speed)
-    assert calls == {"eigh": [(11, 11), (11, 11)], "cho_factor": [(11, 11), (11, 11)]}
+    assert calls == [(11, 11), (11, 11)]
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 33])
@@ -221,12 +222,19 @@ def test_split_spectrum_matches_dense_eigh(n):
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 33])
-def test_solve_spd_on_halves_matches_dense_solve(n):
-    sys = build_drift_system(ModelParams(n, 1.5))
-    rng = np.random.default_rng(n)
-    for rhs in (rng.standard_normal(n - 1), rng.standard_normal((n - 1, 3))):
-        np.testing.assert_allclose(sys.solve_spd(rhs), np.linalg.solve(-sys.m, rhs),
-                                   rtol=1e-12)
+def test_spectral_profile_matches_dense_solve(n):
+    # the profile from the modes solves (-M) Phi = b, and is exactly the mean
+    # plus an odd part under the flip, so its even-n midpoint is the mean
+    for phi_l, phi_r in ((0.0, 1.0), (2.0, 1.0), (0.7, 0.7), (2.0, 2.0 + 1e-9)):
+        p = ModelParams(n, 1.5, phi_l, phi_r)
+        phi, scale = solve_stationary_profile(p).profile, max(1.0, abs(phi_l), abs(phi_r))
+        dense = np.linalg.solve(-build_drift_system(p).m, reservoir_drift(p))
+        np.testing.assert_allclose(phi, dense, rtol=0, atol=1e-12 * scale)
+        assert np.abs(phi + phi[::-1] - (phi_l + phi_r)).max() <= 1e-14 * scale
+        if n % 2 == 0:
+            assert abs(phi[n // 2 - 1] - 0.5 * (phi_l + phi_r)) <= 1e-14 * scale
+        if phi_l == phi_r:
+            assert np.all(phi == phi_l)
 
 
 def test_batched_operators_match_row_by_row():

@@ -14,7 +14,8 @@ def test_equilibrium_profile_is_constant():
 
 
 def test_equal_reservoirs_keep_the_maximum_principle_at_large_n():
-    # a solve at n=1024 misses the constant by 2.2e-12, beyond the 1e-12 slack
+    # the mean term carries equal reservoirs alone, so the profile is the exact
+    # constant; a dense solve at n=1024 misses it by 2.2e-12, beyond the 1e-12 slack
     prof = solve_stationary_profile(ModelParams(1024, 1.5, 2.0, 2.0))
     assert np.all(prof.profile == 2.0)
     assert prof.residual <= 1e-10
