@@ -9,6 +9,7 @@ the latter winning.  Exit codes: 0 all checks passed, 2 a check failed,
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  (argparse's gettext imports it on a first parse; load it now)
 import sys
 from dataclasses import fields, replace
 

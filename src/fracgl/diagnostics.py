@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve
 
 from .kernel import build_drift_system, dirichlet_energy
 from .ness import StationaryProfile, reservoir_drift
@@ -129,7 +128,14 @@ def generator_matrix_poly2(profile: StationaryProfile):
 def adjoint_matrix_poly2(basis: PolyObservableBasis, L: np.ndarray) -> np.ndarray:
     """Adjoint of L in the Gaussian inner product: L* = G^-1 L^T G."""
     G = basis.gram()
-    return solve(G, L.T @ G)
+    return np.linalg.solve(G, L.T @ G)
+
+
+def _generalized_eigvalsh(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of lhs v = lam rhs v for symmetric lhs and positive-definite
+    rhs, as those of C^-1 lhs C^-T with rhs = C C^T (Cholesky)."""
+    c = np.linalg.cholesky(rhs)
+    return np.linalg.eigvalsh(np.linalg.solve(c, np.linalg.solve(c, lhs).T))
 
 
 def adjoint_defect(profile: StationaryProfile) -> dict:
@@ -162,7 +168,7 @@ def adjoint_defect(profile: StationaryProfile) -> dict:
     AB = A @ basis_v
     lhs = AB.T @ G @ AB
     rhs = basis_v.T @ G @ basis_v
-    vals = eigh(lhs, rhs, eigvals_only=True)
+    vals = _generalized_eigvalsh(lhs, rhs)
     defect = float(np.sqrt(max(vals.max(), 0.0)))
     params = profile.params
     return {

@@ -24,7 +24,9 @@ odd.  Every model of that (n, gamma) shares it and its read-only arrays,
 whatever the reservoir densities; b is `ness.reservoir_drift`.  The
 Laplacian, the seminorm and the energy below are the only evaluations of L_n
 and of the quadratic forms; each reads M and accepts one grid function or a
-(times, sites) batch with sites last.
+(times, sites) batch with sites last.  Only numpy is needed: zeta comes
+from `_zeta`, the Toeplitz matrix from `toeplitz`, the spectrum from
+`numpy.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
-from scipy.special import zeta
+from numpy.linalg import eigh
 
 from .params import ModelParams, as_grid_batch
 
@@ -46,6 +47,28 @@ __all__ = [
     "discrete_inner_seminorm",
     "dirichlet_energy",
 ]
+
+
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2, ..., B_12
+
+
+@lru_cache(maxsize=64)
+def _zeta(s: float) -> float:
+    """Riemann zeta(s), s > 1, by Euler-Maclaurin (DLMF 25.2.9): 12 terms, the tail
+    and 6 Bernoulli terms; the first omitted one is below 1e-16 relative for s in (2, 3)."""
+    N = 12
+    total = sum(k ** -s for k in range(1, N)) + N ** (1 - s) / (s - 1) + N ** -s / 2
+    term = s * N ** (-s - 1) / 2  # s (s+1) ... (s+2j-2) N^(1-s-2j) / (2j)!, j = 1
+    for j, b in enumerate(_BERNOULLI, start=1):
+        total += b * term
+        term *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2) * N * N)
+    return total
+
+
+def toeplitz(row: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix T[i, j] = row[|i - j|], a fresh array."""
+    both = np.concatenate([row[:0:-1], row])  # row[n-1], ..., row[1], row[0], ..., row[n-1]
+    return np.lib.stride_tricks.sliding_window_view(both, row.size)[::-1].copy()
 
 
 def kernel_constant(gamma: float) -> float:
@@ -61,7 +84,7 @@ def kernel_constant(gamma: float) -> float:
     """
     if not (1.0 < gamma < 2.0):
         raise ValueError(f"gamma must lie in (1, 2), got {gamma!r}")
-    return 1.0 / (2.0 * zeta(1.0 + gamma))
+    return 1.0 / (2.0 * _zeta(1.0 + gamma))
 
 
 def kernel_row(params: ModelParams) -> np.ndarray:
@@ -111,19 +134,18 @@ class DriftSystem:
 
     def _halves(self):
         """-M on its even and odd halves under x -> n - x, in the bases
-        (e_x +- e_{n-x}) / sqrt 2, x < n/2, plus e_{n/2} in the even one if n is
-        even; returned transposed, in the Fortran order LAPACK overwrites."""
+        (e_x +- e_{n-x}) / sqrt 2, x < n/2, plus e_{n/2} in the even one if n is even."""
         N, p = self.n - 1, (self.n - 1) // 2
         top, flip = self.m[:N - p, :N - p], self.m[:N - p, ::-1][:, :N - p]
         even = np.negative(top)
         even -= flip
         even[p:] /= np.sqrt(2.0)
         even[:, p:] /= np.sqrt(2.0)
-        return even.T, (flip[:p, :p] - top[:p, :p]).T
+        return even, flip[:p, :p] - top[:p, :p]
 
     @cached_property
     def _spectrum(self):
-        (lam_e, v_e), (lam_o, v_o) = (eigh(h, overwrite_a=True) for h in self._halves())
+        (lam_e, v_e), (lam_o, v_o) = (eigh(h) for h in self._halves())
         lam = np.concatenate([lam_e, lam_o])
         if lam.min() <= 0:
             raise RuntimeError("drift matrix is not negative definite")

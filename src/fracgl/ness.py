@@ -19,9 +19,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
-from .kernel import build_drift_system, kernel_row
+from .kernel import build_drift_system, kernel_row, toeplitz
 from .params import ModelParams, as_grid_function
 from .rng import make_rng
 

@@ -167,18 +167,24 @@ def _gauss_nodes(*edge_sets) -> tuple:
             (hw[:, None] * _GL_W).ravel())
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, as from np.unique, which imports numpy.ma (10 ms)."""
+    v = np.sort(values)
+    return v[np.concatenate([[True], v[1:] > v[:-1]])]
+
+
 def _graded_edges(lo: float, hi: float, toward_lo: bool,
                   n_geo: int, n_lin: int, breakpoints=()) -> np.ndarray:
     span = hi - lo
     geo = span * 0.5 ** np.arange(1, n_geo + 1)
     lin = np.linspace(0.0, span, n_lin + 1)
-    d = np.unique(np.concatenate([[0.0], geo, lin, [span]]))
+    d = _distinct(np.concatenate([[0.0], geo, lin, [span]]))
     d = d[(d >= 0.0) & (d <= span)]
     edges = lo + d if toward_lo else hi - d[::-1]
     if breakpoints:
         bks = [b for b in breakpoints if lo < b < hi]
         if bks:
-            edges = np.unique(np.concatenate([edges, bks]))
+            edges = _distinct(np.concatenate([edges, bks]))
     return edges
 
 
@@ -244,7 +250,7 @@ def continuum_seminorm(gamma: float, F: TestFunction, G: TestFunction,
     n_outer *= refine
     sup = tuple(sorted({e for tf in (F, G) if tf.support for e in tf.support}))
     cut = 1e-6
-    um, uw = _gauss_nodes(np.union1d(np.linspace(0.0, 1.0, n_outer + 1), sup))
+    um, uw = _gauss_nodes(_distinct(np.concatenate([np.linspace(0.0, 1.0, n_outer + 1), sup])))
     fus, gus = F.f(um), G.f(um)
     d1 = F.df(um) * G.df(um)
     vals = np.zeros(um.size)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # noqa: F401  (lazy in numpy 2: load it on import, not on a first draw)
 
 __all__ = ["make_rng"]
 

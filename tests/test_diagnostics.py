@@ -109,6 +109,25 @@ def test_adjoint_defect_reported_out_of_equilibrium(setup8):
     assert report["defect_norm"] < 1e-6
 
 
+def test_generalized_eigenvalues_match_scipy(setup8, monkeypatch):
+    # the Cholesky reduction against LAPACK's generalized eigensolver, on the
+    # pencil adjoint_defect builds and on that pencil with an O(1) lhs added
+    from scipy.linalg import eigh
+    from fracgl import diagnostics
+    pencils, inner = [], diagnostics._generalized_eigvalsh
+
+    def keep(lhs, rhs):
+        pencils.append((lhs, rhs))
+        return inner(lhs, rhs)
+    monkeypatch.setattr(diagnostics, "_generalized_eigvalsh", keep)
+    adjoint_defect(setup8[2])
+    lhs, rhs = pencils[0]
+    x = make_rng(5, "pencil").standard_normal(lhs.shape)
+    for a in (lhs, lhs + x + x.T):
+        want = eigh(a, rhs, eigvals_only=True)
+        np.testing.assert_allclose(inner(a, rhs), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_dirichlet_form_nonneg_on_poly2(setup8):
     params, sys, prof = setup8
     basis, L = generator_matrix_poly2(prof)

@@ -31,6 +31,23 @@ def test_kernel_constant_domain():
             kernel_constant(bad)
 
 
+def test_zeta_matches_scipy():
+    from scipy.special import zeta
+    from fracgl.kernel import _zeta
+    gammas = np.concatenate([np.random.default_rng(3).uniform(1.0, 2.0, 500),
+                             [1.0 + 1e-9, 2.0 - 1e-9]])
+    for g in gammas:
+        assert _zeta(1.0 + g) == pytest.approx(zeta(1.0 + g), rel=2e-15, abs=0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64])
+def test_toeplitz_matches_scipy(size):
+    from scipy.linalg import toeplitz as scipy_toeplitz
+    from fracgl.kernel import toeplitz
+    row = np.random.default_rng(size).standard_normal(size)
+    assert np.array_equal(toeplitz(row), scipy_toeplitz(row))
+
+
 def test_kernel_normalization_monotone():
     gamma = 1.5
     c = kernel_constant(gamma)

@@ -113,6 +113,23 @@ def test_regional_laplacian_domain_errors():
         regional_laplacian_pointwise(1.5, broken, 0.5)
 
 
+def _edge_arrays():
+    span = 0.37
+    geo, lin = span * 0.5 ** np.arange(1, 27), np.linspace(0.0, span, 11)
+    graded = np.concatenate([[0.0], geo, lin, [span]])  # 0, span/2 and span twice
+    yield graded
+    yield np.concatenate([0.1 + graded, [0.1 + lin[3], 0.25, 0.25]])
+    yield np.concatenate([np.linspace(0.0, 1.0, 161), [0.2, 0.5, 0.7, 0.5]])
+    yield np.random.default_rng(8).integers(0, 20, 200) / 7.0
+
+
+@pytest.mark.parametrize("edges", list(_edge_arrays()))
+def test_distinct_matches_unique(edges):
+    from fracgl.operators import _distinct
+    assert np.unique(edges).size < edges.size
+    assert np.array_equal(_distinct(edges), np.unique(edges))
+
+
 def test_seminorm_constant_function_zero():
     const = TestFunction(f=lambda u: np.ones_like(np.asarray(u, dtype=float)),
                          df=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
