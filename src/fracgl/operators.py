@@ -20,10 +20,11 @@ Gauss panels graded toward w = 0.  A cutoff at w = 3e-5 keeps the float64
 cancellation noise of the second difference out of the quadrature; the
 analytic term compensates the cutoff exactly through second order.
 
-The nodes and weights of all panels of one evaluation point are built as one
-flat array, so each point costs one call of F.f for the symmetric window and
-one for both outer sides; `u` may be an array of points.  The seminorm
-likewise makes one call of F.f and of G.f per outer Gauss node.
+Panel edges scale a cached unit template to each interval and sort in the
+support's edges.  Each point costs one call of F.f, on u, the window and the
+outer nodes; `u` may be an array.  The seminorm puts the inner rules of a block
+of outer nodes in one array (a support edge outside a row's interval is a
+zero-width panel, of zero weight) and calls F.f and G.f once per block.
 
 Note: expanding the principal value asymmetrically around u produces a
 first-derivative term c_gamma F'(u) [(1-u)^(1-gamma) - u^(1-gamma)]/(1-gamma)
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,6 +57,7 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _CUT = 3e-5
+_BLOCK_NODES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -156,15 +159,21 @@ class SineMode(TestFunction):
         super().__init__(f=f, df=df, d2f=d2f, support=None)
 
 
+def _gauss_panels(p0: np.ndarray, p1: np.ndarray) -> tuple:
+    """(nodes, weights) of the 24-point Gauss rule on panels [p0, p1], last axis flat."""
+    mid, hw = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
+    shape = p0.shape[:-1] + (-1,)
+    return ((mid[..., None] + hw[..., None] * _GL_X).reshape(shape),
+            (hw[..., None] * _GL_W).reshape(shape))
+
+
 def _gauss_nodes(*edge_sets) -> tuple:
     """Flat (nodes, weights) of the composite 24-point Gauss rule on every
     panel of the given edge arrays; panels narrower than 1e-15 are skipped."""
     p0 = np.concatenate([e[:-1] for e in edge_sets])
     p1 = np.concatenate([e[1:] for e in edge_sets])
     keep = p1 - p0 >= 1e-15
-    mid, hw = 0.5 * (p0[keep] + p1[keep]), 0.5 * (p1[keep] - p0[keep])
-    return ((mid[:, None] + hw[:, None] * _GL_X).ravel(),
-            (hw[:, None] * _GL_W).ravel())
+    return _gauss_panels(p0[keep], p1[keep])
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -173,19 +182,20 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return v[np.concatenate([[True], v[1:] > v[:-1]])]
 
 
+@lru_cache(maxsize=16)
+def _unit_offsets(n_geo: int, n_lin: int) -> np.ndarray:
+    """Read-only sorted distinct offsets {0, 2^-k (k <= n_geo), j/n_lin, 1}."""
+    d = _distinct(np.append(0.5 ** np.arange(1, n_geo + 1), np.linspace(0.0, 1.0, n_lin + 1)))
+    d.flags.writeable = False
+    return d
+
+
 def _graded_edges(lo: float, hi: float, toward_lo: bool,
                   n_geo: int, n_lin: int, breakpoints=()) -> np.ndarray:
-    span = hi - lo
-    geo = span * 0.5 ** np.arange(1, n_geo + 1)
-    lin = np.linspace(0.0, span, n_lin + 1)
-    d = _distinct(np.concatenate([[0.0], geo, lin, [span]]))
-    d = d[(d >= 0.0) & (d <= span)]
+    d = (hi - lo) * _unit_offsets(n_geo, n_lin)
     edges = lo + d if toward_lo else hi - d[::-1]
-    if breakpoints:
-        bks = [b for b in breakpoints if lo < b < hi]
-        if bks:
-            edges = _distinct(np.concatenate([edges, bks]))
-    return edges
+    bks = [b for b in breakpoints if lo < b < hi]
+    return _distinct(np.concatenate([edges, bks])) if bks else edges
 
 
 def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
@@ -213,23 +223,22 @@ def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
     if F.df is None or F.d2f is None:
         raise ValueError("TestFunction must provide df and d2f")
     xs = x.ravel()
-    fus, d2s = F.f(xs), F.d2f(xs)
+    d2s = F.d2f(xs)
     sup = F.support or ()
     out = np.empty(xs.size)
-    for i, (ui, fu, d2) in enumerate(zip(xs, fus, d2s)):
+    for i, (ui, d2) in enumerate(zip(xs, d2s)):
         r = min(ui, 1.0 - ui)
         total = d2 * r ** (2.0 - gamma) / (2.0 - gamma) if r > 0.0 else 0.0
-        if r > _CUT:
-            # even second difference on the symmetric window, one call for both sides
-            bks = sorted({abs(e - ui) for e in sup if _CUT < abs(e - ui) < r})
-            w, wt = _gauss_nodes(_graded_edges(_CUT, r, True, 26 * refine, 10 * refine, bks))
-            fv = F.f(np.concatenate([ui + w, ui - w]))
-            total += wt @ ((fv[:w.size] + fv[w.size:] - 2.0 * fu - d2 * w * w)
-                           / w ** (1.0 + gamma))
-        # both outer sides in one call; an empty side yields no panels
-        v, wt = _gauss_nodes(_graded_edges(0.0, ui - r, False, 26 * refine, 12 * refine, sup),
+        # the symmetric window (no panels if r <= _CUT) and both outer sides
+        bks = sorted({abs(e - ui) for e in sup if _CUT < abs(e - ui) < r})
+        w, wt = _gauss_nodes(_graded_edges(_CUT, r, True, 26 * refine, 10 * refine, bks))
+        v, vt = _gauss_nodes(_graded_edges(0.0, ui - r, False, 26 * refine, 12 * refine, sup),
                              _graded_edges(ui + r, 1.0, True, 26 * refine, 12 * refine, sup))
-        total += wt @ ((F.f(v) - fu) / np.abs(v - ui) ** (1.0 + gamma))
+        fv = F.f(np.concatenate([[ui], ui + w, ui - w, v]))
+        fu, m = fv[0], w.size
+        total += wt @ ((fv[1:m + 1] + fv[m + 1:2 * m + 1] - 2.0 * fu - d2 * w * w)
+                       / w ** (1.0 + gamma))
+        total += vt @ ((fv[2 * m + 1:] - fu) / np.abs(v - ui) ** (1.0 + gamma))
         out[i] = c * total
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
@@ -248,23 +257,24 @@ def continuum_seminorm(gamma: float, F: TestFunction, G: TestFunction,
     """
     c = kernel_constant(gamma)
     n_outer *= refine
-    sup = tuple(sorted({e for tf in (F, G) if tf.support for e in tf.support}))
+    sup = np.array(sorted({e for tf in (F, G) if tf.support for e in tf.support}))
     cut = 1e-6
     um, uw = _gauss_nodes(_distinct(np.concatenate([np.linspace(0.0, 1.0, n_outer + 1), sup])))
     fus, gus = F.f(um), G.f(um)
     d1 = F.df(um) * G.df(um)
-    vals = np.zeros(um.size)
-    for i, (ui, fu, gu, d1i) in enumerate(zip(um, fus, gus, d1)):
-        big_w = 1.0 - ui
-        if big_w < 1e-14:
-            continue
-        vals[i] = d1i * big_w ** (2.0 - gamma) / (2.0 - gamma)
-        if big_w > cut:
-            bks = sorted({abs(e - ui) for e in sup if cut < abs(e - ui) < big_w})
-            w, wt = _gauss_nodes(_graded_edges(cut, big_w, True, 30 * refine, 8 * refine, bks))
-            fv = F.f(ui + w)
-            gv = fv if G is F else G.f(ui + w)
-            vals[i] += wt @ (((fv - fu) * (gv - gu) - d1i * w * w) / w ** (1.0 + gamma))
+    big_w = 1.0 - um
+    vals = np.where(big_w < 1e-14, 0.0, d1 * big_w ** (2.0 - gamma) / (2.0 - gamma))
+    # inner edges on [cut, 1 - u], one row per outer node; blocks bound the memory
+    hi = np.maximum(big_w, cut)[:, None]
+    edges = np.sort(np.concatenate([cut + (hi - cut) * _unit_offsets(30 * refine, 8 * refine),
+                                    np.clip(np.abs(um[:, None] - sup), cut, hi)], axis=1))
+    rows = max(1, _BLOCK_NODES // (_GL_X.size * (edges.shape[1] - 1)))
+    for blk in (slice(b, b + rows) for b in range(0, um.size, rows)):
+        w, wt = _gauss_panels(edges[blk, :-1], edges[blk, 1:])
+        v = (um[blk, None] + w).ravel()
+        dfv = F.f(v).reshape(w.shape) - fus[blk, None]
+        dgv = dfv if G is F else G.f(v).reshape(w.shape) - gus[blk, None]
+        vals[blk] += np.vecdot(wt, (dfv * dgv - d1[blk, None] * w * w) / w ** (1.0 + gamma))
     result = float(c * (uw @ vals))
     if not np.isfinite(result):
         raise RuntimeError("seminorm quadrature returned a non-finite value")

@@ -8,7 +8,9 @@ from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
                     l2_distance, quasipotential, rate_from_field,
                     solve_hydrodynamic, solve_stationary_profile,
                     static_cumulant, static_rate_w)
-from fracgl.ldp import _stable_field_ratio
+from fracgl import ldp
+from fracgl.experiments import EXPERIMENTS, ExperimentConfig
+from fracgl.ldp import _exp, _stable_field_ratio
 from fracgl.rng import make_rng
 
 
@@ -256,9 +258,59 @@ def test_modal_costs_match_site_space_route(setup32):
 
 
 def test_quasipotential_at_stationary_profile(setup32):
+    # a complete report, alone or in a batch: callers read every key
     params, prof, spec = setup32
-    rep = quasipotential(prof, prof.profile, 1.0)
-    assert rep.value == 0.0
+    rho = prof.profile + SmoothBump(0.25, 0.75, 0.5).f(params.grid())
+    full = quasipotential(prof, rho, 1.0)
+    for rep in (quasipotential(prof, prof.profile, 1.0),
+                quasipotential(prof, np.stack([rho, prof.profile]), 1.0)[1]):
+        assert rep.value == 0.0
+        assert rep.breakdown.keys() == full.breakdown.keys()
+        assert all(v == 0.0 for v in rep.breakdown.values())
+        assert rep.discretization == full.discretization
+
+
+def test_quasipotential_batch_matches_single_targets(setup32):
+    params, prof, spec = setup32
+    u = params.grid()
+    rhos = np.stack([prof.profile + SmoothBump(0.25, 0.75, 0.6).f(u),
+                     prof.profile - SmoothBump(0.15, 0.55, 0.45).f(u),
+                     prof.profile + SmoothBump(0.2, 0.5, 0.4).f(u)
+                     - SmoothBump(0.55, 0.9, 0.3).f(u)])
+    T1 = 6.5 / float(spec.eigenvalues[0])
+    batch = quasipotential(prof, rhos, T1)
+    assert isinstance(batch, list) and len(batch) == 3
+    for rho, rep in zip(rhos, batch):
+        single = quasipotential(prof, rho, T1)
+        assert isinstance(single, RateReport)
+        for key in ("bridge_cost", "reversal_cost"):
+            assert rep.breakdown[key] == pytest.approx(single.breakdown[key], rel=1e-13, abs=0)
+        assert rep.value == pytest.approx(single.value, rel=1e-13, abs=0)
+        assert rep.breakdown["w_target"] == single.breakdown["w_target"]
+        assert rep.breakdown["w_relaxed"] == single.breakdown["w_relaxed"]
+
+
+def test_exp_is_numpy_exp_bit_for_bit():
+    # through the subnormal band (below -708.4) and the underflow at -745.13
+    x = np.concatenate([np.linspace(-800.0, 0.0, 200001),
+                        np.linspace(-745.2, -745.0, 20001)])
+    expected = np.exp(x)
+    got = _exp(x.copy())
+    assert np.any((expected > 0) & (expected < np.finfo(float).tiny))
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_exp_quasipotential_builds_bridge_weights_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(lam, t):
+        calls.append(np.shape(t))
+        return _stable_field_ratio(lam, t)
+    monkeypatch.setattr(ldp, "_stable_field_ratio", counted)
+    cfg = ExperimentConfig(experiment="quasipotential", out_dir=str(tmp_path), n=32)
+    result = EXPERIMENTS["quasipotential"](cfg)
+    assert len(calls) == 1
+    assert all(check["pass"] for check in result["checks"].values())
 
 
 def test_quasipotential_converges_to_w(setup32):

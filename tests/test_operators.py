@@ -1,4 +1,7 @@
+import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,11 @@ from fracgl import (ModelParams, PolyBump, SineMode, SmoothBump, TestFunction,
                     dirichlet_spectrum, discrete_fractional_laplacian,
                     discrete_inner_seminorm,
                     kernel_constant, regional_laplacian_pointwise)
+from fracgl import operators
 from fracgl.hydro import relaxation_rate
 from fracgl.operators import spectrum_to_csv
+
+FROZEN = json.loads((Path(__file__).parent / "frozen_quadrature.json").read_text())
 
 # Exact values of the regional fractional Laplacian of the C^2 bump
 # ((u-1/4)(3/4-u))^3 / (1/16)^3 at gamma = 3/2, obtained by symbolic
@@ -113,6 +119,34 @@ def test_regional_laplacian_domain_errors():
         regional_laplacian_pointwise(1.5, broken, 0.5)
 
 
+def _counting(F):
+    """F with a counter of its calls of f, as `calls["f"]`."""
+    calls = {"f": 0}
+
+    def f(u):
+        calls["f"] += 1
+        return F.f(u)
+    return TestFunction(f=f, df=F.df, d2f=F.d2f, support=F.support), calls
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_regional_laplacian_matches_frozen_grid_values(n):
+    F = SmoothBump(*FROZEN["bump"])
+    vals = [regional_laplacian_pointwise(FROZEN["gamma"], F, x / n) for x in range(1, n)]
+    np.testing.assert_allclose(vals, FROZEN["regional"][str(n)], rtol=1e-13, atol=0.0)
+
+
+def test_regional_laplacian_calls_f_once_per_point():
+    F, calls = _counting(SmoothBump(0.25, 0.75, 1.3))
+    for u in (0.0, 1e-6, 0.3, 0.5, 0.75, 1.0):
+        calls["f"] = 0
+        regional_laplacian_pointwise(1.5, F, u)
+        assert calls["f"] <= 2
+    calls["f"] = 0
+    regional_laplacian_pointwise(1.5, F, np.linspace(0.0, 1.0, 9))
+    assert calls["f"] <= 10
+
+
 def _edge_arrays():
     span = 0.37
     geo, lin = span * 0.5 ** np.arange(1, 27), np.linspace(0.0, span, 11)
@@ -161,6 +195,26 @@ def test_continuum_seminorm_refinement_stability():
     b = continuum_seminorm(gamma, F, F, refine=2)
     assert type(a) is float
     assert abs(a - b) < 1e-7
+
+
+@pytest.mark.parametrize("n_outer", [10, 160])
+def test_continuum_seminorm_matches_frozen_value(n_outer):
+    F = SmoothBump(*FROZEN["bump"])
+    value = continuum_seminorm(FROZEN["gamma"], F, F, n_outer=n_outer)
+    assert value == pytest.approx(FROZEN["seminorm"][str(n_outer)], rel=1e-13, abs=0.0)
+
+
+def test_continuum_seminorm_calls_f_per_block_not_per_outer_node():
+    # F.f runs on the outer nodes (as F and as G) and then once per block of
+    # about _BLOCK_NODES inner nodes, not once per outer node
+    F, calls = _counting(SmoothBump(0.25, 0.75, 1.3))
+    per_row = 24 * (operators._unit_offsets(30, 8).size + 1)  # both support edges sorted in
+    for n_outer, outer_panels in ((10, 12), (160, 160)):
+        calls["f"] = 0
+        continuum_seminorm(1.5, F, F, n_outer=n_outer)
+        rows = 24 * outer_panels
+        assert calls["f"] <= 2 + math.ceil(rows / (operators._BLOCK_NODES // per_row))
+        assert calls["f"] * 40 < rows
 
 
 def test_discrete_seminorm_converges_to_continuum():
