@@ -355,8 +355,7 @@ def exp_spectrum(cfg: ExperimentConfig) -> dict:
     times = np.linspace(0.0, cfg.T, 160)
     traj = hydro.solve_hydrodynamic(prof, g, times)
     d0 = hydro.l2_distance(params, g, prof.profile)
-    dists = np.array([hydro.l2_distance(params, p, prof.profile)
-                      for p in traj.profiles])
+    dists = hydro.l2_distance(params, traj.profiles, prof.profile)
     bound = d0 * np.exp(-lam1 * times) * (1.0 + 1e-10) + 1e-14
     bound_ok = bool(np.all(dists <= bound))
     with open(os.path.join(cfg.out_dir, "decay.csv"), "w", newline="") as fh:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ness import StationaryProfile
 from .operators import dirichlet_spectrum
-from .params import ModelParams, as_grid_function
+from .params import ModelParams, as_grid_batch, as_grid_function
 from .simulate import ExternalField
 
 __all__ = [
@@ -46,11 +46,12 @@ class DeterministicTrajectory:
     field: Optional[ExternalField] = None
 
 
-def l2_distance(params: ModelParams, f, g) -> float:
-    """Lattice L^2 distance sqrt((1/n) sum (f-g)^2)."""
-    f = as_grid_function(params, f)
-    g = as_grid_function(params, g)
-    return float(np.sqrt(np.sum((f - g) ** 2) / params.n))
+def l2_distance(params: ModelParams, f, g):
+    """Lattice L^2 distance sqrt((1/n) sum (f-g)^2): a float for two grid
+    functions, one value per row when either is a (times, n-1) batch."""
+    d = as_grid_batch(params, f) - as_grid_batch(params, g)
+    d = np.sqrt(np.sum(d ** 2, axis=-1) / params.n)
+    return float(d) if d.ndim == 0 else d
 
 
 def solve_hydrodynamic(profile: StationaryProfile, g, times,
@@ -151,7 +152,7 @@ def relaxation_rate(profile: StationaryProfile, g, T: float,
         raise ValueError("initial profile already at the stationary state")
     times = np.linspace(0.0, T, n_times)
     traj = solve_hydrodynamic(profile, g, times)
-    d = np.array([l2_distance(params, p, phiss) for p in traj.profiles])
+    d = l2_distance(params, traj.profiles, phiss)
     window = times >= T / 2.0
     if np.any(d[window] < 1e-300):
         raise ValueError("profile reaches the stationary state inside the window")

@@ -20,11 +20,12 @@ Gauss panels graded toward w = 0.  A cutoff at w = 3e-5 keeps the float64
 cancellation noise of the second difference out of the quadrature; the
 analytic term compensates the cutoff exactly through second order.
 
-Panel edges scale a cached unit template to each interval and sort in the
-support's edges.  Each point costs one call of F.f, on u, the window and the
-outer nodes; `u` may be an array.  The seminorm puts the inner rules of a block
-of outer nodes in one array (a support edge outside a row's interval is a
-zero-width panel, of zero weight) and calls F.f and G.f once per block.
+Both quadratures use one panel layout, a row of edges per point: a cached
+unit template graded toward the row's lower end, with the support's edges as
+distances from the point sorted in (one outside the row's interval makes a
+zero-width panel).  A block of rows of about 2**16 nodes costs one call of
+F.f (and of G.f when G is not F).  The regional operator works in the distance
+w from u: the window [3e-5, r] and [r, 1 - r] on the far side; `u` may be an array.
 
 Note: expanding the principal value asymmetrically around u produces a
 first-derivative term c_gamma F'(u) [(1-u)^(1-gamma) - u^(1-gamma)]/(1-gamma)
@@ -86,27 +87,22 @@ class SmoothBump(TestFunction):
             raise ValueError("support must satisfy 0 <= a < b <= 1")
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
 
-        def w_of(u):
-            return (np.asarray(u, dtype=float) - mid) / half
+        def parts(u):
+            w = (np.asarray(u, dtype=float) - mid) / half
+            inside = np.abs(w) < 1.0
+            q = np.where(inside, 1.0 - w * w, 1.0)
+            return w, q, np.where(inside, amp * np.exp(1.0 - 1.0 / q), 0.0)
 
         def f(u):
-            w = w_of(u)
-            inside = np.abs(w) < 1.0
-            q = np.where(inside, 1.0 - w * w, 1.0)
-            return np.where(inside, amp * np.exp(1.0 - 1.0 / q), 0.0)
+            return parts(u)[2]
 
         def df(u):
-            w = w_of(u)
-            inside = np.abs(w) < 1.0
-            q = np.where(inside, 1.0 - w * w, 1.0)
-            return np.where(inside, f(u) * (-2.0 * w / q ** 2) / half, 0.0)
+            w, q, val = parts(u)
+            return val * (-2.0 * w / q ** 2) / half
 
         def d2f(u):
-            w = w_of(u)
-            inside = np.abs(w) < 1.0
-            q = np.where(inside, 1.0 - w * w, 1.0)
-            val = 4.0 * w * w / q ** 4 + (-2.0 * q - 8.0 * w * w) / q ** 3
-            return np.where(inside, f(u) * val / half ** 2, 0.0)
+            w, q, val = parts(u)
+            return val * (4.0 * w * w / q ** 4 + (-2.0 * q - 8.0 * w * w) / q ** 3) / half ** 2
 
         super().__init__(f=f, df=df, d2f=d2f, support=(a, b))
 
@@ -120,22 +116,21 @@ class PolyBump(TestFunction):
             raise ValueError("support must satisfy 0 <= a < b <= 1")
         smax = ((b - a) / 2.0) ** 2
 
-        def f(u):
+        def parts(u):
             u = np.asarray(u, dtype=float)
             s = (u - a) * (b - u)
-            return np.where(s > 0, amp * (s / smax) ** 3, 0.0)
+            return np.where(s > 0, s, 0.0), a + b - 2.0 * u
+
+        def f(u):
+            return amp * (parts(u)[0] / smax) ** 3
 
         def df(u):
-            u = np.asarray(u, dtype=float)
-            s = (u - a) * (b - u)
-            ds = a + b - 2.0 * u
-            return np.where(s > 0, amp * 3.0 * s ** 2 * ds / smax ** 3, 0.0)
+            s, ds = parts(u)
+            return amp * 3.0 * s ** 2 * ds / smax ** 3
 
         def d2f(u):
-            u = np.asarray(u, dtype=float)
-            s = (u - a) * (b - u)
-            ds = a + b - 2.0 * u
-            return np.where(s > 0, amp * (6.0 * s * ds ** 2 - 6.0 * s ** 2) / smax ** 3, 0.0)
+            s, ds = parts(u)
+            return amp * (6.0 * s * ds ** 2 - 6.0 * s ** 2) / smax ** 3
 
         super().__init__(f=f, df=df, d2f=d2f, support=(a, b))
 
@@ -167,15 +162,6 @@ def _gauss_panels(p0: np.ndarray, p1: np.ndarray) -> tuple:
             (hw[..., None] * _GL_W).reshape(shape))
 
 
-def _gauss_nodes(*edge_sets) -> tuple:
-    """Flat (nodes, weights) of the composite 24-point Gauss rule on every
-    panel of the given edge arrays; panels narrower than 1e-15 are skipped."""
-    p0 = np.concatenate([e[:-1] for e in edge_sets])
-    p1 = np.concatenate([e[1:] for e in edge_sets])
-    keep = p1 - p0 >= 1e-15
-    return _gauss_panels(p0[keep], p1[keep])
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values, as from np.unique, which imports numpy.ma (10 ms)."""
     v = np.sort(values)
@@ -190,12 +176,24 @@ def _unit_offsets(n_geo: int, n_lin: int) -> np.ndarray:
     return d
 
 
-def _graded_edges(lo: float, hi: float, toward_lo: bool,
-                  n_geo: int, n_lin: int, breakpoints=()) -> np.ndarray:
-    d = (hi - lo) * _unit_offsets(n_geo, n_lin)
-    edges = lo + d if toward_lo else hi - d[::-1]
-    bks = [b for b in breakpoints if lo < b < hi]
-    return _distinct(np.concatenate([edges, bks])) if bks else edges
+def _graded_edges(lo, hi, breaks: np.ndarray, n_geo: int, n_lin: int) -> np.ndarray:
+    """Sorted panel edges on [lo, hi], one row per row of `breaks`: the unit
+    offsets graded toward lo, and the row's breakpoints.  A breakpoint
+    outside (lo, hi) becomes a zero-width panel at hi, of zero weight, so no
+    node sits on lo, where the regional kernel is singular at u = 0 and 1."""
+    lo, hi = np.asarray(lo).reshape(-1, 1), np.asarray(hi).reshape(-1, 1)
+    inside = np.where(breaks > lo, np.minimum(breaks, hi), hi)
+    return np.sort(np.concatenate([lo + (hi - lo) * _unit_offsets(n_geo, n_lin), inside],
+                                  axis=1))
+
+
+def _panel_blocks(edge_sets: tuple, evals_per_row: int):
+    """Yield (rows, [(nodes, weights) per edge array]) over row slices of about
+    _BLOCK_NODES evaluations (at least one row); the blocks bound the memory."""
+    rows = max(1, _BLOCK_NODES // evals_per_row)
+    for b in range(0, edge_sets[0].shape[0], rows):
+        blk = slice(b, b + rows)
+        yield blk, [_gauss_panels(e[blk, :-1], e[blk, 1:]) for e in edge_sets]
 
 
 def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
@@ -223,24 +221,25 @@ def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
     if F.df is None or F.d2f is None:
         raise ValueError("TestFunction must provide df and d2f")
     xs = x.ravel()
-    d2s = F.d2f(xs)
-    sup = F.support or ()
-    out = np.empty(xs.size)
-    for i, (ui, d2) in enumerate(zip(xs, d2s)):
-        r = min(ui, 1.0 - ui)
-        total = d2 * r ** (2.0 - gamma) / (2.0 - gamma) if r > 0.0 else 0.0
-        # the symmetric window (no panels if r <= _CUT) and both outer sides
-        bks = sorted({abs(e - ui) for e in sup if _CUT < abs(e - ui) < r})
-        w, wt = _gauss_nodes(_graded_edges(_CUT, r, True, 26 * refine, 10 * refine, bks))
-        v, vt = _gauss_nodes(_graded_edges(0.0, ui - r, False, 26 * refine, 12 * refine, sup),
-                             _graded_edges(ui + r, 1.0, True, 26 * refine, 12 * refine, sup))
-        fv = F.f(np.concatenate([[ui], ui + w, ui - w, v]))
-        fu, m = fv[0], w.size
-        total += wt @ ((fv[1:m + 1] + fv[m + 1:2 * m + 1] - 2.0 * fu - d2 * w * w)
-                       / w ** (1.0 + gamma))
-        total += vt @ ((fv[2 * m + 1:] - fu) / np.abs(v - ui) ** (1.0 + gamma))
-        out[i] = c * total
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    d2 = F.d2f(xs)
+    r = np.minimum(xs, 1.0 - xs)
+    vals = np.where(r > 0.0, d2 * r ** (2.0 - gamma) / (2.0 - gamma), 0.0)
+    # in the distance from u: the window [_CUT, r] (empty if r <= _CUT) and [r, 1 - r]
+    far = np.where(xs <= 0.5, 1.0, -1.0)[:, None]
+    bks = np.abs(np.asarray(F.support or (), dtype=float) - xs[:, None])
+    win = _graded_edges(_CUT, np.maximum(r, _CUT), bks, 26 * refine, 10 * refine)
+    out = _graded_edges(r, 1.0 - r, bks, 26 * refine, 12 * refine)
+    per_row = 1 + _GL_X.size * (2 * win.shape[1] + out.shape[1] - 3)
+    for blk, ((w, wt), (wo, wot)) in _panel_blocks((win, out), per_row):
+        ub, m = xs[blk, None], w.shape[1]
+        # clipping moves only the zero-weight nodes of an empty window into [0, 1]
+        v = np.clip(np.concatenate([ub, ub + w, ub - w, ub + far[blk] * wo], axis=1), 0.0, 1.0)
+        fv = F.f(v.ravel()).reshape(v.shape)
+        fu, d2b = fv[:, :1], d2[blk, None]
+        vals[blk] += np.vecdot(wt, (fv[:, 1:m + 1] + fv[:, m + 1:2 * m + 1] - 2.0 * fu
+                                    - d2b * w * w) / w ** (1.0 + gamma))
+        vals[blk] += np.vecdot(wot, (fv[:, 2 * m + 1:] - fu) / wo ** (1.0 + gamma))
+    return float(c * vals[0]) if x.ndim == 0 else c * vals.reshape(x.shape)
 
 
 def continuum_seminorm(gamma: float, F: TestFunction, G: TestFunction,
@@ -259,18 +258,17 @@ def continuum_seminorm(gamma: float, F: TestFunction, G: TestFunction,
     n_outer *= refine
     sup = np.array(sorted({e for tf in (F, G) if tf.support for e in tf.support}))
     cut = 1e-6
-    um, uw = _gauss_nodes(_distinct(np.concatenate([np.linspace(0.0, 1.0, n_outer + 1), sup])))
-    fus, gus = F.f(um), G.f(um)
-    d1 = F.df(um) * G.df(um)
+    e = _distinct(np.concatenate([np.linspace(0.0, 1.0, n_outer + 1), sup]))
+    keep = e[1:] - e[:-1] >= 1e-15
+    um, uw = _gauss_panels(e[:-1][keep], e[1:][keep])
+    fus, dfu = F.f(um), F.df(um)
+    gus, d1 = (fus, dfu * dfu) if G is F else (G.f(um), dfu * G.df(um))
     big_w = 1.0 - um
     vals = np.where(big_w < 1e-14, 0.0, d1 * big_w ** (2.0 - gamma) / (2.0 - gamma))
-    # inner edges on [cut, 1 - u], one row per outer node; blocks bound the memory
-    hi = np.maximum(big_w, cut)[:, None]
-    edges = np.sort(np.concatenate([cut + (hi - cut) * _unit_offsets(30 * refine, 8 * refine),
-                                    np.clip(np.abs(um[:, None] - sup), cut, hi)], axis=1))
-    rows = max(1, _BLOCK_NODES // (_GL_X.size * (edges.shape[1] - 1)))
-    for blk in (slice(b, b + rows) for b in range(0, um.size, rows)):
-        w, wt = _gauss_panels(edges[blk, :-1], edges[blk, 1:])
+    # inner edges on [cut, 1 - u], one row per outer node
+    edges = _graded_edges(cut, np.maximum(big_w, cut), np.abs(um[:, None] - sup),
+                          30 * refine, 8 * refine)
+    for blk, ((w, wt),) in _panel_blocks((edges,), _GL_X.size * (edges.shape[1] - 1)):
         v = (um[blk, None] + w).ravel()
         dfv = F.f(v).reshape(w.shape) - fus[blk, None]
         dgv = dfv if G is F else G.f(v).reshape(w.shape) - gus[blk, None]

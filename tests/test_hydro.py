@@ -69,7 +69,11 @@ def test_exponential_decay_bound():
     times = np.linspace(0.0, 2.0, 41)
     traj = solve_hydrodynamic(prof, g, times)
     d0 = l2_distance(params, g, prof.profile)
-    dists = np.array([l2_distance(params, p, prof.profile) for p in traj.profiles])
+    dists = l2_distance(params, traj.profiles, prof.profile)  # one value per time
+    assert type(d0) is float and dists.shape == times.shape
+    assert np.array_equal(dists, [l2_distance(params, p, prof.profile) for p in traj.profiles])
+    with pytest.raises(ValueError):
+        l2_distance(params, traj.profiles[:, 1:], prof.profile[1:])
     assert np.all(dists <= d0 * np.exp(-lam1 * times) * (1.0 + 1e-10) + 1e-14)
     assert np.all(np.diff(dists) <= 1e-14)  # monotone Lyapunov decay
 

@@ -144,7 +144,48 @@ def test_regional_laplacian_calls_f_once_per_point():
         assert calls["f"] <= 2
     calls["f"] = 0
     regional_laplacian_pointwise(1.5, F, np.linspace(0.0, 1.0, 9))
-    assert calls["f"] <= 10
+    assert calls["f"] <= 2
+
+
+def test_regional_laplacian_array_calls_f_per_block_inside_unit_interval():
+    # one F.f call per block of about _BLOCK_NODES nodes, each point's row of
+    # nodes in exactly one block, and no node outside [0, 1], also for points
+    # nearer an end than the window cut (their window is empty)
+    sizes, lo, hi = [], [], []
+    bump = SmoothBump(0.25, 0.75, 1.3)
+
+    def f(v):
+        sizes.append(np.size(v))
+        lo.append(np.min(v))
+        hi.append(np.max(v))
+        return bump.f(v)
+    F = TestFunction(f=f, df=bump.df, d2f=bump.d2f, support=bump.support)
+    u = np.sort(np.concatenate([np.linspace(0.0, 1.0, 1996), [1e-6, 2e-5, 1 - 2e-5, 1 - 1e-6]]))
+    vals = regional_laplacian_pointwise(1.5, F, u)
+    # per point: u, both sides of the window and the outer nodes, the two
+    # support edges sorted into each edge row
+    per_row = 1 + 24 * (2 * (operators._unit_offsets(26, 10).size + 1)
+                        + operators._unit_offsets(26, 12).size + 1)
+    assert len(sizes) == math.ceil(u.size / (operators._BLOCK_NODES // per_row))
+    assert sum(sizes) == u.size * per_row
+    assert max(sizes) <= operators._BLOCK_NODES + per_row
+    assert min(lo) >= 0.0 and max(hi) <= 1.0
+    for i in range(0, u.size, 97):
+        single = regional_laplacian_pointwise(1.5, bump, float(u[i]))
+        assert vals[i] == pytest.approx(single, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("u, rel", [(0.0, 3e-7), (1e-6, 4e-12)])
+def test_regional_laplacian_odd_at_mirrored_ends(u, rel):
+    # sin(2 pi u) is odd about 1/2, and so is its regional Laplacian; at
+    # u = 0 the operator is infinite (F'(0) != 0), so there the check is that
+    # both ends make the same finite quadrature.  The bounds lie between the
+    # relative defects with distances taken from u (1.1e-7, 2.2e-12) and as
+    # |v - u| from v = 1 - d rounded to ulp(1) (9.2e-7, 6.7e-12)
+    F = SineMode(2)
+    left = regional_laplacian_pointwise(1.5, F, u)
+    right = regional_laplacian_pointwise(1.5, F, 1.0 - u)
+    assert abs(left + right) <= rel * abs(left)
 
 
 def _edge_arrays():
@@ -205,15 +246,15 @@ def test_continuum_seminorm_matches_frozen_value(n_outer):
 
 
 def test_continuum_seminorm_calls_f_per_block_not_per_outer_node():
-    # F.f runs on the outer nodes (as F and as G) and then once per block of
-    # about _BLOCK_NODES inner nodes, not once per outer node
+    # F.f runs once on the outer nodes (shared as G) and then once per block
+    # of about _BLOCK_NODES inner nodes, not once per outer node
     F, calls = _counting(SmoothBump(0.25, 0.75, 1.3))
     per_row = 24 * (operators._unit_offsets(30, 8).size + 1)  # both support edges sorted in
     for n_outer, outer_panels in ((10, 12), (160, 160)):
         calls["f"] = 0
         continuum_seminorm(1.5, F, F, n_outer=n_outer)
         rows = 24 * outer_panels
-        assert calls["f"] <= 2 + math.ceil(rows / (operators._BLOCK_NODES // per_row))
+        assert calls["f"] <= 1 + math.ceil(rows / (operators._BLOCK_NODES // per_row))
         assert calls["f"] * 40 < rows
 
 
