@@ -16,12 +16,17 @@ rate 2 n^gamma at sites 1 and n-1: those rates assemble to exactly -2 M.
 The chains of `simulate` draw it mode by mode in the eigenbasis of M.
 
 All of these objects but b come from one DriftSystem per (n, gamma), built
-once and kept in a bounded cache: the row sums of P, the one dense matrix M
-and, on first use, the eigenpairs of -M, which serve every solve with -M.
-M commutes with the flip x -> n - x, which only b breaks, so the spectrum
-is made on the even and odd halves of -M, and every mode is exactly even or
-odd.  Every model of that (n, gamma) shares it and its read-only arrays,
-whatever the reservoir densities; b is `ness.reservoir_drift`.  The
+once and kept in a bounded cache: the row sums of P and, each on first use,
+the one dense matrix M and the spectrum of -M, which serves every solve with
+-M.  M commutes with the flip x -> n - x, which only b breaks, so -M splits
+into an even and an odd sector, each built straight from the kernel row (a
+Toeplitz plus a Hankel block) and diagonalized by one half-size `eigh` when
+first read; every mode is exactly even or odd.  A caller whose data have one
+parity reads that sector alone, in folded coordinates: the profile solve the
+odd one, `hydro-limit`'s reference the even one.  The sorted full spectrum
+is assembled from both only when asked for.  Every model of that
+(n, gamma) shares the system and its read-only arrays, whatever the
+reservoir densities; b is `ness.reservoir_drift`.  The
 Laplacian, the seminorm and the energy below are the only evaluations of L_n
 and of the quadratic forms; each reads M and accepts one grid function or a
 (times, sites) batch with sites last.  Only numpy is needed: zeta comes
@@ -41,6 +46,7 @@ from .params import ModelParams, as_grid_batch
 __all__ = [
     "kernel_constant",
     "kernel_row",
+    "FlipSector",
     "DriftSystem",
     "build_drift_system",
     "discrete_fractional_laplacian",
@@ -96,6 +102,55 @@ def kernel_row(params: ModelParams) -> np.ndarray:
     return row
 
 
+class FlipSector:
+    """-M on the grid functions of one parity under the flip J: x -> n - x,
+    with its spectrum, in folded coordinates.
+
+    With p = (n-1) // 2, the folded coordinates of g are g(x) + parity g(n-x)
+    for x <= p, then g(n/2) if the sector is even and n even; a sector's
+    modes e_k are kept as `vectors`, their values at sites 1, ..., p (and
+    n/2), the rest following from e_k(n-x) = parity e_k(x).  So
+    <g, e_k>_(1/n) is the folded g times `vectors`, over n, and no (n-1)-row
+    matrix is formed.
+
+    Attributes
+    ----------
+    parity : +1.0 (even) or -1.0 (odd)
+    eigenvalues : ndarray, shape (size,)
+        The ascending rates of -M on the sector, all positive.
+    vectors : ndarray, shape (size, size)
+        Column k holds e_k at the sector's sites, (1/n)-normalized on the
+        whole lattice and positive at site 1.
+    """
+
+    def __init__(self, n: int, parity: float, matrix: np.ndarray):
+        lam, v = eigh(matrix)
+        if lam[0] <= 0:
+            raise RuntimeError("drift matrix is not negative definite")
+        self.parity, self.n, self._pairs = parity, n, (n - 1) // 2
+        # the basis (e_x + parity e_{n-x}) / sqrt 2, and e_{n/2}, made grid values
+        v *= np.copysign(np.sqrt(n / 2.0), v[0])
+        v[self._pairs:] *= np.sqrt(2.0)
+        self.eigenvalues, self.vectors = lam, v
+        for arr in (lam, v):
+            arr.setflags(write=False)
+
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """Coefficients <g, e_k>_(1/n) on the sector's modes (sites last)."""
+        g = np.asarray(g, dtype=float)
+        folded = g[..., :self.vectors.shape[0]].copy()
+        folded[..., :self._pairs] += self.parity * g[..., ::-1][..., :self._pairs]
+        return folded @ self.vectors / self.n
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid function(s) sum_k coeffs_k e_k on the sector's modes (modes last)."""
+        folded = np.asarray(coeffs, dtype=float) @ self.vectors.T
+        out = np.zeros(folded.shape[:-1] + (self.n - 1,))
+        out[..., :folded.shape[-1]] = folded
+        out[..., ::-1][..., :self._pairs] = self.parity * folded[..., :self._pairs]
+        return out
+
+
 class DriftSystem:
     """The lattice operator of one (n, gamma), shared by every model of that
     (n, gamma) whatever its reservoir densities.
@@ -107,60 +162,90 @@ class DriftSystem:
         s[x] = sum_{y in lattice} p(y - x).
     m : ndarray, shape (n-1, n-1)
         Symmetric negative-definite drift matrix n^gamma (P - D - B); the
-        drift is m @ phi + b with b from `ness.reservoir_drift`.
+        drift is m @ phi + b with b from `ness.reservoir_drift`.  Built on
+        first use.
+    even, odd : FlipSector
+        -M on the even and odd grid functions under J: x -> n - x, each
+        built from the kernel row and diagonalized by one half-size `eigh`
+        on first use.
 
-    The arrays are read-only, and m is exactly symmetric under the flip
-    J: x -> n - x.  The spectrum of -M is computed on first use, on its even
-    and odd halves under J: `eigenvalues` are the ascending rates of -M (the
-    n^gamma factor retained), and the columns of `modes` its eigenvectors,
-    each exactly even or odd under J and positive at site 1 (like
-    sqrt 2 sin(k pi u)), orthonormal under the (1/n)-weighted inner product
-    so that they discretize L^2([0,1]) functions.
+    The arrays are read-only, and m is exactly symmetric under J.  The full
+    spectrum of -M is assembled from both sectors on first use:
+    `eigenvalues` are the ascending rates of -M (the n^gamma factor
+    retained), and the columns of `modes` its eigenvectors, each exactly
+    even or odd under J and positive at site 1 (like sqrt 2 sin(k pi u)),
+    orthonormal under the (1/n)-weighted inner product so that they
+    discretize L^2([0,1]) functions.
     """
 
     def __init__(self, n: int, gamma: float):
         params = ModelParams(n, gamma)
-        self.n = n
-        row = kernel_row(params)
+        self.n, self._speed = n, params.speed
+        self._row = row = kernel_row(params)
         cum = np.cumsum(row)  # row x sums p(0..x) and p(0..n-2-x), as row n-2-x does
         self.row_sums = cum + cum[::-1]
         relax = self.row_sums.copy()
         relax[[0, -1]] += 1.0
-        self.m = m = toeplitz(row)
-        m *= params.speed
-        m[np.diag_indices_from(m)] = -(params.speed * relax)
-        for arr in (self.row_sums, self.m):
+        self._diagonal = -(params.speed * relax)
+        for arr in (row, self.row_sums, self._diagonal):
             arr.setflags(write=False)
 
-    def _halves(self):
-        """-M on its even and odd halves under x -> n - x, in the bases
-        (e_x +- e_{n-x}) / sqrt 2, x < n/2, plus e_{n/2} in the even one if n is even."""
-        N, p = self.n - 1, (self.n - 1) // 2
-        top, flip = self.m[:N - p, :N - p], self.m[:N - p, ::-1][:, :N - p]
+    @cached_property
+    def m(self) -> np.ndarray:
+        m = toeplitz(self._row)
+        m *= self._speed
+        m[np.diag_indices_from(m)] = self._diagonal
+        m.setflags(write=False)
+        return m
+
+    def _sector_matrix(self, parity: float) -> np.ndarray:
+        """-M on the sector of `parity` in the orthonormal basis
+        (e_x + parity e_{n-x}) / sqrt 2, x < n/2, plus e_{n/2} if even and n
+        even: the top-left block T[i, j] = M[i, j], a Toeplitz matrix of the
+        row, and the flipped block H[i, j] = M[i, n-2-j], a Hankel one, as
+        -T - H (the centre's row and column over sqrt 2) or H - T."""
+        N = self.n - 1
+        size = N // 2 if parity < 0 else N - N // 2
+        top = toeplitz(self._row[:size])
+        top *= self._speed
+        top[np.diag_indices(size)] = self._diagonal[:size]
+        # H[i, j] = speed p(n-2-i-j); at the centre of an odd N, the diagonal
+        flip = np.lib.stride_tricks.sliding_window_view(self._row[::-1][:2 * size - 1], size)
+        flip = flip * self._speed
+        centre = 2 * size - 1 == N
+        if centre:
+            flip[-1, -1] = self._diagonal[size - 1]
+        if parity < 0:
+            return flip - top
         even = np.negative(top)
         even -= flip
-        even[p:] /= np.sqrt(2.0)
-        even[:, p:] /= np.sqrt(2.0)
-        return even, flip[:p, :p] - top[:p, :p]
+        if centre:
+            even[-1] /= np.sqrt(2.0)
+            even[:, -1] /= np.sqrt(2.0)
+        return even
+
+    @cached_property
+    def even(self) -> FlipSector:
+        return FlipSector(self.n, 1.0, self._sector_matrix(1.0))
+
+    @cached_property
+    def odd(self) -> FlipSector:
+        return FlipSector(self.n, -1.0, self._sector_matrix(-1.0))
 
     @cached_property
     def _spectrum(self):
-        (lam_e, v_e), (lam_o, v_o) = (eigh(h) for h in self._halves())
-        lam = np.concatenate([lam_e, lam_o])
-        if lam.min() <= 0:
-            raise RuntimeError("drift matrix is not negative definite")
+        odd = self.odd  # first: a profile solve has made it already
+        even = self.even
+        lam = np.concatenate([even.eigenvalues, odd.eigenvalues])
         order = np.argsort(lam, kind="stable")
-        place = np.argsort(order)  # the sorted column of each half's mode
-        N, p = lam.size, lam_o.size
+        place = np.argsort(order)  # the sorted column of each sector's mode
+        N, p = lam.size, odd.eigenvalues.size
         vec = np.zeros((N, N))
-        # each mode [v; +-Jv] / sqrt 2 (v_c at the centre if even) goes into
-        # its sorted column, signed positive at site 1
-        for v, cols, parity in ((v_e, place[:N - p], 1.0), (v_o, place[N - p:], -1.0)):
-            v *= np.copysign(np.sqrt(self.n / 2.0), v[0])
-            v[p:] *= np.sqrt(2.0)
+        # each sector's mode goes into its sorted column, mirrored with its parity
+        for sector, cols in ((even, place[:N - p]), (odd, place[N - p:])):
+            v = sector.vectors
             vec[:len(v), cols] = v
-            v *= parity
-            vec[::-1][:p, cols] = v[:p]
+            vec[::-1][:p, cols] = sector.parity * v[:p]
         lam = lam[order]
         lam.setflags(write=False)
         vec.setflags(write=False)

@@ -73,17 +73,18 @@ def solve_stationary_profile(params: ModelParams) -> StationaryProfile:
     with b = `reservoir_drift(params)`, from the spectrum of -M.
 
     Since M 1 = -n^gamma (e_1 + e_{n-1}), the solution is
-    Phi = (phi_l + phi_r) / 2 + (phi_r - phi_l) / 2 Psi, where the odd unit
-    solve Psi = (-M)^{-1} n^gamma (e_{n-1} - e_1) is synthesized from the
-    modes of the shared DriftSystem.  Equal reservoirs give the exact
-    constant, and Phi + J Phi = phi_l + phi_r holds to rounding under the
-    flip J: x -> n - x.  The residual reported is the max norm of the
-    defining (unscaled) equation.
+    Phi = (phi_l + phi_r) / 2 + (phi_r - phi_l) / 2 Psi, where the unit
+    solve Psi = (-M)^{-1} n^gamma (e_{n-1} - e_1) is synthesized from the odd
+    sector of the shared DriftSystem alone, as its right-hand side is odd
+    under the flip J: x -> n - x.  Equal reservoirs give the exact constant,
+    and Phi + J Phi = phi_l + phi_r holds to rounding.  The residual reported
+    is the max norm of the defining (unscaled) equation.
     """
     sys, b = build_drift_system(params), reservoir_drift(params)
     rhs = np.zeros(params.n_sites)
     rhs[[0, -1]] = -params.speed, params.speed
-    psi = sys.synthesize(sys.project(rhs) / sys.eigenvalues)
+    odd = sys.odd
+    psi = odd.synthesize(odd.project(rhs) / odd.eigenvalues)
     phi = 0.5 * (params.phi_l + params.phi_r) + 0.5 * (params.phi_r - params.phi_l) * psi
     residual = float(np.max(np.abs(sys.m @ phi + b))) / params.speed
     return StationaryProfile(params=params, profile=phi, residual=residual)

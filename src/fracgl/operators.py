@@ -1,8 +1,9 @@
 """Regional fractional Laplacian on [0,1], Gagliardo seminorms, and the
 discrete Dirichlet spectrum.
 
-The spectrum is that of the shared `kernel.DriftSystem` of (n, gamma): one
-eigendecomposition per (n, gamma), handed out as read-only arrays.
+The spectrum is that of the shared `kernel.DriftSystem` of (n, gamma),
+assembled once per (n, gamma) from its two flip sectors and handed out as
+read-only arrays.
 
 The regional operator is the principal value
 
@@ -212,7 +213,10 @@ def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
 
     Returns
     -------
-    float for a float `u`, else an array of the shape of `u`.
+    float for a float `u`, else an array of the shape of `u`.  At u = 0 or
+    1 with F'(u) != 0 the principal value diverges, like F'(0) int v^-gamma
+    dv at 0; the value there is inf with the sign of F'(0) at 0 and of
+    -F'(1) at 1.
     """
     c = kernel_constant(gamma)
     x = np.asarray(u, dtype=float)
@@ -239,6 +243,10 @@ def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
         vals[blk] += np.vecdot(wt, (fv[:, 1:m + 1] + fv[:, m + 1:2 * m + 1] - 2.0 * fu
                                     - d2b * w * w) / w ** (1.0 + gamma))
         vals[blk] += np.vecdot(wot, (fv[:, 2 * m + 1:] - fu) / wo ** (1.0 + gamma))
+    ends = np.flatnonzero((xs == 0.0) | (xs == 1.0))
+    if ends.size:
+        slope = F.df(xs[ends]) * np.where(xs[ends] == 0.0, 1.0, -1.0)
+        vals[ends[slope != 0.0]] = np.copysign(np.inf, slope[slope != 0.0])
     return float(c * vals[0]) if x.ndim == 0 else c * vals.reshape(x.shape)
 
 
@@ -282,10 +290,10 @@ def continuum_seminorm(gamma: float, F: TestFunction, G: TestFunction,
 def dirichlet_spectrum(params: ModelParams) -> DriftSystem:
     """The DriftSystem of (params.n, params.gamma) with all n-1 eigenpairs of
     -M computed: strictly positive ascending `eigenvalues` and read-only
-    `modes`, one eigendecomposition per (n, gamma).  The reservoir densities
-    play no part: M does not depend on them."""
+    `modes`, assembled once per (n, gamma) from its two flip sectors.  The
+    reservoir densities play no part: M does not depend on them."""
     sys = build_drift_system(params)
-    sys.eigenvalues  # the one eigh of (n, gamma), checked positive there
+    sys.eigenvalues  # the sectors' eigh, each checked positive there
     return sys
 
 

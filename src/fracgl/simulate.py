@@ -83,6 +83,7 @@ class ExternalField:
     def __init__(self, h: Callable, dh_dt: Optional[Callable] = None):
         self.h = h
         self.dh_dt = dh_dt
+        self._separable = None
         u_probe = np.array([0.0, 0.5, 1.0])
         for fn in (h, dh_dt):
             if fn is not None:
@@ -97,16 +98,33 @@ class ExternalField:
     @classmethod
     def separable(cls, time_fn: Callable, time_fn_prime: Optional[Callable],
                   bump: TestFunction) -> "ExternalField":
-        """Field a(t) * B(u) from a time amplitude and a spatial TestFunction."""
-        return cls(h=lambda t, u: time_fn(t) * bump.f(u),
-                   dh_dt=None if time_fn_prime is None
-                   else lambda t, u: time_fn_prime(t) * bump.f(u))
+        """Field a(t) * B(u) from a time amplitude and a spatial TestFunction.
+
+        Its lattice methods evaluate B and L_n B once per lattice and scale
+        them by a(t) (or a'(t))."""
+        field = cls(h=lambda t, u: time_fn(t) * bump.f(u),
+                    dh_dt=None if time_fn_prime is None
+                    else lambda t, u: time_fn_prime(t) * bump.f(u))
+        field._separable = (time_fn, time_fn_prime, bump, {})
+        return field
+
+    def _shape(self, params: ModelParams) -> tuple:
+        """(B, L_n B) of a separable field on the lattice of `params`, kept per (n, gamma)."""
+        bump, kept = self._separable[2:]
+        key = (params.n, params.gamma)
+        if key not in kept:
+            bv = bump.f(params.grid())
+            kept[key] = bv, discrete_fractional_laplacian(params, bv)
+        return kept[key]
 
     def lattice(self, params: ModelParams, t):
         """(H_t, L_n H_t) on the interior sites; (times, sites) arrays when t
         is an array of times."""
-        hv = _on_grid(self.h, t, params.grid())
-        return hv, discrete_fractional_laplacian(params, hv)
+        if self._separable is None:
+            hv = _on_grid(self.h, t, params.grid())
+            return hv, discrete_fractional_laplacian(params, hv)
+        amp = _on_times(self._separable[0], t)
+        return tuple(amp * arr for arr in self._shape(params))
 
     def tilt_drift(self, params: ModelParams, t) -> np.ndarray:
         """u_t = -(L_n H_t) on the lattice."""
@@ -115,7 +133,20 @@ class ExternalField:
     def dt_lattice(self, params: ModelParams, t) -> np.ndarray:
         if self.dh_dt is None:
             raise ValueError("field has no time derivative")
-        return _on_grid(self.dh_dt, t, params.grid())
+        if self._separable is None:
+            return _on_grid(self.dh_dt, t, params.grid())
+        return _on_times(self._separable[1], t) * self._shape(params)[0]
+
+
+def _on_times(fn: Callable, t):
+    """fn(t) as a float for one time; for an array of times the one call
+    fn(t[:, None]), broadcast to a (times, 1) column."""
+    if np.ndim(t) == 0:
+        return float(fn(t))
+    t = np.asarray(t, dtype=float)[:, None]
+    out = np.empty_like(t)
+    out[...] = fn(t)
+    return out
 
 
 def _on_grid(fn: Callable, t, u: np.ndarray) -> np.ndarray:
@@ -189,7 +220,9 @@ def _draw(spec: DriftSystem, phi: np.ndarray, fixed: np.ndarray, law: dict,
     modes' noise from one block of normals, then the outputs 'keys' given it
     from one more.  Returns a dict of 'phi' and the keys."""
     z = rng.standard_normal(phi.shape[:-1] + law["sd"].shape)
-    dev = spec.project(phi - fixed) * law["decay"] + law["shift"]
+    # a batch of one configuration (a broadcast view, stride 0) is projected once
+    start = phi[(0,) * (phi.ndim - 1)] if not any(phi.strides[:-1]) else phi
+    dev = spec.project(start - fixed) * law["decay"] + law["shift"]
     out = {}
     if law["keys"]:
         beta = law["cross"] / law["sd"][:, None]    # covariances with the z_k
@@ -198,8 +231,10 @@ def _draw(spec: DriftSystem, phi: np.ndarray, fixed: np.ndarray, law: dict,
         extra = z @ beta + law["mean"]
         extra += rng.standard_normal(extra.shape) @ (v * np.sqrt(np.maximum(w, 0.0))).T
         out = {key: extra[..., i] for i, key in enumerate(law["keys"])}
-    dev += z * law["sd"]
-    out["phi"] = fixed + spec.synthesize(dev)
+    z *= law["sd"]
+    z += dev
+    out["phi"] = spec.synthesize(z)
+    out["phi"] += fixed
     return out
 
 

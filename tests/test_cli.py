@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracgl import dirichlet_spectrum, kernel, ness
+from fracgl import ModelParams, dirichlet_spectrum, kernel, ness
 from fracgl.cli import main
 from fracgl.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, run
 
@@ -162,18 +162,9 @@ def test_run_rejects_bad_replicas(tmp_path):
     assert run(cfg) == 1
 
 
-@pytest.mark.parametrize("experiment, overrides, spectra", [
-    ("spectrum", dict(n=32), 1),
-    ("rate-check", dict(n=16, T=0.01, dt=1e-3), 1),
-    ("stationarity", dict(n=16, T=0.01, replicas=50), 1),
-    ("martingale", dict(n=16, T=0.01, replicas=50), 1),
-    ("girsanov", dict(n=16, T=0.01, replicas=50), 1),
-])
-def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
-                                            overrides, spectra):
-    # one stationary-profile solve per model, handed down to every layer, and
-    # one spectrum, made on the two halves of -M in a fresh drift-system
-    # cache, which serves that solve and every layer after it
+def _count_solves(monkeypatch, cfg):
+    """Run `cfg` in a fresh drift-system cache; return its stationary-profile
+    solves (their params) and the sizes of its `eigh` calls, in order."""
     calls = {"profile": [], "eigh": []}
     fn = ness.solve_stationary_profile
 
@@ -192,11 +183,42 @@ def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
         return eigh(a, *args, **kwargs)
     monkeypatch.setattr(kernel, "eigh", counted_eigh)
     monkeypatch.setattr(kernel, "_drift_system", lru_cache(maxsize=8)(kernel.DriftSystem))
+    assert run(cfg) in (0, 2)
+    return calls
+
+
+@pytest.mark.parametrize("experiment, overrides, spectra", [
+    ("spectrum", dict(n=32), 1),
+    ("rate-check", dict(n=16, T=0.01, dt=1e-3), 1),
+    ("stationarity", dict(n=16, T=0.01, replicas=50), 1),
+    ("martingale", dict(n=16, T=0.01, replicas=50), 1),
+    ("girsanov", dict(n=16, T=0.01, replicas=50), 1),
+    ("ness-profile", dict(n=33), 0),
+    ("figure1", dict(n=32), 0),
+])
+def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
+                                            overrides, spectra):
+    # one stationary-profile solve per model, handed down to every layer; it
+    # makes the odd sector of -M in a fresh drift-system cache, and the even
+    # one follows only where the full spectrum is read (`spectra`, 0 or 1)
     cfg = ExperimentConfig(experiment=experiment, out_dir=str(tmp_path),
                            **{**DEFAULTS[experiment], **overrides})
-    assert run(cfg) in (0, 2)
+    calls = _count_solves(monkeypatch, cfg)
     assert calls["profile"] == [cfg.params()]
-    assert calls["eigh"] == [cfg.n // 2, (cfg.n - 1) // 2] * spectra
+    assert calls["eigh"] == [(cfg.n - 1) // 2] + [cfg.n // 2] * spectra
+
+
+def test_hydro_limit_reference_is_one_even_sector(tmp_path, monkeypatch):
+    # the n = 1024 reference solves no profile and makes the even sector of
+    # -M alone, one eigh of size 512, and no dense m; each Monte Carlo
+    # lattice (n = 8, 16) solves its profile (odd sector), then the even one
+    cfg = ExperimentConfig(experiment="hydro-limit", n=16, T=0.01, replicas=50,
+                           out_dir=str(tmp_path))
+    calls = _count_solves(monkeypatch, cfg)
+    assert [p.n for p in calls["profile"]] == [8, 16]
+    assert calls["eigh"] == [512, 3, 4, 7, 8]
+    ref = kernel.build_drift_system(ModelParams(1024, cfg.gamma))
+    assert "even" in vars(ref) and "odd" not in vars(ref) and "m" not in vars(ref)
 
 
 def test_girsanov_seeds_seven_apart_share_no_stream(tmp_path, monkeypatch):

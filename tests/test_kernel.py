@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -199,7 +201,8 @@ def test_dirichlet_energy_is_drift_quadratic_form():
 
 def test_drift_systems_share_one_operator(monkeypatch):
     # same (n, gamma), different reservoirs: one object, with one read-only
-    # m and one spectrum, made on the two halves of -m, that serves each solve
+    # m and one spectrum, assembled from the odd then the even flip sector of
+    # -m, that serves each solve
     import fracgl.kernel as kernel
     assert not hasattr(kernel, "cho_factor")
     calls, eigh = [], kernel.eigh
@@ -208,18 +211,107 @@ def test_drift_systems_share_one_operator(monkeypatch):
         calls.append(a.shape)
         return eigh(a, *args, **kwargs)
     monkeypatch.setattr(kernel, "eigh", counting)
-    pa, pb = ModelParams(23, 1.37, 0.0, 1.0), ModelParams(23, 1.37, 2.0, -1.0)
+    pa, pb = ModelParams(24, 1.37, 0.0, 1.0), ModelParams(24, 1.37, 2.0, -1.0)
     sys = build_drift_system(pa)
     assert build_drift_system(pb) is sys
     assert dirichlet_spectrum(pa) is sys and dirichlet_spectrum(pb) is sys
     assert not sys.m.flags.writeable and not sys.row_sums.flags.writeable
     assert not sys.modes.flags.writeable and not sys.eigenvalues.flags.writeable
+    for sector in (sys.even, sys.odd):
+        assert not sector.vectors.flags.writeable and not sector.eigenvalues.flags.writeable
     assert not np.array_equal(reservoir_drift(pa), reservoir_drift(pb))
     for p in (pa, pb):
         phi = solve_stationary_profile(p).profile
         np.testing.assert_allclose(sys.m @ phi + reservoir_drift(p), 0.0,
                                    atol=1e-10 * p.speed)
-    assert calls == [(11, 11), (11, 11)]
+    assert calls == [(11, 11), (12, 12)]
+
+
+def test_profile_solve_makes_the_odd_sector_alone(monkeypatch):
+    # the unit solve's right-hand side is odd: a fresh DriftSystem makes its
+    # odd sector, then m for the residual, and neither the even sector nor
+    # the full spectrum
+    import fracgl.kernel as kernel
+    monkeypatch.setattr(kernel, "_drift_system", lru_cache(maxsize=8)(kernel.DriftSystem))
+    p = ModelParams(40, 1.6, 0.3, -1.2)
+    solve_stationary_profile(p)
+    made = vars(build_drift_system(p))
+    assert "odd" in made and "m" in made
+    assert "even" not in made and "_spectrum" not in made
+
+
+def _halves(m):
+    """-m on its even and odd halves under x -> n - x, sliced from the dense
+    matrix, in the bases (e_x +- e_{n-x}) / sqrt 2, x < n/2, plus e_{n/2} in
+    the even one if n is even: the test oracle of the sectors' matrices."""
+    N, p = m.shape[0], m.shape[0] // 2
+    top, flip = m[:N - p, :N - p], m[:N - p, ::-1][:, :N - p]
+    even = np.negative(top)
+    even -= flip
+    even[p:] /= np.sqrt(2.0)
+    even[:, p:] /= np.sqrt(2.0)
+    return even, flip[:p, :p] - top[:p, :p]
+
+
+def _basis(n, parity):
+    """Columns (e_x + parity e_{n-x}) / sqrt 2, x < n/2, then e_{n/2} if even
+    and n even: the orthonormal basis of a sector, as an (n-1)-row matrix."""
+    N, p = n - 1, (n - 1) // 2
+    q = np.zeros((N, N - p if parity > 0 else p))
+    for x in range(p):
+        q[x, x], q[N - 1 - x, x] = np.sqrt(0.5), parity * np.sqrt(0.5)
+    if parity > 0 and N % 2:
+        q[p, p] = 1.0
+    return q
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 9, 64, 65, 1024])
+def test_sector_matrices_from_the_row_match_dense_blocks(n):
+    # Toeplitz plus Hankel from the kernel row, in the order of operations of
+    # the dense slices: equal bit for bit
+    sys = build_drift_system(ModelParams(n, 1.5))
+    even, odd = _halves(sys.m)
+    assert np.array_equal(sys._sector_matrix(1.0), even)
+    assert np.array_equal(sys._sector_matrix(-1.0), odd)
+    for parity, half in ((1.0, even), (-1.0, odd)):
+        q = _basis(n, parity)
+        np.testing.assert_allclose(half, q.T @ -sys.m @ q, rtol=0,
+                                   atol=1e-14 * np.abs(sys.m).max())
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 9, 64, 65])
+def test_assembled_spectrum_matches_sliced_halves(n):
+    # the full spectrum from the two sectors against eigh of the dense
+    # halves, embedded by the basis matrices and sorted even first
+    sys = build_drift_system(ModelParams(n, 1.7))
+    lam, vec = [], []
+    for parity, half in zip((1.0, -1.0), _halves(sys.m)):
+        w, v = np.linalg.eigh(half)
+        lam.append(w)
+        vec.append(np.sqrt(n) * _basis(n, parity) @ (v * np.sign(v[0])))
+    order = np.argsort(np.concatenate(lam), kind="stable")
+    np.testing.assert_allclose(sys.eigenvalues, np.concatenate(lam)[order], rtol=1e-14)
+    np.testing.assert_allclose(sys.modes, np.hstack(vec)[:, order], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 64])
+def test_sector_project_and_synthesize_match_full_modes(n):
+    # folded coordinates give the full modes' coefficients of the sector,
+    # and synthesize back the same grid functions, without an (n-1)-row matrix
+    sys = build_drift_system(ModelParams(n, 1.3))
+    g = np.random.default_rng(n).standard_normal((3, n - 1))
+    coeff = sys.project(g)
+    parity = np.sign(sys.modes[0] * sys.modes[-1])   # +1 on even modes
+    for sector in (sys.even, sys.odd):
+        cols = parity == sector.parity
+        np.testing.assert_array_equal(sys.eigenvalues[cols], sector.eigenvalues)
+        np.testing.assert_allclose(sector.project(g), coeff[:, cols], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sector.project(g[0]), coeff[0, cols], rtol=0, atol=1e-14)
+        c = coeff[:, cols]
+        np.testing.assert_allclose(sector.synthesize(c), c @ sys.modes[:, cols].T,
+                                   rtol=0, atol=1e-13)
+        flipped = sector.synthesize(c)[:, ::-1]
+        assert np.array_equal(flipped, sector.parity * sector.synthesize(c))
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 33])

@@ -177,15 +177,34 @@ def test_regional_laplacian_array_calls_f_per_block_inside_unit_interval():
 
 @pytest.mark.parametrize("u, rel", [(0.0, 3e-7), (1e-6, 4e-12)])
 def test_regional_laplacian_odd_at_mirrored_ends(u, rel):
-    # sin(2 pi u) is odd about 1/2, and so is its regional Laplacian; at
-    # u = 0 the operator is infinite (F'(0) != 0), so there the check is that
-    # both ends make the same finite quadrature.  The bounds lie between the
-    # relative defects with distances taken from u (1.1e-7, 2.2e-12) and as
-    # |v - u| from v = 1 - d rounded to ulp(1) (9.2e-7, 6.7e-12)
+    # sin(2 pi u) is odd about 1/2, and so is its regional Laplacian.  At
+    # u = 0 the principal value diverges (F'(0) = F'(1) = 2 pi): +inf there,
+    # -inf at u = 1, and `rel` plays no part.  At u = 1e-6 the bound lies
+    # between the relative defects with distances taken from u (2.2e-12) and
+    # as |v - u| from v = 1 - d rounded to ulp(1) (6.7e-12)
     F = SineMode(2)
     left = regional_laplacian_pointwise(1.5, F, u)
     right = regional_laplacian_pointwise(1.5, F, 1.0 - u)
-    assert abs(left + right) <= rel * abs(left)
+    if u == 0.0:
+        assert (left, right) == (np.inf, -np.inf)
+    else:
+        assert abs(left + right) <= rel * abs(left)
+
+
+def test_regional_laplacian_signed_infinity_at_divergent_ends():
+    # F'(0) != 0 makes (L F)(0) diverge with the sign of F'(0), and (L F)(1)
+    # with that of -F'(1); F' = 0 there keeps the finite value, and an array
+    # holds both without a warning
+    u = np.array([0.0, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for F, ends in ((SineMode(1), (np.inf, np.inf)), (SineMode(1, -2.0), (-np.inf, -np.inf)),
+                        (SineMode(3), (np.inf, np.inf)), (SineMode(2), (np.inf, -np.inf))):
+            vals = regional_laplacian_pointwise(1.2, F, u)
+            assert (vals[0], vals[2]) == ends and np.isfinite(vals[1])
+            assert regional_laplacian_pointwise(1.2, F, 1.0) == ends[1]
+        F = SmoothBump(0.0, 0.6)
+        assert np.all(np.isfinite(regional_laplacian_pointwise(1.2, F, u)))
 
 
 def _edge_arrays():

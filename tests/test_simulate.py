@@ -83,6 +83,26 @@ def test_field_lattice_on_time_array_matches_per_time(params16):
         np.testing.assert_array_equal(dh[i], field.dt_lattice(params16, float(t)))
 
 
+@pytest.mark.parametrize("amplitude, slope", [
+    (lambda t: 0.6 + 0.4 * np.cos(2.0 * t), lambda t: -0.8 * np.sin(2.0 * t)),
+    (lambda t: 1.5, lambda t: 0.0)])
+def test_separable_field_matches_general_field(params16, amplitude, slope):
+    # a(t) B scaled from one B and one L_n B per lattice, against the same
+    # field evaluated on the whole (times, sites) grid, to rounding; a
+    # constant amplitude still fills (times, sites)
+    bump = SmoothBump(0.2, 0.7, 1.3)
+    fast = ExternalField.separable(amplitude, slope, bump)
+    general = ExternalField(h=lambda t, u: amplitude(t) * bump.f(u),
+                            dh_dt=lambda t, u: slope(t) * bump.f(u))
+    for p in (params16, ModelParams(33, 1.7)):
+        for t in (0.3, np.linspace(0.0, 0.5, 7)):
+            for a, b in zip(fast.lattice(p, t) + (fast.tilt_drift(p, t), fast.dt_lattice(p, t)),
+                            general.lattice(p, t) + (general.tilt_drift(p, t),
+                                                     general.dt_lattice(p, t))):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * max(1.0, np.abs(b).max()))
+
+
 def test_site_tilt_is_half_field(params16, sys16):
     # the site-space Girsanov tilt theta = (-M)^{-1} u / 2 is H / 2 exactly
     # for a field that vanishes at sites 1 and n-1
