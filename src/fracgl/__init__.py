@@ -14,7 +14,7 @@ from .operators import (TestFunction, SmoothBump, PolyBump, SineMode,
                         regional_laplacian_pointwise, continuum_seminorm,
                         dirichlet_spectrum)
 from .ness import (StationaryProfile, reservoir_drift, solve_stationary_profile,
-                   absorbed_walk_oracle, sample_ness, static_cumulant)
+                   sample_ness, static_cumulant)
 from .simulate import (ExternalField, euler_stability_limit, euler_ensemble,
                        euler_chain_law, propagate_exact, girsanov_log_weight_variance,
                        empirical_pairing, boundary_block_average,

@@ -67,7 +67,7 @@ def _check(value, threshold, passed) -> dict:
 def _bump_field(a, b, amp, omega=2.0):
     """Separable field amp*(0.6+0.4 cos(omega t)) * bump(u)."""
     bump = SmoothBump(a, b, amp)
-    return simulate.ExternalField.separable(
+    return simulate.ExternalField(
         lambda t: 0.6 + 0.4 * np.cos(omega * t),
         lambda t: -0.4 * omega * np.sin(omega * t),
         bump,
@@ -333,7 +333,7 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
         lo = rng.uniform(0.1, 0.35)
         hi = rng.uniform(0.6, 0.9)
         amp = rng.uniform(0.2, 1.2)
-        test = simulate.ExternalField.separable(
+        test = simulate.ExternalField(
             lambda t, a0=a0, a1=a1, om=om: a0 + a1 * np.cos(om * t),
             lambda t, a1=a1, om=om: -a1 * om * np.sin(om * t),
             SmoothBump(lo, hi, amp))

@@ -8,11 +8,13 @@ checked through boundary block averages rather than imposed.
 The spectral integrator works in the eigenbasis of M and is exact for H = 0
 (variation of constants, Phi_t = Phi_ss + e^{Mt}(g - Phi_ss)); with a field
 it uses an exponential integrator that treats the per-mode forcing as
-piecewise linear on substeps, so stiffness never restricts the step.  The
-forcing is evaluated and projected once for every substep of the time grid;
-only the per-mode recurrence runs step by step.  The integrator and the
-relaxation fit take the StationaryProfile (the model and Phi_ss); the
-weak-form defect reads the model, g and the field from the recorded path.
+piecewise linear on substeps, so stiffness never restricts the step.  For
+a field H = a(t) B the forcing at the substeps is a(t_sub) times the one
+projection of -(L_n B); only the per-mode recurrence runs step by step.  The
+integrator and the relaxation fit take the StationaryProfile (the model and
+Phi_ss); the weak-form defect reads the model, g and the field from the
+recorded path, and for a test field G = a_G(t) B_G works on the two pairings
+<Phi_t, B_G> and <Phi_t, L_n B_G> along the path.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def solve_hydrodynamic(profile: StationaryProfile, g, times,
         h = np.repeat(np.diff(times) / n_sub, n_sub)[:, None]
         k = np.arange(h.size) - np.repeat(first, n_sub)
         t_sub = np.append(np.repeat(times[:-1], n_sub) + k * h[:, 0], times[-1])
-        u = spec.project(field.tilt_drift(params, t_sub))
+        u = np.multiply.outer(field.a(t_sub), spec.project(-field.lattice_shape(params)[1]))
         decay = np.exp(-h * lam)
         alpha = -np.expm1(-h * lam) / lam            # int_0^h e^{-lam s} ds
         beta = (h - alpha) / (h * lam)               # weight of the forward node
@@ -107,35 +109,44 @@ def solve_hydrodynamic(profile: StationaryProfile, g, times,
 
 def weak_residual(traj: DeterministicTrajectory, G: ExternalField, t: float) -> float:
     """Weak-form defect of a path, driven by its field H, against a
-    space-time test field G with a time derivative:
+    test field G = a_G(t) B_G(u) with a time derivative:
 
         <Phi_t, G_t> - <g, G_0> - int_0^t <Phi_s, (d_s + L_n) G_s> ds
                                 - int_0^t <H_s, G_s>_{n,gamma/2} ds,
 
     g = Phi_0, lattice pairings (1/n) sum, discrete operator on the sampled
     test field, trapezoid rule in time over the recorded grid.  Vanishes to
-    time-quadrature accuracy on true solutions when G is compactly
-    supported away from the boundary sites.
+    time-quadrature accuracy on true solutions when B_G vanishes at the
+    boundary sites, which is checked.
     """
+    return _weak_defect(traj, G, t, traj.field)
+
+
+def _weak_defect(traj: DeterministicTrajectory, G: ExternalField, t: float,
+                 source: Optional[ExternalField]) -> float:
+    """`weak_residual` with `source` in place of the path's field.  The
+    integrand is a_G'<Phi, B_G> + a_G <Phi, L_n B_G> + a_H a_G <B_H, B_G>_{n,gamma/2}:
+    two matrix-vector products over the path and one scalar."""
     times = traj.times
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
         raise ValueError("t outside the trajectory span")
-    mask = times <= t + 1e-12
-    ts = times[mask]
-    phis = traj.profiles[mask]
+    k = int(np.count_nonzero(times <= t + 1e-12))   # ascending: a prefix, viewed
+    ts, phis = times[:k], traj.profiles[:k]
     params = traj.params
     n = params.n
 
-    gs, lap = G.lattice(params, ts)
-    if abs(float(gs[0, 0])) > 1e-12 or abs(float(gs[0, -1])) > 1e-12:
+    bv, lap = G.lattice_shape(params)
+    if abs(float(bv[0])) > 1e-12 or abs(float(bv[-1])) > 1e-12:
         raise ValueError("test function must vanish at the boundary sites")
 
-    integrand = np.sum(phis * (G.dt_lattice(params, ts) + lap), axis=-1) / n
-    if traj.field is not None:
-        hv = gs if traj.field is G else traj.field.lattice(params, ts)[0]
-        integrand -= np.vecdot(hv, lap) / n   # <H, G>_{n,gamma/2}, L_n G in hand
+    on_b, on_lap = phis @ bv / n, phis @ lap / n
+    amp = G.a(ts)
+    integrand = G.da(ts) * on_b + amp * on_lap
+    if source is not None:
+        # <B_H, B_G>_{n,gamma/2} = -(1/n) B_H . L_n B_G, L_n B_G in hand
+        integrand -= source.a(ts) * amp * float(source.lattice_shape(params)[0] @ lap) / n
     time_int = float(np.trapezoid(integrand, ts))
-    return (float(phis[-1] @ gs[-1]) - float(phis[0] @ gs[0])) / n - time_int
+    return float(amp[-1] * on_b[-1] - amp[0] * on_b[0]) - time_int
 
 
 def relaxation_rate(profile: StationaryProfile, g, T: float,

@@ -160,6 +160,8 @@ class DriftSystem:
     n : int
     row_sums : ndarray, shape (n-1,)
         s[x] = sum_{y in lattice} p(y - x).
+    diagonal : ndarray, shape (n-1,)
+        M[x, x] = -n^gamma (s[x] + 1 at sites 1 and n-1), without forming m.
     m : ndarray, shape (n-1, n-1)
         Symmetric negative-definite drift matrix n^gamma (P - D - B); the
         drift is m @ phi + b with b from `ness.reservoir_drift`.  Built on
@@ -186,15 +188,15 @@ class DriftSystem:
         self.row_sums = cum + cum[::-1]
         relax = self.row_sums.copy()
         relax[[0, -1]] += 1.0
-        self._diagonal = -(params.speed * relax)
-        for arr in (row, self.row_sums, self._diagonal):
+        self.diagonal = -(params.speed * relax)
+        for arr in (row, self.row_sums, self.diagonal):
             arr.setflags(write=False)
 
     @cached_property
     def m(self) -> np.ndarray:
         m = toeplitz(self._row)
         m *= self._speed
-        m[np.diag_indices_from(m)] = self._diagonal
+        m[np.diag_indices_from(m)] = self.diagonal
         m.setflags(write=False)
         return m
 
@@ -208,13 +210,13 @@ class DriftSystem:
         size = N // 2 if parity < 0 else N - N // 2
         top = toeplitz(self._row[:size])
         top *= self._speed
-        top[np.diag_indices(size)] = self._diagonal[:size]
+        top[np.diag_indices(size)] = self.diagonal[:size]
         # H[i, j] = speed p(n-2-i-j); at the centre of an odd N, the diagonal
         flip = np.lib.stride_tricks.sliding_window_view(self._row[::-1][:2 * size - 1], size)
         flip = flip * self._speed
         centre = 2 * size - 1 == N
         if centre:
-            flip[-1, -1] = self._diagonal[size - 1]
+            flip[-1, -1] = self.diagonal[size - 1]
         if parity < 0:
             return flip - top
         even = np.negative(top)

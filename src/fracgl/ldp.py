@@ -1,13 +1,16 @@
 """Large-deviation functionals: dynamical cost, static rate, quasi-potential.
 
-For a path driven by a compactly supported field H the dynamical rate is
-I = (1/4) int ||H_t||^2 dt.  The linear functional
+For a path driven by a compactly supported field H = a(t) B the dynamical
+rate is I = (1/4) int ||H_t||^2 dt = (1/4) ||B||^2 int a^2 dt.  The linear
+functional
 
     J_G(pi | g) = <pi_T, G_T> - <g, G_0> - int <pi_s, (d_s + L_n) G_s> ds
                   - int ||G_s||^2_{n,gamma/2} ds
 
 certifies it from below: J_G <= I for every test field, with equality at
-G = H/2.  The static rate of the stationary law is
+G = H/2.  For G = a_G(t) B_G its integrand is
+a_G' <pi, B_G> + a_G <pi, L_n B_G> + a_G^2 ||B_G||^2, two matrix-vector
+products over the path.  The static rate of the stationary law is
 W(rho) = (1/2n) sum (rho - Phi_ss)^2, the Legendre transform of the exact
 cumulant functional, and the quasi-potential (minimal dynamical cost to
 create rho from Phi_ss) equals W.
@@ -29,11 +32,11 @@ Both path costs are therefore evaluated in the (1/n)-orthonormal modes e_k of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hydro import DeterministicTrajectory, l2_distance, weak_residual
+from .hydro import DeterministicTrajectory, _weak_defect, l2_distance
 from .kernel import discrete_inner_seminorm
 from .ness import StationaryProfile
 from .operators import dirichlet_spectrum
@@ -72,17 +75,18 @@ class RateReport:
 
 def rate_from_field(params: ModelParams, H: ExternalField, T: float,
                     dt: float = 1e-3) -> float:
-    """Dynamical cost (1/4) int_0^T ||H_t||^2_{n,gamma/2} dt, trapezoid in time."""
+    """Dynamical cost (1/4) int_0^T ||H_t||^2_{n,gamma/2} dt of H = a(t) B, which
+    is (1/4) ||B||^2_{n,gamma/2} int_0^T a^2 dt, trapezoid in time."""
     ts = np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
-    hv, lap = H.lattice(params, ts)   # ||H||^2_{n,gamma/2} = -(1/n) H . L_n H
-    return 0.25 * float(np.trapezoid(-np.vecdot(hv, lap) / params.n, ts))
+    bv, lap = H.lattice_shape(params)   # ||B||^2_{n,gamma/2} = -(1/n) B . L_n B
+    return 0.25 * float(-(bv @ lap) / params.n) * float(np.trapezoid(H.a(ts) ** 2, ts))
 
 
 def j_functional(traj: DeterministicTrajectory, G: ExternalField) -> float:
     """J_G(pi | g) of a recorded path pi, g = pi_0: the weak-form defect
     `hydro.weak_residual` of the path over its whole span with G as its own
     source.  G must carry a time derivative and vanish at the boundary sites."""
-    return weak_residual(replace(traj, field=G), G, traj.times[-1])
+    return _weak_defect(traj, G, traj.times[-1], G)
 
 
 def static_rate_w(profile: StationaryProfile, rho) -> float:

@@ -4,8 +4,9 @@ The state evolves by
 
     d phi = (M phi + b + u_t) dt + dW_t,    Cov(dW_t) = -2 M dt,
 
-where the tilt drift u_t(x) = -(L_n H_t)(x/n) comes from an external field H
-compactly supported in (0, 1).  Both Gaussian chains are one recurrence of
+where the tilt drift u_t(x) = -(L_n H_t)(x/n) comes from an external field
+H_t = a(t) B, compactly supported in (0, 1), so that u_t = a(t) u with one
+lattice vector u = -(L_n B).  Both Gaussian chains are one recurrence of
 the coefficients c_k = <phi, e_k>_(1/n) in the (1/n)-orthonormal modes e_k
 of -M (rates lambda_k), the spectrum of the shared `kernel.DriftSystem` of
 (n, gamma), with c^ss those of Phi_ss:
@@ -13,12 +14,13 @@ of -M (rates lambda_k), the spectrum of the shared `kernel.DriftSystem` of
     c_k <- r_k c_k + (1 - r_k) c_k^ss + s_k z_k  (+ h u_jk at step j, tilted).
 
 An Euler step h has r_k = 1 - h lambda_k, s_k = sqrt(2 lambda_k h / n) and
-u_jk = <u_jh, e_k>_(1/n); the exact transition over t is one step with
-r_k = e^{-lambda_k t}, s_k = sqrt((1 - r_k^2) / n).  No chain runs step by
-step: K steps are linear in their normals, so the state at T is drawn from
-its exact Gaussian law (`_chain_law`), one normal per replica and mode; for
-Euler that is the chain's own law, with its (1 - h lambda / 2) variance bias
-(Glasserman, Monte Carlo Methods in Financial Engineering, 2003, ch. 3).
+u_jk = <u_jh, e_k>_(1/n) = a(jh) u_k; the exact transition over t is one
+step with r_k = e^{-lambda_k t}, s_k = sqrt((1 - r_k^2) / n).  No chain runs
+step by step: K steps are linear in their normals, so the state at T is
+drawn from its exact Gaussian law (`_chain_law`), one normal per replica
+and mode; for Euler that is the chain's own law, with its (1 - h lambda / 2)
+variance bias (Glasserman, Monte Carlo Methods in Financial Engineering,
+2003, ch. 3).
 `euler_ensemble` draws the Euler chain at T for a batch of replicas, with
 the Girsanov log-weight of a field and the Dynkin martingale of <pi_t, G>,
 drawn jointly with the state; `propagate_exact` makes one exact transition.
@@ -60,103 +62,73 @@ __all__ = [
     "martingale_qv_rate",
 ]
 
-_CHUNK = 1 << 18  # field values (steps x sites) per chunk of the chain's step sums
-
-
 class ExternalField:
-    """Space-time tilt field H(t, u), compactly supported in (0, 1).
+    """Separable tilt field H(t, u) = a(t) B(u), compactly supported in (0, 1).
 
     Parameters
     ----------
-    h : callable (t, u_array) -> array
-        Field values; must vanish at u = 0 and u = 1 for all t.
-    dh_dt : callable or None
-        Time derivative, needed by the weak-form functionals.
+    amplitude : callable t -> a(t)
+        Called with one time or, once, with a 1-d array of times; its result
+        must broadcast to the times' shape.
+    rate : callable or None
+        Its time derivative a'(t), alike; needed by the weak-form functionals.
+    shape : TestFunction
+        The spatial profile B; must vanish at u = 0 and u = 1.
 
-    The lattice methods take one time or an array of times.  For one time
-    `h` and `dh_dt` are called with the time and the 1-d grid; for an array
-    of times they are called once, with the times as a (times, 1) column,
-    and their result must broadcast to (times, sites).  Both are probed so
-    at construction.
+    Every layer works on the amplitude and one lattice shape: the pair
+    (B, L_n B) of `lattice_shape`, evaluated once per (n, gamma).  Both
+    amplitudes and B are probed at construction.
     """
 
-    def __init__(self, h: Callable, dh_dt: Optional[Callable] = None):
-        self.h = h
-        self.dh_dt = dh_dt
-        self._separable = None
-        u_probe = np.array([0.0, 0.5, 1.0])
-        for fn in (h, dh_dt):
+    def __init__(self, amplitude: Callable, rate: Optional[Callable], shape: TestFunction):
+        if np.any(np.abs(shape.f(np.array([0.0, 1.0]))) > 1e-12):
+            raise ValueError("field must vanish at u = 0 and u = 1")
+        for fn in (amplitude, rate):
             if fn is not None:
                 try:
-                    probe = _on_grid(fn, np.array([0.0, 0.37, 1.0]), u_probe)
+                    _on_times(fn, np.array([0.0, 0.37, 1.0]))
                 except (TypeError, ValueError) as exc:
-                    raise ValueError("field callables must broadcast (times, 1) times "
-                                     f"and (points,) u to (times, points): {exc}") from None
-                if fn is h and np.any(np.abs(probe[:, [0, -1]]) > 1e-12):
-                    raise ValueError("field must vanish at u = 0 and u = 1")
+                    raise ValueError("field amplitudes must broadcast over an array "
+                                     f"of times: {exc}") from None
+        self.amplitude, self.rate, self.shape = amplitude, rate, shape
+        self._kept = {}
 
-    @classmethod
-    def separable(cls, time_fn: Callable, time_fn_prime: Optional[Callable],
-                  bump: TestFunction) -> "ExternalField":
-        """Field a(t) * B(u) from a time amplitude and a spatial TestFunction.
+    def a(self, t):
+        """a(t): a float for one time, an array for an array of times."""
+        return _on_times(self.amplitude, t)
 
-        Its lattice methods evaluate B and L_n B once per lattice and scale
-        them by a(t) (or a'(t))."""
-        field = cls(h=lambda t, u: time_fn(t) * bump.f(u),
-                    dh_dt=None if time_fn_prime is None
-                    else lambda t, u: time_fn_prime(t) * bump.f(u))
-        field._separable = (time_fn, time_fn_prime, bump, {})
-        return field
-
-    def _shape(self, params: ModelParams) -> tuple:
-        """(B, L_n B) of a separable field on the lattice of `params`, kept per (n, gamma)."""
-        bump, kept = self._separable[2:]
-        key = (params.n, params.gamma)
-        if key not in kept:
-            bv = bump.f(params.grid())
-            kept[key] = bv, discrete_fractional_laplacian(params, bv)
-        return kept[key]
-
-    def lattice(self, params: ModelParams, t):
-        """(H_t, L_n H_t) on the interior sites; (times, sites) arrays when t
-        is an array of times."""
-        if self._separable is None:
-            hv = _on_grid(self.h, t, params.grid())
-            return hv, discrete_fractional_laplacian(params, hv)
-        amp = _on_times(self._separable[0], t)
-        return tuple(amp * arr for arr in self._shape(params))
-
-    def tilt_drift(self, params: ModelParams, t) -> np.ndarray:
-        """u_t = -(L_n H_t) on the lattice."""
-        return -self.lattice(params, t)[1]
-
-    def dt_lattice(self, params: ModelParams, t) -> np.ndarray:
-        if self.dh_dt is None:
+    def da(self, t):
+        """a'(t), like `a`."""
+        if self.rate is None:
             raise ValueError("field has no time derivative")
-        if self._separable is None:
-            return _on_grid(self.dh_dt, t, params.grid())
-        return _on_times(self._separable[1], t) * self._shape(params)[0]
+        return _on_times(self.rate, t)
+
+    def lattice_shape(self, params: ModelParams) -> tuple:
+        """(B, L_n B) on the interior sites of `params`, kept per (n, gamma)."""
+        key = (params.n, params.gamma)
+        if key not in self._kept:
+            bv = self.shape.f(params.grid())
+            self._kept[key] = bv, discrete_fractional_laplacian(params, bv)
+        return self._kept[key]
+
+    def lattice(self, params: ModelParams, t: float):
+        """(H_t, L_n H_t) on the interior sites at one time t."""
+        amp = float(self.amplitude(t))
+        return tuple(amp * arr for arr in self.lattice_shape(params))
+
+    def tilt_drift(self, params: ModelParams, t: float) -> np.ndarray:
+        """u_t = -(L_n H_t) on the lattice at one time t."""
+        return -self.lattice(params, t)[1]
 
 
 def _on_times(fn: Callable, t):
     """fn(t) as a float for one time; for an array of times the one call
-    fn(t[:, None]), broadcast to a (times, 1) column."""
+    fn(t), broadcast to its shape."""
     if np.ndim(t) == 0:
         return float(fn(t))
-    t = np.asarray(t, dtype=float)[:, None]
+    t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     out[...] = fn(t)
-    return out
-
-
-def _on_grid(fn: Callable, t, u: np.ndarray) -> np.ndarray:
-    """fn(t, u) as floats for one time; for an array of times the one call
-    fn(t[:, None], u), broadcast to (times, points)."""
-    if np.ndim(t) == 0:
-        return np.asarray(fn(t, u), dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = np.empty((t.size, u.size))
-    out[...] = fn(t[:, None], u)
     return out
 
 
@@ -164,7 +136,7 @@ def euler_stability_limit(params: ModelParams) -> float:
     """Largest admissible Euler step: dt n^gamma (1 + max row sum) < 1/2,
     the row sum including the boundary relaxation indicators, which is
     dt (n^gamma + max -M[x, x]) < 1/2."""
-    return 0.5 / (params.speed + float(-build_drift_system(params).m.diagonal().min()))
+    return 0.5 / (params.speed + float(-build_drift_system(params).diagonal.min()))
 
 
 def _geometric(log_r: np.ndarray, k: int) -> np.ndarray:
@@ -186,7 +158,11 @@ def _chain_law(params: ModelParams, log_r: np.ndarray, s: np.ndarray, n_steps: i
 
         Var B = K sum_k s_k^2 g_k^2,   Cov(A_k, B) = s_k^2 g_k (1 - r^K) / (1 - r),
         Var C = q = (h n / 2) sum_j sum_k u_jk^2 / lambda_k,   Cov(B, C) = h g . sum_j u_j,
-        Cov(A_k, C) = s_k^2 sum_j r^{K-1-j} n theta_jk = h sum_j r^{K-1-j} u_jk.
+        Cov(A_k, C) = s_k^2 sum_j r^{K-1-j} n theta_jk = h sum_j r^{K-1-j} u_jk,
+
+    where the field's u_jk = a(jh) u_k, u_k the modes of -(L_n B), so that
+    q = (h n / 2) sum_j a_j^2 sum_k u_k^2 / lambda_k and no (steps, modes)
+    array is formed.
     """
     spec, outputs, shift = dirichlet_spectrum(params), [], 0.0
     if g_vec is not None:
@@ -194,15 +170,11 @@ def _chain_law(params: ModelParams, log_r: np.ndarray, s: np.ndarray, n_steps: i
         outputs.append(("martingale", 0.0, s ** 2 * g_hat * _geometric(log_r, n_steps),
                         n_steps * float(np.sum((s * g_hat) ** 2))))
     if field is not None:
-        lam, late, total, q = spec.eigenvalues, 0.0, 0.0, 0.0
-        per_chunk = max(1, _CHUNK // lam.size)    # steps of the field at a time
-        for lo in range(0, n_steps, per_chunk):
-            j = np.arange(lo, min(lo + per_chunk, n_steps))
-            u_hat = spec.project(field.tilt_drift(params, h * j))
-            late = late + np.sum(np.exp(np.outer(n_steps - 1 - j, log_r)) * u_hat, axis=0)
-            total = total + u_hat.sum(axis=0)
-            q += float(np.sum(u_hat ** 2 / lam))
-        q *= 0.5 * h * params.n
+        u_hat = spec.project(-field.lattice_shape(params)[1])
+        a = field.a(h * np.arange(n_steps))
+        late = u_hat * np.polyval(a, np.exp(log_r))    # sum_j r^{K-1-j} a_j, by Horner
+        total = u_hat * a.sum()
+        q = 0.5 * h * params.n * float(a @ a) * float(np.sum(u_hat ** 2 / spec.eigenvalues))
         shift = h * late if tilted else 0.0
         outputs.append(("log_weight", 0.5 * q if tilted else -0.5 * q, h * late, q))
     keys, mean, cross, var = zip(*outputs) if outputs else ((),) * 4

@@ -13,10 +13,10 @@ from fracgl import (ModelParams, SmoothBump, clever_path, continuum_seminorm,
                     dirichlet_spectrum, discrete_fractional_laplacian,
                     discrete_inner_seminorm, kernel_constant, l2_distance,
                     regional_laplacian_pointwise, sample_ness,
-                    solve_stationary_profile, static_cumulant, static_rate_w,
-                    absorbed_walk_oracle)
+                    solve_stationary_profile, static_cumulant, static_rate_w)
 from fracgl.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig
 from fracgl.rng import make_rng
+from walk_oracle import absorbed_walk_oracle
 
 
 def _report(num, name, ok, detail=""):

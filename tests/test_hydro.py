@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from fracgl import (ExternalField, ModelParams, SmoothBump, build_drift_system,
+from fracgl import (ExternalField, ModelParams, SineMode, SmoothBump, build_drift_system,
                     dirichlet_spectrum, l2_distance, relaxation_rate,
                     reservoir_drift, solve_hydrodynamic, solve_stationary_profile,
                     weak_residual, dirichlet_energy)
@@ -11,16 +11,16 @@ from fracgl import (ExternalField, ModelParams, SmoothBump, build_drift_system,
 
 def bump_field(amp=1.0):
     bump = SmoothBump(0.25, 0.75, amp)
-    return ExternalField.separable(
+    return ExternalField(
         lambda t: 0.5 + 0.5 * np.cos(3.0 * t),
         lambda t: -1.5 * np.sin(3.0 * t),
         bump)
 
 
 def space_time_g():
-    return ExternalField.separable(lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
-                                   lambda t: np.cos(2.0 * t),
-                                   SmoothBump(0.3, 0.7, 1.0))
+    return ExternalField(lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
+                         lambda t: np.cos(2.0 * t),
+                         SmoothBump(0.3, 0.7, 1.0))
 
 
 def test_stationary_profile_is_fixed_point():
@@ -112,8 +112,8 @@ def test_weak_residual_zero_testfunction():
     prof = solve_stationary_profile(params)
     times = np.linspace(0.0, 0.2, 41)
     traj = solve_hydrodynamic(prof, prof.profile, times)
-    zero = lambda t, u: np.zeros_like(u)
-    assert weak_residual(traj, ExternalField(h=zero, dh_dt=zero), 0.2) == 0.0
+    zero = ExternalField(lambda t: 0.0, lambda t: 0.0, SmoothBump(0.3, 0.7, 1.0))
+    assert weak_residual(traj, zero, 0.2) == 0.0
 
 
 def test_weak_residual_detects_wrong_path():
@@ -135,10 +135,20 @@ def test_weak_residual_support_violation():
     times = np.linspace(0.0, 0.1, 11)
     traj = solve_hydrodynamic(prof, prof.profile, times)
     # sin(pi u) vanishes at u = 0 and 1, as a field must, but not at site 1
-    sine = ExternalField(h=lambda t, u: np.sin(np.pi * u),
-                         dh_dt=lambda t, u: np.zeros_like(u))
+    sine = ExternalField(lambda t: 1.0, lambda t: 0.0, SineMode(1))
     with pytest.raises(ValueError, match="vanish"):
         weak_residual(traj, sine, 0.1)
+
+
+def test_weak_residual_support_check_reads_the_shape():
+    # a(0) = 0 hides B at t = 0, but B = sin(pi u) is not zero at site 1
+    params = ModelParams(16, 1.5, 0.0, 1.0)
+    prof = solve_stationary_profile(params)
+    times = np.linspace(0.0, 0.1, 11)
+    traj = solve_hydrodynamic(prof, prof.profile, times)
+    late_sine = ExternalField(np.sin, np.cos, SineMode(1))
+    with pytest.raises(ValueError, match="vanish"):
+        weak_residual(traj, late_sine, 0.1)
 
 
 def test_relaxation_rate_pure_mode():

@@ -1,15 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
                     build_drift_system, clever_path, dirichlet_energy,
-                    dirichlet_spectrum, discrete_inner_seminorm,
+                    dirichlet_spectrum, discrete_fractional_laplacian,
+                    discrete_inner_seminorm,
                     gamma_identity_defect, j_functional,
                     l2_distance, quasipotential, rate_from_field,
                     solve_hydrodynamic, solve_stationary_profile,
                     static_cumulant, static_rate_w)
 from fracgl import ldp
-from fracgl.experiments import EXPERIMENTS, ExperimentConfig
+from fracgl.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig
 from fracgl.ldp import _exp, _stable_field_ratio
 from fracgl.rng import make_rng
 
@@ -24,15 +28,15 @@ def setup32():
 
 def bump_field(amp=1.0, a=0.25, b=0.75, omega=2.0):
     bump = SmoothBump(a, b, amp)
-    return ExternalField.separable(
+    return ExternalField(
         lambda t: 0.6 + 0.4 * np.cos(omega * t),
         lambda t: -0.4 * omega * np.sin(omega * t),
         bump)
 
 
 def half_of(field):
-    return ExternalField(h=lambda t, u: 0.5 * field.h(t, u),
-                         dh_dt=lambda t, u: 0.5 * field.dh_dt(t, u))
+    return ExternalField(lambda t: 0.5 * field.amplitude(t),
+                         lambda t: 0.5 * field.rate(t), field.shape)
 
 
 def test_rate_report_rejects_negative():
@@ -41,7 +45,6 @@ def test_rate_report_rejects_negative():
 
 
 def test_rate_report_json_round_trip():
-    import json
     rep = RateReport(value=0.25, breakdown={"a": 0.1},
                      discretization={"n": 32, "dt": 1e-3})
     data = json.loads(rep.to_json())
@@ -52,12 +55,11 @@ def test_rate_report_json_round_trip():
 
 def test_rate_from_field_zero_and_homogeneity(setup32):
     params, prof, spec = setup32
-    zero = ExternalField(h=lambda t, u: np.zeros_like(u),
-                         dh_dt=lambda t, u: np.zeros_like(u))
+    zero = ExternalField(lambda t: 0.0, lambda t: 0.0, SmoothBump(0.25, 0.75))
     assert rate_from_field(params, zero, 0.5) == 0.0
     field = bump_field()
-    double = ExternalField(h=lambda t, u: 2.0 * field.h(t, u),
-                           dh_dt=lambda t, u: 2.0 * field.dh_dt(t, u))
+    double = ExternalField(lambda t: 2.0 * field.amplitude(t),
+                           lambda t: 2.0 * field.rate(t), field.shape)
     r1 = rate_from_field(params, field, 0.5)
     r2 = rate_from_field(params, double, 0.5)
     assert r2 == pytest.approx(4.0 * r1, rel=1e-12)
@@ -80,8 +82,7 @@ def test_j_functional_zero_field(setup32):
     params, prof, spec = setup32
     times = np.linspace(0.0, 0.3, 301)
     traj = solve_hydrodynamic(prof, prof.profile, times)
-    zero = ExternalField(h=lambda t, u: np.zeros_like(u),
-                         dh_dt=lambda t, u: np.zeros_like(u))
+    zero = ExternalField(lambda t: 0.0, lambda t: 0.0, SmoothBump(0.25, 0.75))
     assert j_functional(traj, zero) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -128,12 +129,24 @@ def test_j_functional_matches_explicit_formula(driven):
     times = np.linspace(0.0, 0.2, 201)
     traj = solve_hydrodynamic(prof, g, times, field=bump_field() if driven else None)
     G = bump_field(amp=0.7, a=0.2, b=0.8, omega=3.0)
-    hv, lap = G.lattice(params, times)
-    pairing = np.sum(traj.profiles * (G.dt_lattice(params, times) + lap), axis=1) / params.n
+    bump = SmoothBump(0.2, 0.8, 0.7).f(params.grid())
+    hv = np.outer(0.6 + 0.4 * np.cos(3.0 * times), bump)
+    dh = np.outer(-1.2 * np.sin(3.0 * times), bump)
+    lap = discrete_fractional_laplacian(params, hv)
+    pairing = np.sum(traj.profiles * (dh + lap), axis=1) / params.n
     energy = discrete_inner_seminorm(params, hv, hv)
     expected = ((traj.profiles[-1] @ hv[-1] - g @ hv[0]) / params.n
                 - np.trapezoid(pairing, times) - np.trapezoid(energy, times))
     assert j_functional(traj, G) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_rate_check_outputs_match_frozen_values(tmp_path):
+    frozen = json.loads((Path(__file__).parent / "frozen_paths.json").read_text())
+    cfg = ExperimentConfig(experiment="rate-check", out_dir=str(tmp_path),
+                           **DEFAULTS["rate-check"])
+    outputs = EXPERIMENTS["rate-check"](cfg)["outputs"]
+    for key, value in frozen["rate-check"].items():
+        assert outputs[key] == pytest.approx(value, rel=1e-13, abs=0), key
 
 
 def test_static_rate_values(setup32):

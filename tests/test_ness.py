@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fracgl import (ModelParams, absorbed_walk_oracle, kernel_constant,
-                    sample_ness, solve_stationary_profile, static_cumulant)
+from fracgl import (ModelParams, kernel_constant, sample_ness, solve_stationary_profile,
+                    static_cumulant)
 from fracgl.ness import profile_to_csv
+from walk_oracle import absorbed_walk_oracle
 
 
 def test_equilibrium_profile_is_constant():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -5,12 +8,13 @@ from scipy.linalg import toeplitz
 from chain_oracle import euler_loop, loop_law
 from conftest import ZeroRng
 from edge_oracle import edge_euler
-from fracgl import (ExternalField, ModelParams, SmoothBump,
+from fracgl import (DriftSystem, ExternalField, ModelParams, SmoothBump, TestFunction,
                     boundary_block_average, build_drift_system,
                     dirichlet_spectrum, empirical_pairing, euler_chain_law,
                     euler_ensemble, euler_stability_limit, girsanov_log_weight_variance,
                     kernel_row, martingale_qv_rate, propagate_exact, reservoir_drift,
-                    sample_ness, solve_stationary_profile, simulate)
+                    kernel, sample_ness, solve_stationary_profile, simulate)
+from fracgl.experiments import DEFAULTS, ExperimentConfig
 from fracgl.rng import make_rng
 
 
@@ -28,36 +32,37 @@ class FixedRng:
 
 def bump_field(amp=0.8, a=0.25, b=0.75, omega=2.0):
     bump = SmoothBump(a, b, amp)
-    return ExternalField.separable(
+    return ExternalField(
         lambda t: 0.6 + 0.4 * np.cos(omega * t),
         lambda t: -0.4 * omega * np.sin(omega * t),
         bump)
 
 
 def test_field_must_vanish_at_ends():
+    ones = TestFunction(f=np.ones_like, df=np.zeros_like, d2f=np.zeros_like)
     with pytest.raises(ValueError):
-        ExternalField(h=lambda t, u: np.ones_like(u))
+        ExternalField(lambda t: 1.0, None, ones)
 
 
 def test_field_must_broadcast_over_times():
-    # a fixed-length list ignores the shape of u and cannot fill (times, points)
+    # a fixed-length list ignores the shape of t and cannot fill (times,)
+    bump = SmoothBump(0.25, 0.75)
     with pytest.raises(ValueError, match="broadcast"):
-        ExternalField(h=lambda t, u: [0.0, 0.0])
+        ExternalField(lambda t: [0.0, 0.0], None, bump)
     with pytest.raises(ValueError, match="broadcast"):
-        ExternalField(h=lambda t, u: np.zeros_like(u), dh_dt=lambda t, u: [0.0, 0.0])
+        ExternalField(lambda t: 0.0 * t, lambda t: [0.0, 0.0], bump)
 
 
 def test_time_independent_field_on_time_array(params16):
     bump = SmoothBump(0.25, 0.75, 0.8)
-    field = ExternalField(h=lambda t, u: bump.f(u))
+    field = ExternalField(lambda t: 1.0, None, bump)
     ts = np.linspace(0.0, 0.5, 4)
-    hv, lap = field.lattice(params16, ts)
-    assert hv.shape == lap.shape == (ts.size, params16.n_sites)
-    for row in hv:
-        np.testing.assert_array_equal(row, bump.f(params16.grid()))
+    np.testing.assert_array_equal(field.a(ts), np.ones(ts.size))
+    hv, lap = field.lattice(params16, float(ts[2]))
+    np.testing.assert_array_equal(hv, bump.f(params16.grid()))
     u_one = field.tilt_drift(params16, float(ts[2]))
-    np.testing.assert_allclose(field.tilt_drift(params16, ts)[2], u_one, rtol=0,
-                               atol=1e-12 * np.abs(u_one).max())
+    np.testing.assert_allclose(field.a(ts)[2] * -field.lattice_shape(params16)[1], u_one,
+                               rtol=0, atol=1e-12 * np.abs(u_one).max())
 
 
 def test_field_tilt_drift_is_minus_laplacian(params16):
@@ -70,37 +75,18 @@ def test_field_tilt_drift_is_minus_laplacian(params16):
 
 
 def test_field_lattice_on_time_array_matches_per_time(params16):
+    # the layers scale one lattice shape by the amplitudes of a time array
     field = bump_field()
     ts = np.linspace(0.0, 0.5, 6)
-    hv, lap = field.lattice(params16, ts)
-    dh = field.dt_lattice(params16, ts)
-    assert hv.shape == lap.shape == dh.shape == (ts.size, params16.n_sites)
+    bv, lap_b = field.lattice_shape(params16)
+    amp, rate = field.a(ts), field.da(ts)
+    assert amp.shape == rate.shape == ts.shape
     for i, t in enumerate(ts):
         h_t, lap_t = field.lattice(params16, float(t))
-        np.testing.assert_array_equal(hv[i], h_t)
-        np.testing.assert_allclose(lap[i], lap_t, rtol=0,
-                                   atol=1e-12 * np.abs(lap).max())
-        np.testing.assert_array_equal(dh[i], field.dt_lattice(params16, float(t)))
-
-
-@pytest.mark.parametrize("amplitude, slope", [
-    (lambda t: 0.6 + 0.4 * np.cos(2.0 * t), lambda t: -0.8 * np.sin(2.0 * t)),
-    (lambda t: 1.5, lambda t: 0.0)])
-def test_separable_field_matches_general_field(params16, amplitude, slope):
-    # a(t) B scaled from one B and one L_n B per lattice, against the same
-    # field evaluated on the whole (times, sites) grid, to rounding; a
-    # constant amplitude still fills (times, sites)
-    bump = SmoothBump(0.2, 0.7, 1.3)
-    fast = ExternalField.separable(amplitude, slope, bump)
-    general = ExternalField(h=lambda t, u: amplitude(t) * bump.f(u),
-                            dh_dt=lambda t, u: slope(t) * bump.f(u))
-    for p in (params16, ModelParams(33, 1.7)):
-        for t in (0.3, np.linspace(0.0, 0.5, 7)):
-            for a, b in zip(fast.lattice(p, t) + (fast.tilt_drift(p, t), fast.dt_lattice(p, t)),
-                            general.lattice(p, t) + (general.tilt_drift(p, t),
-                                                     general.dt_lattice(p, t))):
-                assert a.shape == b.shape
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * max(1.0, np.abs(b).max()))
+        np.testing.assert_array_equal(amp[i] * bv, h_t)
+        np.testing.assert_allclose(amp[i] * lap_b, lap_t, rtol=0,
+                                   atol=1e-12 * np.abs(lap_t).max())
+        assert rate[i] == field.da(float(t))
 
 
 def test_site_tilt_is_half_field(params16, sys16):
@@ -116,6 +102,17 @@ def test_site_tilt_is_half_field(params16, sys16):
 def use_normals(monkeypatch, rng):
     """Point the stream of `euler_ensemble` at a stand-in generator."""
     monkeypatch.setattr(simulate, "make_rng", lambda *key: rng)
+
+
+def test_stability_limit_reads_the_diagonal_alone(monkeypatch):
+    # the limit of the m-based formula, bit for bit, from a fresh DriftSystem
+    # whose dense m is never built
+    params = ModelParams(40, 1.3)
+    fresh = DriftSystem(params.n, params.gamma)
+    monkeypatch.setattr(kernel, "_drift_system", lambda n, gamma: fresh)
+    limit = euler_stability_limit(params)
+    assert "m" not in vars(fresh)
+    assert limit == 0.5 / (params.speed + float(-fresh.m.diagonal().min()))
 
 
 def test_step_euler_stability_guard(params16, profile16):
@@ -222,15 +219,24 @@ def test_one_shot_draw_matches_loop_law(tilted):
     assert np.max(np.abs(np.cov(x.T) - cov)[upper] / se_cov[upper]) <= 4.5
 
 
-def test_step_sums_do_not_depend_on_the_chunk(params16, monkeypatch):
-    # the law's sums over the steps, taken 300 steps at once and 7 at a time
+def test_step_sums_match_direct_sums(params16):
+    # the law's sums over 300 steps, from the amplitudes alone, against the
+    # same sums taken over the whole (steps, modes) array of u_jk
     G = np.sin(np.pi * params16.grid())
-    whole = euler_chain_law(params16, 0.3, 1e-3, bump_field(), False, G)[1]
-    monkeypatch.setattr(simulate, "_CHUNK", 7 * params16.n_sites)
-    chunked = euler_chain_law(params16, 0.3, 1e-3, bump_field(), False, G)[1]
-    for key in ("cross", "joint", "mean"):
-        np.testing.assert_allclose(chunked[key], whole[key], rtol=1e-13,
-                                   atol=1e-15 * np.abs(whole[key]).max())
+    field = bump_field()
+    spec, law = euler_chain_law(params16, 0.3, 1e-3, field, False, G)
+    k_steps, lam = 300, spec.eigenvalues
+    h = 0.3 / k_steps
+    r = np.exp(np.log1p(-h * lam))
+    u = np.array([spec.project(field.tilt_drift(params16, j * h)) for j in range(k_steps)])
+    late = np.sum(r ** np.arange(k_steps - 1, -1, -1)[:, None] * u, axis=0)
+    q = 0.5 * h * params16.n * np.sum(u ** 2 / lam)
+    g_hat = params16.n * spec.project(G / params16.n_sites)
+    np.testing.assert_allclose(law["cross"][:, 1], h * late, rtol=1e-13,
+                               atol=1e-15 * np.abs(h * late).max())
+    assert law["joint"][1, 1] == pytest.approx(q, rel=1e-13, abs=0)
+    assert law["joint"][0, 1] == pytest.approx(h * g_hat @ u.sum(axis=0), rel=1e-13, abs=0)
+    assert law["mean"][1] == pytest.approx(-0.5 * q, rel=1e-13, abs=0)
 
 
 def test_propagate_exact_closed_form(params16, sys16, profile16):
@@ -398,6 +404,13 @@ def test_girsanov_log_weight_variance_matches_step_loop():
         loop += 0.5 * h * float(u @ np.linalg.solve(-sys.m, u))
     q = girsanov_log_weight_variance(params, field, T, dt)
     assert q == pytest.approx(loop, rel=1e-12, abs=0)
+
+
+def test_girsanov_q_matches_frozen_value():
+    frozen = json.loads((Path(__file__).parent / "frozen_paths.json").read_text())
+    cfg = ExperimentConfig(experiment="girsanov", **DEFAULTS["girsanov"])
+    q = girsanov_log_weight_variance(cfg.params(), bump_field(), cfg.T, cfg.dt)
+    assert q == pytest.approx(frozen["girsanov_q"], rel=1e-13, abs=0)
 
 
 def test_girsanov_log_weight_law():
