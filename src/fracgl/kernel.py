@@ -22,16 +22,19 @@ the one dense matrix M and the spectrum of -M, which serves every solve with
 into an even and an odd sector, each built straight from the kernel row (a
 Toeplitz plus a Hankel block) and diagonalized by one half-size `eigh` when
 first read; every mode is exactly even or odd.  A caller whose data have one
-parity reads that sector alone, in folded coordinates: the profile solve the
-odd one, `hydro-limit`'s reference the even one.  The sorted full spectrum
-is assembled from both only when asked for.  Every model of that
+parity reads that sector alone, in folded coordinates: the profile solve
+the odd one's modes.  A relaxation pairing <g, phi(-t M) f> of one parity,
+as in every pairing of `hydro-limit`, needs no modes:
+`DriftSystem.sector_pairing` takes it by shift-and-invert Lanczos on the
+sector's matrix, with no `eigh` of it.  The sorted full spectrum is
+assembled from both sectors only when asked for.  Every model of that
 (n, gamma) shares the system and its read-only arrays, whatever the
 reservoir densities; b is `ness.reservoir_drift`.  The
 Laplacian, the seminorm and the energy below are the only evaluations of L_n
 and of the quadratic forms; each reads M and accepts one grid function or a
 (times, sites) batch with sites last.  Only numpy is needed: zeta comes
 from `_zeta`, the Toeplitz matrix from `toeplitz`, the spectrum from
-`numpy.linalg.eigh`.
+`numpy.linalg.eigh`, the shifted factor from `numpy.linalg.cholesky`.
 """
 
 from __future__ import annotations
@@ -102,6 +105,28 @@ def kernel_row(params: ModelParams) -> np.ndarray:
     return row
 
 
+def _fold(g: np.ndarray, parity: float, size: int, pairs: int) -> np.ndarray:
+    """g(x) + parity g(n-x) for x <= pairs, then g(n/2) up to `size` (sites last)."""
+    folded = g[..., :size].copy()
+    folded[..., :pairs] += parity * g[..., ::-1][..., :pairs]
+    return folded
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by halves: [[A, 0], [C, B]] has the
+    inverse [[A^-1, 0], [-B^-1 C A^-1, B^-1]], so all but the small diagonal
+    blocks is matrix products (numpy has no triangular solve)."""
+    size = low.shape[0]
+    if size <= 32:
+        return np.linalg.inv(low)
+    half = size // 2
+    out = np.zeros_like(low)
+    top = out[:half, :half] = _lower_inverse(low[:half, :half])
+    bottom = out[half:, half:] = _lower_inverse(low[half:, half:])
+    out[half:, :half] = -(bottom @ (low[half:, :half] @ top))
+    return out
+
+
 class FlipSector:
     """-M on the grid functions of one parity under the flip J: x -> n - x,
     with its spectrum, in folded coordinates.
@@ -137,9 +162,8 @@ class FlipSector:
 
     def project(self, g: np.ndarray) -> np.ndarray:
         """Coefficients <g, e_k>_(1/n) on the sector's modes (sites last)."""
-        g = np.asarray(g, dtype=float)
-        folded = g[..., :self.vectors.shape[0]].copy()
-        folded[..., :self._pairs] += self.parity * g[..., ::-1][..., :self._pairs]
+        folded = _fold(np.asarray(g, dtype=float), self.parity, self.vectors.shape[0],
+                       self._pairs)
         return folded @ self.vectors / self.n
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
@@ -233,6 +257,67 @@ class DriftSystem:
     @cached_property
     def odd(self) -> FlipSector:
         return FlipSector(self.n, -1.0, self._sector_matrix(-1.0))
+
+    def sector_pairing(self, parity: float, f, g, t: float, phi) -> float:
+        """<g, phi(-t M) f>_(1/n) for the parts of f and g of `parity` under
+        the flip, with t > 0 and phi a function applied elementwise to an
+        array of rates times t (np.exp of minus them for the flow over t).
+
+        No `eigh` of the sector's matrix A: shift-and-invert Lanczos on
+        (I + sigma A)^-1 with sigma = t / 10, applied through the inverse of
+        one Cholesky factor and fully reorthogonalized, from the folded f.
+        With T_k its tridiagonal matrix on the orthonormal basis V, the value
+        is |f| <V^T g, phi(t A_k) e_1>, A_k = (T_k^-1 - I) / sigma, whose error
+        does not grow with the sector's size or |A| (van den Eshof and
+        Hochbruck, SIAM J. Sci. Comput. 27, 2006).  The Ritz values of A_k
+        resolve a rate x only to about eps / sigma, so a phi(s) ~ s, such as
+        -expm1(-s), is accurate to about 10 eps / (t x) relative.  The
+        iteration stops when two successive values agree to 1e-15 relative
+        to the sum of their terms' magnitudes, on breakdown (the space is
+        invariant, so the value is exact) or at the sector's size.
+        """
+        a = self._sector_matrix(parity)
+        size = a.shape[0]
+        pairs = (self.n - 1) // 2
+        folded = _fold(np.stack([f, g]).astype(float), parity, size, pairs)
+        folded[:, :pairs] /= np.sqrt(2.0)  # coordinates in the orthonormal basis
+        start, target = folded
+        norm = float(np.linalg.norm(start))
+        if norm == 0.0:
+            return 0.0
+        # (I + sigma A) / max(1, sigma): the same Krylov space, with entries that
+        # do not overflow at a large t; its inverse has the eigenvalues
+        # mu = scale / (1 + sigma x)
+        sigma = t / 10.0
+        scale = max(1.0, sigma)
+        shifted = a * (sigma / scale)
+        shifted[np.diag_indices(size)] += 1.0 / scale
+        inverse = _lower_inverse(np.linalg.cholesky(shifted))
+        basis = np.empty((size, size))  # row k holds v_k
+        tri = np.zeros((size, size))
+        along = np.empty(size)  # V^T g
+        v, value = start / norm, None
+        for k in range(size):
+            basis[k] = v
+            along[k] = target @ v
+            w = inverse.T @ (inverse @ v)
+            coef = basis[:k + 1] @ w
+            # the Rayleigh quotient is exactly 1 when w == v, at a t too small to move it
+            tri[k, k] = coef[k] / (v @ v)
+            mu, vecs = eigh(tri[:k + 1, :k + 1])
+            # t x = 10 (scale / mu - 1): no division by a sigma that may underflow
+            terms = phi(10.0 * (scale / mu - 1.0)) * (along[:k + 1] @ vecs) * vecs[0]
+            last, value = value, norm * float(np.sum(terms))
+            if last is not None and abs(value - last) <= 1e-15 * norm * np.sum(np.abs(terms)):
+                break
+            r = w - basis[:k + 1].T @ coef
+            r -= basis[:k + 1].T @ (basis[:k + 1] @ r)
+            beta = float(np.linalg.norm(r))
+            if k + 1 == size or beta <= np.finfo(float).eps * np.linalg.norm(w):
+                break
+            tri[k, k + 1] = tri[k + 1, k] = beta
+            v = r / beta
+        return value / self.n
 
     @cached_property
     def _spectrum(self):

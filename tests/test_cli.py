@@ -208,17 +208,46 @@ def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
     assert calls["eigh"] == [(cfg.n - 1) // 2] + [cfg.n // 2] * spectra
 
 
-def test_hydro_limit_reference_is_one_even_sector(tmp_path, monkeypatch):
-    # the n = 1024 reference solves no profile and makes the even sector of
-    # -M alone, one eigh of size 512, and no dense m; each Monte Carlo
-    # lattice (n = 8, 16) solves its profile (odd sector), then the even one
+def test_hydro_limit_makes_no_sector_eigh(tmp_path, monkeypatch):
+    # the n = 1024 reference and both Monte Carlo lattices (n = 8, 16) pair
+    # through the even sector's matrix by shift-and-invert Lanczos and draw
+    # the pairings from their exact law: no profile solve, no flip sector
+    # (whose eigh is the only one of a sector's matrix), no dense m and no
+    # state draws
+    from fracgl import simulate
+    sectors = []
+    sector = kernel.FlipSector
+
+    def counted_sector(n, parity, matrix):
+        sectors.append((n, parity))
+        return sector(n, parity, matrix)
+
+    def no_states(*args, **kwargs):
+        raise AssertionError("hydro-limit drew states")
+    monkeypatch.setattr(kernel, "FlipSector", counted_sector)
+    monkeypatch.setattr(simulate, "propagate_exact", no_states)
     cfg = ExperimentConfig(experiment="hydro-limit", n=16, T=0.01, replicas=50,
                            out_dir=str(tmp_path))
     calls = _count_solves(monkeypatch, cfg)
-    assert [p.n for p in calls["profile"]] == [8, 16]
-    assert calls["eigh"] == [512, 3, 4, 7, 8]
-    ref = kernel.build_drift_system(ModelParams(1024, cfg.gamma))
-    assert "even" in vars(ref) and "odd" not in vars(ref) and "m" not in vars(ref)
+    assert calls["profile"] == [] and sectors == []
+    assert kernel._drift_system.cache_info().currsize == 3
+    for n in (8, 16, 1024):
+        system = kernel.build_drift_system(ModelParams(n, cfg.gamma))
+        assert not {"even", "odd", "m", "_spectrum"} & set(vars(system)), n
+
+
+@pytest.mark.parametrize("horizon", ["1e-300", "1e300"])
+def test_hydro_limit_at_extreme_horizons(tmp_path, horizon):
+    # (I + sigma A) is I to rounding at the one end and sigma A overflows
+    # unless scaled at the other; the run ends with a finite summary either way
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["hydro-limit", f"--t={horizon}", "--replicas", "50",
+                       "--out", str(tmp_path)])
+    assert status in (0, 2), err.getvalue()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    values = [c["value"] for c in summary["checks"].values()]
+    assert np.all(np.isfinite(values + list(summary["outputs"].values())))
 
 
 def test_girsanov_seeds_seven_apart_share_no_stream(tmp_path, monkeypatch):

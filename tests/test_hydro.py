@@ -1,3 +1,7 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -193,3 +197,35 @@ def test_hydro_limit_reference_matches_full_flow(gamma, phi_l, phi_r, T):
                               np.array([0.0, T]))
     full = float(traj.profiles[-1] @ np.sin(np.pi * u)) / params.n
     assert _hydro_reference(gamma, phi_l, phi_r, T) == pytest.approx(full, rel=1e-13, abs=0)
+
+
+ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+
+
+def test_hydro_limit_reports_the_exact_pairing_law(tmp_path):
+    # each Monte Carlo average comes with the mean and se of its exact law,
+    # its z against them and the law's own error against the reference; the
+    # law matches the fracgl-free dense one of perfbench's oracles
+    from fracgl.cli import main
+    from fracgl.experiments import _hydro_law
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+
+    assert main(["hydro-limit", "--out", str(tmp_path)]) in (0, 2)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    out, replicas, T = summary["outputs"], summary["config"]["replicas"], summary["config"]["T"]
+    for side in ("lo", "hi"):
+        n = out[f"n_{side}"]
+        mean, var = _hydro_law(n, 1.5, 0.0, 1.0, T)
+        u = oracles.grid(n)
+        start = oracles.stationary_profile(n, 1.5, 0.0, 1.0) + oracles.smooth_bump(u, 0.3, 0.7, 0.75)
+        dense = oracles.exact_pairing_law(n, 1.5, 0.0, 1.0, start, np.sin(np.pi * u), T)
+        assert (mean, var) == pytest.approx(dense, rel=1e-12, abs=0)
+        se = np.sqrt(var / replicas)
+        assert out[f"exact_avg_{side}"] == mean
+        assert out[f"avg_se_{side}"] == pytest.approx(se, rel=1e-15)
+        assert out[f"avg_z_{side}"] == pytest.approx(abs(out[f"avg_{side}"] - mean) / se, rel=1e-12)
+        assert out[f"exact_err_{side}"] == pytest.approx(abs(mean - out["reference"]), rel=1e-12)
+        assert out[f"err_{side}"] == pytest.approx(abs(out[f"avg_{side}"] - out["reference"]),
+                                                   rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edge_oracle import edge_vectors
-from fracgl import (ModelParams, build_drift_system, dirichlet_energy,
+from fracgl import (ModelParams, SmoothBump, build_drift_system, dirichlet_energy,
                     dirichlet_spectrum, discrete_fractional_laplacian,
                     discrete_inner_seminorm, kernel_constant, kernel_row,
                     reservoir_drift, solve_stationary_profile)
@@ -361,3 +361,70 @@ def test_batched_operators_match_row_by_row():
                                         rel=1e-12, abs=1e-12)
         assert energy[i] == pytest.approx(dirichlet_energy(p, f[i]),
                                           rel=1e-12, abs=1e-12)
+
+
+def _flow(s):
+    return np.exp(-s)
+
+
+def _filled(s):
+    return -np.expm1(-s)
+
+
+def _pairing_data(n):
+    """Smooth data of each parity: an even bump paired with sin(pi u), and
+    an odd product paired with u - 1/2."""
+    u = np.arange(1, n) / n
+    bump = SmoothBump(0.3, 0.7, 0.75).f(u)
+    return {1.0: (bump, np.sin(np.pi * u)), -1.0: (np.sin(2 * np.pi * u) * (1 + bump), u - 0.5)}
+
+
+@pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("n", [9, 64, 1024])
+def test_sector_pairing_matches_the_eigh_oracle(n, gamma):
+    # shift-and-invert Lanczos against the sum over the sector's eigh modes.
+    # A rate x known to relative eps moves e^{-tx} by t x eps relative, so
+    # each term of the flow is held to 1e-12 of its size times 1 + t x (and
+    # values below 1e-300, subnormal at n = 1024, gamma = 1.9, t = 50,
+    # absolutely); -expm1(-tx) moves by at most its own size, plus the
+    # 10 eps / (t x) to which the Ritz values resolve x
+    system = build_drift_system(ModelParams(n, gamma))
+    for parity, (f, g) in _pairing_data(n).items():
+        sector = system.even if parity > 0 else system.odd
+        lam = sector.eigenvalues
+        coeff = np.prod(sector.project(np.stack([f, g])), axis=0)
+        for t in (1e-3, 1e-2, 0.25, 2.5, 50.0):
+            terms = np.exp(-t * lam) * coeff
+            got = system.sector_pairing(parity, f, g, t, _flow)
+            bound = 1e-12 * np.sum(np.abs(terms) * (1 + t * lam)) + 1e-300
+            assert abs(got - np.sum(terms)) <= bound, (parity, t)
+            terms = -np.expm1(-t * lam) * coeff
+            got = system.sector_pairing(parity, f, g, t, _filled)
+            rtol = 1e-12 + 10 * np.finfo(float).eps / (t * lam[0])
+            assert abs(got - np.sum(terms)) <= 2 * rtol * np.sum(np.abs(terms)), (parity, t)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 64])
+def test_sector_pairing_edge_cases(n):
+    # at t = 1e-300, I + sigma A is I to rounding and the first step breaks
+    # down; at t = 1e300, sigma A would overflow unless scaled; a start on
+    # the slowest mode spans an invariant space (every vector does at n = 3).
+    # Each ends in a finite value equal to the oracle's, with no warning
+    system = build_drift_system(ModelParams(n, 1.5))
+    for parity, (f, g) in _pairing_data(n).items():
+        sector = system.even if parity > 0 else system.odd
+        lam = sector.eigenvalues
+        both = np.sum(np.prod(sector.project(np.stack([f, g])), axis=0))
+        mode = sector.synthesize(np.eye(lam.size)[0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            assert system.sector_pairing(parity, f, g, 1e-300, _flow) == pytest.approx(
+                both, rel=1e-14)
+            assert system.sector_pairing(parity, f, g, 1e300, _flow) == 0.0
+            assert system.sector_pairing(parity, f, g, 1e-300, _filled) == pytest.approx(
+                0.0, abs=1e-290)
+            assert system.sector_pairing(parity, f, g, 1e300, _filled) == pytest.approx(
+                both, rel=1e-12)
+            for t in (1e-300, 0.25, 1e300):
+                got = system.sector_pairing(parity, mode, g, t, _flow)
+                exact = np.exp(-t * lam[0]) * sector.project(g)[0]
+                assert got == pytest.approx(exact, rel=1e-12, abs=1e-300), t
