@@ -24,7 +24,6 @@ from .hydro import (DeterministicTrajectory, solve_hydrodynamic,
 from .ldp import (RateReport, rate_from_field, j_functional, static_rate_w,
                   gamma_identity_defect, clever_path, quasipotential)
 from .diagnostics import (PolyObservableBasis, generator_matrix_poly2,
-                          adjoint_matrix_poly2, adjoint_defect,
-                          dirichlet_form_linear)
+                          adjoint_matrix_poly2, adjoint_defect)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Generator algebra on quadratic observables and Dirichlet-form evaluation.
+"""Generator algebra on quadratic observables.
 
 On the centered monomials {1} u {w(x)} u {w(x)w(y), x <= y}, with
 w(x) = phi(x) - Phi_ss(x), the generator acts as the finite matrix of an
@@ -20,16 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_drift_system, dirichlet_energy
+from .kernel import build_drift_system
 from .ness import StationaryProfile, reservoir_drift
-from .params import ModelParams, as_grid_function
+from .params import ModelParams
 
 __all__ = [
     "PolyObservableBasis",
     "generator_matrix_poly2",
     "adjoint_matrix_poly2",
     "adjoint_defect",
-    "dirichlet_form_linear",
 ]
 
 _MAX_N = 16
@@ -180,15 +179,3 @@ def adjoint_defect(profile: StationaryProfile) -> dict:
         "defect_norm": defect,
     }
 
-
-def dirichlet_form_linear(params: ModelParams, c) -> float:
-    """Dirichlet form <f, -L f> under the steady state for f(phi) = sum c_x phi(x):
-
-        n^gamma [ c_1^2 + c_{n-1}^2 + sum_{pairs {x,y}} p(y-x)(c_y - c_x)^2 ],
-
-    the bulk sum over unordered pairs (the gradient of a linear f is
-    constant, so the Gaussian expectation is this closed form; it equals
-    -c^T M c).
-    """
-    c = as_grid_function(params, c)
-    return params.n * dirichlet_energy(params, c)

@@ -481,8 +481,6 @@ _EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
 # every experiment builds dense (n-1) x (n-1) matrices; 4096 keeps one at 134 MB
 _DENSE_MAX_N = 4096
 _BLOCK_EPS = (0.25, 0.1)  # stationarity's boundary blocks, next to eps = 1/n
-# sample variances need two replicas
-_ENSEMBLE_EXPERIMENTS = _EULER_EXPERIMENTS + ("hydro-limit",)
 
 
 def _config_error(cfg: ExperimentConfig):
@@ -497,7 +495,8 @@ def _config_error(cfg: ExperimentConfig):
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value > 0):
             return f"{name} must be positive and finite, got {value!r}"
-    if cfg.experiment in _ENSEMBLE_EXPERIMENTS and cfg.replicas < 2:
+    # the Euler experiments' sample variances need two replicas
+    if cfg.experiment in _EULER_EXPERIMENTS and cfg.replicas < 2:
         return f"{cfg.experiment} needs replicas >= 2, got {cfg.replicas}"
     if cfg.n > _DENSE_MAX_N:
         gib = (cfg.n - 1) ** 2 * 8 / 2 ** 30

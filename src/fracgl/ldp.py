@@ -117,39 +117,35 @@ def gamma_identity_defect(profile: StationaryProfile, rho):
     return float(lhs), float(rhs)
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """np.exp(x) bit for bit, in place in x.  Entries below -745.2, where it
-    is exactly 0.0 and numpy's exp is slow, are zeroed without evaluating it."""
-    keep = x > -745.2
-    np.exp(x, out=x, where=keep)
-    np.copyto(x, 0.0, where=~keep)
-    return x
-
-
-def _trapezoid_weights(ts: np.ndarray) -> np.ndarray:
-    """Weights w with w @ y equal to the trapezoid of y over the nodes ts."""
-    return 0.5 * np.convolve(np.diff(ts), [1.0, 1.0])
-
-
 def _stable_path_ratio(lam: np.ndarray, t) -> np.ndarray:
     """(e^{lam t} - 1) / (e^{lam} - 1), overflow-safe for large lam."""
     return np.exp(lam * (t - 1.0)) * (-np.expm1(-lam * t)) / (-np.expm1(-lam))
 
-def _stable_field_ratio(lam: np.ndarray, t) -> np.ndarray:
-    """(2 e^{lam t} - 1) / (e^{lam} - 1), overflow-safe for large lam."""
-    ratio = _exp(lam * (t - 1.0))
-    ratio *= 2.0
-    ratio -= _exp(-lam)
-    return np.divide(ratio, -np.expm1(-lam), out=ratio)
+
+def _bridge_cost(lam: np.ndarray, coeff: np.ndarray, n_times: int):
+    """(1/4) int_0^1 sum_k lambda_k coeff_k^2 F_k(t)^2 dt of the bridge to the modal
+    target `coeff` (or one per row), F_k = (2 e^{lambda_k t} - 1) / (e^{lambda_k} - 1),
+    by the trapezoid over n_times uniform nodes h apart: (1/4) sum_k lambda_k
+    coeff_k^2 r_k, r_k in closed form.  With x = e^{lambda (t-1)}, F^2 = (4x^2 -
+    4 e^{-lambda} x + e^{-2 lambda}) / (1 - e^{-lambda})^2, and the trapezoid of the
+    geometric series x^m is h (expm1(-m lambda (1+h)) / expm1(-m lambda h)
+    - (1 + e^{-m lambda}) / 2)."""
+    h = 1.0 / (n_times - 1)
+    decay = np.exp(-lam)
+    m = np.array([[1.0], [2.0]])  # one row per power x^m
+    x1, x2 = h * (np.expm1(-m * lam * (1.0 + h)) / np.expm1(-m * lam * h)
+                  - 0.5 * (1.0 + decay ** m))
+    r = (4.0 * x2 - 4.0 * decay * x1 + decay * decay) / np.expm1(-lam) ** 2
+    return 0.25 * np.vecdot(coeff * coeff, lam * r)
 
 
-def _bridge_cost(lam: np.ndarray, coeff: np.ndarray, ts: np.ndarray):
-    """(1/4) int sum_k lambda_k coeff_k^2 F_k(t)^2 dt of the bridge to the modal
-    target `coeff` (or one per row), F the field ratio, as the per-mode sum
-    (1/4) sum_k lambda_k coeff_k^2 r_k, r_k = sum_j w_j F_k(t_j)^2 over `ts`."""
-    ratio = _stable_field_ratio(lam, ts[:, None])
-    ratio *= ratio
-    return 0.25 * np.vecdot(coeff * coeff, lam * (_trapezoid_weights(ts) @ ratio))
+def _reversal_weights(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """q_k = sum_j w_j e^{-2 lambda_k t_j}, the trapezoid over the nodes ts, each
+    mode summed only over the t_j <= 372.6 / lambda_k: past them e^{-2 lambda_k t_j}
+    is exactly 0.0 in float64."""
+    w = 0.5 * np.convolve(np.diff(ts), [1.0, 1.0])
+    last = np.searchsorted(ts, 372.6 / lam, side="right")
+    return np.array([w[:j] @ np.exp(-2.0 * x * ts[:j]) for x, j in zip(lam, last)])
 
 
 def clever_path(profile: StationaryProfile, psi, n_times: int = _BRIDGE_TIMES):
@@ -182,7 +178,7 @@ def clever_path(profile: StationaryProfile, psi, n_times: int = _BRIDGE_TIMES):
     if gap > 1e-6:
         raise RuntimeError(f"clever path misses the target by {gap:.3e}")
     traj = DeterministicTrajectory(params=params, times=ts, profiles=profiles)
-    return traj, float(_bridge_cost(lam, coeff, ts))
+    return traj, float(_bridge_cost(lam, coeff, n_times))
 
 
 def quasipotential(profile: StationaryProfile, rho, T1: float,
@@ -200,9 +196,11 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
     c = <rho - Phi_ss, e_k>_(1/n) the reversal cost is the trapezoid of
     sum_k lambda_k c_k^2 e^{-2 lambda_k t} over a graded grid, independent of
     the W difference reported next to it, summed per mode: the weights
-    q_k = sum_j w_j e^{-2 lambda_k t_j}, and the bridge's r_k (`_bridge_cost`),
-    are built once per call for all targets.  `rho` is one target (n-1,),
-    giving a RateReport, or a batch (targets, n-1), giving a list of them.
+    q_k = sum_j w_j e^{-2 lambda_k t_j} (`_reversal_weights`) run over the nodes
+    where the term is not 0.0, and the bridge's r_k (`_bridge_cost`) are in
+    closed form, both once per call for all targets and no (time, mode) table.
+    `rho` is one target (n-1,), giving a RateReport, or a batch (targets, n-1),
+    giving a list of them.
     """
     if T1 <= 0:
         raise ValueError("T1 must be positive")
@@ -215,11 +213,10 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
     coeff = np.array([spec.project(target - profile.profile) for target in targets])
     # graded grid: the energy integrand has its fast transient at t = 0
     ts = T1 * np.linspace(0.0, 1.0, n_times) ** 2
-    q = _trapezoid_weights(ts) @ _exp(np.multiply.outer(-2.0 * ts, lam))
-    reversal_costs = np.vecdot(coeff * coeff, lam * q)
+    reversal_costs = np.vecdot(coeff * coeff, lam * _reversal_weights(lam, ts))
 
     relax = np.exp(-lam * T1)
-    bridge_costs = _bridge_cost(lam, coeff * relax, np.linspace(0.0, 1.0, _BRIDGE_TIMES))
+    bridge_costs = _bridge_cost(lam, coeff * relax, _BRIDGE_TIMES)
     reports = []
     for target, c, bridge, reversal in zip(targets, coeff, bridge_costs, reversal_costs):
         w_target = static_rate_w(profile, target)

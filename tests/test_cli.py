@@ -75,7 +75,7 @@ def test_invalid_params_status_1(tmp_path):
     ["stationarity", "--replicas", "1"],
     ["martingale", "--replicas", "1"],
     ["girsanov", "--replicas", "1"],
-    ["hydro-limit", "--replicas", "1"],
+    ["hydro-limit", "--replicas", "0"],
     ["adjoint", "--n", "40"],
     ["hydro-limit", "--n", "3"],
     ["figure1", "--phi-l", "1", "--phi-r", "1"],
@@ -96,6 +96,13 @@ def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_hydro_limit_runs_with_one_replica(tmp_path):
+    # its se is the exact law's sqrt(v / R), not a sample spread
+    assert main(["hydro-limit", "--replicas", "1", "--out", str(tmp_path)]) in (0, 2)
+    outputs = json.loads((tmp_path / "summary.json").read_text())["outputs"]
+    assert np.isfinite(outputs["avg_se_lo"]) and np.isfinite(outputs["avg_se_hi"])
 
 
 @pytest.mark.parametrize("value", ["-1e-05", "-1E3", "-0.5"])

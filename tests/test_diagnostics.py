@@ -3,7 +3,7 @@ import pytest
 
 from fracgl import (ModelParams, adjoint_defect,
                     adjoint_matrix_poly2, build_drift_system,
-                    dirichlet_form_linear, generator_matrix_poly2,
+                    dirichlet_energy, generator_matrix_poly2,
                     propagate_exact, reservoir_drift, sample_ness,
                     solve_stationary_profile)
 from fracgl.rng import make_rng
@@ -154,14 +154,16 @@ def test_symmetric_part_pairing_identity(setup8):
 
 
 def test_dirichlet_form_linear_cases(setup8):
+    # the Dirichlet form <f, -L f> under the steady state of a linear
+    # f(phi) = sum c_x phi(x) is -c^T M c = n <c, (-M) c> / n, n times the energy
     params, sys, prof = setup8
-    assert dirichlet_form_linear(params, np.zeros(params.n_sites)) == 0.0
+    assert params.n * dirichlet_energy(params, np.zeros(params.n_sites)) == 0.0
     c = np.full(params.n_sites, 1.3)
-    assert dirichlet_form_linear(params, c) == pytest.approx(
+    assert params.n * dirichlet_energy(params, c) == pytest.approx(
         params.speed * 2.0 * 1.3 ** 2, rel=1e-12)
     rng = make_rng(9, "dlin")
     v = rng.standard_normal(params.n_sites)
-    assert dirichlet_form_linear(params, v) == pytest.approx(
+    assert params.n * dirichlet_energy(params, v) == pytest.approx(
         float(v @ (-sys.m) @ v), rel=1e-12)
 
 
@@ -169,7 +171,7 @@ def test_dirichlet_form_linear_matches_monte_carlo(setup8):
     params, sys, prof = setup8
     rng = make_rng(10, "dlin-mc")
     c = rng.standard_normal(params.n_sites)
-    exact = dirichlet_form_linear(params, c)
+    exact = params.n * dirichlet_energy(params, c)
     reps = 200000
     draws = sample_ness(prof, reps, seed=11)
     f_vals = draws @ c

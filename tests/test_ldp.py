@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
                     static_cumulant, static_rate_w)
 from fracgl import ldp
 from fracgl.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig
-from fracgl.ldp import _exp, _stable_field_ratio
 from fracgl.rng import make_rng
 
 
@@ -262,7 +262,8 @@ def test_modal_costs_match_site_space_route(setup32):
     psi = relax.profiles[-1]
     tb = np.linspace(0.0, 1.0, 2001)
     coeff = spec.project(psi - prof.profile)
-    source = spec.synthesize(lam * coeff * _stable_field_ratio(lam, tb[:, None]))
+    ratio = (2.0 * np.exp(lam * (tb[:, None] - 1.0)) - np.exp(-lam)) / -np.expm1(-lam)
+    source = spec.synthesize(lam * coeff * ratio)
     fields = np.linalg.solve(-build_drift_system(params).m, source.T).T
     bridge = 0.25 * np.trapezoid(dirichlet_energy(params, fields), tb)
     _, cost = clever_path(prof, psi)
@@ -303,27 +304,67 @@ def test_quasipotential_batch_matches_single_targets(setup32):
         assert rep.breakdown["w_relaxed"] == single.breakdown["w_relaxed"]
 
 
-def test_exp_is_numpy_exp_bit_for_bit():
-    # through the subnormal band (below -708.4) and the underflow at -745.13
-    x = np.concatenate([np.linspace(-800.0, 0.0, 200001),
-                        np.linspace(-745.2, -745.0, 20001)])
-    expected = np.exp(x)
-    got = _exp(x.copy())
-    assert np.any((expected > 0) & (expected < np.finfo(float).tiny))
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-
-
 def test_exp_quasipotential_builds_bridge_weights_once(tmp_path, monkeypatch):
     calls = []
+    bridge_cost = ldp._bridge_cost
 
-    def counted(lam, t):
-        calls.append(np.shape(t))
-        return _stable_field_ratio(lam, t)
-    monkeypatch.setattr(ldp, "_stable_field_ratio", counted)
+    def counted(lam, coeff, n_times):
+        calls.append(np.shape(coeff))
+        return bridge_cost(lam, coeff, n_times)
+    monkeypatch.setattr(ldp, "_bridge_cost", counted)
     cfg = ExperimentConfig(experiment="quasipotential", out_dir=str(tmp_path), n=32)
     result = EXPERIMENTS["quasipotential"](cfg)
     assert len(calls) == 1
     assert all(check["pass"] for check in result["checks"].values())
+
+
+def _table_bridge_weights(lam, n_times):
+    """Oracle: r_k as the (times, modes) table route computed it, the trapezoid of
+    F_k(t)^2, F_k = (2 e^{lambda_k t} - 1) / (e^{lambda_k} - 1), over n_times
+    uniform nodes of [0, 1]."""
+    ts = np.linspace(0.0, 1.0, n_times)
+    field = (2.0 * np.exp(lam * (ts[:, None] - 1.0)) - np.exp(-lam)) / -np.expm1(-lam)
+    return np.trapezoid(field * field, ts, axis=0)
+
+
+def _table_reversal_weights(lam, ts):
+    """Oracle: q_k as the table route computed it, the trapezoid of e^{-2 lambda_k t}
+    over the nodes ts, numpy's exp at every node."""
+    return np.trapezoid(np.exp(-2.0 * lam * ts[:, None]), ts, axis=0)
+
+
+@pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
+def test_bridge_and_reversal_weights_match_the_table_route(gamma):
+    for n in (32, 256, 1024):
+        lam = dirichlet_spectrum(ModelParams(n, gamma, 0.5, 1.5)).eigenvalues
+        for n_times in (2001, 101):
+            got = ldp._bridge_cost(lam, np.eye(lam.size), n_times)
+            np.testing.assert_allclose(got, 0.25 * lam * _table_bridge_weights(lam, n_times),
+                                       rtol=1e-12, atol=0)
+        for T1 in (0.05, 6.5 / lam[0]):
+            ts = T1 * np.linspace(0.0, 1.0, 4001) ** 2
+            np.testing.assert_allclose(ldp._reversal_weights(lam, ts),
+                                       _table_reversal_weights(lam, ts), rtol=1e-12, atol=0)
+    assert np.exp(-lam[-1]) == 0.0  # the top modes' e^{-lambda} underflows at n = 1024
+
+
+def test_quasipotential_makes_no_time_by_mode_table():
+    # a (4001, 255) table of e^{-2 lambda t} alone is 8.2 MB
+    params = ModelParams(256, 1.5, 0.5, 1.5)
+    prof = solve_stationary_profile(params)
+    spec = dirichlet_spectrum(params)
+    u = params.grid()
+    rhos = np.stack([prof.profile + SmoothBump(0.25, 0.75, 0.6).f(u),
+                     prof.profile - SmoothBump(0.15, 0.55, 0.45).f(u),
+                     prof.profile + SmoothBump(0.2, 0.5, 0.4).f(u)])
+    T1 = 6.5 / float(spec.eigenvalues[0])
+    tracemalloc.start()
+    try:
+        quasipotential(prof, rhos, T1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_quasipotential_converges_to_w(setup32):
