@@ -10,9 +10,8 @@ from .params import ModelParams, as_grid_function
 from .kernel import (kernel_constant, kernel_row, DriftSystem, build_drift_system,
                      discrete_fractional_laplacian, discrete_inner_seminorm,
                      dirichlet_energy)
-from .operators import (TestFunction, SmoothBump, PolyBump, SineMode,
-                        regional_laplacian_pointwise, continuum_seminorm,
-                        dirichlet_spectrum)
+from .operators import (TestFunction, SmoothBump, regional_laplacian_pointwise,
+                        continuum_seminorm, dirichlet_spectrum)
 from .ness import (StationaryProfile, reservoir_drift, solve_stationary_profile,
                    sample_ness, static_cumulant)
 from .simulate import (ExternalField, euler_stability_limit, euler_ensemble,

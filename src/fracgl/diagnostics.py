@@ -2,11 +2,19 @@
 
 On the centered monomials {1} u {w(x)} u {w(x)w(y), x <= y}, with
 w(x) = phi(x) - Phi_ss(x), the generator acts as the finite matrix of an
-Ornstein-Uhlenbeck operator with drift matrix M and diffusion -2M; degree-2
-polynomials map to degree-2 polynomials, so the representation is exact.
-The adjoint with respect to the product-Gaussian steady state comes from
-the basis Gram matrix (Wick integrals, all analytic at degree <= 2), and
-stationarity is the computable statement L* 1 = 0.
+Ornstein-Uhlenbeck operator with drift matrix M and diffusion A = -2M;
+degree-2 polynomials map to degree-2 polynomials, so the representation is
+exact.  An observable is a triple (c, v, S), f = c + v.w + w^T S w with S
+symmetric; a basis coefficient of the pair (x, y), x < y, carries
+S_xy + S_yx.  With r = M Phi_ss + b the residual affine drift,
+
+    L (c, v, S) = (v.r + tr(A S), M v + 2 S r, M S + S M),
+
+and the Wick integrals of the product-Gaussian steady state give the Gram
+form <f, f'> = (c + tr S)(c' + tr S') + v.v' + 2 tr(S S').  The matrices of
+L and of the Gram form are these maps applied to the basis at once.  The
+adjoint in that inner product is L* = G^-1 L^T G, and stationarity is the
+computable statement L* 1 = 0.
 
 Substituting the discrete harmonicity of the stationary profile into the
 first-order part of L* - L cancels it identically, so the computed
@@ -36,7 +44,8 @@ _MAX_N = 16
 
 @dataclass(frozen=True)
 class PolyObservableBasis:
-    """Index bookkeeping for {1} u {w(x)} u {w(x) w(y), x <= y}."""
+    """Index bookkeeping for {1} u {w(x)} u {w(x) w(y), x <= y}; the pairs
+    come in the row-major order of np.triu_indices(k)."""
 
     params: ModelParams
 
@@ -61,32 +70,33 @@ class PolyObservableBasis:
 
     def gram(self) -> np.ndarray:
         """Gram matrix of the basis under the product standard Gaussian."""
-        size, k = self.size, self.k
-        G = np.zeros((size, size))
-        G[0, 0] = 1.0
-        for i in range(k):
-            G[self.linear_index(i), self.linear_index(i)] = 1.0
-            ii = self.pair_index(i, i)
-            G[0, ii] = G[ii, 0] = 1.0   # E[w^2] = 1
-            for j in range(i, k):
-                idx = self.pair_index(i, j)
-                if i == j:
-                    G[idx, idx] = 3.0   # E[w^4]
-                    for p in range(k):
-                        if p != i:
-                            G[idx, self.pair_index(p, p)] = 1.0
-                            G[self.pair_index(p, p), idx] = 1.0
-                else:
-                    G[idx, idx] = 1.0
-        return G
+        c, v, S = _unpack(self.k, np.eye(self.size))
+        mean = c + np.trace(S, axis1=1, axis2=2)
+        flat = S.reshape(len(S), -1)
+        return np.multiply.outer(mean, mean) + v.T @ v + 2.0 * (flat @ flat.T)
+
+
+def _unpack(k: int, coeffs: np.ndarray) -> tuple:
+    """(c, v, S) of the observables in the columns of `coeffs`: c (cols,),
+    v (k, cols), S (cols, k, k) symmetric."""
+    pairs = np.zeros((coeffs.shape[1], k, k))
+    pairs[(slice(None),) + np.triu_indices(k)] = coeffs[1 + k:].T
+    return coeffs[0], coeffs[1:1 + k], 0.5 * (pairs + pairs.transpose(0, 2, 1))
+
+
+def _pack(c: np.ndarray, v: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Basis coefficients, one column per observable, of `_unpack`'s triple."""
+    i, j = np.triu_indices(S.shape[-1])
+    pairs = (S + S.transpose(0, 2, 1))[:, i, j] * np.where(i == j, 0.5, 1.0)
+    return np.vstack([c, v, pairs.T])
 
 
 def generator_matrix_poly2(profile: StationaryProfile):
     """Exact matrix L of the generator on the degree-<=2 centered basis.
 
-    Columns hold the coefficients of the image of each basis element; the
-    assembly is symbolic in the drift/diffusion coefficients, no sampling.
-    Restricted to n <= 16 (basis size grows like n^2 / 2).
+    Columns hold the coefficients of the image of each basis element, from
+    the map (c, v, S) -> (v.r + tr(A S), M v + 2 S r, M S + S M); no
+    sampling.  Restricted to n <= 16 (basis size grows like n^2 / 2).
 
     Returns (basis, L).
     """
@@ -94,47 +104,18 @@ def generator_matrix_poly2(profile: StationaryProfile):
     if params.n > _MAX_N:
         raise ValueError(f"poly-2 representation restricted to n <= {_MAX_N}")
     basis = PolyObservableBasis(params)
-    k = basis.k
     m = build_drift_system(params).m
-    a = -2.0 * m
     # residual affine drift in centered coordinates; zero up to solve accuracy
     r = m @ profile.profile + reservoir_drift(params)
-
-    L = np.zeros((basis.size, basis.size))
-    for i in range(k):
-        col = basis.linear_index(i)
-        L[0, col] = r[i]
-        for w in range(k):
-            L[basis.linear_index(w), col] += m[i, w]
-    for i in range(k):
-        for j in range(i, k):
-            col = basis.pair_index(i, j)
-            if i == j:
-                L[0, col] += a[i, i]
-                L[basis.linear_index(i), col] += 2.0 * r[i]
-                for w in range(k):
-                    L[basis.pair_index(w, i), col] += 2.0 * m[i, w]
-            else:
-                L[0, col] += a[i, j]
-                L[basis.linear_index(j), col] += r[i]
-                L[basis.linear_index(i), col] += r[j]
-                for w in range(k):
-                    L[basis.pair_index(w, j), col] += m[i, w]
-                    L[basis.pair_index(w, i), col] += m[j, w]
-    return basis, L
+    _, v, S = _unpack(basis.k, np.eye(basis.size))
+    trace_as = np.einsum("ij,bij->b", -2.0 * m, S)
+    return basis, _pack(r @ v + trace_as, m @ v + 2.0 * (S @ r).T, m @ S + S @ m)
 
 
 def adjoint_matrix_poly2(basis: PolyObservableBasis, L: np.ndarray) -> np.ndarray:
     """Adjoint of L in the Gaussian inner product: L* = G^-1 L^T G."""
     G = basis.gram()
     return np.linalg.solve(G, L.T @ G)
-
-
-def _generalized_eigvalsh(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of lhs v = lam rhs v for symmetric lhs and positive-definite
-    rhs, as those of C^-1 lhs C^-T with rhs = C C^T (Cholesky)."""
-    c = np.linalg.cholesky(rhs)
-    return np.linalg.eigvalsh(np.linalg.solve(c, np.linalg.solve(c, lhs).T))
 
 
 def adjoint_defect(profile: StationaryProfile) -> dict:
@@ -145,30 +126,20 @@ def adjoint_defect(profile: StationaryProfile) -> dict:
         stationarity of the product-Gaussian steady state;
       - 'defect_norm': operator norm of (L - L*)/2 in the Gaussian inner
         product, restricted to mean-zero observables (reported, and expected
-        to vanish at equilibrium phi_l = phi_r).
+        to vanish at equilibrium phi_l = phi_r).  With G = C C^T (Cholesky)
+        and B = C^T L C^-T, (L - L*)/2 is (B - B^T)/2 in the Euclidean
+        coordinates C^T f, and the mean-zero observables are the complement
+        of q = C^T e_0; the norm is the 2-norm of (B - B^T)/2 times the
+        projection off q.
     """
     basis, L = generator_matrix_poly2(profile)
-    Ls = adjoint_matrix_poly2(basis, L)
-    G = basis.gram()
+    invariance = float(np.max(np.abs(adjoint_matrix_poly2(basis, L)[:, 0])))
 
-    e0 = np.zeros(basis.size)
-    e0[0] = 1.0
-    invariance = float(np.max(np.abs(Ls @ e0)))
-
-    A = 0.5 * (L - Ls)
-    # mean-zero subspace: {v : (G e0) . v = 0}
-    mean_vec = G @ e0
-    basis_v = np.eye(basis.size)[:, 1:].copy()
-    # project each column onto the subspace (Gram-Schmidt against mean_vec)
-    for c in range(basis_v.shape[1]):
-        v = basis_v[:, c]
-        v -= mean_vec * (mean_vec @ v) / (mean_vec @ mean_vec)
-        basis_v[:, c] = v
-    AB = A @ basis_v
-    lhs = AB.T @ G @ AB
-    rhs = basis_v.T @ G @ basis_v
-    vals = _generalized_eigvalsh(lhs, rhs)
-    defect = float(np.sqrt(max(vals.max(), 0.0)))
+    C = np.linalg.cholesky(basis.gram())
+    B = C.T @ np.linalg.solve(C, L.T).T
+    q = C[0] / np.linalg.norm(C[0])
+    antisym = 0.5 * (B - B.T)
+    defect = float(np.linalg.norm(antisym - np.outer(antisym @ q, q), 2))
     params = profile.params
     return {
         "n": params.n,
@@ -178,4 +149,3 @@ def adjoint_defect(profile: StationaryProfile) -> dict:
         "invariance_residual": invariance,
         "defect_norm": defect,
     }
-

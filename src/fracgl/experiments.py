@@ -348,8 +348,7 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
     prof = ness.solve_stationary_profile(params)
     field = _bump_field(0.25, 0.75, 1.0)
     times = np.linspace(0.0, cfg.T, int(np.ceil(cfg.T / cfg.dt)) + 1)
-    traj = hydro.solve_hydrodynamic(prof, prof.profile, times, field=field,
-                                    substep=cfg.dt)
+    traj = hydro.solve_hydrodynamic(prof, prof.profile, times, field=field)
     rate = ldp.rate_from_field(params, field, cfg.T, dt=cfg.dt)
 
     half = _bump_field(0.25, 0.75, 0.5)  # H / 2, exactly: the amplitude is a power of 2

@@ -7,14 +7,15 @@ checked through boundary block averages rather than imposed.
 
 The spectral integrator works in the eigenbasis of M and is exact for H = 0
 (variation of constants, Phi_t = Phi_ss + e^{Mt}(g - Phi_ss)); with a field
-it uses an exponential integrator that treats the per-mode forcing as
-piecewise linear on substeps, so stiffness never restricts the step.  For
-a field H = a(t) B the forcing at the substeps is a(t_sub) times the one
-projection of -(L_n B); only the per-mode recurrence runs step by step.  The
-integrator and the relaxation fit take the StationaryProfile (the model and
-Phi_ss); the weak-form defect reads the model, g and the field from the
-recorded path, and for a test field G = a_G(t) B_G works on the two pairings
-<Phi_t, B_G> and <Phi_t, L_n B_G> along the path.
+it takes one exponential step per recorded interval, exact for per-mode
+forcing linear between the recorded times, so stiffness never restricts the
+step and the recording grid alone sets how closely the forcing follows a(t).
+For a field H = a(t) B the forcing at the recorded times is a(times) times
+the one projection of -(L_n B); only the per-mode recurrence runs step by
+step.  The integrator and the relaxation fit take the StationaryProfile (the
+model and Phi_ss); the weak-form defect reads the model, g and the field
+from the recorded path, and for a test field G = a_G(t) B_G works on the two
+pairings <Phi_t, B_G> and <Phi_t, L_n B_G> along the path.
 """
 
 from __future__ import annotations
@@ -57,18 +58,19 @@ def l2_distance(params: ModelParams, f, g):
 
 
 def solve_hydrodynamic(profile: StationaryProfile, g, times,
-                       field: Optional[ExternalField] = None,
-                       substep: float = 1e-3) -> DeterministicTrajectory:
+                       field: Optional[ExternalField] = None) -> DeterministicTrajectory:
     """Integrate d Phi/dt = M Phi + b + u_t of `profile.params` from Phi_0 = g
     in the eigenbasis of M, around the stationary profile Phi_ss it carries.
 
-    Exact for H = 0; with a field, exponentially integrated with the
-    forcing sampled on substeps of length <= `substep`.
+    Exact for H = 0; with a field, one exponential step per interval of
+    `times`, with the forcing a(t) u taken linear between the recorded
+    times, which is exact for an a(t) linear there.  A finer `times`
+    resolves a faster a(t).
 
     Parameters
     ----------
     times : ascending array starting at 0
-        Recording grid.
+        Recording grid, which is also the integration grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -84,22 +86,17 @@ def solve_hydrodynamic(profile: StationaryProfile, g, times,
         np.exp(coeffs, out=coeffs)
         coeffs *= coeff
     else:
-        # forcing at every substep node of the grid, projected in one batch
-        n_sub = np.maximum(1, np.ceil(np.diff(times) / substep).astype(int))
-        first = np.cumsum(n_sub) - n_sub
-        h = np.repeat(np.diff(times) / n_sub, n_sub)[:, None]
-        k = np.arange(h.size) - np.repeat(first, n_sub)
-        t_sub = np.append(np.repeat(times[:-1], n_sub) + k * h[:, 0], times[-1])
-        u = np.multiply.outer(field.a(t_sub), spec.project(-field.lattice_shape(params)[1]))
+        # forcing at every recorded time, projected in one batch
+        u = np.multiply.outer(field.a(times), spec.project(-field.lattice_shape(params)[1]))
+        h = np.diff(times)[:, None]
         decay = np.exp(-h * lam)
         alpha = -np.expm1(-h * lam) / lam            # int_0^h e^{-lam s} ds
         beta = (h - alpha) / (h * lam)               # weight of the forward node
         forcing = u[:-1] * (alpha - beta) + u[1:] * beta
-        state = np.empty_like(forcing)               # coefficients after each substep
-        c = coeff
+        coeffs = np.empty_like(u)                    # coefficients at each recorded time
+        c = coeffs[0] = coeff
         for j in range(h.size):
-            c = state[j] = decay[j] * c + forcing[j]
-        coeffs = np.vstack([coeff, state[first + n_sub - 1]])
+            c = coeffs[j + 1] = decay[j] * c + forcing[j]
     profiles = spec.synthesize(coeffs)
     profiles += phiss
     profiles[0] = g

@@ -111,15 +111,6 @@ class ExternalField:
             self._kept[key] = bv, discrete_fractional_laplacian(params, bv)
         return self._kept[key]
 
-    def lattice(self, params: ModelParams, t: float):
-        """(H_t, L_n H_t) on the interior sites at one time t."""
-        amp = float(self.amplitude(t))
-        return tuple(amp * arr for arr in self.lattice_shape(params))
-
-    def tilt_drift(self, params: ModelParams, t: float) -> np.ndarray:
-        """u_t = -(L_n H_t) on the lattice at one time t."""
-        return -self.lattice(params, t)[1]
-
 
 def _on_times(fn: Callable, t):
     """fn(t) as a float for one time; for an array of times the one call

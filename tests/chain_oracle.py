@@ -27,7 +27,7 @@ def euler_loop(profile, phi0, T, dt, rng, field=None, tilted=True, g_vec=None):
         noise = s * rng.standard_normal(dev.shape)
         dev = r * dev + noise
         if field is not None:
-            u_hat = spec.project(field.tilt_drift(params, j * h))
+            u_hat = spec.project(-field.a(j * h) * field.lattice_shape(params)[1])
             if tilted:
                 dev += h * u_hat
             theta = 0.5 * n * u_hat / lam

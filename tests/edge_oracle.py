@@ -22,7 +22,7 @@ def edge_euler(params, phi, T, dt, rng, field):
     v, m, b = edge_vectors(params), build_drift_system(params).m, reservoir_drift(params)
     logw, q = np.zeros(len(phi)), 0.0
     for k in range(int(round(T / dt))):
-        lam = 0.5 * v[:-2] @ field.lattice(params, k * dt)[0]
+        lam = 0.5 * v[:-2] @ (field.a(k * dt) * field.lattice_shape(params)[0])
         xi = rng.standard_normal((len(phi), len(v)))
         logw += np.sqrt(dt) * xi[:, :-2] @ lam - 0.5 * dt * lam @ lam
         q += dt * lam @ lam

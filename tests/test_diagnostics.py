@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fracgl import (ModelParams, adjoint_defect,
                     propagate_exact, reservoir_drift, sample_ness,
                     solve_stationary_profile)
 from fracgl.rng import make_rng
+from poly2_oracle import loop_generator, loop_gram, pencil_defect
 
 
 @pytest.fixture(scope="module")
@@ -109,23 +112,29 @@ def test_adjoint_defect_reported_out_of_equilibrium(setup8):
     assert report["defect_norm"] < 1e-6
 
 
-def test_generalized_eigenvalues_match_scipy(setup8, monkeypatch):
-    # the Cholesky reduction against LAPACK's generalized eigensolver, on the
-    # pencil adjoint_defect builds and on that pencil with an O(1) lhs added
-    from scipy.linalg import eigh
-    from fracgl import diagnostics
-    pencils, inner = [], diagnostics._generalized_eigvalsh
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 12, 16])
+def test_matrices_match_loop_oracle(n):
+    # the three matrix identities against the entry-by-entry assembly, bit for bit
+    for gamma in (1.1, 1.5, 1.9):
+        for phi_l, phi_r in ((0.0, 1.0), (0.7, 0.7), (-3.0, 5.0), (1e3, -2e3)):
+            prof = solve_stationary_profile(ModelParams(n, gamma, phi_l, phi_r))
+            basis, L = generator_matrix_poly2(prof)
+            assert np.array_equal(L, loop_generator(prof))
+            assert np.array_equal(basis.gram(), loop_gram(basis))
 
-    def keep(lhs, rhs):
-        pencils.append((lhs, rhs))
-        return inner(lhs, rhs)
-    monkeypatch.setattr(diagnostics, "_generalized_eigvalsh", keep)
-    adjoint_defect(setup8[2])
-    lhs, rhs = pencils[0]
-    x = make_rng(5, "pencil").standard_normal(lhs.shape)
-    for a in (lhs, lhs + x + x.T):
-        want = eigh(a, rhs, eigvals_only=True)
-        np.testing.assert_allclose(inner(a, rhs), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+def test_defect_norm_matches_generalized_eigh(setup8):
+    # against scipy's eigensolver on the Gram-Schmidt pencil: on a profile
+    # moved off the stationary one, where the residual drift r makes the
+    # defect O(1), and at machine scale out of and at equilibrium
+    params, sys, prof = setup8
+    moved = replace(prof, profile=0.5 + 0.8 * (prof.profile - 0.5)
+                    + 0.05 * np.sin(3.0 * params.grid()))
+    want = pencil_defect(moved)
+    assert want > 1.0
+    assert adjoint_defect(moved)["defect_norm"] == pytest.approx(want, rel=1e-12, abs=0)
+    for p in (prof, solve_stationary_profile(ModelParams(8, 1.5, 0.7, 0.7))):
+        assert adjoint_defect(p)["defect_norm"] == pytest.approx(pencil_defect(p), rel=0, abs=1e-14)
 
 
 def test_dirichlet_form_nonneg_on_poly2(setup8):

@@ -7,10 +7,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from fracgl import (ExternalField, ModelParams, SineMode, SmoothBump, build_drift_system,
+from fracgl import (ExternalField, ModelParams, SmoothBump, build_drift_system,
                     dirichlet_spectrum, l2_distance, relaxation_rate,
                     reservoir_drift, solve_hydrodynamic, solve_stationary_profile,
                     weak_residual, dirichlet_energy)
+from shapes import SineMode
 
 
 def bump_field(amp=1.0):
@@ -54,14 +55,52 @@ def test_spectral_with_field_matches_radau():
     params = ModelParams(32, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     field = bump_field()
-    times = np.array([0.0, 0.25, 0.5])
-    spectral = solve_hydrodynamic(prof, prof.profile, times, field=field,
-                                  substep=2e-4)
+    times = np.linspace(0.0, 0.5, 2501)
+    spectral = solve_hydrodynamic(prof, prof.profile, times, field=field)
     m, b = build_drift_system(params).m, reservoir_drift(params)
-    radau = solve_ivp(lambda t, y: m @ y + b + field.tilt_drift(params, t),
+    lap = field.lattice_shape(params)[1]
+    radau = solve_ivp(lambda t, y: m @ y + b - field.a(t) * lap,
                       (0.0, times[-1]), prof.profile, method="Radau",
                       rtol=1e-10, atol=1e-12, jac=m)
     assert np.max(np.abs(spectral.profiles[-1] - radau.y[:, -1])) < 1e-6
+
+
+def test_constant_forcing_is_exact_on_an_uneven_grid():
+    # one exponential step per interval is exact for forcing linear between
+    # the recorded times: with a constant amplitude, each mode follows
+    # e^{-lam t} c_0 + u (1 - e^{-lam t}) / lam on any grid
+    params = ModelParams(32, 1.5, 0.0, 1.0)
+    prof = solve_stationary_profile(params)
+    spec = dirichlet_spectrum(params)
+    g = prof.profile + SmoothBump(0.3, 0.7, 0.8).f(params.grid())
+    field = ExternalField(lambda t: 0.7, None, SmoothBump(0.25, 0.75))
+    times = 0.4 * np.linspace(0.0, 1.0, 23) ** 3
+    traj = solve_hydrodynamic(prof, g, times, field=field)
+    lam = spec.eigenvalues
+    u_hat = 0.7 * spec.project(-field.lattice_shape(params)[1])
+    decay = np.exp(-np.multiply.outer(times, lam))
+    want = spec.synthesize(decay * spec.project(g - prof.profile) + u_hat * (1.0 - decay) / lam)
+    np.testing.assert_allclose(traj.profiles - prof.profile, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def test_forcing_read_at_the_recorded_times():
+    # linspace spacing lands an ulp above dt on most intervals, as on
+    # rate-check's grid; the amplitude is still read once, at exactly `times`
+    params = ModelParams(16, 1.5, 0.0, 1.0)
+    prof = solve_stationary_profile(params)
+    T, dt = 0.25, 1e-3
+    times = np.linspace(0.0, T, int(np.ceil(T / dt)) + 1)
+    assert np.any(np.diff(times) > dt)
+    seen = []
+
+    def amplitude(t):
+        seen.append(np.copy(t))
+        return 0.6 + 0.4 * np.cos(2.0 * t)
+    field = ExternalField(amplitude, None, SmoothBump(0.25, 0.75))
+    seen.clear()
+    solve_hydrodynamic(prof, prof.profile, times, field=field)
+    assert len(seen) == 1 and np.array_equal(seen[0], times)
 
 
 def test_exponential_decay_bound():
@@ -104,9 +143,8 @@ def test_weak_residual_solution_small():
     params = ModelParams(128, 1.5, 0.0, 1.0)
     prof = solve_stationary_profile(params)
     field = bump_field()
-    times = np.linspace(0.0, 0.5, 501)
-    traj = solve_hydrodynamic(prof, prof.profile, times, field=field,
-                              substep=2.5e-4)
+    times = np.linspace(0.0, 0.5, 2001)
+    traj = solve_hydrodynamic(prof, prof.profile, times, field=field)
     res = weak_residual(traj, space_time_g(), 0.5)
     assert abs(res) <= 1e-3
 

@@ -91,8 +91,7 @@ def test_j_identity_and_variational_bound(setup32):
     field = bump_field()
     T = 0.25
     times = np.linspace(0.0, T, 2501)
-    traj = solve_hydrodynamic(prof, prof.profile, times, field=field,
-                              substep=T / 2500)
+    traj = solve_hydrodynamic(prof, prof.profile, times, field=field)
     rate = rate_from_field(params, field, T, dt=T / 2500)
     j_half = j_functional(traj, half_of(field))
     assert j_half == pytest.approx(rate, rel=1e-4)

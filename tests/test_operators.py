@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracgl import (ModelParams, PolyBump, SineMode, SmoothBump, TestFunction,
+from fracgl import (ModelParams, SmoothBump, TestFunction,
                     build_drift_system, continuum_seminorm,
                     dirichlet_spectrum, discrete_fractional_laplacian,
                     discrete_inner_seminorm,
@@ -15,6 +15,7 @@ from fracgl import (ModelParams, PolyBump, SineMode, SmoothBump, TestFunction,
 from fracgl import operators
 from fracgl.hydro import relaxation_rate
 from fracgl.operators import spectrum_to_csv
+from shapes import PolyBump, SineMode
 
 FROZEN = json.loads((Path(__file__).parent / "frozen_quadrature.json").read_text())
 

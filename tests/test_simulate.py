@@ -58,34 +58,28 @@ def test_time_independent_field_on_time_array(params16):
     field = ExternalField(lambda t: 1.0, None, bump)
     ts = np.linspace(0.0, 0.5, 4)
     np.testing.assert_array_equal(field.a(ts), np.ones(ts.size))
-    hv, lap = field.lattice(params16, float(ts[2]))
-    np.testing.assert_array_equal(hv, bump.f(params16.grid()))
-    u_one = field.tilt_drift(params16, float(ts[2]))
-    np.testing.assert_allclose(field.a(ts)[2] * -field.lattice_shape(params16)[1], u_one,
-                               rtol=0, atol=1e-12 * np.abs(u_one).max())
+    np.testing.assert_array_equal(field.lattice_shape(params16)[0], bump.f(params16.grid()))
 
 
 def test_field_tilt_drift_is_minus_laplacian(params16):
     from fracgl import discrete_fractional_laplacian
+    # the tilt drift a(t) u has u = -(L_n B), kept once per (n, gamma)
     field = bump_field()
-    hv, lap = field.lattice(params16, 0.3)
+    bv, lap = field.lattice_shape(params16)
     np.testing.assert_allclose(
-        lap, discrete_fractional_laplacian(params16, hv), atol=1e-10)
-    np.testing.assert_allclose(field.tilt_drift(params16, 0.3), -lap, atol=0)
+        lap, discrete_fractional_laplacian(params16, bv), atol=1e-10)
+    assert field.lattice_shape(params16)[1] is lap
 
 
 def test_field_lattice_on_time_array_matches_per_time(params16):
-    # the layers scale one lattice shape by the amplitudes of a time array
+    # the layers scale one lattice shape by the amplitudes of a time array,
+    # which are those of the times one at a time
     field = bump_field()
     ts = np.linspace(0.0, 0.5, 6)
-    bv, lap_b = field.lattice_shape(params16)
     amp, rate = field.a(ts), field.da(ts)
     assert amp.shape == rate.shape == ts.shape
     for i, t in enumerate(ts):
-        h_t, lap_t = field.lattice(params16, float(t))
-        np.testing.assert_array_equal(amp[i] * bv, h_t)
-        np.testing.assert_allclose(amp[i] * lap_b, lap_t, rtol=0,
-                                   atol=1e-12 * np.abs(lap_t).max())
+        assert amp[i] == field.a(float(t))
         assert rate[i] == field.da(float(t))
 
 
@@ -93,9 +87,10 @@ def test_site_tilt_is_half_field(params16, sys16):
     # the site-space Girsanov tilt theta = (-M)^{-1} u / 2 is H / 2 exactly
     # for a field that vanishes at sites 1 and n-1
     field = bump_field()
-    hv, _ = field.lattice(params16, 0.2)
+    bv, lap = field.lattice_shape(params16)
+    hv = field.a(0.2) * bv
     assert hv[0] == hv[-1] == 0.0
-    theta = 0.5 * np.linalg.solve(-sys16.m, field.tilt_drift(params16, 0.2))
+    theta = 0.5 * np.linalg.solve(-sys16.m, -field.a(0.2) * lap)
     np.testing.assert_allclose(theta, 0.5 * hv, rtol=0, atol=1e-12)
 
 
@@ -160,7 +155,7 @@ def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilte
     spec = dirichlet_spectrum(params16)
     eta = np.sqrt(dt) * z @ (spec.modes * np.sqrt(2.0 * spec.eigenvalues
                                                  / params16.n)).T
-    u = field.tilt_drift(params16, 0.0)
+    u = -field.a(0.0) * field.lattice_shape(params16)[1]
     theta = 0.5 * np.linalg.solve(-sys16.m, u)
     quad = 0.5 * dt * float(theta @ u)
     np.testing.assert_allclose(out["log_weight"],
@@ -228,7 +223,8 @@ def test_step_sums_match_direct_sums(params16):
     k_steps, lam = 300, spec.eigenvalues
     h = 0.3 / k_steps
     r = np.exp(np.log1p(-h * lam))
-    u = np.array([spec.project(field.tilt_drift(params16, j * h)) for j in range(k_steps)])
+    lap = field.lattice_shape(params16)[1]
+    u = np.array([spec.project(-field.a(j * h) * lap) for j in range(k_steps)])
     late = np.sum(r ** np.arange(k_steps - 1, -1, -1)[:, None] * u, axis=0)
     q = 0.5 * h * params16.n * np.sum(u ** 2 / lam)
     g_hat = params16.n * spec.project(G / params16.n_sites)
@@ -400,7 +396,7 @@ def test_girsanov_log_weight_variance_matches_step_loop():
     h = T / k_steps
     loop = 0.0
     for k in range(k_steps):
-        u = field.tilt_drift(params, k * h)
+        u = -field.a(k * h) * field.lattice_shape(params)[1]
         loop += 0.5 * h * float(u @ np.linalg.solve(-sys.m, u))
     q = girsanov_log_weight_variance(params, field, T, dt)
     assert q == pytest.approx(loop, rel=1e-12, abs=0)
@@ -521,7 +517,7 @@ def test_dynkin_diagnostics_matches_ensemble_accumulator():
         for k in range(n_steps):
             drift = phi @ m.T + b
             if field is not None:
-                drift = drift + field.tilt_drift(params, k * dt)
+                drift = drift - field.a(k * dt) * field.lattice_shape(params)[1]
             step = phi + dt * drift + np.sqrt(dt) * z[k] @ S.T
             dynkin += empirical_pairing(step - phi - dt * drift, G)
             phi = step
