@@ -21,7 +21,7 @@ from . import hydro, ldp, ness, simulate, svg
 from .diagnostics import _MAX_N as _ADJOINT_MAX_N, adjoint_defect
 from .kernel import build_drift_system
 from .operators import SmoothBump, dirichlet_spectrum, spectrum_to_csv
-from .params import ModelParams
+from .params import ModelParams, step_count
 from .rng import make_rng
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "run"]
@@ -129,13 +129,14 @@ def exp_figure1(cfg: ExperimentConfig) -> dict:
 
 def exp_stationarity(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    prof = ness.solve_stationary_profile(params)
-    phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-    out = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1)
+    with simulate.chain_noise_ahead(params, cfg.replicas, cfg.seed + 1):
+        prof = ness.solve_stationary_profile(params)
+        phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
+        out = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1)
     phi = out["phi"]
     mean = phi.mean(axis=0)
     var = phi.var(axis=0, ddof=1)
-    se_mean = phi.std(axis=0, ddof=1) / np.sqrt(cfg.replicas)
+    se_mean = np.sqrt(var) / np.sqrt(cfg.replicas)
     se_var_ness = np.sqrt(2.0 / (cfg.replicas - 1))
     se_var = var * se_var_ness
     z_mean = float(np.max(np.abs(mean - prof.profile) / se_mean))
@@ -248,12 +249,13 @@ def exp_hydro_limit(cfg: ExperimentConfig) -> dict:
 
 def exp_martingale(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    prof = ness.solve_stationary_profile(params)
     u = params.grid()
     G = np.sin(np.pi * u) * (1.0 + 0.3 * u)
-    phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-    out = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
-                                  martingale_g=G)
+    with simulate.chain_noise_ahead(params, cfg.replicas, cfg.seed + 1):
+        prof = ness.solve_stationary_profile(params)
+        phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
+        out = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
+                                      martingale_g=G)
     m = out["martingale"]
     qv = simulate.martingale_qv_rate(params, G) * cfg.T
     se_mean = m.std(ddof=1) / np.sqrt(cfg.replicas)
@@ -280,15 +282,19 @@ def _weight_health(log_weight: np.ndarray) -> dict:
 
 def exp_girsanov(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    prof = ness.solve_stationary_profile(params)
     field = _bump_field(0.25, 0.75, 0.8)
     u = params.grid()
     G = np.sin(np.pi * u)
 
     # the tilted pair draws stream index 1 of the untilted pair's keys
-    phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-    plain = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
-                                    field=field, tilted=False)
+    with simulate.chain_noise_ahead(params, cfg.replicas, cfg.seed + 1, indices=(0, 1)):
+        prof = ness.solve_stationary_profile(params)
+        phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
+        plain = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
+                                        field=field, tilted=False)
+        phi0b = ness.sample_ness(prof, cfg.replicas, cfg.seed, index=1)
+        tilted = simulate.euler_ensemble(prof, phi0b, cfg.T, cfg.dt, seed=cfg.seed + 1,
+                                         field=field, tilted=True, index=1)
     w = np.exp(plain["log_weight"])
     se_w = w.std(ddof=1) / np.sqrt(cfg.replicas)
     dev_one = abs(w.mean() - 1.0)
@@ -300,9 +306,6 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     est_weighted = wf.mean()
     se_weighted = wf.std(ddof=1) / np.sqrt(cfg.replicas)
 
-    phi0b = ness.sample_ness(prof, cfg.replicas, cfg.seed, index=1)
-    tilted = simulate.euler_ensemble(prof, phi0b, cfg.T, cfg.dt, seed=cfg.seed + 1,
-                                     field=field, tilted=True, index=1)
     f_tilt = np.tanh(tilted["phi"] @ G / params.n_sites)
     est_tilted = f_tilt.mean()
     se_tilted = f_tilt.std(ddof=1) / np.sqrt(cfg.replicas)
@@ -328,7 +331,7 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
                     "logweight": float(plain["log_weight"][i]),
                     "observables": {"tanh_pairing": float(f_plain[i])}}
                    for i in range(min(cfg.replicas, 200))]
-        json.dump(records, fh, indent=1)
+        fh.write(json.dumps(records))
     # a reported z, not a gate: the weight itself is log-normal, far from normal
     se_w_exact = np.sqrt(np.expm1(q) / cfg.replicas)
     return {"checks": checks,
@@ -347,7 +350,7 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
     prof = ness.solve_stationary_profile(params)
     field = _bump_field(0.25, 0.75, 1.0)
-    times = np.linspace(0.0, cfg.T, int(np.ceil(cfg.T / cfg.dt)) + 1)
+    times = np.linspace(0.0, cfg.T, step_count(cfg.T, cfg.dt) + 1)
     traj = hydro.solve_hydrodynamic(prof, prof.profile, times, field=field)
     rate = ldp.rate_from_field(params, field, cfg.T, dt=cfg.dt)
 

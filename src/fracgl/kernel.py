@@ -242,13 +242,14 @@ class DriftSystem:
         if centre:
             flip[-1, -1] = self.diagonal[size - 1]
         if parity < 0:
-            return flip - top
-        even = np.negative(top)
-        even -= flip
+            flip -= top
+            return flip
+        np.negative(top, out=top)
+        top -= flip
         if centre:
-            even[-1] /= np.sqrt(2.0)
-            even[:, -1] /= np.sqrt(2.0)
-        return even
+            top[-1] /= np.sqrt(2.0)
+            top[:, -1] /= np.sqrt(2.0)
+        return top
 
     @cached_property
     def even(self) -> FlipSector:
@@ -276,8 +277,8 @@ class DriftSystem:
         to the sum of their terms' magnitudes, on breakdown (the space is
         invariant, so the value is exact) or at the sector's size.
         """
-        a = self._sector_matrix(parity)
-        size = a.shape[0]
+        shifted = self._sector_matrix(parity)  # A, scaled in place below
+        size = shifted.shape[0]
         pairs = (self.n - 1) // 2
         folded = _fold(np.stack([f, g]).astype(float), parity, size, pairs)
         folded[:, :pairs] /= np.sqrt(2.0)  # coordinates in the orthonormal basis
@@ -290,7 +291,7 @@ class DriftSystem:
         # mu = scale / (1 + sigma x)
         sigma = t / 10.0
         scale = max(1.0, sigma)
-        shifted = a * (sigma / scale)
+        shifted *= sigma / scale
         shifted[np.diag_indices(size)] += 1.0 / scale
         inverse = _lower_inverse(np.linalg.cholesky(shifted))
         basis = np.empty((size, size))  # row k holds v_k
@@ -346,13 +347,15 @@ class DriftSystem:
     def modes(self) -> np.ndarray:
         return self._spectrum[1]
 
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """Coefficients <g, e_k>_(1/n) (sites last)."""
-        return np.asarray(g, dtype=float) @ self.modes / self.n
+    def project(self, g: np.ndarray, out=None) -> np.ndarray:
+        """Coefficients <g, e_k>_(1/n) (sites last), into `out` if given."""
+        out = np.matmul(np.asarray(g, dtype=float), self.modes, out=out)
+        out /= self.n
+        return out
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid function(s) sum_k coeffs_k e_k (modes last)."""
-        return np.asarray(coeffs, dtype=float) @ self.modes.T
+    def synthesize(self, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """Grid function(s) sum_k coeffs_k e_k (modes last), into `out` if given."""
+        return np.matmul(np.asarray(coeffs, dtype=float), self.modes.T, out=out)
 
 
 @lru_cache(maxsize=8)

@@ -40,7 +40,7 @@ from .hydro import DeterministicTrajectory, _weak_defect, l2_distance
 from .kernel import discrete_inner_seminorm
 from .ness import StationaryProfile
 from .operators import dirichlet_spectrum
-from .params import ModelParams, as_grid_batch, as_grid_function
+from .params import ModelParams, as_grid_batch, as_grid_function, step_count
 from .simulate import ExternalField
 
 __all__ = [
@@ -77,7 +77,7 @@ def rate_from_field(params: ModelParams, H: ExternalField, T: float,
                     dt: float = 1e-3) -> float:
     """Dynamical cost (1/4) int_0^T ||H_t||^2_{n,gamma/2} dt of H = a(t) B, which
     is (1/4) ||B||^2_{n,gamma/2} int_0^T a^2 dt, trapezoid in time."""
-    ts = np.linspace(0.0, T, max(2, int(np.ceil(T / dt)) + 1))
+    ts = np.linspace(0.0, T, step_count(T, dt) + 1)
     bv, lap = H.lattice_shape(params)   # ||B||^2_{n,gamma/2} = -(1/n) B . L_n B
     return 0.25 * float(-(bv @ lap) / params.n) * float(np.trapezoid(H.a(ts) ** 2, ts))
 

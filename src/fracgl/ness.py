@@ -95,8 +95,10 @@ def sample_ness(profile: StationaryProfile, count: int, seed: int, index: int = 
 
     Returns an array of shape (count, n-1); row i is one configuration.
     """
-    rng = make_rng(seed, "ness-sample", index)
-    return profile.profile + rng.standard_normal((count, profile.params.n_sites))
+    draws = make_rng(seed, "ness-sample", index).standard_normal(
+        (count, profile.params.n_sites))
+    draws += profile.profile
+    return draws
 
 
 def static_cumulant(profile: StationaryProfile, G) -> float:

@@ -81,3 +81,10 @@ def as_grid_batch(params: ModelParams, values) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise ValueError("grid function contains non-finite entries")
     return g
+
+
+def step_count(T: float, dt: float) -> int:
+    """Number K of equal steps of at most dt that span [0, T]: ceil(T / dt),
+    less a 1e-12 so that a T / dt an ulp above an integer (0.45 / 3e-4 is
+    1500.0000000000002) takes that integer, and at least 1."""
+    return max(1, int(np.ceil(T / dt - 1e-12)))

@@ -24,6 +24,10 @@ variance bias (Glasserman, Monte Carlo Methods in Financial Engineering,
 `euler_ensemble` draws the Euler chain at T for a batch of replicas, with
 the Girsanov log-weight of a field and the Dynkin martingale of <pi_t, G>,
 drawn jointly with the state; `propagate_exact` makes one exact transition.
+Both take the states from the modes in row blocks through reused buffers.
+Inside `chain_noise_ahead` one worker thread fills each chain's block of
+modal normals while the caller solves the profile and samples the start
+(`rng.drawn_ahead`); the streams and every number drawn are unchanged.
 
 The log-weight is the exact log-density ratio of the tilted and untilted
 Euler chains, with eta_j the noise of step j and theta_j = (-M)^{-1} u_j / 2
@@ -47,13 +51,14 @@ from .kernel import (DriftSystem, build_drift_system, dirichlet_energy,
                      discrete_fractional_laplacian)
 from .ness import StationaryProfile
 from .operators import TestFunction, dirichlet_spectrum
-from .params import ModelParams, as_grid_function
-from .rng import make_rng
+from .params import ModelParams, as_grid_function, step_count
+from .rng import drawn_ahead, make_rng
 
 __all__ = [
     "ExternalField",
     "euler_stability_limit",
     "euler_ensemble",
+    "chain_noise_ahead",
     "euler_chain_law",
     "propagate_exact",
     "girsanov_log_weight_variance",
@@ -177,15 +182,28 @@ def _chain_law(params: ModelParams, log_r: np.ndarray, s: np.ndarray, n_steps: i
             "mean": np.array(mean), "cross": np.array(cross).T, "joint": joint}
 
 
+_CHAIN = "euler-ensemble"  # the purpose of the chains' streams
+# replicas per block of `_draw`: its two (rows, sites) buffers stay in cache
+_ROWS = 1024
+
+
+def _deviation(spec: DriftSystem, start: np.ndarray, law: dict, out=None) -> np.ndarray:
+    """The modes' mean at the end, less c^ss, from a start less Phi_ss:
+    'decay' times its coefficients plus 'shift', into `out` if given."""
+    dev = spec.project(start, out=out)
+    dev *= law["decay"]
+    dev += law["shift"]
+    return dev
+
+
 def _draw(spec: DriftSystem, phi: np.ndarray, fixed: np.ndarray, law: dict,
           rng: np.random.Generator) -> dict:
     """One draw of `law` from each configuration of phi (sites last): the
     modes' noise from one block of normals, then the outputs 'keys' given it
-    from one more.  Returns a dict of 'phi' and the keys."""
+    from one more.  The states are then projected, scaled and synthesized in
+    blocks of at most `_ROWS` configurations through two reused buffers,
+    into the noise's own array.  Returns a dict of 'phi' and the keys."""
     z = rng.standard_normal(phi.shape[:-1] + law["sd"].shape)
-    # a batch of one configuration (a broadcast view, stride 0) is projected once
-    start = phi[(0,) * (phi.ndim - 1)] if not any(phi.strides[:-1]) else phi
-    dev = spec.project(start - fixed) * law["decay"] + law["shift"]
     out = {}
     if law["keys"]:
         beta = law["cross"] / law["sd"][:, None]    # covariances with the z_k
@@ -194,10 +212,27 @@ def _draw(spec: DriftSystem, phi: np.ndarray, fixed: np.ndarray, law: dict,
         extra = z @ beta + law["mean"]
         extra += rng.standard_normal(extra.shape) @ (v * np.sqrt(np.maximum(w, 0.0))).T
         out = {key: extra[..., i] for i, key in enumerate(law["keys"])}
-    z *= law["sd"]
-    z += dev
-    out["phi"] = spec.synthesize(z)
-    out["phi"] += fixed
+    noise = z.reshape(-1, z.shape[-1])
+    # near-equal blocks of at most _ROWS rows: none has one row unless the
+    # batch has, for a one-row product is a matrix-vector one, rounded otherwise
+    count = max(1, -(-len(noise) // _ROWS))
+    edges = np.arange(count + 1) * len(noise) // count
+    buf = np.empty((-(-len(noise) // count), noise.shape[-1]))
+    # a batch of one configuration (a broadcast view, stride 0) is projected once
+    single = not any(phi.strides[:-1])
+    if single:
+        dev = _deviation(spec, phi[(0,) * (phi.ndim - 1)] - fixed, law)
+    else:
+        starts, devs = phi.reshape(noise.shape), np.empty_like(buf)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block, rows = noise[lo:hi], hi - lo
+        if not single:
+            start = np.subtract(starts[lo:hi], fixed, out=buf[:rows])
+            dev = _deviation(spec, start, law, out=devs[:rows])
+        block *= law["sd"]
+        block += dev
+        np.add(spec.synthesize(block, out=buf[:rows]), fixed, out=block)
+    out["phi"] = noise.reshape(z.shape)
     return out
 
 
@@ -212,7 +247,7 @@ def euler_chain_law(params: ModelParams, T: float, dt: float,
     limit = euler_stability_limit(params)
     if dt >= limit:
         raise ValueError(f"dt={dt:.3e} violates the stability bound {limit:.3e}")
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    n_steps = step_count(T, dt)
     h = T / n_steps
     spec = dirichlet_spectrum(params)
     lam = spec.eigenvalues
@@ -239,13 +274,22 @@ def euler_ensemble(profile: StationaryProfile, phi0: np.ndarray, T: float,
 
     with the tilt u_k on tilted runs.  All replicas draw from the stream
     make_rng(seed, "euler-ensemble", index): one normal per replica and mode, then
-    one per replica and requested output.  Returns a dict of 'phi',
-    'log_weight' with a field and 'martingale' with G.
+    one per replica and requested output; inside `chain_noise_ahead` the first
+    block comes drawn on a worker thread, with the same numbers.  Returns a
+    dict of 'phi', 'log_weight' with a field and 'martingale' with G.
     """
     if phi0.ndim != 2 or phi0.shape[0] == 0:
         raise ValueError(f"phi0 must be a (replicas, n-1) batch, got shape {phi0.shape}")
     spec, law = euler_chain_law(profile.params, T, dt, field, tilted, martingale_g)
-    return _draw(spec, phi0, profile.profile, law, make_rng(seed, "euler-ensemble", index))
+    return _draw(spec, phi0, profile.profile, law, make_rng(seed, _CHAIN, index))
+
+
+def chain_noise_ahead(params: ModelParams, replicas: int, seed: int, indices=(0,)):
+    """Scope in which one worker thread draws the modes' noise of
+    `euler_ensemble(..., seed=seed, index=i)` on `replicas` configurations of
+    `params`, for each i of `indices` in order, while the caller goes on
+    (`rng.drawn_ahead`).  The numbers are those drawn without it."""
+    return drawn_ahead((replicas, params.n_sites), [(seed, _CHAIN, i) for i in indices])
 
 
 def propagate_exact(phi: np.ndarray, profile: StationaryProfile, t: float,

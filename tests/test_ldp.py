@@ -148,6 +148,30 @@ def test_rate_check_outputs_match_frozen_values(tmp_path):
         assert outputs[key] == pytest.approx(value, rel=1e-13, abs=0), key
 
 
+def test_rate_grids_take_one_step_count(tmp_path, monkeypatch):
+    # 0.45 / 3e-4 = 1500.0000000000002: 1500 intervals, as the Euler chain takes
+    params = ModelParams(16, 1.5, 0.0, 1.0)
+    sizes = []
+
+    def amplitude(t):
+        sizes.append(np.size(t))
+        return 1.0 + 0.0 * np.asarray(t)
+
+    field = ExternalField(amplitude, None, SmoothBump(0.25, 0.75))
+    sizes.clear()
+    rate_from_field(params, field, 0.45, 3e-4)
+    assert sizes == [1501]
+    from fracgl import hydro
+    grids, solve = [], hydro.solve_hydrodynamic
+    monkeypatch.setattr(hydro, "solve_hydrodynamic",
+                        lambda prof, g, times, **kw: grids.append(times.size)
+                        or solve(prof, g, times, **kw))
+    cfg = ExperimentConfig(experiment="rate-check", n=12, T=0.45, dt=3e-4,
+                           out_dir=str(tmp_path))
+    EXPERIMENTS["rate-check"](cfg)
+    assert grids == [1501]
+
+
 def test_static_rate_values(setup32):
     params, prof, spec = setup32
     assert static_rate_w(prof, prof.profile) == 0.0

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ from scipy.linalg import toeplitz
 
 from chain_oracle import euler_loop, loop_law
 from conftest import ZeroRng
+from draw_oracle import draw_whole
 from edge_oracle import edge_euler
 from fracgl import (DriftSystem, ExternalField, ModelParams, SmoothBump, TestFunction,
                     boundary_block_average, build_drift_system,
@@ -14,7 +17,9 @@ from fracgl import (DriftSystem, ExternalField, ModelParams, SmoothBump, TestFun
                     euler_ensemble, euler_stability_limit, girsanov_log_weight_variance,
                     kernel_row, martingale_qv_rate, propagate_exact, reservoir_drift,
                     kernel, sample_ness, solve_stationary_profile, simulate)
+from fracgl import cli, rng as rng_module
 from fracgl.experiments import DEFAULTS, ExperimentConfig
+from fracgl.params import step_count
 from fracgl.rng import make_rng
 
 
@@ -537,3 +542,96 @@ def test_martingale_qv_rate_direct_sum_oracle():
     total += 2.0 * G[0] ** 2 + 2.0 * G[-1] ** 2
     expected = params.speed * total / params.n_sites ** 2
     assert martingale_qv_rate(params, G) == pytest.approx(expected, rel=1e-12)
+
+
+ROWS = simulate._ROWS
+
+
+def _same_as_oracle(monkeypatch, call):
+    """`call()` through the row-blocked draw, then through the whole-batch oracle."""
+    blocked = call()
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_draw", draw_whole)
+        whole = call()
+    assert blocked.keys() == whole.keys()
+    for key in whole:
+        assert np.array_equal(blocked[key], whole[key]), key
+
+
+@pytest.mark.parametrize("replicas", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 7])
+@pytest.mark.parametrize("outputs", ["none", "martingale", "log_weight", "both"])
+def test_blocked_draw_matches_whole_batch_oracle(profile16, replicas, outputs, monkeypatch):
+    # the same numbers bit for bit, over block edges and a one-row remainder
+    params = profile16.params
+    kwargs = {"martingale_g": np.sin(np.pi * params.grid())} if outputs in ("martingale",
+                                                                             "both") else {}
+    if outputs in ("log_weight", "both"):
+        kwargs.update(field=bump_field(), tilted=replicas % 2 == 0)
+    phi0 = sample_ness(profile16, replicas, seed=replicas)
+    _same_as_oracle(monkeypatch, lambda: euler_ensemble(profile16, phi0, 0.02, 1e-3,
+                                                        seed=5, **kwargs))
+
+
+def test_blocked_draw_from_a_broadcast_start(profile16, monkeypatch):
+    start = np.broadcast_to(profile16.profile + 0.3, (2 * ROWS + 3, profile16.params.n_sites))
+    _same_as_oracle(monkeypatch, lambda: euler_ensemble(profile16, start, 0.02, 1e-3, seed=6,
+                                                        field=bump_field()))
+
+
+@pytest.mark.parametrize("shape", [(15,), (3, ROWS // 2 + 1, 15)], ids=["1-d", "3-d"])
+def test_blocked_exact_transition_matches_oracle(profile16, shape, monkeypatch):
+    phi = profile16.profile + make_rng(4, "start").standard_normal(shape)
+    _same_as_oracle(monkeypatch, lambda: {"phi": propagate_exact(phi, profile16, 0.2,
+                                                                make_rng(9, "exact"))})
+
+
+def test_chain_noise_drawn_ahead_is_the_same_draw(profile16):
+    phi0 = sample_ness(profile16, 700, seed=2)
+    kwargs = dict(field=bump_field(), martingale_g=np.sin(np.pi * profile16.params.grid()))
+    plain = [euler_ensemble(profile16, phi0, 0.02, 1e-3, seed=8, index=i, **kwargs)
+             for i in (0, 1)]
+    with simulate.chain_noise_ahead(profile16.params, 700, seed=8, indices=(0, 1)):
+        ahead = [euler_ensemble(profile16, phi0, 0.02, 1e-3, seed=8, index=i, **kwargs)
+                 for i in (0, 1)]
+    for a, b in zip(plain, ahead):
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
+
+
+def test_step_count_tolerates_an_ulp_above_an_integer():
+    assert 0.45 / 3e-4 > 1500
+    assert step_count(0.45, 3e-4) == 1500
+    assert step_count(0.005, 5e-5) == 100
+    assert step_count(0.25, 5e-5) == 5000
+    assert step_count(1e-3, 1.0) == 1
+    assert step_count(0.45, 3e-4 * (1 - 1e-9)) == 1501
+
+
+def test_girsanov_scope_starts_one_thread_and_joins_it(tmp_path, monkeypatch):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(rng_module.threading, "Thread", Counted)
+    before = threading.active_count()
+    assert cli.main(["girsanov", "--replicas", "50", "--t", "0.02", "--out",
+                     str(tmp_path)]) in (0, 2)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+    assert not rng_module._AHEAD
+
+
+@pytest.mark.parametrize("name", ["stationarity", "martingale", "girsanov"])
+def test_monte_carlo_outputs_match_frozen_values(name, tmp_path):
+    frozen = json.loads((Path(__file__).parent / "frozen_ensembles.json").read_text())[name]
+    assert cli.main(frozen["argv"] + ["--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["checks"] == frozen["checks"]
+    assert summary["outputs"] == frozen["outputs"]
+    if name == "girsanov":
+        records = json.loads((tmp_path / "replicas.json").read_text())
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == frozen["replicas_sha256"]
