@@ -301,12 +301,12 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     # equal weights (q below the last bit) have se 0; no deviation then reads 0
     z_mean_one = dev_one / se_w if se_w > 0 else (0.0 if dev_one == 0 else np.inf)
 
-    f_plain = np.tanh(plain["phi"] @ G / params.n_sites)
+    f_plain = np.tanh(simulate.empirical_pairing(plain["phi"], G))
     wf = w * f_plain
     est_weighted = wf.mean()
     se_weighted = wf.std(ddof=1) / np.sqrt(cfg.replicas)
 
-    f_tilt = np.tanh(tilted["phi"] @ G / params.n_sites)
+    f_tilt = np.tanh(simulate.empirical_pairing(tilted["phi"], G))
     est_tilted = f_tilt.mean()
     se_tilted = f_tilt.std(ddof=1) / np.sqrt(cfg.replicas)
 
@@ -483,6 +483,7 @@ _EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
 # every experiment builds dense (n-1) x (n-1) matrices; 4096 keeps one at 134 MB
 _DENSE_MAX_N = 4096
 _BLOCK_EPS = (0.25, 0.1)  # stationarity's boundary blocks, next to eps = 1/n
+_PATH_MAX_ENTRIES = 2 ** 27  # rate-check's (T/dt + 1) x (n-1) path: 1 GiB of float64
 
 
 def _config_error(cfg: ExperimentConfig):
@@ -497,6 +498,8 @@ def _config_error(cfg: ExperimentConfig):
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value > 0):
             return f"{name} must be positive and finite, got {value!r}"
+    if not np.isfinite(cfg.T / cfg.dt):
+        return f"T/dt overflows float64, got T={cfg.T!r} and dt={cfg.dt!r}"
     # the Euler experiments' sample variances need two replicas
     if cfg.experiment in _EULER_EXPERIMENTS and cfg.replicas < 2:
         return f"{cfg.experiment} needs replicas >= 2, got {cfg.replicas}"
@@ -526,9 +529,14 @@ def _config_error(cfg: ExperimentConfig):
                     f"lambda_1 T = {decay:.3g} > 27.6")
         if decay <= 4:
             return f"spectrum's fit needs lambda_1 T > 4, got {decay:.3g}"
-    if cfg.experiment == "rate-check" and cfg.n < 10:
-        # test fields supported in [0.1, 0.9] vanish at sites 1 and n-1 from n = 10
-        return f"rate-check's test fields need n >= 10, got {cfg.n}"
+    if cfg.experiment == "rate-check":
+        if cfg.n < 10:
+            # test fields supported in [0.1, 0.9] vanish at sites 1 and n-1 from n = 10
+            return f"rate-check's test fields need n >= 10, got {cfg.n}"
+        entries = (step_count(cfg.T, cfg.dt) + 1) * params.n_sites
+        if entries > _PATH_MAX_ENTRIES:
+            return (f"rate-check's (T/dt + 1) x (n-1) path has {entries:.4g} entries "
+                    f"({entries * 8 / 2 ** 30:.3g} GiB), above the cap of 2^27 (1 GiB)")
     if cfg.experiment in _EULER_EXPERIMENTS:
         limit = simulate.euler_stability_limit(params)
         if cfg.dt >= limit:

@@ -25,9 +25,9 @@ variance bias (Glasserman, Monte Carlo Methods in Financial Engineering,
 the Girsanov log-weight of a field and the Dynkin martingale of <pi_t, G>,
 drawn jointly with the state; `propagate_exact` makes one exact transition.
 Both take the states from the modes in row blocks through reused buffers.
-Inside `chain_noise_ahead` one worker thread fills each chain's block of
-modal normals while the caller solves the profile and samples the start
-(`rng.drawn_ahead`); the streams and every number drawn are unchanged.
+Inside `chain_noise_ahead` a worker thread draws each chain's first block of
+modal normals while the caller solves the profile and samples the start;
+`euler_ensemble` hands the block to `_draw`, with the same numbers.
 
 The log-weight is the exact log-density ratio of the tilted and untilted
 Euler chains, with eta_j the noise of step j and theta_j = (-M)^{-1} u_j / 2
@@ -43,6 +43,9 @@ discretization bias.  When H vanishes at sites 1 and n-1, theta_j = H_jh / 2.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,7 +55,7 @@ from .kernel import (DriftSystem, build_drift_system, dirichlet_energy,
 from .ness import StationaryProfile
 from .operators import TestFunction, dirichlet_spectrum
 from .params import ModelParams, as_grid_function, step_count
-from .rng import drawn_ahead, make_rng
+from .rng import make_rng
 
 __all__ = [
     "ExternalField",
@@ -183,6 +186,7 @@ def _chain_law(params: ModelParams, log_r: np.ndarray, s: np.ndarray, n_steps: i
 
 
 _CHAIN = "euler-ensemble"  # the purpose of the chains' streams
+_AHEAD = {}  # (seed, index) -> its chain's block drawn ahead, while the scope is open
 # replicas per block of `_draw`: its two (rows, sites) buffers stay in cache
 _ROWS = 1024
 
@@ -197,13 +201,15 @@ def _deviation(spec: DriftSystem, start: np.ndarray, law: dict, out=None) -> np.
 
 
 def _draw(spec: DriftSystem, phi: np.ndarray, fixed: np.ndarray, law: dict,
-          rng: np.random.Generator) -> dict:
+          rng: np.random.Generator, z: Optional[np.ndarray] = None) -> dict:
     """One draw of `law` from each configuration of phi (sites last): the
-    modes' noise from one block of normals, then the outputs 'keys' given it
-    from one more.  The states are then projected, scaled and synthesized in
+    modes' noise from one block of normals (`z` if given, drawn from `rng`,
+    which then stands where it ends), then the outputs 'keys' given it from
+    one more.  The states are then projected, scaled and synthesized in
     blocks of at most `_ROWS` configurations through two reused buffers,
     into the noise's own array.  Returns a dict of 'phi' and the keys."""
-    z = rng.standard_normal(phi.shape[:-1] + law["sd"].shape)
+    if z is None:
+        z = rng.standard_normal(phi.shape[:-1] + law["sd"].shape)
     out = {}
     if law["keys"]:
         beta = law["cross"] / law["sd"][:, None]    # covariances with the z_k
@@ -274,22 +280,53 @@ def euler_ensemble(profile: StationaryProfile, phi0: np.ndarray, T: float,
 
     with the tilt u_k on tilted runs.  All replicas draw from the stream
     make_rng(seed, "euler-ensemble", index): one normal per replica and mode, then
-    one per replica and requested output; inside `chain_noise_ahead` the first
-    block comes drawn on a worker thread, with the same numbers.  Returns a
-    dict of 'phi', 'log_weight' with a field and 'martingale' with G.
+    one per replica and requested output.  Inside `chain_noise_ahead` it waits
+    for the modes' block, drawn on the worker thread, and draws the outputs
+    from the filler's generator.  Returns a dict of 'phi', 'log_weight' with
+    a field and 'martingale' with G.
     """
     if phi0.ndim != 2 or phi0.shape[0] == 0:
         raise ValueError(f"phi0 must be a (replicas, n-1) batch, got shape {phi0.shape}")
     spec, law = euler_chain_law(profile.params, T, dt, field, tilted, martingale_g)
-    return _draw(spec, phi0, profile.profile, law, make_rng(seed, _CHAIN, index))
+    ahead = _AHEAD.pop((seed, index), None)
+    if ahead is None:
+        return _draw(spec, phi0, profile.profile, law, make_rng(seed, _CHAIN, index))
+    ahead.done.wait()
+    if ahead.error is not None:
+        raise ahead.error
+    if ahead.z.shape != phi0.shape:
+        raise ValueError(f"chain noise drawn ahead has shape {ahead.z.shape}, not {phi0.shape}")
+    return _draw(spec, phi0, profile.profile, law, ahead.rng, ahead.z)
 
 
+@contextmanager
 def chain_noise_ahead(params: ModelParams, replicas: int, seed: int, indices=(0,)):
     """Scope in which one worker thread draws the modes' noise of
     `euler_ensemble(..., seed=seed, index=i)` on `replicas` configurations of
-    `params`, for each i of `indices` in order, while the caller goes on
-    (`rng.drawn_ahead`).  The numbers are those drawn without it."""
-    return drawn_ahead((replicas, params.n_sites), [(seed, _CHAIN, i) for i in indices])
+    `params`, for each i of `indices` in order, and keeps it with the stream's
+    generator (`done`, `rng`, `z`, or the fill's `error`) for that call to
+    claim.  On exit it joins the thread and drops unclaimed blocks."""
+    shape = (replicas, params.n_sites)
+    slots = {(seed, i): SimpleNamespace(done=threading.Event(), error=None) for i in indices}
+
+    def fill_in_order():
+        for (_, i), slot in slots.items():
+            try:
+                slot.rng = make_rng(seed, _CHAIN, i)
+                slot.z = slot.rng.standard_normal(shape)
+            except BaseException as exc:  # raised by the claiming euler_ensemble
+                slot.error = exc
+            slot.done.set()
+
+    worker = threading.Thread(target=fill_in_order)
+    worker.start()
+    _AHEAD.update(slots)
+    try:
+        yield
+    finally:
+        worker.join()
+        for key in slots:
+            _AHEAD.pop(key, None)
 
 
 def propagate_exact(phi: np.ndarray, profile: StationaryProfile, t: float,
@@ -331,7 +368,9 @@ def girsanov_log_weight_variance(params: ModelParams, field: ExternalField,
 
 
 def empirical_pairing(phi, G) -> float:
-    """Empirical-measure pairing <pi, G> = (1/(n-1)) sum_x G(x/n) phi(x)."""
+    """Empirical-measure pairing <pi, G> = (1/(n-1)) sum_x G(x/n) phi(x) of
+    one configuration or of each row of a batch: the lattice pairings'
+    1/(n-1) convention.  `hydro-limit`'s n = 1024 reference pairs with 1/n."""
     phi = np.asarray(phi, dtype=float)
     G = np.asarray(G, dtype=float)
     if G.shape != phi.shape[-1:]:

@@ -5,11 +5,13 @@ which must give the same numbers bit for bit."""
 import numpy as np
 
 
-def draw_whole(spec, phi, fixed, law, rng) -> dict:
+def draw_whole(spec, phi, fixed, law, rng, z=None) -> dict:
     """One draw of `law` from each configuration of phi (sites last): the
-    modes' noise from one block of normals, then the outputs 'keys' given it
-    from one more.  Returns a dict of 'phi' and the keys."""
-    z = rng.standard_normal(phi.shape[:-1] + law["sd"].shape)
+    modes' noise from one block of normals (`z` if given, drawn from `rng`),
+    then the outputs 'keys' given it from one more.  Returns a dict of 'phi'
+    and the keys."""
+    if z is None:
+        z = rng.standard_normal(phi.shape[:-1] + law["sd"].shape)
     # a batch of one configuration (a broadcast view, stride 0) is projected once
     start = phi[(0,) * (phi.ndim - 1)] if not any(phi.strides[:-1]) else phi
     dev = spec.project(start - fixed) * law["decay"] + law["shift"]

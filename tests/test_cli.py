@@ -87,6 +87,8 @@ def test_invalid_params_status_1(tmp_path):
     ["spectrum", "--t", "0.5"],
     ["stationarity", "--phi-l", "-inf"],
     ["stationarity", "--n", "nan"],
+    ["rate-check", "--t", "1e4"],
+    ["girsanov", "--t", "1e300", "--dt", "1e-10"],
 ])
 def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     # the fixed replica count goes first, so a case's own --replicas wins

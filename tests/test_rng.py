@@ -1,65 +1,81 @@
+"""The chain streams drawn ahead: `simulate.chain_noise_ahead` fills each
+chain's first block of `make_rng(seed, "euler-ensemble", index)` on a worker
+thread, and the `euler_ensemble` of that (seed, index) claims it."""
+
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from fracgl import rng
-from fracgl.rng import drawn_ahead, make_rng
+from fracgl import euler_ensemble, sample_ness, simulate
+from fracgl.rng import make_rng
 
-KEY = (11, "euler-ensemble", 0)
-
-
-def test_drawn_block_and_rest_of_stream_match_a_fresh_stream():
-    with drawn_ahead((300, 7), [KEY, KEY[:2] + (1,)]):
-        first = make_rng(*KEY)
-        block = first.standard_normal((300, 7))
-        rest = first.standard_normal((300, 2)), first.uniform(size=5)
-        second = make_rng(*KEY[:2], 1).standard_normal((300, 7))
-    fresh = make_rng(*KEY)
-    assert isinstance(first, np.random.Generator)
-    assert np.array_equal(block, fresh.standard_normal((300, 7)))
-    assert np.array_equal(rest[0], fresh.standard_normal((300, 2)))
-    assert np.array_equal(rest[1], fresh.uniform(size=5))
-    assert np.array_equal(second, make_rng(*KEY[:2], 1).standard_normal((300, 7)))
+SEED = 11
 
 
-def test_unclaimed_block_is_dropped_and_its_thread_joined(monkeypatch):
-    fill = rng._Block.fill
+def slow_fill(monkeypatch, seconds=0.1):
+    """Make the worker's fill slower, so that it still runs when the scope's
+    body claims or leaves its blocks."""
+    def slow_make_rng(*key):
+        time.sleep(seconds)
+        return make_rng(*key)
 
-    def slow_fill(block):  # still running when the scope's body ends
-        time.sleep(0.1)
-        fill(block)
+    monkeypatch.setattr(simulate, "make_rng", slow_make_rng)
 
-    monkeypatch.setattr(rng._Block, "fill", slow_fill)
+
+def chain(profile, replicas=300, index=0):
+    phi0 = sample_ness(profile, replicas, seed=3)
+    return euler_ensemble(profile, phi0, 0.02, 1e-3, seed=SEED, index=index,
+                          martingale_g=np.ones(profile.params.n_sites))
+
+
+def test_drawn_block_and_rest_of_stream_match_a_fresh_stream(profile16, monkeypatch):
+    plain = [chain(profile16, index=i) for i in (0, 1)]
+    slow_fill(monkeypatch)
+    shape = (300, profile16.params.n_sites)
+    with simulate.chain_noise_ahead(profile16.params, 300, SEED, indices=(0, 1, 2)):
+        # claimed while the fill still runs: the claim waits for its block
+        ahead = [chain(profile16, index=i) for i in (0, 1)]
+        last = simulate._AHEAD[(SEED, 2)]
+        assert last.done.wait(timeout=30)
+        filler, block = last.rng, last.z
+    for a, b in zip(plain, ahead):
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
+    # the block is the stream's first draw, and its generator stands where it ends
+    fresh = make_rng(SEED, "euler-ensemble", 2)
+    assert np.array_equal(block, fresh.standard_normal(shape))
+    assert np.array_equal(filler.standard_normal((300, 2)), fresh.standard_normal((300, 2)))
+    assert np.array_equal(filler.uniform(size=5), fresh.uniform(size=5))
+
+
+def test_unclaimed_block_is_dropped_and_its_thread_joined(profile16, monkeypatch):
+    plain = chain(profile16)
+    slow_fill(monkeypatch)
     before = threading.active_count()
-    with drawn_ahead((50, 3), [KEY]):
-        assert KEY in rng._AHEAD
-    assert KEY not in rng._AHEAD
+    with simulate.chain_noise_ahead(profile16.params, 300, SEED):
+        assert (SEED, 0) in simulate._AHEAD
+    assert not simulate._AHEAD
     assert threading.active_count() == before
-    # outside the scope the key gives a plain stream again
-    assert type(make_rng(*KEY)) is np.random.Generator
+    # outside the scope the chain draws its stream afresh, the same numbers
+    monkeypatch.undo()
+    again = chain(profile16)
+    for key in plain:
+        assert np.array_equal(plain[key], again[key]), key
 
 
-def test_error_in_the_fill_is_raised_at_the_first_draw():
-    with drawn_ahead((-1, 3), [KEY]):
-        gen = make_rng(*KEY)
+def test_error_in_the_fill_is_raised_at_the_first_draw(profile16):
+    # a negative replica count fails in the worker's standard_normal; the
+    # euler_ensemble that claims the block raises it
+    with simulate.chain_noise_ahead(profile16.params, -1, SEED):
         with pytest.raises(ValueError, match="negative"):
-            gen.standard_normal((-1, 3))
-    assert KEY not in rng._AHEAD
+            chain(profile16)
+    assert not simulate._AHEAD
 
 
-@pytest.mark.parametrize("first_draw", [
-    lambda gen: gen.standard_normal((40, 3)),
-    lambda gen: gen.standard_normal(),
-    lambda gen: gen.standard_normal((40, 4), dtype=np.float32),
-    lambda gen: gen.uniform(size=4),
-], ids=["other-shape", "scalar", "float32", "uniform"])
-def test_other_first_draw_discards_the_block(first_draw):
-    with drawn_ahead((40, 4), [KEY]):
-        gen = make_rng(*KEY)
-        got = first_draw(gen), gen.standard_normal((40, 4))
-    fresh = make_rng(*KEY)
-    want = first_draw(fresh), fresh.standard_normal((40, 4))
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+def test_block_for_another_replica_count_raises(profile16):
+    with simulate.chain_noise_ahead(profile16.params, 299, SEED):
+        with pytest.raises(ValueError, match="drawn ahead"):
+            chain(profile16)
+    assert not simulate._AHEAD

@@ -17,7 +17,7 @@ from fracgl import (DriftSystem, ExternalField, ModelParams, SmoothBump, TestFun
                     euler_ensemble, euler_stability_limit, girsanov_log_weight_variance,
                     kernel_row, martingale_qv_rate, propagate_exact, reservoir_drift,
                     kernel, sample_ness, solve_stationary_profile, simulate)
-from fracgl import cli, rng as rng_module
+from fracgl import cli
 from fracgl.experiments import DEFAULTS, ExperimentConfig
 from fracgl.params import step_count
 from fracgl.rng import make_rng
@@ -585,17 +585,25 @@ def test_blocked_exact_transition_matches_oracle(profile16, shape, monkeypatch):
                                                                 make_rng(9, "exact"))})
 
 
-def test_chain_noise_drawn_ahead_is_the_same_draw(profile16):
+def test_chain_noise_drawn_ahead_is_the_same_draw(profile16, monkeypatch):
     phi0 = sample_ness(profile16, 700, seed=2)
     kwargs = dict(field=bump_field(), martingale_g=np.sin(np.pi * profile16.params.grid()))
-    plain = [euler_ensemble(profile16, phi0, 0.02, 1e-3, seed=8, index=i, **kwargs)
-             for i in (0, 1)]
+
+    def both_chains():
+        return [euler_ensemble(profile16, phi0, 0.02, 1e-3, seed=8, index=i, **kwargs)
+                for i in (0, 1)]
+
+    plain = both_chains()
     with simulate.chain_noise_ahead(profile16.params, 700, seed=8, indices=(0, 1)):
-        ahead = [euler_ensemble(profile16, phi0, 0.02, 1e-3, seed=8, index=i, **kwargs)
-                 for i in (0, 1)]
-    for a, b in zip(plain, ahead):
+        ahead = both_chains()
+    # the whole-batch oracle takes the handed-over block too
+    monkeypatch.setattr(simulate, "_draw", draw_whole)
+    with simulate.chain_noise_ahead(profile16.params, 700, seed=8, indices=(0, 1)):
+        whole = both_chains()
+    for a, b, c in zip(plain, ahead, whole):
         for key in a:
             assert np.array_equal(a[key], b[key]), key
+            assert np.array_equal(a[key], c[key]), key
 
 
 def test_step_count_tolerates_an_ulp_above_an_integer():
@@ -607,7 +615,8 @@ def test_step_count_tolerates_an_ulp_above_an_integer():
     assert step_count(0.45, 3e-4 * (1 - 1e-9)) == 1501
 
 
-def test_girsanov_scope_starts_one_thread_and_joins_it(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["girsanov", "stationarity", "martingale"])
+def test_girsanov_scope_starts_one_thread_and_joins_it(name, tmp_path, monkeypatch):
     started = []
 
     class Counted(threading.Thread):
@@ -615,13 +624,33 @@ def test_girsanov_scope_starts_one_thread_and_joins_it(tmp_path, monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(rng_module.threading, "Thread", Counted)
+    monkeypatch.setattr(simulate.threading, "Thread", Counted)
     before = threading.active_count()
-    assert cli.main(["girsanov", "--replicas", "50", "--t", "0.02", "--out",
+    assert cli.main([name, "--replicas", "50", "--t", "0.02", "--out",
                      str(tmp_path)]) in (0, 2)
     assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
-    assert not rng_module._AHEAD
+    assert not simulate._AHEAD
+
+
+@pytest.mark.parametrize("name", ["stationarity", "martingale", "girsanov"])
+def test_euler_experiments_leave_the_chain_outputs_intact(name, tmp_path, monkeypatch):
+    # perfbench keeps the returned arrays and checks them after the experiment
+    inner, kept = simulate.euler_ensemble, []
+
+    def recorded(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        kept.append((out, {key: value.copy() for key, value in out.items()}))
+        return out
+
+    monkeypatch.setattr(simulate, "euler_ensemble", recorded)
+    assert cli.main([name, "--replicas", "50", "--t", "0.02", "--out",
+                     str(tmp_path)]) in (0, 2)
+    assert len(kept) == (2 if name == "girsanov" else 1)
+    for out, copy in kept:
+        assert out.keys() == copy.keys()
+        for key in out:
+            assert np.array_equal(out[key], copy[key]), key
 
 
 @pytest.mark.parametrize("name", ["stationarity", "martingale", "girsanov"])
