@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import locale  # noqa: F401  (argparse's gettext imports it on a first parse; load it now)
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
+from typing import get_type_hints
 
 from .experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig
 
-_KEYS = {"gamma": float, "phi_l": float, "phi_r": float, "T": float, "dt": float,
-         "n": int, "replicas": int, "seed": int, "experiment": str, "out_dir": str}
+_TYPES = get_type_hints(ExperimentConfig)  # config key -> type, in field order
+_ALIASES = {"t": "T", "out": "out_dir"}  # flag or file key -> config key
+_FLAGS = {key: alias for alias, key in _ALIASES.items()}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -30,10 +32,10 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            key = {"t": "T", "out": "out_dir"}.get(key, key)
-            if key not in _KEYS:
+            key = _ALIASES.get(key, key)
+            if key not in _TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _KEYS[key](val)
+            values[key] = _TYPES[key](val)
     return values
 
 
@@ -50,15 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--phi-l", dest="phi_l", type=float)
-    parser.add_argument("--phi-r", dest="phi_r", type=float)
-    parser.add_argument("--t", dest="T", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--replicas", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", dest="out_dir", default=None)
+    for key, kind in _TYPES.items():
+        if key != "experiment":
+            flag = "--" + _FLAGS.get(key, key).replace("_", "-")
+            parser.add_argument(flag, dest=key, type=kind)
     return parser
 
 
@@ -95,9 +92,8 @@ def main(argv=None) -> int:
             return 1
         file_values.pop("experiment", None)
         cfg = replace(cfg, **file_values)
-    flag_names = [f.name for f in fields(ExperimentConfig) if f.name != "experiment"]
-    overrides = {name: getattr(args, name) for name in flag_names
-                 if getattr(args, name, None) is not None}
+    overrides = {key: getattr(args, key) for key in _TYPES
+                 if key != "experiment" and getattr(args, key) is not None}
     cfg = replace(cfg, **overrides)
 
     from .experiments import run

@@ -3,14 +3,18 @@
 Every experiment takes an ExperimentConfig, writes a `summary.json` (inputs
 echoed, outputs, one pass/fail record per check with its threshold) plus
 experiment-specific CSV/SVG files into the output directory, and returns the
-summary dict.  Checks compare against the thresholds recorded in the
-summary, so a run is self-describing.
+summary dict.  A check passes when its value is at most its recorded
+threshold, unless its gate states another rule (`_check`), so a run is
+self-describing.  Shared steps are written once: the Euler chains' streams
+(`_euler_chains`), the profile's file and range check (`_profile`) and
+hydro-limit's mean pairing (`_hydro_mean`).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -59,9 +63,10 @@ DEFAULTS = {
 }
 
 
-def _check(value, threshold, passed) -> dict:
-    return {"value": float(value), "threshold": float(threshold),
-            "pass": bool(passed)}
+def _check(value, threshold, rule=operator.le) -> dict:
+    """A summary check, passed when rule(value, threshold) holds."""
+    value, threshold = float(value), float(threshold)
+    return {"value": value, "threshold": threshold, "pass": bool(rule(value, threshold))}
 
 
 def _bump_field(a, b, amp, omega=2.0):
@@ -74,45 +79,44 @@ def _bump_field(a, b, amp, omega=2.0):
     )
 
 
-def exp_ness_profile(cfg: ExperimentConfig) -> dict:
+def _profile(cfg: ExperimentConfig) -> tuple:
+    """The stationary profile of cfg, written to profile.csv, and the check
+    that it stays within the reservoir densities, to 1e-12."""
     params = cfg.params()
     prof = ness.solve_stationary_profile(params)
     ness.profile_to_csv(prof, os.path.join(cfg.out_dir, "profile.csv"))
-    lo = min(params.phi_l, params.phi_r)
-    hi = max(params.phi_l, params.phi_r)
+    lo, hi = sorted((params.phi_l, params.phi_r))
+    low, high = prof.profile.min(), prof.profile.max()
+    return prof, _check(max(lo - low, high - hi), 1e-12,
+                        lambda _, tol: low >= lo - tol and high <= hi + tol)
+
+
+def exp_ness_profile(cfg: ExperimentConfig) -> dict:
+    prof, in_range = _profile(cfg)
+    params = prof.params
     anti = float(np.max(np.abs(prof.profile + prof.profile[::-1]
                                - (params.phi_l + params.phi_r))))
     checks = {
-        "residual": _check(prof.residual, prof.residual_bound,
-                           prof.residual <= prof.residual_bound),
-        "maximum_principle": _check(
-            max(lo - prof.profile.min(), prof.profile.max() - hi), 1e-12,
-            prof.profile.min() >= lo - 1e-12 and prof.profile.max() <= hi + 1e-12),
-        "antisymmetry": _check(anti, 1e-10, anti <= 1e-10),
+        "residual": _check(prof.residual, prof.residual_bound),
+        "maximum_principle": in_range,
+        "antisymmetry": _check(anti, 1e-10),
     }
     return {"checks": checks,
             "outputs": {"phi_mid": float(prof.profile[params.n_sites // 2])}}
 
 
 def exp_figure1(cfg: ExperimentConfig) -> dict:
-    params = cfg.params()
-    prof = ness.solve_stationary_profile(params)
-    ness.profile_to_csv(prof, os.path.join(cfg.out_dir, "profile.csv"))
+    prof, in_range = _profile(cfg)
+    params = prof.params
     svg.polyline_svg(os.path.join(cfg.out_dir, "profile.svg"), params.grid(),
                      {"phi_ss": prof.profile},
                      title=f"Stationary profile, n={params.n}, gamma={params.gamma}",
                      xlabel="u = x/n", ylabel="phi_ss")
-    lo = min(params.phi_l, params.phi_r)
-    hi = max(params.phi_l, params.phi_r)
-    in_range = prof.profile.min() >= lo - 1e-12 and prof.profile.max() <= hi + 1e-12
-    increasing = bool(np.all(np.diff(prof.profile) > 0)) if params.phi_r > params.phi_l \
-        else bool(np.all(np.diff(prof.profile) < 0))
     checks = {
-        "range": _check(max(lo - prof.profile.min(), prof.profile.max() - hi),
-                        1e-12, in_range),
-        "monotone": _check(float(np.min(np.diff(prof.profile)
-                                        * np.sign(params.phi_r - params.phi_l))),
-                           0.0, increasing),
+        "range": in_range,
+        # every step strictly in the direction phi_l -> phi_r
+        "monotone": _check(np.min(np.diff(prof.profile) * np.sign(params.phi_r - params.phi_l)),
+                           0.0, operator.gt),
     }
     outputs = {
         "slope_left": float((prof.profile[1] - prof.profile[0]) * params.n),
@@ -121,18 +125,29 @@ def exp_figure1(cfg: ExperimentConfig) -> dict:
     if params.n % 2 == 0:
         mid = prof.profile[params.n // 2 - 1]
         target = 0.5 * (params.phi_l + params.phi_r)
-        checks["midpoint"] = _check(abs(mid - target), 1e-10,
-                                    abs(mid - target) <= 1e-10)
+        checks["midpoint"] = _check(abs(mid - target), 1e-10)
         outputs["phi_mid"] = float(mid)
     return {"checks": checks, "outputs": outputs}
 
 
-def exp_stationarity(cfg: ExperimentConfig) -> dict:
-    params = cfg.params()
-    with simulate.chain_noise_ahead(params, cfg.replicas, cfg.seed + 1):
+def _euler_chains(cfg: ExperimentConfig, *chains: dict) -> tuple:
+    """The stationary profile and one `simulate.euler_ensemble` output per dict
+    of its keywords in `chains`, in order: chain i starts from the NESS stream
+    (seed, "ness-sample", i) and runs on (seed + 1, "euler-ensemble", i), its
+    noise drawn ahead on one worker thread while the profile is solved."""
+    params, seed = cfg.params(), cfg.seed + 1
+    with simulate.chain_noise_ahead(params, cfg.replicas, seed, indices=range(len(chains))):
         prof = ness.solve_stationary_profile(params)
-        phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-        out = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1)
+        outs = [simulate.euler_ensemble(
+                    prof, ness.sample_ness(prof, cfg.replicas, cfg.seed, index=i),
+                    cfg.T, cfg.dt, seed=seed, index=i, **chain)
+                for i, chain in enumerate(chains)]
+    return prof, outs
+
+
+def exp_stationarity(cfg: ExperimentConfig) -> dict:
+    prof, (out,) = _euler_chains(cfg, {})
+    params = prof.params
     phi = out["phi"]
     mean = phi.mean(axis=0)
     var = phi.var(axis=0, ddof=1)
@@ -142,8 +157,8 @@ def exp_stationarity(cfg: ExperimentConfig) -> dict:
     z_mean = float(np.max(np.abs(mean - prof.profile) / se_mean))
     z_var = float(np.max(np.abs(var - 1.0) / se_var))
     checks = {
-        "mean_within_4se": _check(z_mean, 4.0, z_mean <= 4.0),
-        "var_within_4se": _check(z_var, 4.0, z_var <= 4.0),
+        "mean_within_4se": _check(z_mean, 4.0),
+        "var_within_4se": _check(z_var, 4.0),
     }
     # the chain's exact per-site variance bias at T, in units of the
     # estimate's se under the NESS, from the start's modes Normal(0, 1/n)
@@ -175,21 +190,27 @@ def _filled(s):
     return -np.expm1(-s)
 
 
-def _hydro_law(n, gamma, phi_l, phi_r, T) -> tuple:
-    """Exact mean and variance of the pairing <phi_T, G> / (n-1) of the exact
-    transition from Phi_ss + bump, G = sin(pi u), both flip-even: with Psi
-    odd, <Phi_ss, G> = (phi_l + phi_r) / 2 sum G, and the covariance
-    I - e^{2MT} gives the variance from -expm1 on the even rates alone."""
-    params = ModelParams(n, gamma, phi_l, phi_r)
-    system = build_drift_system(params)
+def _hydro_mean(params: ModelParams, system, T, per) -> float:
+    """<Phi_T, G> / per, G = sin(pi u), for the flow of `system` from Phi_ss +
+    bump: per = n - 1 on the lattices, n for the reference.  With Psi odd under
+    the flip x -> n - x and G even, <Phi_ss, G> = (phi_l + phi_r) / 2 sum G, and
+    the rest is (n / per) <G, e^{MT} bump>_(1/n) from the even sector by
+    `DriftSystem.sector_pairing`: no profile solve, no odd sector, no `eigh`."""
     u = params.grid()
     G = np.sin(np.pi * u)
-    bump = _HYDRO_BUMP.f(u)
-    share = n / (n - 1)
-    mean = (0.5 * (phi_l + phi_r) * float(np.sum(G)) / (n - 1)
-            + share * system.sector_pairing(1.0, bump, G, T, _flow))
-    var = share ** 2 / n * system.sector_pairing(1.0, G, G, 2.0 * T, _filled)
-    return mean, var
+    return (0.5 * (params.phi_l + params.phi_r) * float(np.sum(G)) / per
+            + params.n / per * system.sector_pairing(1.0, _HYDRO_BUMP.f(u), G, T, _flow))
+
+
+def _hydro_law(n, gamma, phi_l, phi_r, T) -> tuple:
+    """Exact mean and variance of the pairing <phi_T, G> / (n-1) of the exact
+    transition from Phi_ss + bump: the mean by `_hydro_mean`, the variance
+    from the covariance I - e^{2MT} by -expm1 on the even rates alone."""
+    params = ModelParams(n, gamma, phi_l, phi_r)
+    system = build_drift_system(params)
+    G = np.sin(np.pi * params.grid())
+    return (_hydro_mean(params, system, T, n - 1),
+            (n / (n - 1)) ** 2 / n * system.sector_pairing(1.0, G, G, 2.0 * T, _filled))
 
 
 def _hydro_limit_error(n, gamma, phi_l, phi_r, T, replicas, seed, ref_value):
@@ -209,26 +230,10 @@ def _hydro_limit_error(n, gamma, phi_l, phi_r, T, replicas, seed, ref_value):
             "exact_err": abs(mean - ref_value)}
 
 
-def _hydro_reference(gamma, phi_l, phi_r, T) -> float:
-    """(1/n) <Phi_T, G> at n = 1024 for the flow from Phi_ss + bump, G = sin(pi u).
-
-    With Phi_ss = (phi_l + phi_r) / 2 + (phi_r - phi_l) / 2 Psi, Psi odd under
-    the flip x -> n - x and G even, <Psi, G> = 0, so this is
-
-        (phi_l + phi_r) / 2 (1/n) sum G + <G, e^{MT} bump>_(1/n),
-
-    the last from the even sector by `DriftSystem.sector_pairing`: no profile
-    solve, no odd sector and no `eigh` of the even one."""
-    params = ModelParams(1024, gamma, phi_l, phi_r)
-    u = params.grid()
-    G = np.sin(np.pi * u)
-    flow = build_drift_system(params).sector_pairing(1.0, _HYDRO_BUMP.f(u), G, T, _flow)
-    return 0.5 * (phi_l + phi_r) * float(np.sum(G)) / params.n + flow
-
-
 def exp_hydro_limit(cfg: ExperimentConfig) -> dict:
     # the continuum stand-in: the deterministic flow of the same data at n = 1024
-    ref_value = _hydro_reference(cfg.gamma, cfg.phi_l, cfg.phi_r, cfg.T)
+    ref = ModelParams(1024, cfg.gamma, cfg.phi_l, cfg.phi_r)
+    ref_value = _hydro_mean(ref, build_drift_system(ref), cfg.T, ref.n)
 
     sides = {"lo": max(8, cfg.n // 4), "hi": cfg.n}
     runs = {side: _hydro_limit_error(n, cfg.gamma, cfg.phi_l, cfg.phi_r, cfg.T,
@@ -236,8 +241,8 @@ def exp_hydro_limit(cfg: ExperimentConfig) -> dict:
             for side, n in sides.items()}
     err_lo, err_hi = runs["lo"]["err"], runs["hi"]["err"]
     checks = {
-        "error_decreases": _check(err_hi - err_lo, 0.0, err_hi < err_lo),
-        "error_small_at_n": _check(err_hi, 0.02, err_hi < 0.02),
+        "error_decreases": _check(err_hi - err_lo, 0.0, operator.lt),
+        "error_small_at_n": _check(err_hi, 0.02, operator.lt),
     }
     # the exact law of each average, reported next to it without a gate
     outputs = {"reference": ref_value}
@@ -251,11 +256,7 @@ def exp_martingale(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
     u = params.grid()
     G = np.sin(np.pi * u) * (1.0 + 0.3 * u)
-    with simulate.chain_noise_ahead(params, cfg.replicas, cfg.seed + 1):
-        prof = ness.solve_stationary_profile(params)
-        phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-        out = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
-                                      martingale_g=G)
+    _, (out,) = _euler_chains(cfg, dict(martingale_g=G))
     m = out["martingale"]
     qv = simulate.martingale_qv_rate(params, G) * cfg.T
     se_mean = m.std(ddof=1) / np.sqrt(cfg.replicas)
@@ -264,8 +265,8 @@ def exp_martingale(cfg: ExperimentConfig) -> dict:
     z_mean = abs(m.mean()) / se_mean
     z_var = abs(var - qv) / se_var
     checks = {
-        "mean_zero_3se": _check(z_mean, 3.0, z_mean <= 3.0),
-        "qv_match_3se": _check(z_var, 3.0, z_var <= 3.0),
+        "mean_zero_3se": _check(z_mean, 3.0),
+        "qv_match_3se": _check(z_var, 3.0),
     }
     return {"checks": checks,
             "outputs": {"mc_mean": float(m.mean()), "mc_var": float(var),
@@ -287,14 +288,8 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     G = np.sin(np.pi * u)
 
     # the tilted pair draws stream index 1 of the untilted pair's keys
-    with simulate.chain_noise_ahead(params, cfg.replicas, cfg.seed + 1, indices=(0, 1)):
-        prof = ness.solve_stationary_profile(params)
-        phi0 = ness.sample_ness(prof, cfg.replicas, cfg.seed)
-        plain = simulate.euler_ensemble(prof, phi0, cfg.T, cfg.dt, seed=cfg.seed + 1,
-                                        field=field, tilted=False)
-        phi0b = ness.sample_ness(prof, cfg.replicas, cfg.seed, index=1)
-        tilted = simulate.euler_ensemble(prof, phi0b, cfg.T, cfg.dt, seed=cfg.seed + 1,
-                                         field=field, tilted=True, index=1)
+    _, (plain, tilted) = _euler_chains(cfg, dict(field=field, tilted=False),
+                                       dict(field=field, tilted=True))
     w = np.exp(plain["log_weight"])
     se_w = w.std(ddof=1) / np.sqrt(cfg.replicas)
     dev_one = abs(w.mean() - 1.0)
@@ -314,8 +309,8 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
     se_comb = float(np.hypot(se_weighted, se_tilted))
     z_obs = abs(est_weighted - est_tilted) / se_comb
     checks = {
-        "mean_one_3se": _check(z_mean_one, 3.0, z_mean_one <= 3.0),
-        "tilted_vs_weighted_3se": _check(z_obs, 3.0, z_obs <= 3.0),
+        "mean_one_3se": _check(z_mean_one, 3.0),
+        "tilted_vs_weighted_3se": _check(z_obs, 3.0),
     }
     # the log-weight is exactly Normal(-q/2, q) untilted and Normal(q/2, q) tilted
     se_log_mean = np.sqrt(q / cfg.replicas)
@@ -324,8 +319,8 @@ def exp_girsanov(cfg: ExperimentConfig) -> dict:
                                     ("tilted", tilted["log_weight"], 0.5 * q)):
         z_lm = abs(log_weight.mean() - mean) / se_log_mean
         z_lv = abs(log_weight.var(ddof=1) - q) / se_log_var
-        checks[f"{label}_log_weight_mean_5se"] = _check(z_lm, 5.0, z_lm <= 5.0)
-        checks[f"{label}_log_weight_var_5se"] = _check(z_lv, 5.0, z_lv <= 5.0)
+        checks[f"{label}_log_weight_mean_5se"] = _check(z_lm, 5.0)
+        checks[f"{label}_log_weight_var_5se"] = _check(z_lv, 5.0)
     with open(os.path.join(cfg.out_dir, "replicas.json"), "w") as fh:
         records = [{"replica": i, "seed": cfg.seed + 1,
                     "logweight": float(plain["log_weight"][i]),
@@ -373,8 +368,8 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
         j_val = ldp.j_functional(traj, test)
         max_excess = max(max_excess, j_val - rate)
     checks = {
-        "optimal_field_identity": _check(rel, 1e-4, rel <= 1e-4),
-        "variational_bound": _check(max_excess, 1e-6, max_excess <= 1e-6),
+        "optimal_field_identity": _check(rel, 1e-4),
+        "variational_bound": _check(max_excess, 1e-6),
     }
     return {"checks": checks,
             "outputs": {"j_half": j_half, "quarter_energy": rate,
@@ -400,15 +395,16 @@ def exp_spectrum(cfg: ExperimentConfig) -> dict:
     d0 = hydro.l2_distance(params, g, prof.profile)
     dists = hydro.l2_distance(params, traj.profiles, prof.profile)
     bound = d0 * np.exp(-lam1 * times) * (1.0 + 1e-10) + 1e-14
-    bound_ok = bool(np.all(dists <= bound))
     with open(os.path.join(cfg.out_dir, "decay.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "l2_distance", "bound"])
         for t, d, bd in zip(times, dists, bound):
             w.writerow([repr(float(t)), repr(float(d)), repr(float(bd))])
     checks = {
-        "fitted_rate_2pct": _check(rel, 0.02, rel <= 0.02),
-        "exponential_bound": _check(float(np.max(dists / bound)), 1.0, bound_ok),
+        "fitted_rate_2pct": _check(rel, 0.02),
+        # the rule reads each distance against its bound, not the largest ratio
+        "exponential_bound": _check(np.max(dists / bound), 1.0,
+                                    lambda *_: np.all(dists <= bound)),
     }
     return {"checks": checks,
             "outputs": {"lambda1": lam1, "fitted_rate": fitted}}
@@ -438,8 +434,8 @@ def exp_quasipotential(cfg: ExperimentConfig) -> dict:
     worst_gap = max(row["rel_gap"] for row in rows)
     worst_identity = max(row["identity_gap"] for row in rows)
     checks = {
-        "v_matches_w_5pct": _check(worst_gap, 0.05, worst_gap <= 0.05),
-        "reversal_identity": _check(worst_identity, 1e-4, worst_identity <= 1e-4),
+        "v_matches_w_5pct": _check(worst_gap, 0.05),
+        "reversal_identity": _check(worst_identity, 1e-4),
     }
     return {"checks": checks,
             "outputs": {"lambda1_T1": lam1 * T1, "targets": rows}}
@@ -447,15 +443,15 @@ def exp_quasipotential(cfg: ExperimentConfig) -> dict:
 
 def exp_adjoint(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
-    report = adjoint_defect(ness.solve_stationary_profile(params))
+    prof = ness.solve_stationary_profile(params)
+    report = adjoint_defect(prof)
 
     eq_params = ModelParams(params.n, params.gamma, 0.7, 0.7)
     eq_report = adjoint_defect(ness.solve_stationary_profile(eq_params))
     checks = {
-        "invariance": _check(report["invariance_residual"], 1e-10,
-                             report["invariance_residual"] <= 1e-10),
-        "equilibrium_defect": _check(eq_report["defect_norm"], 1e-10,
-                                     eq_report["defect_norm"] <= 1e-10),
+        # at the profile's own scale: its rounding grows with the reservoirs
+        "invariance": _check(report["invariance_residual"], prof.residual_bound),
+        "equilibrium_defect": _check(eq_report["defect_norm"], 1e-10),
     }
     with open(os.path.join(cfg.out_dir, "adjoint.json"), "w") as fh:
         json.dump(report, fh, indent=2)
@@ -483,7 +479,7 @@ _EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
 # every experiment builds dense (n-1) x (n-1) matrices; 4096 keeps one at 134 MB
 _DENSE_MAX_N = 4096
 _BLOCK_EPS = (0.25, 0.1)  # stationarity's boundary blocks, next to eps = 1/n
-_PATH_MAX_ENTRIES = 2 ** 27  # rate-check's (T/dt + 1) x (n-1) path: 1 GiB of float64
+_PATH_MAX_ENTRIES = 2 ** 27  # rate-check's path, girsanov's amplitudes: 1 GiB of float64
 
 
 def _config_error(cfg: ExperimentConfig):
@@ -533,10 +529,13 @@ def _config_error(cfg: ExperimentConfig):
         if cfg.n < 10:
             # test fields supported in [0.1, 0.9] vanish at sites 1 and n-1 from n = 10
             return f"rate-check's test fields need n >= 10, got {cfg.n}"
-        entries = (step_count(cfg.T, cfg.dt) + 1) * params.n_sites
-        if entries > _PATH_MAX_ENTRIES:
-            return (f"rate-check's (T/dt + 1) x (n-1) path has {entries:.4g} entries "
-                    f"({entries * 8 / 2 ** 30:.3g} GiB), above the cap of 2^27 (1 GiB)")
+    # the arrays that grow with T/dt: rate-check's path, girsanov's a(t) at each step
+    steps = step_count(cfg.T, cfg.dt)
+    entries, array = {"rate-check": ((steps + 1) * params.n_sites, "(T/dt + 1) x (n-1) path"),
+                      "girsanov": (steps, "field amplitude a(t) on T/dt steps")}.get(cfg.experiment, (0, ""))
+    if entries > _PATH_MAX_ENTRIES:
+        return (f"{cfg.experiment}'s {array} has {entries:.4g} entries "
+                f"({entries * 8 / 2 ** 30:.3g} GiB), above the cap of 2^27 (1 GiB)")
     if cfg.experiment in _EULER_EXPERIMENTS:
         limit = simulate.euler_stability_limit(params)
         if cfg.dt >= limit:

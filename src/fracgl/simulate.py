@@ -191,15 +191,6 @@ _AHEAD = {}  # (seed, index) -> its chain's block drawn ahead, while the scope i
 _ROWS = 1024
 
 
-def _deviation(spec: DriftSystem, start: np.ndarray, law: dict, out=None) -> np.ndarray:
-    """The modes' mean at the end, less c^ss, from a start less Phi_ss:
-    'decay' times its coefficients plus 'shift', into `out` if given."""
-    dev = spec.project(start, out=out)
-    dev *= law["decay"]
-    dev += law["shift"]
-    return dev
-
-
 def _draw(spec: DriftSystem, phi: np.ndarray, fixed: np.ndarray, law: dict,
           rng: np.random.Generator, z: Optional[np.ndarray] = None) -> dict:
     """One draw of `law` from each configuration of phi (sites last): the
@@ -224,17 +215,13 @@ def _draw(spec: DriftSystem, phi: np.ndarray, fixed: np.ndarray, law: dict,
     count = max(1, -(-len(noise) // _ROWS))
     edges = np.arange(count + 1) * len(noise) // count
     buf = np.empty((-(-len(noise) // count), noise.shape[-1]))
-    # a batch of one configuration (a broadcast view, stride 0) is projected once
-    single = not any(phi.strides[:-1])
-    if single:
-        dev = _deviation(spec, phi[(0,) * (phi.ndim - 1)] - fixed, law)
-    else:
-        starts, devs = phi.reshape(noise.shape), np.empty_like(buf)
+    starts, devs = phi.reshape(noise.shape), np.empty_like(buf)
     for lo, hi in zip(edges[:-1], edges[1:]):
         block, rows = noise[lo:hi], hi - lo
-        if not single:
-            start = np.subtract(starts[lo:hi], fixed, out=buf[:rows])
-            dev = _deviation(spec, start, law, out=devs[:rows])
+        # the modes' mean at the end, less c^ss: 'decay' times the start's plus 'shift'
+        dev = spec.project(np.subtract(starts[lo:hi], fixed, out=buf[:rows]), out=devs[:rows])
+        dev *= law["decay"]
+        dev += law["shift"]
         block *= law["sd"]
         block += dev
         np.add(spec.synthesize(block, out=buf[:rows]), fixed, out=block)

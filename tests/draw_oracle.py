@@ -12,9 +12,7 @@ def draw_whole(spec, phi, fixed, law, rng, z=None) -> dict:
     and the keys."""
     if z is None:
         z = rng.standard_normal(phi.shape[:-1] + law["sd"].shape)
-    # a batch of one configuration (a broadcast view, stride 0) is projected once
-    start = phi[(0,) * (phi.ndim - 1)] if not any(phi.strides[:-1]) else phi
-    dev = spec.project(start - fixed) * law["decay"] + law["shift"]
+    dev = spec.project(phi - fixed) * law["decay"] + law["shift"]
     out = {}
     if law["keys"]:
         beta = law["cross"] / law["sd"][:, None]    # covariances with the z_k

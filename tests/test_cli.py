@@ -5,6 +5,7 @@ import os
 import sys
 import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,30 @@ def test_figure1_monotone_value_is_smallest_step(tmp_path, phi_l, phi_r):
     assert summary["checks"]["monotone"]["value"] == np.abs(np.diff(phi)).min()
 
 
+FROZEN = json.loads((Path(__file__).parent / "frozen_paths.json").read_text())["summaries"]
+
+
+def _assert_frozen(value, frozen, where):
+    if isinstance(frozen, dict):
+        for key in frozen:
+            _assert_frozen(value[key], frozen[key], f"{where}.{key}")
+    elif isinstance(frozen, list):
+        assert len(value) == len(frozen), where
+        for i, (item, frozen_item) in enumerate(zip(value, frozen)):
+            _assert_frozen(item, frozen_item, f"{where}[{i}]")
+    elif isinstance(frozen, str):
+        assert value == frozen, where
+    else:
+        assert value == pytest.approx(frozen, rel=1e-13, abs=0), where
+
+
+@pytest.mark.parametrize("experiment", sorted(FROZEN))
+def test_deterministic_outputs_match_frozen_values(tmp_path, experiment):
+    assert main([experiment, "--out", str(tmp_path)]) == 0
+    outputs = json.loads((tmp_path / "summary.json").read_text())["outputs"]
+    _assert_frozen(outputs, FROZEN[experiment], experiment)
+
+
 def test_missing_out_dir_fails_with_status_1(tmp_path):
     missing = tmp_path / "not-there"
     status = main(["figure1", "--out", str(missing)])
@@ -89,6 +114,7 @@ def test_invalid_params_status_1(tmp_path):
     ["stationarity", "--n", "nan"],
     ["rate-check", "--t", "1e4"],
     ["girsanov", "--t", "1e300", "--dt", "1e-10"],
+    ["girsanov", "--t", "1e6"],
 ])
 def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     # the fixed replica count goes first, so a case's own --replicas wins
@@ -98,6 +124,11 @@ def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_adjoint_invariance_gate_scales_with_the_reservoirs(tmp_path):
+    # the residual grows with the profile's ulp: 2.7e-9 here, above an absolute 1e-10
+    assert main(["adjoint", "--phi-l=-1e6", "--phi-r", "1e6", "--out", str(tmp_path)]) == 0
 
 
 def test_hydro_limit_runs_with_one_replica(tmp_path):

@@ -227,14 +227,15 @@ def test_relaxation_rate_degenerate_input():
 def test_hydro_limit_reference_matches_full_flow(gamma, phi_l, phi_r, T):
     # the even-sector reference of `hydro-limit` against the whole flow at
     # n = 1024: profile, full spectrum, the last profile paired with sin(pi u)
-    from fracgl.experiments import _hydro_reference
+    from fracgl.experiments import _hydro_mean
     params = ModelParams(1024, gamma, phi_l, phi_r)
     prof = solve_stationary_profile(params)
     u = params.grid()
     traj = solve_hydrodynamic(prof, prof.profile + SmoothBump(0.3, 0.7, 0.75).f(u),
                               np.array([0.0, T]))
     full = float(traj.profiles[-1] @ np.sin(np.pi * u)) / params.n
-    assert _hydro_reference(gamma, phi_l, phi_r, T) == pytest.approx(full, rel=1e-13, abs=0)
+    reference = _hydro_mean(params, build_drift_system(params), T, params.n)
+    assert reference == pytest.approx(full, rel=1e-13, abs=0)
 
 
 ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
