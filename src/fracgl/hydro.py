@@ -14,8 +14,11 @@ For a field H = a(t) B the forcing at the recorded times is a(times) times
 the one projection of -(L_n B); only the per-mode recurrence runs step by
 step.  The integrator and the relaxation fit take the StationaryProfile (the
 model and Phi_ss); the weak-form defect reads the model, g and the field
-from the recorded path, and for a test field G = a_G(t) B_G works on the two
-pairings <Phi_t, B_G> and <Phi_t, L_n B_G> along the path.
+from the recorded path.  `weak_defects` takes K test fields G_k = a_k(t) B_k
+at once, their amplitudes as (times, K) arrays and their shapes as (K, n-1),
+and works on the pairings <Phi_t, B_k> and <Phi_t, L_n B_k> along the path,
+two matrix products for all K; `weak_residual` and `ldp.j_functional` are
+its one-field case.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .kernel import discrete_fractional_laplacian
 from .ness import StationaryProfile
 from .operators import dirichlet_spectrum
 from .params import ModelParams, as_grid_batch, as_grid_function
@@ -34,6 +38,7 @@ __all__ = [
     "DeterministicTrajectory",
     "solve_hydrodynamic",
     "weak_residual",
+    "weak_defects",
     "relaxation_rate",
     "l2_distance",
 ]
@@ -114,36 +119,46 @@ def weak_residual(traj: DeterministicTrajectory, G: ExternalField, t: float) -> 
     g = Phi_0, lattice pairings (1/n) sum, discrete operator on the sampled
     test field, trapezoid rule in time over the recorded grid.  Vanishes to
     time-quadrature accuracy on true solutions when B_G vanishes at the
-    boundary sites, which is checked.
+    boundary sites, which is checked.  The one-field case of `weak_defects`
+    on the path's prefix up to t.
     """
-    return _weak_defect(traj, G, t, traj.field)
-
-
-def _weak_defect(traj: DeterministicTrajectory, G: ExternalField, t: float,
-                 source: Optional[ExternalField]) -> float:
-    """`weak_residual` with `source` in place of the path's field.  The
-    integrand is a_G'<Phi, B_G> + a_G <Phi, L_n B_G> + a_H a_G <B_H, B_G>_{n,gamma/2}:
-    two matrix-vector products over the path and one scalar."""
     times = traj.times
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
         raise ValueError("t outside the trajectory span")
     k = int(np.count_nonzero(times <= t + 1e-12))   # ascending: a prefix, viewed
-    ts, phis = times[:k], traj.profiles[:k]
-    params = traj.params
+    part = DeterministicTrajectory(traj.params, times[:k], traj.profiles[:k], traj.field)
+    ts, H = part.times, traj.field
+    source = None if H is None else (H.a(ts)[:, None], H.lattice_shape(traj.params)[0])
+    return float(weak_defects(part, G.a(ts)[:, None], G.da(ts)[:, None],
+                              G.lattice_shape(traj.params)[0], source)[0])
+
+
+def weak_defects(traj: DeterministicTrajectory, amp, rate, shapes, source=None) -> np.ndarray:
+    """Weak-form defects of a path over its whole span against K test fields
+    G_k = a_k(t) B_k(u) at once: `weak_residual`'s formula with the driving
+    field `source` in place of the path's own.
+
+    `amp` and `rate` hold a_k and a_k' at the recorded times, (times, K);
+    `shapes` the B_k on the sites, (K, n-1), each checked to vanish at the
+    boundary sites.  `source` is None (no field) or the pair (a_H at the
+    recorded times, B_H), broadcasting against `amp` and `shapes`; a field
+    that is its own source, as in J_G, passes (amp, shapes).  The integrand
+    a_k'<Phi, B_k> + a_k <Phi, L_n B_k> - a_H a_k <B_H, B_k>_{n,gamma/2} takes
+    two matrix products over the path for all K fields and one dot per field.
+    Returns the K defects.
+    """
+    params, ts, phis = traj.params, traj.times, traj.profiles
     n = params.n
-
-    bv, lap = G.lattice_shape(params)
-    if abs(float(bv[0])) > 1e-12 or abs(float(bv[-1])) > 1e-12:
+    shapes = np.atleast_2d(shapes)
+    if np.any(np.abs(shapes[:, [0, -1]]) > 1e-12):
         raise ValueError("test function must vanish at the boundary sites")
-
-    on_b, on_lap = phis @ bv / n, phis @ lap / n
-    amp = G.a(ts)
-    integrand = G.da(ts) * on_b + amp * on_lap
+    lap = discrete_fractional_laplacian(params, shapes)
+    on_b, on_lap = phis @ shapes.T / n, phis @ lap.T / n
+    integrand = rate * on_b + amp * on_lap
     if source is not None:
-        # <B_H, B_G>_{n,gamma/2} = -(1/n) B_H . L_n B_G, L_n B_G in hand
-        integrand -= source.a(ts) * amp * float(source.lattice_shape(params)[0] @ lap) / n
-    time_int = float(np.trapezoid(integrand, ts))
-    return float(amp[-1] * on_b[-1] - amp[0] * on_b[0]) - time_int
+        # <B_H, B_k>_{n,gamma/2} = -(1/n) B_H . L_n B_k, L_n B_k in hand
+        integrand -= source[0] * amp * np.vecdot(source[1], lap) / n
+    return amp[-1] * on_b[-1] - amp[0] * on_b[0] - np.trapezoid(integrand, ts, axis=0)
 
 
 def relaxation_rate(profile: StationaryProfile, g, T: float,

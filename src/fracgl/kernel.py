@@ -26,7 +26,9 @@ parity reads that sector alone, in folded coordinates: the profile solve
 the odd one's modes.  A relaxation pairing <g, phi(-t M) f> of one parity,
 as in every pairing of `hydro-limit`, needs no modes:
 `DriftSystem.sector_pairing` takes it by shift-and-invert Lanczos on the
-sector's matrix, with no `eigh` of it.  The sorted full spectrum is
+sector's matrix, with no `eigh` of it and no explicit inverse: I + sigma A is
+factored in place by 64-column blocks and solved by block substitution.
+The sorted full spectrum is
 assembled from both sectors only when asked for.  Every model of that
 (n, gamma) shares the system and its read-only arrays, whatever the
 reservoir densities; b is `ness.reservoir_drift`.  The
@@ -34,7 +36,8 @@ Laplacian, the seminorm and the energy below are the only evaluations of L_n
 and of the quadratic forms; each reads M and accepts one grid function or a
 (times, sites) batch with sites last.  Only numpy is needed: zeta comes
 from `_zeta`, the Toeplitz matrix from `toeplitz`, the spectrum from
-`numpy.linalg.eigh`, the shifted factor from `numpy.linalg.cholesky`.
+`numpy.linalg.eigh`, the shifted factor's diagonal blocks from
+`numpy.linalg.cholesky` and `numpy.linalg.inv`.
 """
 
 from __future__ import annotations
@@ -112,19 +115,38 @@ def _fold(g: np.ndarray, parity: float, size: int, pairs: int) -> np.ndarray:
     return folded
 
 
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by halves: [[A, 0], [C, B]] has the
-    inverse [[A^-1, 0], [-B^-1 C A^-1, B^-1]], so all but the small diagonal
-    blocks is matrix products (numpy has no triangular solve)."""
-    size = low.shape[0]
-    if size <= 32:
-        return np.linalg.inv(low)
-    half = size // 2
-    out = np.zeros_like(low)
-    top = out[:half, :half] = _lower_inverse(low[:half, :half])
-    bottom = out[half:, half:] = _lower_inverse(low[half:, half:])
-    out[half:, :half] = -(bottom @ (low[half:, :half] @ top))
-    return out
+_PANEL = 64  # columns per block of the shifted sector's Cholesky factor
+
+
+def _block_cholesky(a: np.ndarray) -> list:
+    """Factor the symmetric positive-definite `a` = L L^T in place, _PANEL
+    columns at a time, left to right: one product updates a block's columns
+    from the factored ones on their left (the lower part only), its diagonal
+    block is factored and inverted, and one product with that inverse makes
+    the panel below it L's.  `a` ends with L below its diagonal blocks and
+    the inverse of L's diagonal block in each; returns the blocks' slices."""
+    size = a.shape[0]
+    blocks = [slice(j, min(j + _PANEL, size)) for j in range(0, size, _PANEL)]
+    work = np.empty(size * _PANEL)  # both products' output, reused
+    for b in blocks:
+        col = a[b.start:, b]
+        col -= np.matmul(a[b.start:, :b.start], a[b, :b.start].T,
+                         out=work[:col.size].reshape(col.shape))
+        a[b, b] = np.linalg.inv(np.linalg.cholesky(a[b, b]))
+        panel = a[b.stop:, b]
+        panel[...] = np.matmul(panel, a[b, b].T, out=work[:panel.size].reshape(panel.shape))
+    return blocks
+
+
+def _block_solve(a: np.ndarray, blocks: list, v: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 v from `_block_cholesky`'s `a`: forward, then back substitution
+    block by block, each block through its diagonal inverse."""
+    y = v.copy()
+    for b in blocks:
+        y[b] = a[b, b] @ (y[b] - a[b, :b.start] @ y[:b.start])
+    for b in reversed(blocks):
+        y[b] = a[b, b].T @ (y[b] - a[b.stop:, b].T @ y[b.stop:])
+    return y
 
 
 class FlipSector:
@@ -229,27 +251,32 @@ class DriftSystem:
         (e_x + parity e_{n-x}) / sqrt 2, x < n/2, plus e_{n/2} if even and n
         even: the top-left block T[i, j] = M[i, j], a Toeplitz matrix of the
         row, and the flipped block H[i, j] = M[i, n-2-j], a Hankel one, as
-        -T - H (the centre's row and column over sqrt 2) or H - T."""
+        -T - H (the centre's row and column over sqrt 2) or H - T, both read
+        as strided views of one array and summed into the one output."""
         N = self.n - 1
         size = N // 2 if parity < 0 else N - N // 2
-        top = toeplitz(self._row[:size])
-        top *= self._speed
-        top[np.diag_indices(size)] = self.diagonal[:size]
-        # H[i, j] = speed p(n-2-i-j); at the centre of an odd N, the diagonal
-        flip = np.lib.stride_tricks.sliding_window_view(self._row[::-1][:2 * size - 1], size)
-        flip = flip * self._speed
+        # ext[N-1-k] = ext[N-1+k] = speed p(k): T[i, j] = ext[N-1-i+j], H[i, j] = ext[i+j]
+        ext = self._row * self._speed
+        ext = np.concatenate([ext[::-1], ext[1:]])
+        window = np.lib.stride_tricks.sliding_window_view
+        top = window(ext[N - size:N + size - 1], size)[::-1]
+        flip = window(ext[:2 * size - 1], size)
+        # the diagonals: M's own, and H's but at the centre of an odd N, M's
+        diag, hank = self.diagonal[:size], flip.diagonal().copy()
         centre = 2 * size - 1 == N
         if centre:
-            flip[-1, -1] = self.diagonal[size - 1]
+            hank[-1] = diag[-1]
         if parity < 0:
-            flip -= top
-            return flip
-        np.negative(top, out=top)
-        top -= flip
+            out = np.subtract(flip, top)
+            out[np.diag_indices(size)] = hank - diag
+            return out
+        out = np.add(top, flip)
+        out[np.diag_indices(size)] = diag + hank
+        np.negative(out, out=out)
         if centre:
-            top[-1] /= np.sqrt(2.0)
-            top[:, -1] /= np.sqrt(2.0)
-        return top
+            out[-1] /= np.sqrt(2.0)
+            out[:, -1] /= np.sqrt(2.0)
+        return out
 
     @cached_property
     def even(self) -> FlipSector:
@@ -265,8 +292,10 @@ class DriftSystem:
         array of rates times t (np.exp of minus them for the flow over t).
 
         No `eigh` of the sector's matrix A: shift-and-invert Lanczos on
-        (I + sigma A)^-1 with sigma = t / 10, applied through the inverse of
-        one Cholesky factor and fully reorthogonalized, from the folded f.
+        (I + sigma A)^-1 with sigma = t / 10, applied by forward and back
+        substitution with its Cholesky factor, made in place by 64-column
+        blocks (`_block_cholesky`), and fully reorthogonalized, from the
+        folded f.
         With T_k its tridiagonal matrix on the orthonormal basis V, the value
         is |f| <V^T g, phi(t A_k) e_1>, A_k = (T_k^-1 - I) / sigma, whose error
         does not grow with the sector's size or |A| (van den Eshof and
@@ -277,7 +306,7 @@ class DriftSystem:
         to the sum of their terms' magnitudes, on breakdown (the space is
         invariant, so the value is exact) or at the sector's size.
         """
-        shifted = self._sector_matrix(parity)  # A, scaled in place below
+        shifted = self._sector_matrix(parity)  # A, shifted and factored in place below
         size = shifted.shape[0]
         pairs = (self.n - 1) // 2
         folded = _fold(np.stack([f, g]).astype(float), parity, size, pairs)
@@ -293,7 +322,7 @@ class DriftSystem:
         scale = max(1.0, sigma)
         shifted *= sigma / scale
         shifted[np.diag_indices(size)] += 1.0 / scale
-        inverse = _lower_inverse(np.linalg.cholesky(shifted))
+        blocks = _block_cholesky(shifted)
         basis = np.empty((size, size))  # row k holds v_k
         tri = np.zeros((size, size))
         along = np.empty(size)  # V^T g
@@ -301,7 +330,7 @@ class DriftSystem:
         for k in range(size):
             basis[k] = v
             along[k] = target @ v
-            w = inverse.T @ (inverse @ v)
+            w = _block_solve(shifted, blocks, v)
             coef = basis[:k + 1] @ w
             # the Rayleigh quotient is exactly 1 when w == v, at a t too small to move it
             tri[k, k] = coef[k] / (v @ v)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hydro import DeterministicTrajectory, _weak_defect, l2_distance
+from .hydro import DeterministicTrajectory, l2_distance, weak_defects
 from .kernel import discrete_inner_seminorm
 from .ness import StationaryProfile
 from .operators import dirichlet_spectrum
@@ -85,8 +85,10 @@ def rate_from_field(params: ModelParams, H: ExternalField, T: float,
 def j_functional(traj: DeterministicTrajectory, G: ExternalField) -> float:
     """J_G(pi | g) of a recorded path pi, g = pi_0: the weak-form defect
     `hydro.weak_residual` of the path over its whole span with G as its own
-    source.  G must carry a time derivative and vanish at the boundary sites."""
-    return _weak_defect(traj, G, traj.times[-1], G)
+    source: the one-field case of `hydro.weak_defects`.  G must carry a time
+    derivative and vanish at the boundary sites."""
+    amp, shape = G.a(traj.times)[:, None], G.lattice_shape(traj.params)[0]
+    return float(weak_defects(traj, amp, G.da(traj.times)[:, None], shape, (amp, shape))[0])
 
 
 def static_rate_w(profile: StationaryProfile, rho) -> float:
@@ -141,10 +143,11 @@ def _bridge_cost(lam: np.ndarray, coeff: np.ndarray, n_times: int):
 
 def _reversal_weights(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """q_k = sum_j w_j e^{-2 lambda_k t_j}, the trapezoid over the nodes ts, each
-    mode summed only over the t_j <= 372.6 / lambda_k: past them e^{-2 lambda_k t_j}
-    is exactly 0.0 in float64."""
+    mode summed only over the t_j <= 354 / lambda_k: past them e^{-2 lambda_k t_j}
+    is below 3.3e-308, subnormal or 0.0, which numpy's exp is slow to make
+    and which cannot move a sum whose first term is w_0 > 0."""
     w = 0.5 * np.convolve(np.diff(ts), [1.0, 1.0])
-    last = np.searchsorted(ts, 372.6 / lam, side="right")
+    last = np.searchsorted(ts, 354.0 / lam, side="right")
     return np.array([w[:j] @ np.exp(-2.0 * x * ts[:j]) for x, j in zip(lam, last)])
 
 
@@ -197,7 +200,7 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
     sum_k lambda_k c_k^2 e^{-2 lambda_k t} over a graded grid, independent of
     the W difference reported next to it, summed per mode: the weights
     q_k = sum_j w_j e^{-2 lambda_k t_j} (`_reversal_weights`) run over the nodes
-    where the term is not 0.0, and the bridge's r_k (`_bridge_cost`) are in
+    where the term is above 3.3e-308, and the bridge's r_k (`_bridge_cost`) are in
     closed form, both once per call for all targets and no (time, mode) table.
     `rho` is one target (n-1,), giving a RateReport, or a batch (targets, n-1),
     giving a list of them.

@@ -24,8 +24,11 @@ analytic term compensates the cutoff exactly through second order.
 Both quadratures use one panel layout, a row of edges per point: a cached
 unit template graded toward the row's lower end, with the support's edges as
 distances from the point sorted in (one outside the row's interval makes a
-zero-width panel).  A block of rows of about 2**16 nodes costs one call of
-F.f (and of G.f when G is not F).  The regional operator works in the distance
+zero-width panel).  A block of rows of about 2**13 nodes costs one call of
+F.f (and of G.f when G is not F); at that size no per-block temporary
+reaches 128 KiB, which glibc would map afresh, and page-fault, on each
+allocation.  The rows are summed one by one, so the values do not depend on
+the block size.  The regional operator works in the distance
 w from u: the window [3e-5, r] and [r, 1 - r] on the far side; `u` may be an array.
 
 Note: expanding the principal value asymmetrically around u produces a
@@ -57,7 +60,7 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _CUT = 3e-5
-_BLOCK_NODES = 2 ** 16
+_BLOCK_NODES = 2 ** 13
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from fracgl import (ExternalField, ModelParams, SmoothBump, build_drift_system,
                     dirichlet_spectrum, l2_distance, relaxation_rate,
                     reservoir_drift, solve_hydrodynamic, solve_stationary_profile,
                     weak_residual, dirichlet_energy)
+from fracgl.hydro import weak_defects
+from fracgl.ldp import j_functional
 from shapes import SineMode
 
 
@@ -191,6 +193,55 @@ def test_weak_residual_support_check_reads_the_shape():
     late_sine = ExternalField(np.sin, np.cos, SineMode(1))
     with pytest.raises(ValueError, match="vanish"):
         weak_residual(traj, late_sine, 0.1)
+
+
+def _test_fields(params, count):
+    """`count` fields a0 + a1 cos(om t) times bumps of varied supports, as
+    ExternalFields and as the arrays of `weak_defects` (amplitude rows)."""
+    rng = np.random.default_rng(7)
+    rows = rng.uniform([-1.0, -1.0, 0.5, 0.1, 0.6, 0.2], [1.0, 1.0, 6.0, 0.35, 0.9, 1.2],
+                       (count, 6))
+    fields = [ExternalField(lambda t, a0=a0, a1=a1, om=om: a0 + a1 * np.cos(om * t),
+                            lambda t, a1=a1, om=om: -a1 * om * np.sin(om * t),
+                            SmoothBump(lo, hi, amp))
+              for a0, a1, om, lo, hi, amp in rows]
+    shapes = np.array([G.lattice_shape(params)[0] for G in fields])
+    return fields, shapes
+
+
+def test_weak_defects_match_the_one_field_functionals():
+    # K fields in one pass give, field by field, j_functional (each field its
+    # own source) and weak_residual (the path's field as source)
+    params = ModelParams(32, 1.5, 0.5, 1.5)
+    prof = solve_stationary_profile(params)
+    field = bump_field()
+    times = np.linspace(0.0, 0.3, 601)
+    traj = solve_hydrodynamic(prof, prof.profile, times, field=field)
+    fields, shapes = _test_fields(params, 12)
+    amps = np.stack([G.a(times) for G in fields], axis=1)
+    rates = np.stack([G.da(times) for G in fields], axis=1)
+    own = weak_defects(traj, amps, rates, shapes, (amps, shapes))
+    np.testing.assert_allclose(own, [j_functional(traj, G) for G in fields],
+                               rtol=1e-13, atol=0)
+    # on the path's own solution these defects are differences of nearly equal
+    # terms, below 1e-6, so they are held to 1e-13 absolutely
+    driven = weak_defects(traj, amps, rates, shapes,
+                          (field.a(times)[:, None], field.lattice_shape(params)[0]))
+    np.testing.assert_allclose(driven, [weak_residual(traj, G, 0.3) for G in fields],
+                               rtol=0, atol=1e-13)
+
+
+def test_weak_defects_check_every_shape_at_the_boundary():
+    # one shape of the batch, sin(pi u), is not zero at site 1
+    params = ModelParams(16, 1.5, 0.0, 1.0)
+    prof = solve_stationary_profile(params)
+    times = np.linspace(0.0, 0.1, 11)
+    traj = solve_hydrodynamic(prof, prof.profile, times)
+    _, shapes = _test_fields(params, 5)
+    shapes[3] = SineMode(1).f(params.grid())
+    amps = np.ones((times.size, 5))
+    with pytest.raises(ValueError, match="vanish"):
+        weak_defects(traj, amps, 0.0 * amps, shapes)
 
 
 def test_relaxation_rate_pure_mode():

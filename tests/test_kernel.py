@@ -8,6 +8,7 @@ from fracgl import (ModelParams, SmoothBump, build_drift_system, dirichlet_energ
                     dirichlet_spectrum, discrete_fractional_laplacian,
                     discrete_inner_seminorm, kernel_constant, kernel_row,
                     reservoir_drift, solve_stationary_profile)
+from fracgl import kernel
 
 
 def oracle_kernel_constant(gamma, cutoff=10 ** 6):
@@ -363,6 +364,21 @@ def test_batched_operators_match_row_by_row():
                                           rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 128, 200])
+def test_block_cholesky_solves_like_a_dense_solve(size):
+    # the in-place factor of 64-column blocks with their diagonal inverses,
+    # applied by block substitution, inverts the matrix it was made from
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal((size, size))
+    a = x @ x.T / size + np.eye(size)
+    v = rng.standard_normal(size)
+    factor = a.copy()
+    blocks = kernel._block_cholesky(factor)
+    assert [b.start for b in blocks] == list(range(0, size, 64))
+    np.testing.assert_allclose(kernel._block_solve(factor, blocks, v), np.linalg.solve(a, v),
+                               rtol=1e-12, atol=1e-12)
+
+
 def _flow(s):
     return np.exp(-s)
 
@@ -379,8 +395,11 @@ def _pairing_data(n):
     return {1.0: (bump, np.sin(np.pi * u)), -1.0: (np.sin(2 * np.pi * u) * (1 + bump), u - 0.5)}
 
 
+# sectors of one 64-column Cholesky block and of more: n = 257 has two sectors
+# of 128 columns, exactly two blocks; n = 200 has 100 and 99, n = 1024 has 512
+# and 511, each with more than one block
 @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
-@pytest.mark.parametrize("n", [9, 64, 1024])
+@pytest.mark.parametrize("n", [9, 64, 200, 257, 1024])
 def test_sector_pairing_matches_the_eigh_oracle(n, gamma):
     # shift-and-invert Lanczos against the sum over the sector's eigh modes.
     # A rate x known to relative eps moves e^{-tx} by t x eps relative, so
@@ -404,7 +423,7 @@ def test_sector_pairing_matches_the_eigh_oracle(n, gamma):
             assert abs(got - np.sum(terms)) <= 2 * rtol * np.sum(np.abs(terms)), (parity, t)
 
 
-@pytest.mark.parametrize("n", [3, 4, 9, 64])
+@pytest.mark.parametrize("n", [3, 4, 9, 64, 200, 257])
 def test_sector_pairing_edge_cases(n):
     # at t = 1e-300, I + sigma A is I to rounding and the first step breaks
     # down; at t = 1e300, sigma A would overflow unless scaled; a start on

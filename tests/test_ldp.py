@@ -371,6 +371,19 @@ def test_bridge_and_reversal_weights_match_the_table_route(gamma):
     assert np.exp(-lam[-1]) == 0.0  # the top modes' e^{-lambda} underflows at n = 1024
 
 
+@pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("n", [32, 256, 1024])
+def test_reversal_weights_equal_the_full_range_sum(n, gamma):
+    # the terms past t_j = 354 / lambda_k are below 3.3e-308: left out, they
+    # leave every q_k bit for bit as the sum over all the nodes makes it
+    lam = dirichlet_spectrum(ModelParams(n, gamma, 0.5, 1.5)).eigenvalues
+    for T1 in (0.05, 6.5 / lam[0]):
+        ts = T1 * np.linspace(0.0, 1.0, 4001) ** 2
+        w = 0.5 * np.convolve(np.diff(ts), [1.0, 1.0])
+        full = np.array([w @ np.exp(-2.0 * x * ts) for x in lam])
+        assert np.array_equal(ldp._reversal_weights(lam, ts), full)
+
+
 def test_quasipotential_makes_no_time_by_mode_table():
     # a (4001, 255) table of e^{-2 lambda t} alone is 8.2 MB
     params = ModelParams(256, 1.5, 0.5, 1.5)

@@ -137,15 +137,26 @@ def test_regional_laplacian_matches_frozen_grid_values(n):
     np.testing.assert_allclose(vals, FROZEN["regional"][str(n)], rtol=1e-13, atol=0.0)
 
 
+def _regional_row_nodes():
+    """F evaluations per point of the regional operator: u, both sides of the
+    window and the outer nodes, the two support edges sorted into each edge row."""
+    return 1 + 24 * (2 * (operators._unit_offsets(26, 10).size + 1)
+                     + operators._unit_offsets(26, 12).size + 1)
+
+
 def test_regional_laplacian_calls_f_once_per_point():
+    # one F.f call for a point, and for an array one per block of
+    # _BLOCK_NODES // (nodes per point) points, not one per point
     F, calls = _counting(SmoothBump(0.25, 0.75, 1.3))
     for u in (0.0, 1e-6, 0.3, 0.5, 0.75, 1.0):
         calls["f"] = 0
         regional_laplacian_pointwise(1.5, F, u)
-        assert calls["f"] <= 2
+        assert calls["f"] == 1
+    points_per_block = operators._BLOCK_NODES // _regional_row_nodes()
+    assert points_per_block > 1
     calls["f"] = 0
     regional_laplacian_pointwise(1.5, F, np.linspace(0.0, 1.0, 9))
-    assert calls["f"] <= 2
+    assert calls["f"] == math.ceil(9 / points_per_block)
 
 
 def test_regional_laplacian_array_calls_f_per_block_inside_unit_interval():
@@ -163,10 +174,7 @@ def test_regional_laplacian_array_calls_f_per_block_inside_unit_interval():
     F = TestFunction(f=f, df=bump.df, d2f=bump.d2f, support=bump.support)
     u = np.sort(np.concatenate([np.linspace(0.0, 1.0, 1996), [1e-6, 2e-5, 1 - 2e-5, 1 - 1e-6]]))
     vals = regional_laplacian_pointwise(1.5, F, u)
-    # per point: u, both sides of the window and the outer nodes, the two
-    # support edges sorted into each edge row
-    per_row = 1 + 24 * (2 * (operators._unit_offsets(26, 10).size + 1)
-                        + operators._unit_offsets(26, 12).size + 1)
+    per_row = _regional_row_nodes()
     assert len(sizes) == math.ceil(u.size / (operators._BLOCK_NODES // per_row))
     assert sum(sizes) == u.size * per_row
     assert max(sizes) <= operators._BLOCK_NODES + per_row
@@ -270,12 +278,26 @@ def test_continuum_seminorm_calls_f_per_block_not_per_outer_node():
     # of about _BLOCK_NODES inner nodes, not once per outer node
     F, calls = _counting(SmoothBump(0.25, 0.75, 1.3))
     per_row = 24 * (operators._unit_offsets(30, 8).size + 1)  # both support edges sorted in
+    rows_per_block = operators._BLOCK_NODES // per_row
+    assert rows_per_block > 1
     for n_outer, outer_panels in ((10, 12), (160, 160)):
         calls["f"] = 0
         continuum_seminorm(1.5, F, F, n_outer=n_outer)
         rows = 24 * outer_panels
-        assert calls["f"] <= 1 + math.ceil(rows / (operators._BLOCK_NODES // per_row))
-        assert calls["f"] * 40 < rows
+        assert calls["f"] == 1 + math.ceil(rows / rows_per_block)
+
+
+@pytest.mark.parametrize("block_nodes", [1, 2 ** 16])
+def test_quadrature_values_do_not_depend_on_the_block_size(monkeypatch, block_nodes):
+    # a block is a slice of whole rows, each row summed on its own: one row
+    # per block and 2^16 nodes per block give the same bits as the default
+    F = SmoothBump(0.25, 0.75, 1.3)
+    u = np.linspace(0.0, 1.0, 41)
+    regional = regional_laplacian_pointwise(1.5, F, u)
+    seminorm = continuum_seminorm(1.5, F, F, n_outer=20)
+    monkeypatch.setattr(operators, "_BLOCK_NODES", block_nodes)
+    assert np.array_equal(regional_laplacian_pointwise(1.5, F, u), regional)
+    assert continuum_seminorm(1.5, F, F, n_outer=20) == seminorm
 
 
 def test_discrete_seminorm_converges_to_continuum():
