@@ -2,10 +2,10 @@
 
 Every experiment takes an ExperimentConfig, writes a `summary.json` (inputs
 echoed, outputs, one pass/fail record per check with its threshold) plus
-experiment-specific CSV/SVG files into the output directory, and returns the
-summary dict.  A check passes when its value is at most its recorded
-threshold, unless its gate states another rule (`_check`), so a run is
-self-describing.  Shared steps are written once: the Euler chains' streams
+experiment-specific CSV/JSON/SVG files into the output directory, and returns
+the summary dict; every file but the SVGs (`svg`) is written here.  A check
+passes when its value is at most its recorded threshold, unless its gate
+states another rule (`_check`), so a run is self-describing.  Shared steps are written once: the Euler chains' streams
 (`_euler_chains`), the profile's file and range check (`_profile`) and
 hydro-limit's mean pairing (`_hydro_mean`).
 """
@@ -24,7 +24,7 @@ import numpy as np
 from . import hydro, ldp, ness, simulate, svg
 from .diagnostics import _MAX_N as _ADJOINT_MAX_N, adjoint_defect
 from .kernel import build_drift_system
-from .operators import SmoothBump, dirichlet_spectrum, spectrum_to_csv
+from .operators import SmoothBump, dirichlet_spectrum
 from .params import ModelParams, step_count
 from .rng import make_rng
 
@@ -69,6 +69,14 @@ def _check(value, threshold, rule=operator.le) -> dict:
     return {"value": value, "threshold": threshold, "pass": bool(rule(value, threshold))}
 
 
+def _write_csv(path, header, rows) -> None:
+    """A CSV file of the header and rows, each value as its str(): a float's repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _bump_field(a, b, amp, omega=2.0):
     """Separable field amp*(0.6+0.4 cos(omega t)) * bump(u)."""
     bump = SmoothBump(a, b, amp)
@@ -84,7 +92,8 @@ def _profile(cfg: ExperimentConfig) -> tuple:
     that it stays within the reservoir densities, to 1e-12."""
     params = cfg.params()
     prof = ness.solve_stationary_profile(params)
-    ness.profile_to_csv(prof, os.path.join(cfg.out_dir, "profile.csv"))
+    _write_csv(os.path.join(cfg.out_dir, "profile.csv"), ["x", "u", "phi_ss"],
+               ((x, x / params.n, phi) for x, phi in enumerate(prof.profile, start=1)))
     lo, hi = sorted((params.phi_l, params.phi_r))
     low, high = prof.profile.min(), prof.profile.max()
     return prof, _check(max(lo - low, high - hi), 1e-12,
@@ -376,9 +385,11 @@ def exp_rate_check(cfg: ExperimentConfig) -> dict:
 def exp_spectrum(cfg: ExperimentConfig) -> dict:
     params = cfg.params()
     spec = dirichlet_spectrum(params)
-    # the CSV keeps the 40 slowest modes
-    spectrum_to_csv(spec.eigenvalues[:40], spec.modes[:, :40],
-                    os.path.join(cfg.out_dir, "spectrum.csv"))
+    # the CSV keeps the 40 slowest modes: k, lambda_k, e_k(1), ..., e_k(n-1)
+    _write_csv(os.path.join(cfg.out_dir, "spectrum.csv"),
+               ["k", "lambda_k"] + [f"e_x{x}" for x in range(1, params.n)],
+               ([k, lam, *mode] for k, (lam, mode)
+                in enumerate(zip(spec.eigenvalues[:40], spec.modes[:, :40].T), start=1)))
     lam1 = float(spec.eigenvalues[0])
 
     prof = ness.solve_stationary_profile(params)
@@ -392,11 +403,8 @@ def exp_spectrum(cfg: ExperimentConfig) -> dict:
     d0 = hydro.l2_distance(params, g, prof.profile)
     dists = hydro.l2_distance(params, traj.profiles, prof.profile)
     bound = d0 * np.exp(-lam1 * times) * (1.0 + 1e-10) + 1e-14
-    with open(os.path.join(cfg.out_dir, "decay.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "l2_distance", "bound"])
-        for t, d, bd in zip(times, dists, bound):
-            w.writerow([repr(float(t)), repr(float(d)), repr(float(bd))])
+    _write_csv(os.path.join(cfg.out_dir, "decay.csv"), ["t", "l2_distance", "bound"],
+               zip(times, dists, bound))
     checks = {
         "fitted_rate_2pct": _check(rel, 0.02),
         # the rule reads each distance against its bound, not the largest ratio
@@ -423,7 +431,7 @@ def exp_quasipotential(cfg: ExperimentConfig) -> dict:
     reports = ldp.quasipotential(prof, np.stack(list(targets.values())), T1)
     for name, report in zip(targets, reports):
         with open(os.path.join(cfg.out_dir, f"rate_{name}.json"), "w") as fh:
-            fh.write(report.to_json())
+            fh.write(json.dumps(asdict(report), indent=2))
         w_val = report.breakdown["w_target"]
         rows.append({"target": name, "V": report.value, "W": w_val,
                      "rel_gap": abs(report.value - w_val) / w_val,
@@ -473,7 +481,8 @@ EXPERIMENTS = {
 
 
 _EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
-# every experiment builds dense (n-1) x (n-1) matrices; 4096 keeps one at 134 MB
+# caps the dense (n-1)^2 M or modes, 134 MB at 4096, that every experiment but
+# hydro-limit builds; hydro-limit's largest matrix is one half-size sector's
 _DENSE_MAX_N = 4096
 _BLOCK_EPS = (0.25, 0.1)  # stationarity's boundary blocks, next to eps = 1/n
 _PATH_MAX_ENTRIES = 2 ** 27  # rate-check's path, girsanov's amplitudes: 1 GiB of float64

@@ -43,6 +43,8 @@ __all__ = [
     "l2_distance",
 ]
 
+_FIT_TIMES = 256  # time nodes of relaxation_rate's flow over [0, T]
+
 
 @dataclass
 class DeterministicTrajectory:
@@ -161,8 +163,7 @@ def weak_defects(traj: DeterministicTrajectory, amp, rate, shapes, source=None) 
     return amp[-1] * on_b[-1] - amp[0] * on_b[0] - np.trapezoid(integrand, ts, axis=0)
 
 
-def relaxation_rate(profile: StationaryProfile, g, T: float,
-                    n_times: int = 256) -> float:
+def relaxation_rate(profile: StationaryProfile, g, T: float) -> float:
     """Fitted exponential decay rate of ||Phi_t - Phi_ss||_2 on [T/2, T] of
     the free flow of `profile.params` from g.
 
@@ -173,7 +174,7 @@ def relaxation_rate(profile: StationaryProfile, g, T: float,
     g = as_grid_function(params, g)
     if l2_distance(params, g, phiss) < 1e-13:
         raise ValueError("initial profile already at the stationary state")
-    times = np.linspace(0.0, T, n_times)
+    times = np.linspace(0.0, T, _FIT_TIMES)
     traj = solve_hydrodynamic(profile, g, times)
     d = l2_distance(params, traj.profiles, phiss)
     window = times >= T / 2.0

@@ -16,26 +16,27 @@ rate 2 n^gamma at sites 1 and n-1: those rates assemble to exactly -2 M.
 The chains of `simulate` draw it mode by mode in the eigenbasis of M.
 
 All of these objects but b come from one DriftSystem per (n, gamma), built
-once and kept in a bounded cache: the row sums of P and, each on first use,
-the one dense matrix M and the spectrum of -M, which serves every solve with
--M.  M commutes with the flip x -> n - x, which only b breaks, so -M splits
-into an even and an odd sector, each built straight from the kernel row (a
-Toeplitz plus a Hankel block) and diagonalized by one half-size `eigh` when
-first read; every mode is exactly even or odd.  A caller whose data have one
-parity reads that sector alone, in folded coordinates: the profile solve
-the odd one's modes.  A relaxation pairing <g, phi(-t M) f> of one parity,
-as in every pairing of `hydro-limit`, needs no modes:
-`DriftSystem.sector_pairing` takes it by shift-and-invert Lanczos on the
-sector's matrix, with no `eigh` of it and no explicit inverse: I + sigma A is
-factored in place by 64-column blocks and solved by block substitution.
-The sorted full spectrum is
-assembled from both sectors only when asked for.  Every model of that
-(n, gamma) shares the system and its read-only arrays, whatever the
-reservoir densities; b is `ness.reservoir_drift`.  The
-Laplacian, the seminorm and the energy below are the only evaluations of L_n
-and of the quadratic forms; each reads M and accepts one grid function or a
-(times, sites) batch with sites last.  Only numpy is needed: zeta comes
-from `_zeta`, the Toeplitz matrix from `toeplitz`, the spectrum from
+once and kept in a bounded cache: the row sums of P, one kernel array
+ext[N-1-k] = ext[N-1+k] = n^gamma p(k) (N = n-1) and, each on first use,
+the one dense matrix M, a Toeplitz window of ext, and the spectrum of -M,
+which serves every solve with -M.  M commutes with the flip x -> n - x,
+which only b breaks, so -M splits into an even and an odd sector, each
+summed from two windows of ext (a Toeplitz and a Hankel block) and
+diagonalized by one half-size `eigh` when first read; every mode is exactly
+even or odd.  A caller whose data have one parity reads that sector alone,
+in folded coordinates (`_fold`, and `_unfold` back to the grid): the
+profile solve reads the odd one's modes.  A relaxation pairing
+<g, phi(-t M) f> of one parity, as in every pairing of `hydro-limit`, needs
+no modes: `DriftSystem.sector_pairing` takes it by shift-and-invert Lanczos
+on the sector's matrix, with no `eigh` of it and no explicit inverse:
+I + sigma A is factored in place by 64-column blocks and solved by block
+substitution.  The sorted full spectrum is assembled from both sectors only
+when asked for.  Every model of that (n, gamma) shares the system and its
+read-only arrays, whatever the reservoir densities; b is
+`ness.reservoir_drift`.  The Laplacian, the seminorm and the energy below
+are the only evaluations of L_n and of the quadratic forms; each reads M and
+accepts one grid function or a (times, sites) batch with sites last.  Only
+numpy is needed: zeta comes from `_zeta`, the spectrum from
 `numpy.linalg.eigh`, the shifted factor's diagonal blocks from
 `numpy.linalg.cholesky` and `numpy.linalg.inv`.
 """
@@ -77,12 +78,6 @@ def _zeta(s: float) -> float:
     return total
 
 
-def toeplitz(row: np.ndarray) -> np.ndarray:
-    """The symmetric Toeplitz matrix T[i, j] = row[|i - j|], a fresh array."""
-    both = np.concatenate([row[:0:-1], row])  # row[n-1], ..., row[1], row[0], ..., row[n-1]
-    return np.lib.stride_tricks.sliding_window_view(both, row.size)[::-1].copy()
-
-
 def kernel_constant(gamma: float) -> float:
     """Normalizing constant c_gamma = 1 / (2 sum_{z>=1} z^-(1+gamma)).
 
@@ -108,11 +103,23 @@ def kernel_row(params: ModelParams) -> np.ndarray:
     return row
 
 
-def _fold(g: np.ndarray, parity: float, size: int, pairs: int) -> np.ndarray:
-    """g(x) + parity g(n-x) for x <= pairs, then g(n/2) up to `size` (sites last)."""
-    folded = g[..., :size].copy()
+def _fold(g: np.ndarray, parity: float) -> np.ndarray:
+    """Folded coordinates of `parity`'s sector (sites last): g(x) + parity g(n-x)
+    for x < n/2, then g(n/2) if the sector is even and n even."""
+    pairs = g.shape[-1] // 2
+    folded = g[..., :g.shape[-1] - pairs if parity > 0 else pairs].copy()
     folded[..., :pairs] += parity * g[..., ::-1][..., :pairs]
     return folded
+
+
+def _unfold(folded: np.ndarray, parity: float, out: np.ndarray, cols=...) -> None:
+    """Write a sector's folded values as grid values into `out`, sites first,
+    at its columns `cols`: each to its site x < n/2 (and n/2) and mirrored to
+    n - x with the sector's parity.  The rest of `out`, an odd sector's site
+    n/2, is left as it is."""
+    pairs = out.shape[0] // 2
+    out[:folded.shape[0], cols] = folded
+    out[::-1][:pairs, cols] = parity * folded[:pairs]
 
 
 _PANEL = 64  # columns per block of the shifted sector's Cholesky factor
@@ -174,26 +181,23 @@ class FlipSector:
         lam, v = eigh(matrix)
         if lam[0] <= 0:
             raise RuntimeError("drift matrix is not negative definite")
-        self.parity, self.n, self._pairs = parity, n, (n - 1) // 2
+        self.parity, self.n = parity, n
         # the basis (e_x + parity e_{n-x}) / sqrt 2, and e_{n/2}, made grid values
         v *= np.copysign(np.sqrt(n / 2.0), v[0])
-        v[self._pairs:] *= np.sqrt(2.0)
+        v[(n - 1) // 2:] *= np.sqrt(2.0)
         self.eigenvalues, self.vectors = lam, v
         for arr in (lam, v):
             arr.setflags(write=False)
 
     def project(self, g: np.ndarray) -> np.ndarray:
         """Coefficients <g, e_k>_(1/n) on the sector's modes (sites last)."""
-        folded = _fold(np.asarray(g, dtype=float), self.parity, self.vectors.shape[0],
-                       self._pairs)
-        return folded @ self.vectors / self.n
+        return _fold(np.asarray(g, dtype=float), self.parity) @ self.vectors / self.n
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid function(s) sum_k coeffs_k e_k on the sector's modes (modes last)."""
         folded = np.asarray(coeffs, dtype=float) @ self.vectors.T
         out = np.zeros(folded.shape[:-1] + (self.n - 1,))
-        out[..., :folded.shape[-1]] = folded
-        out[..., ::-1][..., :self._pairs] = self.parity * folded[..., :self._pairs]
+        _unfold(folded.T, self.parity, out.T)
         return out
 
 
@@ -211,11 +215,12 @@ class DriftSystem:
     m : ndarray, shape (n-1, n-1)
         Symmetric negative-definite drift matrix n^gamma (P - D - B); the
         drift is m @ phi + b with b from `ness.reservoir_drift`.  Built on
-        first use.
+        first use: M[i, j] = ext[N-1-i+j], a copy of the kernel array's
+        full-size Toeplitz window, with `diagonal` set.
     even, odd : FlipSector
         -M on the even and odd grid functions under J: x -> n - x, each
-        built from the kernel row and diagonalized by one half-size `eigh`
-        on first use.
+        summed from windows of the same kernel array and diagonalized by
+        one half-size `eigh` on first use.
 
     The arrays are read-only, and m is exactly symmetric under J.  The full
     spectrum of -M is assembled from both sectors on first use:
@@ -228,20 +233,22 @@ class DriftSystem:
 
     def __init__(self, n: int, gamma: float):
         params = ModelParams(n, gamma)
-        self.n, self._speed = n, params.speed
-        self._row = row = kernel_row(params)
+        self.n = n
+        row = kernel_row(params)
         cum = np.cumsum(row)  # row x sums p(0..x) and p(0..n-2-x), as row n-2-x does
         self.row_sums = cum + cum[::-1]
         relax = self.row_sums.copy()
         relax[[0, -1]] += 1.0
         self.diagonal = -(params.speed * relax)
-        for arr in (row, self.row_sums, self.diagonal):
+        # ext[N-1-k] = ext[N-1+k] = n^gamma p(k): its windows are M and both sectors
+        scaled = row * params.speed
+        self._ext = np.concatenate([scaled[::-1], scaled[1:]])
+        for arr in (self.row_sums, self.diagonal, self._ext):
             arr.setflags(write=False)
 
     @cached_property
     def m(self) -> np.ndarray:
-        m = toeplitz(self._row)
-        m *= self._speed
+        m = np.lib.stride_tricks.sliding_window_view(self._ext, self.n - 1)[::-1].copy()
         m[np.diag_indices_from(m)] = self.diagonal
         m.setflags(write=False)
         return m
@@ -255,10 +262,8 @@ class DriftSystem:
         as strided views of one array and summed into the one output."""
         N = self.n - 1
         size = N // 2 if parity < 0 else N - N // 2
-        # ext[N-1-k] = ext[N-1+k] = speed p(k): T[i, j] = ext[N-1-i+j], H[i, j] = ext[i+j]
-        ext = self._row * self._speed
-        ext = np.concatenate([ext[::-1], ext[1:]])
-        window = np.lib.stride_tricks.sliding_window_view
+        # T[i, j] = ext[N-1-i+j], H[i, j] = ext[i+j]: windows of the kernel array
+        ext, window = self._ext, np.lib.stride_tricks.sliding_window_view
         top = window(ext[N - size:N + size - 1], size)[::-1]
         flip = window(ext[:2 * size - 1], size)
         # the diagonals: M's own, and H's but at the centre of an odd N, M's
@@ -309,7 +314,7 @@ class DriftSystem:
         shifted = self._sector_matrix(parity)  # A, shifted and factored in place below
         size = shifted.shape[0]
         pairs = (self.n - 1) // 2
-        folded = _fold(np.stack([f, g]).astype(float), parity, size, pairs)
+        folded = _fold(np.stack([f, g]).astype(float), parity)
         folded[:, :pairs] /= np.sqrt(2.0)  # coordinates in the orthonormal basis
         start, target = folded
         norm = float(np.linalg.norm(start))
@@ -358,11 +363,9 @@ class DriftSystem:
         place = np.argsort(order)  # the sorted column of each sector's mode
         N, p = lam.size, odd.eigenvalues.size
         vec = np.zeros((N, N))
-        # each sector's mode goes into its sorted column, mirrored with its parity
+        # each sector's modes, as grid values, go into their sorted columns
         for sector, cols in ((even, place[:N - p]), (odd, place[N - p:])):
-            v = sector.vectors
-            vec[:len(v), cols] = v
-            vec[::-1][:p, cols] = sector.parity * v[:p]
+            _unfold(sector.vectors, sector.parity, vec, cols)
         lam = lam[order]
         lam.setflags(write=False)
         vec.setflags(write=False)

@@ -31,7 +31,6 @@ Both path costs are therefore evaluated in the (1/n)-orthonormal modes e_k of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +53,7 @@ __all__ = [
 ]
 
 _BRIDGE_TIMES = 2001  # time nodes of the bridge over [0, 1]
+_REVERSAL_TIMES = 4001  # time nodes of quasipotential's reversal over [0, T1]
 
 
 @dataclass
@@ -67,10 +67,6 @@ class RateReport:
     def __post_init__(self):
         if not np.isfinite(self.value) or self.value < -1e-12:
             raise ValueError(f"rate value must be finite and >= 0, got {self.value}")
-
-    def to_json(self) -> str:
-        return json.dumps({"value": self.value, "breakdown": self.breakdown,
-                           "discretization": self.discretization}, indent=2)
 
 
 def rate_from_field(params: ModelParams, H: ExternalField, T: float,
@@ -184,8 +180,7 @@ def clever_path(profile: StationaryProfile, psi, n_times: int = _BRIDGE_TIMES):
     return traj, float(_bridge_cost(lam, coeff, n_times))
 
 
-def quasipotential(profile: StationaryProfile, rho, T1: float,
-                   n_times: int = 4001) -> RateReport | list:
+def quasipotential(profile: StationaryProfile, rho, T1: float) -> RateReport | list:
     """Upper-bound construction for the quasi-potential at a target rho.
 
     (i) relax rho forward under the free flow for a time T1;
@@ -215,7 +210,7 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
     # per-target projections and dot products: a report does not depend on its batch
     coeff = np.array([spec.project(target - profile.profile) for target in targets])
     # graded grid: the energy integrand has its fast transient at t = 0
-    ts = T1 * np.linspace(0.0, 1.0, n_times) ** 2
+    ts = T1 * np.linspace(0.0, 1.0, _REVERSAL_TIMES) ** 2
     reversal_costs = np.vecdot(coeff * coeff, lam * _reversal_weights(lam, ts))
 
     relax = np.exp(-lam * T1)
@@ -228,5 +223,6 @@ def quasipotential(profile: StationaryProfile, rho, T1: float,
                      "w_target": w_target, "w_relaxed": w_relaxed,
                      "reversal_identity_gap": float(reversal - (w_target - w_relaxed))}
         reports.append(RateReport(value=float(bridge + reversal), breakdown=breakdown,
-                                  discretization={"n": params.n, "T1": T1, "n_times": n_times}))
+                                  discretization={"n": params.n, "T1": T1,
+                                                  "n_times": _REVERSAL_TIMES}))
     return reports if rho.ndim == 2 else reports[0]

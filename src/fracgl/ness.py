@@ -15,7 +15,6 @@ simulate as an independent Monte Carlo oracle (`tests/walk_oracle.py`).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "solve_stationary_profile",
     "sample_ness",
     "static_cumulant",
-    "profile_to_csv",
 ]
 
 
@@ -110,13 +108,3 @@ def static_cumulant(profile: StationaryProfile, G) -> float:
     """
     G = as_grid_function(profile.params, G)
     return float(np.sum(G * profile.profile + 0.5 * G * G) / profile.params.n)
-
-
-def profile_to_csv(profile: StationaryProfile, path) -> None:
-    """Write the stationary profile with header x,u,phi_ss."""
-    n = profile.params.n
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u", "phi_ss"])
-        for i, val in enumerate(profile.profile):
-            writer.writerow([i + 1, repr((i + 1) / n), repr(float(val))])

@@ -39,7 +39,6 @@ endpoint powers).  The symmetric-window route used here needs no such term.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -55,7 +54,6 @@ __all__ = [
     "regional_laplacian_pointwise",
     "continuum_seminorm",
     "dirichlet_spectrum",
-    "spectrum_to_csv",
 ]
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
@@ -249,12 +247,3 @@ def dirichlet_spectrum(params: ModelParams) -> DriftSystem:
     sys = build_drift_system(params)
     sys.eigenvalues  # the sectors' eigh, each checked positive there
     return sys
-
-
-def spectrum_to_csv(eigenvalues: np.ndarray, modes: np.ndarray, path) -> None:
-    """Write rows k, lambda_k, e_k(1), ..., e_k(n-1) for the given columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "lambda_k"] + [f"e_x{x}" for x in range(1, modes.shape[0] + 1)])
-        for k, lam in enumerate(eigenvalues):
-            writer.writerow([k + 1, repr(float(lam))] + [repr(float(v)) for v in modes[:, k]])

@@ -84,7 +84,7 @@ class ExternalField:
         The spatial profile B; must vanish at u = 0 and u = 1.
 
     Every layer works on the amplitude and one lattice shape: the pair
-    (B, L_n B) of `lattice_shape`, evaluated once per (n, gamma).  Both
+    (B, L_n B) of `lattice_shape`, evaluated on each call.  Both
     amplitudes and B are probed at construction.
     """
 
@@ -99,7 +99,6 @@ class ExternalField:
                     raise ValueError("field amplitudes must broadcast over an array "
                                      f"of times: {exc}") from None
         self.amplitude, self.rate, self.shape = amplitude, rate, shape
-        self._kept = {}
 
     def a(self, t):
         """a(t): a float for one time, an array for an array of times."""
@@ -112,12 +111,9 @@ class ExternalField:
         return _on_times(self.rate, t)
 
     def lattice_shape(self, params: ModelParams) -> tuple:
-        """(B, L_n B) on the interior sites of `params`, kept per (n, gamma)."""
-        key = (params.n, params.gamma)
-        if key not in self._kept:
-            bv = self.shape.f(params.grid())
-            self._kept[key] = bv, discrete_fractional_laplacian(params, bv)
-        return self._kept[key]
+        """(B, L_n B) on the interior sites of `params`."""
+        bv = self.shape.f(params.grid())
+        return bv, discrete_fractional_laplacian(params, bv)
 
 
 def _on_times(fn: Callable, t):

@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from functools import lru_cache
@@ -51,7 +53,9 @@ def test_figure1_monotone_value_is_smallest_step(tmp_path, phi_l, phi_r):
     assert summary["checks"]["monotone"]["value"] == np.abs(np.diff(phi)).min()
 
 
-FROZEN = json.loads((Path(__file__).parent / "frozen_paths.json").read_text())["summaries"]
+_FROZEN_PATHS = json.loads((Path(__file__).parent / "frozen_paths.json").read_text())
+FROZEN = _FROZEN_PATHS["summaries"]
+ARTIFACTS = {exp: files for exp, files in _FROZEN_PATHS["artifacts"].items() if exp != "note"}
 
 
 def _assert_frozen(value, frozen, where):
@@ -73,6 +77,23 @@ def test_deterministic_outputs_match_frozen_values(tmp_path, experiment):
     assert main([experiment, "--out", str(tmp_path)]) == 0
     outputs = json.loads((tmp_path / "summary.json").read_text())["outputs"]
     _assert_frozen(outputs, FROZEN[experiment], experiment)
+
+
+@pytest.mark.parametrize("experiment", sorted(ARTIFACTS))
+def test_artifacts_match_frozen_files(tmp_path, experiment):
+    # each CSV's header, row count and values; each JSON's keys in written order
+    assert main([experiment, "--out", str(tmp_path)]) == 0
+    for name, frozen in ARTIFACTS[experiment].items():
+        text = (tmp_path / name).read_text()
+        if name.endswith(".json"):
+            keys = re.compile(r'"(\w+)":')
+            assert keys.findall(text) == keys.findall(json.dumps(frozen)), name
+            _assert_frozen(json.loads(text), frozen, name)
+            continue
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == frozen["header"], name
+        assert len(rows) == frozen["rows"], name
+        _assert_frozen([[float(v) for v in row] for row in rows], frozen["values"], name)
 
 
 def test_missing_out_dir_fails_with_status_1(tmp_path):

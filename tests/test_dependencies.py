@@ -64,3 +64,24 @@ def test_declared_dependencies_are_the_imported_ones():
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.\-]+", spec).group(0).lower() for spec in declared}
     assert _third_party_imports() == names
+
+
+def _file_access(path: Path) -> set:
+    """The csv and json imports and the `open` calls of one module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names if alias.name in ("csv", "json"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+            found.add(node.module)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            found.add("open")
+    return found
+
+
+def test_only_experiments_svg_and_cli_touch_files():
+    # the numerical modules hand back arrays and reports: experiments writes
+    # them, svg draws the figures and cli reads a config file
+    touched = {path.stem: _file_access(path) for path in (SRC / "fracgl").glob("*.py")
+               if path.stem not in ("experiments", "svg", "cli")}
+    assert {stem: names for stem, names in touched.items() if names} == {}

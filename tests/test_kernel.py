@@ -43,12 +43,16 @@ def test_zeta_matches_scipy():
         assert _zeta(1.0 + g) == pytest.approx(zeta(1.0 + g), rel=2e-15, abs=0)
 
 
-@pytest.mark.parametrize("size", [1, 2, 7, 64])
+@pytest.mark.parametrize("size", [2, 3, 7, 64])
 def test_toeplitz_matches_scipy(size):
-    from scipy.linalg import toeplitz as scipy_toeplitz
-    from fracgl.kernel import toeplitz
-    row = np.random.default_rng(size).standard_normal(size)
-    assert np.array_equal(toeplitz(row), scipy_toeplitz(row))
+    # m is the Toeplitz window of the one scaled kernel array, with its diagonal
+    # set: bit for bit scipy's Toeplitz matrix of the kernel row, times n^gamma
+    from scipy.linalg import toeplitz
+    p = ModelParams(size + 1, 1.5)
+    sys = build_drift_system(p)
+    want = toeplitz(kernel_row(p)) * p.speed
+    want[np.diag_indices(size)] = sys.diagonal
+    assert np.array_equal(sys.m, want)
 
 
 def test_kernel_normalization_monotone():

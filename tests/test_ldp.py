@@ -44,13 +44,16 @@ def test_rate_report_rejects_negative():
         RateReport(value=-1.0)
 
 
-def test_rate_report_json_round_trip():
-    rep = RateReport(value=0.25, breakdown={"a": 0.1},
-                     discretization={"n": 32, "dt": 1e-3})
-    data = json.loads(rep.to_json())
-    assert data["value"] == 0.25
-    assert data["breakdown"]["a"] == 0.1
+def test_rate_report_json_round_trip(tmp_path):
+    # quasipotential writes each RateReport whole, its fields in order
+    cfg = ExperimentConfig(experiment="quasipotential", out_dir=str(tmp_path), n=32)
+    row = EXPERIMENTS["quasipotential"](cfg)["outputs"]["targets"][0]
+    data = json.loads((tmp_path / "rate_bump_mid.json").read_text())
+    assert list(data) == ["value", "breakdown", "discretization"]
+    assert data["value"] == row["V"]
+    assert data["breakdown"]["w_target"] == row["W"]
     assert data["discretization"]["n"] == 32
+    assert data["discretization"]["n_times"] == 4001
 
 
 def test_rate_from_field_zero_and_homogeneity(setup32):

@@ -3,7 +3,7 @@ import pytest
 
 from fracgl import (ModelParams, kernel_constant, sample_ness, solve_stationary_profile,
                     static_cumulant)
-from fracgl.ness import profile_to_csv
+from fracgl.cli import main
 from walk_oracle import absorbed_walk_oracle
 
 
@@ -153,11 +153,10 @@ def test_static_cumulant_large_n_limit():
 def test_profile_csv(tmp_path):
     params = ModelParams(8, 1.5, 1.0, 2.0)
     prof = solve_stationary_profile(params)
-    path = tmp_path / "prof.csv"
-    profile_to_csv(prof, path)
-    lines = path.read_text().strip().splitlines()
+    assert main(["ness-profile", "--n", "8", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "profile.csv").read_text().strip().splitlines()
     assert lines[0] == "x,u,phi_ss"
     assert len(lines) == params.n_sites + 1
     x, u, val = lines[1].split(",")
-    assert int(x) == 1 and float(u) == pytest.approx(1 / 8)
-    assert float(val) == pytest.approx(prof.profile[0])
+    assert int(x) == 1 and float(u) == 1 / 8
+    assert float(val) == prof.profile[0]

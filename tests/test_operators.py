@@ -14,7 +14,7 @@ from fracgl import (ModelParams, SmoothBump, TestFunction,
                     kernel_constant, regional_laplacian_pointwise)
 from fracgl import operators
 from fracgl.hydro import relaxation_rate
-from fracgl.operators import spectrum_to_csv
+from fracgl.cli import main
 from shapes import PolyBump, SineMode
 
 FROZEN = json.loads((Path(__file__).parent / "frozen_quadrature.json").read_text())
@@ -389,16 +389,15 @@ def test_fractional_poincare():
 
 
 def test_spectrum_csv(tmp_path):
-    p = ModelParams(16, 1.5)
-    spec = dirichlet_spectrum(p)
-    path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec.eigenvalues, spec.modes, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("k,lambda_k,e_x1")
-    assert len(lines) == 1 + p.n_sites
-    first = lines[1].split(",")
-    assert float(first[1]) == pytest.approx(spec.eigenvalues[0])
-    # the slowest modes alone still list every site
-    spectrum_to_csv(spec.eigenvalues[:3], spec.modes[:, :3], path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 4 and lines[0].endswith(f",e_x{p.n_sites}")
+    # every mode at n = 16; the 40 slowest alone at n = 64, still at every site
+    for n in (16, 64):
+        p = ModelParams(n, 1.5)
+        spec = dirichlet_spectrum(p)
+        assert main(["spectrum", "--n", str(n), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
+        assert lines[0].startswith("k,lambda_k,e_x1")
+        assert lines[0].endswith(f",e_x{p.n_sites}")
+        assert len(lines) == 1 + min(40, p.n_sites)
+        first = lines[1].split(",")
+        assert first[0] == "1" and float(first[1]) == spec.eigenvalues[0]
+        assert [float(v) for v in first[2:]] == list(spec.modes[:, 0])

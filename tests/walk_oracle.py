@@ -2,8 +2,9 @@
 for the stationary profile: Phi_ss(x) = phi_l P_x(absorbed at 0) + phi_r
 P_x(absorbed at n)."""
 import numpy as np
+from scipy.linalg import toeplitz
 
-from fracgl.kernel import kernel_row, toeplitz
+from fracgl.kernel import kernel_row
 from fracgl.params import ModelParams
 from fracgl.rng import make_rng
 
