@@ -506,9 +506,11 @@ def _config_error(cfg: ExperimentConfig):
     if cfg.experiment in _EULER_EXPERIMENTS and cfg.replicas < 2:
         return f"{cfg.experiment} needs replicas >= 2, got {cfg.replicas}"
     if cfg.n > _DENSE_MAX_N:
-        gib = (cfg.n - 1) ** 2 * 8 / 2 ** 30
-        return (f"n={cfg.n} is above the cap n <= {_DENSE_MAX_N} on the dense (n-1)^2 "
-                f"operators ({gib:.1f} GiB each at this n)")
+        arrays, side = (("a half-size sector matrix, its Lanczos basis and tridiagonal matrix",
+                         cfg.n // 2) if cfg.experiment == "hydro-limit"
+                        else ("the dense (n-1)^2 operators", cfg.n - 1))
+        return (f"n={cfg.n} is above the cap n <= {_DENSE_MAX_N} on {arrays} "
+                f"({side ** 2 * 8 / 2 ** 30:.3g} GiB each at this n)")
     try:
         params = cfg.params()
     except ValueError as exc:

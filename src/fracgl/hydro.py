@@ -129,10 +129,9 @@ def weak_residual(traj: DeterministicTrajectory, G: ExternalField, t: float) -> 
         raise ValueError("t outside the trajectory span")
     k = int(np.count_nonzero(times <= t + 1e-12))   # ascending: a prefix, viewed
     part = DeterministicTrajectory(traj.params, times[:k], traj.profiles[:k], traj.field)
-    ts, H = part.times, traj.field
-    source = None if H is None else (H.a(ts)[:, None], H.lattice_shape(traj.params)[0])
-    return float(weak_defects(part, G.a(ts)[:, None], G.da(ts)[:, None],
-                              G.lattice_shape(traj.params)[0], source)[0])
+    ts, H, u = part.times, traj.field, traj.params.grid()
+    source = None if H is None else (H.a(ts)[:, None], H.shape.f(u))
+    return float(weak_defects(part, G.a(ts)[:, None], G.da(ts)[:, None], G.shape.f(u), source)[0])
 
 
 def weak_defects(traj: DeterministicTrajectory, amp, rate, shapes, source=None) -> np.ndarray:

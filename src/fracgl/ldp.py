@@ -83,7 +83,7 @@ def j_functional(traj: DeterministicTrajectory, G: ExternalField) -> float:
     `hydro.weak_residual` of the path over its whole span with G as its own
     source: the one-field case of `hydro.weak_defects`.  G must carry a time
     derivative and vanish at the boundary sites."""
-    amp, shape = G.a(traj.times)[:, None], G.lattice_shape(traj.params)[0]
+    amp, shape = G.a(traj.times)[:, None], G.shape.f(traj.params.grid())
     return float(weak_defects(traj, amp, G.da(traj.times)[:, None], shape, (amp, shape))[0])
 
 

@@ -21,15 +21,15 @@ Gauss panels graded toward w = 0.  A cutoff at w = 3e-5 keeps the float64
 cancellation noise of the second difference out of the quadrature; the
 analytic term compensates the cutoff exactly through second order.
 
-Both quadratures use one panel layout, a row of edges per point: a cached
-unit template graded toward the row's lower end, with the support's edges as
-distances from the point sorted in (one outside the row's interval makes a
-zero-width panel).  A block of rows of about 2**13 nodes costs one call of
-F.f (and of G.f when G is not F); at that size no per-block temporary
-reaches 128 KiB, which glibc would map afresh, and page-fault, on each
-allocation.  The rows are summed one by one, so the values do not depend on
-the block size.  The regional operator works in the distance
-w from u: the window [3e-5, r] and [r, 1 - r] on the far side; `u` may be an array.
+Both quadratures use one panel layout, a row of edges per point, part after
+part: a cached unit template graded toward the part's lower end, with the
+support's edges as distances from the point sorted in (one outside the part
+makes a zero-width panel).  The regional operator's row, in w = |v - u|, is
+the window [3e-5, r], then [r, 1 - r] on the far side; no F value and no term
+come from the panel across the seam.  One dot product with the weights times
+w^-(1+gamma) sums each row, so no value depends on the block size: a block of
+about 2**13 nodes is one call of F.f (and of G.f when G is not F), with no
+temporary of 128 KiB, which glibc would map and page-fault afresh.
 
 Note: expanding the principal value asymmetrically around u produces a
 first-derivative term c_gamma F'(u) [(1-u)^(1-gamma) - u^(1-gamma)]/(1-gamma)
@@ -87,32 +87,40 @@ class SmoothBump(TestFunction):
             raise ValueError("support must satisfy 0 <= a < b <= 1")
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
 
-        def parts(u):
-            w = (np.asarray(u, dtype=float) - mid) / half
-            inside = np.abs(w) < 1.0
-            q = np.where(inside, 1.0 - w * w, 1.0)
-            return w, q, np.where(inside, amp * np.exp(1.0 - 1.0 / q), 0.0)
+        def on_support(form):
+            """Evaluator of form(w, t = 1/(1 - w^2), value) where |w| < 1 and of
+            zero elsewhere: exp runs on the support alone."""
+            def evaluate(u):
+                w = (np.asarray(u, dtype=float) - mid) / half
+                out, inside = np.zeros(np.shape(w)), np.abs(w) < 1.0
+                w = w[inside]
+                t = 1.0 / (1.0 - w * w)
+                out[inside] = form(w, t, amp * np.exp(1.0 - t))
+                return out
+            return evaluate
 
-        def f(u):
-            return parts(u)[2]
-
-        def df(u):
-            w, q, val = parts(u)
-            return val * (-2.0 * w / q ** 2) / half
-
-        def d2f(u):
-            w, q, val = parts(u)
-            return val * (4.0 * w * w / q ** 4 + (-2.0 * q - 8.0 * w * w) / q ** 3) / half ** 2
-
-        super().__init__(f=f, df=df, d2f=d2f, support=(a, b))
+        super().__init__(  # in d2f, w^2 t = t - 1
+            f=on_support(lambda w, t, e: e),
+            df=on_support(lambda w, t, e: e * (-2.0 * w * t * t) / half),
+            d2f=on_support(lambda w, t, e: e * (t * t * (4.0 * (t - 1.5) ** 2 - 3.0)) / half ** 2),
+            support=(a, b))
 
 
 def _gauss_panels(p0: np.ndarray, p1: np.ndarray) -> tuple:
-    """(nodes, weights) of the 24-point Gauss rule on panels [p0, p1], last axis flat."""
-    mid, hw = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-    shape = p0.shape[:-1] + (-1,)
-    return ((mid[..., None] + hw[..., None] * _GL_X).reshape(shape),
-            (hw[..., None] * _GL_W).reshape(shape))
+    """(nodes, weights) of the 24-point Gauss rule on panels [p0, p1], last
+    axis flat.  The panels' midpoints and half-widths are repeated, not
+    broadcast against the rule: numpy would loop over its short axis."""
+    hw = np.repeat(0.5 * (p1 - p0), _GL_X.size, axis=-1)
+    x, w = _gauss_rows(p0.shape[-1])
+    return np.repeat(0.5 * (p0 + p1), _GL_X.size, axis=-1) + hw * x, hw * w
+
+
+@lru_cache(maxsize=16)
+def _gauss_rows(panels: int) -> tuple:
+    """Read-only rows of the rule's nodes and weights, once per panel."""
+    rows = np.tile([_GL_X, _GL_W], panels)
+    rows.flags.writeable = False
+    return tuple(rows)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -129,24 +137,24 @@ def _unit_offsets(n_geo: int, n_lin: int) -> np.ndarray:
     return d
 
 
-def _graded_edges(lo, hi, breaks: np.ndarray, n_geo: int, n_lin: int) -> np.ndarray:
-    """Sorted panel edges on [lo, hi], one row per row of `breaks`: the unit
-    offsets graded toward lo, and the row's breakpoints.  A breakpoint
-    outside (lo, hi) becomes a zero-width panel at hi, of zero weight, so no
-    node sits on lo, where the regional kernel is singular at u = 0 and 1."""
-    lo, hi = np.asarray(lo).reshape(-1, 1), np.asarray(hi).reshape(-1, 1)
-    inside = np.where(breaks > lo, np.minimum(breaks, hi), hi)
-    return np.sort(np.concatenate([lo + (hi - lo) * _unit_offsets(n_geo, n_lin), inside],
-                                  axis=1))
+def _graded_edges(breaks: np.ndarray, refine: int, *parts) -> tuple:
+    """A row of panel edges per row of `breaks`, and each part's edge count: for
+    each (lo, hi, n_geo, n_lin), unit offsets (refine times finer) graded toward
+    lo and the breakpoints, sorted; one outside (lo, hi) makes a zero-width panel
+    at hi, so no node sits on lo, where the regional kernel is singular for u = 0, 1."""
+    rows = [np.sort(np.concatenate([lo + (hi - lo) * _unit_offsets(n_geo * refine, n_lin * refine),
+                                    np.minimum(np.where(breaks > lo, breaks, hi), hi)], axis=1))
+            for lo, hi, n_geo, n_lin in parts]
+    return np.concatenate(rows, axis=1), [e.shape[1] for e in rows]
 
 
-def _panel_blocks(edge_sets: tuple, evals_per_row: int):
-    """Yield (rows, [(nodes, weights) per edge array]) over row slices of about
-    _BLOCK_NODES evaluations (at least one row); the blocks bound the memory."""
+def _panel_blocks(edges: np.ndarray, evals_per_row: int, gamma: float):
+    """Yield (rows, nodes, weights times nodes^-(1+gamma)) of the panels between
+    consecutive edges, over row slices of about _BLOCK_NODES evaluations (one row at least)."""
     rows = max(1, _BLOCK_NODES // evals_per_row)
-    for b in range(0, edge_sets[0].shape[0], rows):
-        blk = slice(b, b + rows)
-        yield blk, [_gauss_panels(e[blk, :-1], e[blk, 1:]) for e in edge_sets]
+    for blk in (slice(b, b + rows) for b in range(0, edges.shape[0], rows)):
+        nodes, weights = _gauss_panels(edges[blk, :-1], edges[blk, 1:])
+        yield blk, nodes, weights * nodes ** -(1.0 + gamma)
 
 
 def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
@@ -172,30 +180,31 @@ def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
     """
     c = kernel_constant(gamma)
     x = np.asarray(u, dtype=float)
-    if not np.all((0.0 <= x) & (x <= 1.0)):
+    xs = x.ravel()
+    r = np.minimum(xs, 1.0 - xs)
+    if not (r >= 0.0).all():
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     if F.df is None or F.d2f is None:
         raise ValueError("TestFunction must provide df and d2f")
-    xs = x.ravel()
     d2 = F.d2f(xs)
-    r = np.minimum(xs, 1.0 - xs)
-    vals = np.where(r > 0.0, d2 * r ** (2.0 - gamma) / (2.0 - gamma), 0.0)
-    # in the distance from u: the window [_CUT, r] (empty if r <= _CUT) and [r, 1 - r]
-    far = np.where(xs <= 0.5, 1.0, -1.0)[:, None]
-    bks = np.abs(np.asarray(F.support or (), dtype=float) - xs[:, None])
-    win = _graded_edges(_CUT, np.maximum(r, _CUT), bks, 26 * refine, 10 * refine)
-    out = _graded_edges(r, 1.0 - r, bks, 26 * refine, 12 * refine)
-    per_row = 1 + _GL_X.size * (2 * win.shape[1] + out.shape[1] - 3)
-    for blk, ((w, wt), (wo, wot)) in _panel_blocks((win, out), per_row):
-        ub, m = xs[blk, None], w.shape[1]
-        # clipping moves only the zero-weight nodes of an empty window into [0, 1]
-        v = np.clip(np.concatenate([ub, ub + w, ub - w, ub + far[blk] * wo], axis=1), 0.0, 1.0)
-        fv = F.f(v.ravel()).reshape(v.shape)
-        fu, d2b = fv[:, :1], d2[blk, None]
-        vals[blk] += np.vecdot(wt, (fv[:, 1:m + 1] + fv[:, m + 1:2 * m + 1] - 2.0 * fu
-                                    - d2b * w * w) / w ** (1.0 + gamma))
-        vals[blk] += np.vecdot(wot, (fv[:, 2 * m + 1:] - fu) / wo ** (1.0 + gamma))
-    ends = np.flatnonzero((xs == 0.0) | (xs == 1.0))
+    vals = d2 * r ** (2.0 - gamma) / (2.0 - gamma)  # zero at u = 0 and 1
+    # in the distance from u: the window [_CUT, r] (empty if r <= _CUT), then [r, 1 - r]
+    rc, far = r[:, None], np.copysign(1.0, 0.5 - xs)[:, None]
+    edges, (n_win, n_out) = _graded_edges(
+        np.abs(xs[:, None] - F.support) if F.support else rc[:, :0], refine,
+        (_CUT, np.maximum(rc, _CUT), 26, 10), (rc, 1.0 - rc, 26, 12))
+    k = _GL_X.size
+    m, n_v = k * (n_win - 1), 1 + k * (2 * n_win + n_out - 3)  # window nodes; F values a row
+    for blk, w, kw in _panel_blocks(edges, n_v, gamma):
+        ub, ww = xs[blk, None], w[:, :m]
+        # only an empty window's zero-weight nodes leave [0, 1]: u + w above, u - w below
+        v = np.concatenate([ub, np.minimum(ub + ww, 1.0), np.maximum(ub - ww, 0.0),
+                            ub + far[blk] * w[:, m + k:]], axis=1)
+        fv = F.f(v.ravel()).reshape(v.shape)  # F(u) first
+        g = [fv[:, 1:m + 1] + fv[:, m + 1:2 * m + 1] - 2.0 * fv[:, :1] - d2[blk, None] * ww * ww,
+             np.zeros((ww.shape[0], k)), fv[:, 2 * m + 1:] - fv[:, :1]]  # the seam's terms
+        vals[blk] += np.vecdot(kw, np.concatenate(g, axis=1))
+    ends = (r == 0.0).nonzero()[0]
     if ends.size:
         slope = F.df(xs[ends]) * np.where(xs[ends] == 0.0, 1.0, -1.0)
         vals[ends[slope != 0.0]] = np.copysign(np.inf, slope[slope != 0.0])
@@ -226,13 +235,13 @@ def continuum_seminorm(gamma: float, F: TestFunction, G: TestFunction,
     big_w = 1.0 - um
     vals = np.where(big_w < 1e-14, 0.0, d1 * big_w ** (2.0 - gamma) / (2.0 - gamma))
     # inner edges on [cut, 1 - u], one row per outer node
-    edges = _graded_edges(cut, np.maximum(big_w, cut), np.abs(um[:, None] - sup),
-                          30 * refine, 8 * refine)
-    for blk, ((w, wt),) in _panel_blocks((edges,), _GL_X.size * (edges.shape[1] - 1)):
+    edges, (n_edges,) = _graded_edges(np.abs(um[:, None] - sup), refine,
+                                      (cut, np.maximum(big_w, cut)[:, None], 30, 8))
+    for blk, w, kw in _panel_blocks(edges, _GL_X.size * (n_edges - 1), gamma):
         v = (um[blk, None] + w).ravel()
         dfv = F.f(v).reshape(w.shape) - fus[blk, None]
         dgv = dfv if G is F else G.f(v).reshape(w.shape) - gus[blk, None]
-        vals[blk] += np.vecdot(wt, (dfv * dgv - d1[blk, None] * w * w) / w ** (1.0 + gamma))
+        vals[blk] += np.vecdot(kw, dfv * dgv - d1[blk, None] * w * w)
     result = float(c * (uw @ vals))
     if not np.isfinite(result):
         raise RuntimeError("seminorm quadrature returned a non-finite value")

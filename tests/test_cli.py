@@ -147,6 +147,17 @@ def test_bad_horizon_or_step_status_1(tmp_path, capsys, argv):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_hydro_limit_above_the_cap_names_its_sector_arrays(tmp_path, capsys):
+    # hydro-limit builds no (n-1)^2 matrix: the one-line message names its
+    # half-size sector matrix and Lanczos basis, (n // 2)^2 floats each
+    assert main(["hydro-limit", "--n", "5000", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "sector matrix" in err and "Lanczos basis" in err and "(n-1)^2" not in err
+    assert f"({2500 ** 2 * 8 / 2 ** 30:.3g} GiB each" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_adjoint_invariance_gate_scales_with_the_reservoirs(tmp_path):
     # the residual grows with the profile's ulp: 2.7e-9 here, above an absolute 1e-10
     assert main(["adjoint", "--phi-l=-1e6", "--phi-r", "1e6", "--out", str(tmp_path)]) == 0

@@ -13,7 +13,7 @@ from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
                     l2_distance, quasipotential, rate_from_field,
                     solve_hydrodynamic, solve_stationary_profile,
                     static_cumulant, static_rate_w)
-from fracgl import ldp
+from fracgl import hydro, kernel, ldp, simulate
 from fracgl.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig
 from fracgl.rng import make_rng
 
@@ -119,6 +119,26 @@ def test_j_of_free_path_nonpositive(setup32):
     for _ in range(10):
         test = bump_field(amp=rng.uniform(0.2, 1.0), omega=rng.uniform(0.5, 4.0))
         assert j_functional(traj, test) <= 1e-6
+
+
+def test_path_functionals_take_one_lattice_laplacian(setup32, monkeypatch):
+    # each reads B from the field's shape and forms L_n B once, inside
+    # weak_defects, for the test field and the driving field alike
+    params, prof, spec = setup32
+    traj = solve_hydrodynamic(prof, prof.profile, np.linspace(0.0, 0.1, 101), field=bump_field())
+    G = bump_field(amp=0.7, a=0.2, b=0.8, omega=3.0)
+    expected = j_functional(traj, G), hydro.weak_residual(traj, G, 0.05)
+    calls = []
+
+    def counting(params, f):
+        calls.append(np.shape(f))
+        return kernel.discrete_fractional_laplacian(params, f)
+    monkeypatch.setattr(hydro, "discrete_fractional_laplacian", counting)
+    monkeypatch.setattr(simulate, "discrete_fractional_laplacian", counting)
+    assert j_functional(traj, G) == expected[0]
+    assert len(calls) == 1
+    assert hydro.weak_residual(traj, G, 0.05) == expected[1]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("driven", [False, True])

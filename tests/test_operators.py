@@ -15,6 +15,7 @@ from fracgl import (ModelParams, SmoothBump, TestFunction,
 from fracgl import operators
 from fracgl.hydro import relaxation_rate
 from fracgl.cli import main
+from quadrature_oracle import bump_d2f, bump_df, bump_f, regional_nodes
 from shapes import PolyBump, SineMode
 
 FROZEN = json.loads((Path(__file__).parent / "frozen_quadrature.json").read_text())
@@ -103,7 +104,7 @@ def test_regional_laplacian_array_matches_float_calls():
         for ui, v in zip(u, vals):
             single = regional_laplacian_pointwise(1.5, F, float(ui))
             assert type(single) is float
-            assert v == pytest.approx(single, rel=1e-14, abs=0.0)
+            assert v == single
         grid = regional_laplacian_pointwise(1.5, F, u.reshape(2, 5))
         np.testing.assert_array_equal(grid, vals.reshape(2, 5))
     assert type(regional_laplacian_pointwise(1.5, F, np.float64(0.3))) is float
@@ -180,8 +181,84 @@ def test_regional_laplacian_array_calls_f_per_block_inside_unit_interval():
     assert max(sizes) <= operators._BLOCK_NODES + per_row
     assert min(lo) >= 0.0 and max(hi) <= 1.0
     for i in range(0, u.size, 97):
-        single = regional_laplacian_pointwise(1.5, bump, float(u[i]))
-        assert vals[i] == pytest.approx(single, rel=1e-14, abs=0.0)
+        assert vals[i] == regional_laplacian_pointwise(1.5, bump, float(u[i]))
+
+
+NODE_POINTS = [0.0, 1e-6, 1.5e-5, 0.25, 0.3, 0.5, 0.75, 1.0 - 1e-6, 1.0]
+
+
+def _f_arguments(F, u):
+    """The arrays regional_laplacian_pointwise hands to F.f for the points u."""
+    seen = []
+
+    def f(v):
+        seen.append(np.array(v))
+        return F.f(v)
+    regional_laplacian_pointwise(1.5, TestFunction(f=f, df=F.df, d2f=F.d2f, support=F.support), u)
+    return seen
+
+
+@pytest.mark.parametrize("F", [SmoothBump(0.25, 0.75, 1.3), SineMode(2)])
+def test_regional_nodes_match_the_two_row_layout(F):
+    # one edge row per point, window then far side, hands F.f the nodes of a
+    # window row and an outer row each laid out on its own, bit for bit and in
+    # order: at the ends, inside the window cut, on the support's edges
+    def assert_same(got, expected):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    for u in NODE_POINTS:
+        (got,) = _f_arguments(F, u)
+        assert_same(got, regional_nodes(u, F.support).ravel())
+    assert_same(np.concatenate(_f_arguments(F, np.array(NODE_POINTS))),
+                regional_nodes(NODE_POINTS, F.support).ravel())
+
+
+def _bump_points(a, b):
+    """A dense grid of [0, 1], a and b and one ulp either side of each, and
+    points next to the ends where exp(1 - 1/(1 - w^2)) is subnormal."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    edge = half * np.sqrt(1.0 - 1.0 / np.linspace(690.0, 750.0, 2001))
+    ulps = [np.nextafter(e, d) for e in (a, b) for d in (-1.0, 2.0)]
+    return np.concatenate([np.linspace(0.0, 1.0, 20001), [a, b], ulps, mid - edge, mid + edge])
+
+
+BUMPS = [(0.25, 0.75, 1.3), (0.0, 0.6, -0.45), (0.1, 0.13, 0.8)]
+
+
+@pytest.mark.parametrize("a, b, amp", BUMPS)
+def test_smooth_bump_f_keeps_every_bit(a, b, amp):
+    # girsanov's tilt field is a SmoothBump and frozen_ensembles.json is
+    # compared with ==: f, with exp on the support alone, equals the where
+    # form on the whole input bit for bit, the sign of zero included, and
+    # keeps its shape and type (a 0-d array for a float)
+    bump = SmoothBump(a, b, amp)
+    u = _bump_points(a, b)
+    for x in (u, u[:20000].reshape(100, 200), 0.3, np.float64(a), np.array(b), a - 1e-3):
+        got, expected = bump.f(x), bump_f(x, a, b, amp)
+        assert type(got) is type(expected) and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("a, b, amp", BUMPS)
+def test_smooth_bump_derivatives_within_rounding(a, b, amp):
+    # df and d2f in t = 1/(1 - w^2) differ from the where forms by rounding
+    # alone: within 8 ulp of the sum of their terms' magnitudes (2 |w| t^2 and
+    # 4 w^2 t^4 + 2 t^2 + 8 w^2 t^3, times |f| over half or half^2), and
+    # 1e-300 where those underflow
+    bump = SmoothBump(a, b, amp)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    u = _bump_points(a, b)
+    w = (u - mid) / half
+    t = 1.0 / np.where(np.abs(w) < 1.0, 1.0 - w * w, 1.0)
+    size = np.abs(bump_f(u, a, b, amp))
+    eps = np.finfo(float).eps
+    for got, expected, terms in (
+            (bump.df(u), bump_df(u, a, b, amp), size * 2.0 * np.abs(w) * t * t / half),
+            (bump.d2f(u), bump_d2f(u, a, b, amp),
+             size * (4.0 * w * w * t ** 4 + 2.0 * t * t + 8.0 * w * w * t ** 3) / half ** 2)):
+        assert np.all(np.abs(got - expected) <= 8.0 * eps * terms + 1e-300)
+        assert np.array_equal(got == 0.0, expected == 0.0)
 
 
 @pytest.mark.parametrize("u, rel", [(0.0, 3e-7), (1e-6, 4e-12)])
