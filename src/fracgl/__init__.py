@@ -19,7 +19,7 @@ from .simulate import (ExternalField, euler_stability_limit, euler_ensemble,
                        empirical_pairing, boundary_block_average,
                        martingale_qv_rate)
 from .hydro import (DeterministicTrajectory, solve_hydrodynamic,
-                    weak_residual, relaxation_rate, l2_distance)
+                    relaxation_rate, l2_distance)
 from .ldp import (RateReport, rate_from_field, j_functional, static_rate_w,
                   gamma_identity_defect, clever_path, quasipotential)
 from .diagnostics import (PolyObservableBasis, generator_matrix_poly2,

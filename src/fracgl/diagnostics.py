@@ -58,16 +58,6 @@ class PolyObservableBasis:
         k = self.k
         return 1 + k + k * (k + 1) // 2
 
-    def linear_index(self, i: int) -> int:
-        return 1 + i
-
-    def pair_index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        k = self.k
-        # pairs ordered (0,0)..(0,k-1),(1,1)..(1,k-1),...
-        return 1 + k + i * k - i * (i - 1) // 2 + (j - i)
-
     def gram(self) -> np.ndarray:
         """Gram matrix of the basis under the product standard Gaussian."""
         c, v, S = _unpack(self.k, np.eye(self.size))

@@ -204,7 +204,7 @@ def _hydro_mean(params: ModelParams, system, T, per) -> float:
     bump: per = n - 1 on the lattices, n for the reference.  With Psi odd under
     the flip x -> n - x and G even, <Phi_ss, G> = (phi_l + phi_r) / 2 sum G, and
     the rest is (n / per) <G, e^{MT} bump>_(1/n) from the even sector by
-    `DriftSystem.sector_pairing`: no profile solve, no odd sector, no `eigh`."""
+    `DriftSystem.sector_pairing`: no profile solve and no `eigh` of a sector."""
     u = params.grid()
     G = np.sin(np.pi * u)
     return (0.5 * (params.phi_l + params.phi_r) * float(np.sum(G)) / per
@@ -481,8 +481,9 @@ EXPERIMENTS = {
 
 
 _EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
-# caps the dense (n-1)^2 M or modes, 134 MB at 4096, that every experiment but
-# hydro-limit builds; hydro-limit's largest matrix is one half-size sector's
+# caps the largest matrix: the dense (n-1)^2 M or modes, 134 MB at 4096, where
+# the spectrum or M is read; a half-size sector's in ness-profile and figure1
+# (the profile's solve) and in hydro-limit (its pairings)
 _DENSE_MAX_N = 4096
 _BLOCK_EPS = (0.25, 0.1)  # stationarity's boundary blocks, next to eps = 1/n
 _PATH_MAX_ENTRIES = 2 ** 27  # rate-check's path, girsanov's amplitudes: 1 GiB of float64
@@ -506,9 +507,14 @@ def _config_error(cfg: ExperimentConfig):
     if cfg.experiment in _EULER_EXPERIMENTS and cfg.replicas < 2:
         return f"{cfg.experiment} needs replicas >= 2, got {cfg.replicas}"
     if cfg.n > _DENSE_MAX_N:
-        arrays, side = (("a half-size sector matrix, its Lanczos basis and tridiagonal matrix",
-                         cfg.n // 2) if cfg.experiment == "hydro-limit"
-                        else ("the dense (n-1)^2 operators", cfg.n - 1))
+        if cfg.experiment == "hydro-limit":
+            arrays, side = ("a half-size sector matrix, its Lanczos basis and tridiagonal "
+                            "matrix", cfg.n // 2)
+        elif cfg.experiment in ("ness-profile", "figure1"):
+            arrays, side = ("the odd sector's half-size matrix and its in-place Cholesky "
+                            "factor", (cfg.n - 1) // 2)
+        else:
+            arrays, side = "the dense (n-1)^2 operators", cfg.n - 1
         return (f"n={cfg.n} is above the cap n <= {_DENSE_MAX_N} on {arrays} "
                 f"({side ** 2 * 8 / 2 ** 30:.3g} GiB each at this n)")
     try:

@@ -17,8 +17,7 @@ model and Phi_ss); the weak-form defect reads the model, g and the field
 from the recorded path.  `weak_defects` takes K test fields G_k = a_k(t) B_k
 at once, their amplitudes as (times, K) arrays and their shapes as (K, n-1),
 and works on the pairings <Phi_t, B_k> and <Phi_t, L_n B_k> along the path,
-two matrix products for all K; `weak_residual` and `ldp.j_functional` are
-its one-field case.
+two matrix products for all K; `ldp.j_functional` is its one-field case.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .simulate import ExternalField
 __all__ = [
     "DeterministicTrajectory",
     "solve_hydrodynamic",
-    "weak_residual",
     "weak_defects",
     "relaxation_rate",
     "l2_distance",
@@ -111,33 +109,13 @@ def solve_hydrodynamic(profile: StationaryProfile, g, times,
                                    profiles=profiles, field=field)
 
 
-def weak_residual(traj: DeterministicTrajectory, G: ExternalField, t: float) -> float:
-    """Weak-form defect of a path, driven by its field H, against a
-    test field G = a_G(t) B_G(u) with a time derivative:
-
-        <Phi_t, G_t> - <g, G_0> - int_0^t <Phi_s, (d_s + L_n) G_s> ds
-                                - int_0^t <H_s, G_s>_{n,gamma/2} ds,
-
-    g = Phi_0, lattice pairings (1/n) sum, discrete operator on the sampled
-    test field, trapezoid rule in time over the recorded grid.  Vanishes to
-    time-quadrature accuracy on true solutions when B_G vanishes at the
-    boundary sites, which is checked.  The one-field case of `weak_defects`
-    on the path's prefix up to t.
-    """
-    times = traj.times
-    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-        raise ValueError("t outside the trajectory span")
-    k = int(np.count_nonzero(times <= t + 1e-12))   # ascending: a prefix, viewed
-    part = DeterministicTrajectory(traj.params, times[:k], traj.profiles[:k], traj.field)
-    ts, H, u = part.times, traj.field, traj.params.grid()
-    source = None if H is None else (H.a(ts)[:, None], H.shape.f(u))
-    return float(weak_defects(part, G.a(ts)[:, None], G.da(ts)[:, None], G.shape.f(u), source)[0])
-
-
 def weak_defects(traj: DeterministicTrajectory, amp, rate, shapes, source=None) -> np.ndarray:
     """Weak-form defects of a path over its whole span against K test fields
-    G_k = a_k(t) B_k(u) at once: `weak_residual`'s formula with the driving
-    field `source` in place of the path's own.
+    G_k = a_k(t) B_k(u) at once, each <Phi_T, G_T> - <g, G_0>
+    - int_0^T <Phi_s, (d_s + L_n) G_s> ds - int_0^T <H_s, G_s>_{n,gamma/2} ds
+    with g = Phi_0, lattice pairings (1/n) sum, the trapezoid rule over the
+    recorded times and H the driving field `source`; a true solution driven
+    by H makes them vanish to time-quadrature accuracy.
 
     `amp` and `rate` hold a_k and a_k' at the recorded times, (times, K);
     `shapes` the B_k on the sites, (K, n-1), each checked to vanish at the

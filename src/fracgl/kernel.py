@@ -18,26 +18,27 @@ The chains of `simulate` draw it mode by mode in the eigenbasis of M.
 All of these objects but b come from one DriftSystem per (n, gamma), built
 once and kept in a bounded cache: the row sums of P, one kernel array
 ext[N-1-k] = ext[N-1+k] = n^gamma p(k) (N = n-1) and, each on first use,
-the one dense matrix M, a Toeplitz window of ext, and the spectrum of -M,
-which serves every solve with -M.  M commutes with the flip x -> n - x,
-which only b breaks, so -M splits into an even and an odd sector, each
-summed from two windows of ext (a Toeplitz and a Hankel block) and
-diagonalized by one half-size `eigh` when first read; every mode is exactly
-even or odd.  A caller whose data have one parity reads that sector alone,
-in folded coordinates (`_fold`, and `_unfold` back to the grid): the
-profile solve reads the odd one's modes.  A relaxation pairing
-<g, phi(-t M) f> of one parity, as in every pairing of `hydro-limit`, needs
-no modes: `DriftSystem.sector_pairing` takes it by shift-and-invert Lanczos
-on the sector's matrix, with no `eigh` of it and no explicit inverse:
-I + sigma A is factored in place by 64-column blocks and solved by block
-substitution.  The sorted full spectrum is assembled from both sectors only
-when asked for.  Every model of that (n, gamma) shares the system and its
-read-only arrays, whatever the reservoir densities; b is
-`ness.reservoir_drift`.  The Laplacian, the seminorm and the energy below
+the one dense matrix M, a Toeplitz window of ext, and the spectrum of -M.
+M commutes with the flip x -> n - x, which only b breaks, so -M splits into
+an even and an odd sector, each summed from two windows of ext (a Toeplitz
+and a Hankel block) into one half-size matrix in orthonormal sector
+coordinates (`_fold`, and `_unfold` back to the grid).  Data of one parity
+need that sector's matrix alone, and no modes: the profile's unit solve is
+odd, and `DriftSystem.sector_solve` makes it by one Cholesky factor of the
+odd sector, made in place by 64-column blocks and applied by block
+substitution; a relaxation pairing <g, phi(-t M) f> of one parity, as in
+every pairing of `hydro-limit`, is `DriftSystem.sector_pairing`'s
+shift-and-invert Lanczos on I + sigma A, factored the same way.  Neither
+forms an explicit inverse.  The one `eigh` of a sector is the spectrum's: one
+half-size `eigh` per sector, when the sorted full spectrum is first read;
+every mode is exactly even or odd.  `DriftSystem.apply` gives M phi for one
+grid function from ext alone, as the profile's residual needs.  Every model
+of that (n, gamma) shares the system and its read-only arrays, whatever the
+reservoir densities; b is `ness.reservoir_drift`.  The Laplacian, the seminorm and the energy below
 are the only evaluations of L_n and of the quadratic forms; each reads M and
 accepts one grid function or a (times, sites) batch with sites last.  Only
 numpy is needed: zeta comes from `_zeta`, the spectrum from
-`numpy.linalg.eigh`, the shifted factor's diagonal blocks from
+`numpy.linalg.eigh`, the factors' diagonal blocks from
 `numpy.linalg.cholesky` and `numpy.linalg.inv`.
 """
 
@@ -53,7 +54,6 @@ from .params import ModelParams, as_grid_batch
 __all__ = [
     "kernel_constant",
     "kernel_row",
-    "FlipSector",
     "DriftSystem",
     "build_drift_system",
     "discrete_fractional_laplacian",
@@ -104,11 +104,13 @@ def kernel_row(params: ModelParams) -> np.ndarray:
 
 
 def _fold(g: np.ndarray, parity: float) -> np.ndarray:
-    """Folded coordinates of `parity`'s sector (sites last): g(x) + parity g(n-x)
-    for x < n/2, then g(n/2) if the sector is even and n even."""
+    """Coordinates of g (sites last) in the orthonormal basis of `parity`'s
+    sector: (g(x) + parity g(n-x)) / sqrt 2 for x < n/2, then g(n/2) if the
+    sector is even and n even."""
     pairs = g.shape[-1] // 2
     folded = g[..., :g.shape[-1] - pairs if parity > 0 else pairs].copy()
     folded[..., :pairs] += parity * g[..., ::-1][..., :pairs]
+    folded[..., :pairs] /= np.sqrt(2.0)
     return folded
 
 
@@ -156,51 +158,6 @@ def _block_solve(a: np.ndarray, blocks: list, v: np.ndarray) -> np.ndarray:
     return y
 
 
-class FlipSector:
-    """-M on the grid functions of one parity under the flip J: x -> n - x,
-    with its spectrum, in folded coordinates.
-
-    With p = (n-1) // 2, the folded coordinates of g are g(x) + parity g(n-x)
-    for x <= p, then g(n/2) if the sector is even and n even; a sector's
-    modes e_k are kept as `vectors`, their values at sites 1, ..., p (and
-    n/2), the rest following from e_k(n-x) = parity e_k(x).  So
-    <g, e_k>_(1/n) is the folded g times `vectors`, over n, and no (n-1)-row
-    matrix is formed.
-
-    Attributes
-    ----------
-    parity : +1.0 (even) or -1.0 (odd)
-    eigenvalues : ndarray, shape (size,)
-        The ascending rates of -M on the sector, all positive.
-    vectors : ndarray, shape (size, size)
-        Column k holds e_k at the sector's sites, (1/n)-normalized on the
-        whole lattice and positive at site 1.
-    """
-
-    def __init__(self, n: int, parity: float, matrix: np.ndarray):
-        lam, v = eigh(matrix)
-        if lam[0] <= 0:
-            raise RuntimeError("drift matrix is not negative definite")
-        self.parity, self.n = parity, n
-        # the basis (e_x + parity e_{n-x}) / sqrt 2, and e_{n/2}, made grid values
-        v *= np.copysign(np.sqrt(n / 2.0), v[0])
-        v[(n - 1) // 2:] *= np.sqrt(2.0)
-        self.eigenvalues, self.vectors = lam, v
-        for arr in (lam, v):
-            arr.setflags(write=False)
-
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """Coefficients <g, e_k>_(1/n) on the sector's modes (sites last)."""
-        return _fold(np.asarray(g, dtype=float), self.parity) @ self.vectors / self.n
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid function(s) sum_k coeffs_k e_k on the sector's modes (modes last)."""
-        folded = np.asarray(coeffs, dtype=float) @ self.vectors.T
-        out = np.zeros(folded.shape[:-1] + (self.n - 1,))
-        _unfold(folded.T, self.parity, out.T)
-        return out
-
-
 class DriftSystem:
     """The lattice operator of one (n, gamma), shared by every model of that
     (n, gamma) whatever its reservoir densities.
@@ -217,13 +174,10 @@ class DriftSystem:
         drift is m @ phi + b with b from `ness.reservoir_drift`.  Built on
         first use: M[i, j] = ext[N-1-i+j], a copy of the kernel array's
         full-size Toeplitz window, with `diagonal` set.
-    even, odd : FlipSector
-        -M on the even and odd grid functions under J: x -> n - x, each
-        summed from windows of the same kernel array and diagonalized by
-        one half-size `eigh` on first use.
 
-    The arrays are read-only, and m is exactly symmetric under J.  The full
-    spectrum of -M is assembled from both sectors on first use:
+    The arrays are read-only, and m is exactly symmetric under J: x -> n - x.
+    The full spectrum of -M is assembled on first use from the two sectors
+    of grid functions even and odd under J, by one half-size `eigh` each:
     `eigenvalues` are the ascending rates of -M (the n^gamma factor
     retained), and the columns of `modes` its eigenvectors, each exactly
     even or odd under J and positive at site 1 (like sqrt 2 sin(k pi u)),
@@ -283,13 +237,21 @@ class DriftSystem:
             out[:, -1] /= np.sqrt(2.0)
         return out
 
-    @cached_property
-    def even(self) -> FlipSector:
-        return FlipSector(self.n, 1.0, self._sector_matrix(1.0))
+    def apply(self, phi: np.ndarray) -> np.ndarray:
+        """M phi for one grid function, without m: ext is even and its centre
+        n^gamma p(0) is 0, so one convolution with it is M off the diagonal."""
+        return np.convolve(self._ext, phi, "valid") + self.diagonal * phi
 
-    @cached_property
-    def odd(self) -> FlipSector:
-        return FlipSector(self.n, -1.0, self._sector_matrix(-1.0))
+    def sector_solve(self, parity: float, g) -> np.ndarray:
+        """(-M)^-1 g on the grid for the part of g of `parity` under the flip:
+        one solve with the sector's matrix in the orthonormal sector
+        coordinates, factored in place by `_block_cholesky`; no `eigh` and no m."""
+        a = self._sector_matrix(parity)
+        y = _block_solve(a, _block_cholesky(a), _fold(np.asarray(g, dtype=float), parity))
+        y[:(self.n - 1) // 2] /= np.sqrt(2.0)  # the pairs' grid values
+        out = np.zeros(self.n - 1)
+        _unfold(y, parity, out)
+        return out
 
     def sector_pairing(self, parity: float, f, g, t: float, phi) -> float:
         """<g, phi(-t M) f>_(1/n) for the parts of f and g of `parity` under
@@ -313,10 +275,7 @@ class DriftSystem:
         """
         shifted = self._sector_matrix(parity)  # A, shifted and factored in place below
         size = shifted.shape[0]
-        pairs = (self.n - 1) // 2
-        folded = _fold(np.stack([f, g]).astype(float), parity)
-        folded[:, :pairs] /= np.sqrt(2.0)  # coordinates in the orthonormal basis
-        start, target = folded
+        start, target = _fold(np.stack([f, g]).astype(float), parity)
         norm = float(np.linalg.norm(start))
         if norm == 0.0:
             return 0.0
@@ -356,20 +315,28 @@ class DriftSystem:
 
     @cached_property
     def _spectrum(self):
-        odd = self.odd  # first: a profile solve has made it already
-        even = self.even
-        lam = np.concatenate([even.eigenvalues, odd.eigenvalues])
-        order = np.argsort(lam, kind="stable")
+        N = self.n - 1
+        lam, vec = [], []
+        for parity in (1.0, -1.0):
+            w, v = eigh(self._sector_matrix(parity))
+            if w[0] <= 0:
+                raise RuntimeError("drift matrix is not negative definite")
+            # the basis (e_x + parity e_{n-x}) / sqrt 2, and e_{n/2}, made grid values
+            v *= np.copysign(np.sqrt(self.n / 2.0), v[0])
+            v[N // 2:] *= np.sqrt(2.0)
+            lam.append(w)
+            vec.append(v)
+        order = np.argsort(np.concatenate(lam), kind="stable")
         place = np.argsort(order)  # the sorted column of each sector's mode
-        N, p = lam.size, odd.eigenvalues.size
-        vec = np.zeros((N, N))
+        modes = np.zeros((N, N))
         # each sector's modes, as grid values, go into their sorted columns
-        for sector, cols in ((even, place[:N - p]), (odd, place[N - p:])):
-            _unfold(sector.vectors, sector.parity, vec, cols)
-        lam = lam[order]
+        split = lam[0].size
+        _unfold(vec[0], 1.0, modes, place[:split])
+        _unfold(vec[1], -1.0, modes, place[split:])
+        lam = np.concatenate(lam)[order]
         lam.setflags(write=False)
-        vec.setflags(write=False)
-        return lam, vec
+        modes.setflags(write=False)
+        return lam, modes
 
     @property
     def eigenvalues(self) -> np.ndarray:

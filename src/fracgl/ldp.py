@@ -79,9 +79,9 @@ def rate_from_field(params: ModelParams, H: ExternalField, T: float,
 
 
 def j_functional(traj: DeterministicTrajectory, G: ExternalField) -> float:
-    """J_G(pi | g) of a recorded path pi, g = pi_0: the weak-form defect
-    `hydro.weak_residual` of the path over its whole span with G as its own
-    source: the one-field case of `hydro.weak_defects`.  G must carry a time
+    """J_G(pi | g) of a recorded path pi, g = pi_0: the weak-form defect of
+    the path over its whole span with G as its own source, the one-field
+    case of `hydro.weak_defects`.  G must carry a time
     derivative and vanish at the boundary sites."""
     amp, shape = G.a(traj.times)[:, None], G.shape.f(traj.params.grid())
     return float(weak_defects(traj, amp, G.da(traj.times)[:, None], shape, (amp, shape))[0])

@@ -6,9 +6,9 @@ solve the discrete stationary equation
     sum_y p(y-x) (Phi(y) - Phi(x)) + 1_{x=1}(phi_l - Phi(1))
                                    + 1_{x=n-1}(phi_r - Phi(n-1)) = 0,
 
-a symmetric positive-definite linear system, solved in the eigenbasis of the
-shared DriftSystem.  The same harmonicity gives the probabilistic
-representation Phi(x) = phi_l P_x(absorbed at 0) + phi_r P_x(absorbed at n)
+a symmetric positive-definite linear system, solved directly on the odd
+flip sector of the shared DriftSystem.  The same harmonicity gives the
+probabilistic representation Phi(x) = phi_l P_x(absorbed at 0) + phi_r P_x(absorbed at n)
 for the long-jump walk killed at the two boundary channels, which the tests
 simulate as an independent Monte Carlo oracle (`tests/walk_oracle.py`).
 """
@@ -67,23 +67,24 @@ def reservoir_drift(params: ModelParams) -> np.ndarray:
 
 def solve_stationary_profile(params: ModelParams) -> StationaryProfile:
     """Solve (D + B - P) Phi = phi_l e_1 + phi_r e_{n-1}, that is M Phi + b = 0
-    with b = `reservoir_drift(params)`, from the spectrum of -M.
+    with b = `reservoir_drift(params)`.
 
     Since M 1 = -n^gamma (e_1 + e_{n-1}), the solution is
     Phi = (phi_l + phi_r) / 2 + (phi_r - phi_l) / 2 Psi, where the unit
-    solve Psi = (-M)^{-1} n^gamma (e_{n-1} - e_1) is synthesized from the odd
-    sector of the shared DriftSystem alone, as its right-hand side is odd
-    under the flip J: x -> n - x.  Equal reservoirs give the exact constant,
-    and Phi + J Phi = phi_l + phi_r holds to rounding.  The residual reported
-    is the max norm of the defining (unscaled) equation.
+    solve Psi = (-M)^{-1} n^gamma (e_{n-1} - e_1) is one Cholesky solve on
+    the odd sector of the shared DriftSystem (`DriftSystem.sector_solve`),
+    as its right-hand side is odd under the flip J: x -> n - x.  Equal
+    reservoirs give the exact constant; Psi is exactly odd, so
+    Phi + J Phi = phi_l + phi_r holds to the rounding of the two sums.  The
+    residual reported is the max norm of M Phi + b over n^gamma, with M Phi
+    from `DriftSystem.apply`: no (n-1)^2 array.
     """
     sys, b = build_drift_system(params), reservoir_drift(params)
     rhs = np.zeros(params.n_sites)
     rhs[[0, -1]] = -params.speed, params.speed
-    odd = sys.odd
-    psi = odd.synthesize(odd.project(rhs) / odd.eigenvalues)
+    psi = sys.sector_solve(-1.0, rhs)
     phi = 0.5 * (params.phi_l + params.phi_r) + 0.5 * (params.phi_r - params.phi_l) * psi
-    residual = float(np.max(np.abs(sys.m @ phi + b))) / params.speed
+    residual = float(np.max(np.abs(sys.apply(phi) + b))) / params.speed
     return StationaryProfile(params=params, profile=phi, residual=residual)
 
 

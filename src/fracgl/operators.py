@@ -2,7 +2,8 @@
 discrete Dirichlet spectrum.
 
 The spectrum is that of the shared `kernel.DriftSystem` of (n, gamma),
-assembled once per (n, gamma) from its two flip sectors and handed out as
+assembled once per (n, gamma) from one half-size `eigh` of each of its two
+flip sectors, the only `eigh` of a sector's matrix, and handed out as
 read-only arrays.
 
 The regional operator is the principal value

@@ -8,23 +8,39 @@ from fracgl import build_drift_system, reservoir_drift
 from fracgl.diagnostics import PolyObservableBasis
 
 
+def linear_index(i: int) -> int:
+    """Position of w(x_i) in the basis: right after the constant."""
+    return 1 + i
+
+
+def pair_indices(k: int) -> dict:
+    """Positions of w(x_i) w(x_j) in the basis, keyed by (i, j) and (j, i):
+    after the constant and the k linear terms, in the row-major order of
+    np.triu_indices(k)."""
+    pairs = {}
+    for p, (i, j) in enumerate(zip(*np.triu_indices(k))):
+        pairs[int(i), int(j)] = pairs[int(j), int(i)] = 1 + k + p
+    return pairs
+
+
 def loop_gram(basis: PolyObservableBasis) -> np.ndarray:
     """Gram matrix of the basis under the product standard Gaussian."""
     size, k = basis.size, basis.k
+    pair = pair_indices(k)
     G = np.zeros((size, size))
     G[0, 0] = 1.0
     for i in range(k):
-        G[basis.linear_index(i), basis.linear_index(i)] = 1.0
-        ii = basis.pair_index(i, i)
+        G[linear_index(i), linear_index(i)] = 1.0
+        ii = pair[i, i]
         G[0, ii] = G[ii, 0] = 1.0   # E[w^2] = 1
         for j in range(i, k):
-            idx = basis.pair_index(i, j)
+            idx = pair[i, j]
             if i == j:
                 G[idx, idx] = 3.0   # E[w^4]
                 for p in range(k):
                     if p != i:
-                        G[idx, basis.pair_index(p, p)] = 1.0
-                        G[basis.pair_index(p, p), idx] = 1.0
+                        G[idx, pair[p, p]] = 1.0
+                        G[pair[p, p], idx] = 1.0
             else:
                 G[idx, idx] = 1.0
     return G
@@ -36,31 +52,32 @@ def loop_generator(profile) -> np.ndarray:
     params = profile.params
     basis = PolyObservableBasis(params)
     k = basis.k
+    pair = pair_indices(k)
     m = build_drift_system(params).m
     a = -2.0 * m
     r = m @ profile.profile + reservoir_drift(params)
 
     L = np.zeros((basis.size, basis.size))
     for i in range(k):
-        col = basis.linear_index(i)
+        col = linear_index(i)
         L[0, col] = r[i]
         for w in range(k):
-            L[basis.linear_index(w), col] += m[i, w]
+            L[linear_index(w), col] += m[i, w]
     for i in range(k):
         for j in range(i, k):
-            col = basis.pair_index(i, j)
+            col = pair[i, j]
             if i == j:
                 L[0, col] += a[i, i]
-                L[basis.linear_index(i), col] += 2.0 * r[i]
+                L[linear_index(i), col] += 2.0 * r[i]
                 for w in range(k):
-                    L[basis.pair_index(w, i), col] += 2.0 * m[i, w]
+                    L[pair[w, i], col] += 2.0 * m[i, w]
             else:
                 L[0, col] += a[i, j]
-                L[basis.linear_index(j), col] += r[i]
-                L[basis.linear_index(i), col] += r[j]
+                L[linear_index(j), col] += r[i]
+                L[linear_index(i), col] += r[j]
                 for w in range(k):
-                    L[basis.pair_index(w, j), col] += m[i, w]
-                    L[basis.pair_index(w, i), col] += m[j, w]
+                    L[pair[w, j], col] += m[i, w]
+                    L[pair[w, i], col] += m[j, w]
     return L
 
 

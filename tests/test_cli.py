@@ -158,6 +158,19 @@ def test_hydro_limit_above_the_cap_names_its_sector_arrays(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("experiment", ["ness-profile", "figure1"])
+def test_profile_above_the_cap_names_its_sector_matrix(tmp_path, capsys, experiment):
+    # the profile is one solve on the odd sector: the one-line message names
+    # its half-size matrix and factor, ((n-1) // 2)^2 floats, and no (n-1)^2 array
+    assert main([experiment, "--n", "100000", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "odd sector's half-size matrix" in err and "Cholesky factor" in err
+    assert "(n-1)^2" not in err and "dense" not in err
+    assert f"({49999 ** 2 * 8 / 2 ** 30:.3g} GiB each" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_adjoint_invariance_gate_scales_with_the_reservoirs(tmp_path):
     # the residual grows with the profile's ulp: 2.7e-9 here, above an absolute 1e-10
     assert main(["adjoint", "--phi-l=-1e6", "--phi-r", "1e6", "--out", str(tmp_path)]) == 0
@@ -236,8 +249,15 @@ def test_run_rejects_bad_replicas(tmp_path):
 
 def _count_solves(monkeypatch, cfg):
     """Run `cfg` in a fresh drift-system cache; return its stationary-profile
-    solves (their params) and the sizes of its `eigh` calls, in order."""
+    solves (their params) and the sizes of its `eigh` calls of a sector's
+    matrix, in order."""
     calls = {"profile": [], "eigh": []}
+    made = []
+    sector_matrix = kernel.DriftSystem._sector_matrix
+
+    def recorded(self, parity):
+        made.append(sector_matrix(self, parity))
+        return made[-1]
     fn = ness.solve_stationary_profile
 
     def counted(params, *args, **kwargs):
@@ -251,8 +271,10 @@ def _count_solves(monkeypatch, cfg):
     eigh = kernel.eigh
 
     def counted_eigh(a, *args, **kwargs):
-        calls["eigh"].append(a.shape[0])
+        if any(a is m for m in made):
+            calls["eigh"].append(a.shape[0])
         return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(kernel.DriftSystem, "_sector_matrix", recorded)
     monkeypatch.setattr(kernel, "eigh", counted_eigh)
     monkeypatch.setattr(kernel, "_drift_system", lru_cache(maxsize=8)(kernel.DriftSystem))
     assert run(cfg) in (0, 2)
@@ -271,41 +293,38 @@ def _count_solves(monkeypatch, cfg):
 def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
                                             overrides, spectra):
     # one stationary-profile solve per model, handed down to every layer; it
-    # makes the odd sector of -M in a fresh drift-system cache, and the even
-    # one follows only where the full spectrum is read (`spectra`, 0 or 1)
+    # makes no eigh in a fresh drift-system cache, and the two half-size ones
+    # of the even and odd sectors come only where the full spectrum is read
+    # (`spectra`, 0 or 1); the profile alone leaves no m and no spectrum
     cfg = ExperimentConfig(experiment=experiment, out_dir=str(tmp_path),
                            **{**DEFAULTS[experiment], **overrides})
     calls = _count_solves(monkeypatch, cfg)
     assert calls["profile"] == [cfg.params()]
-    assert calls["eigh"] == [(cfg.n - 1) // 2] + [cfg.n // 2] * spectra
+    assert calls["eigh"] == [cfg.n // 2, (cfg.n - 1) // 2] * spectra
+    if not spectra:
+        system = kernel.build_drift_system(cfg.params())
+        assert not {"m", "_spectrum"} & set(vars(system))
 
 
 def test_hydro_limit_makes_no_sector_eigh(tmp_path, monkeypatch):
     # the n = 1024 reference and both Monte Carlo lattices (n = 8, 16) pair
     # through the even sector's matrix by shift-and-invert Lanczos and draw
-    # the pairings from their exact law: no profile solve, no flip sector
-    # (whose eigh is the only one of a sector's matrix), no dense m and no
-    # state draws
+    # the pairings from their exact law: no profile solve, no eigh of a
+    # sector's matrix (only the spectrum makes one), no dense m and no state
+    # draws
     from fracgl import simulate
-    sectors = []
-    sector = kernel.FlipSector
-
-    def counted_sector(n, parity, matrix):
-        sectors.append((n, parity))
-        return sector(n, parity, matrix)
 
     def no_states(*args, **kwargs):
         raise AssertionError("hydro-limit drew states")
-    monkeypatch.setattr(kernel, "FlipSector", counted_sector)
     monkeypatch.setattr(simulate, "propagate_exact", no_states)
     cfg = ExperimentConfig(experiment="hydro-limit", n=16, T=0.01, replicas=50,
                            out_dir=str(tmp_path))
     calls = _count_solves(monkeypatch, cfg)
-    assert calls["profile"] == [] and sectors == []
+    assert calls["profile"] == [] and calls["eigh"] == []
     assert kernel._drift_system.cache_info().currsize == 3
     for n in (8, 16, 1024):
         system = kernel.build_drift_system(ModelParams(n, cfg.gamma))
-        assert not {"even", "odd", "m", "_spectrum"} & set(vars(system)), n
+        assert not {"m", "_spectrum"} & set(vars(system)), n
 
 
 @pytest.mark.parametrize("horizon", ["1e-300", "1e300"])

@@ -10,8 +10,8 @@ from scipy.linalg import expm
 from fracgl import (ExternalField, ModelParams, SmoothBump, build_drift_system,
                     dirichlet_spectrum, l2_distance, relaxation_rate,
                     reservoir_drift, solve_hydrodynamic, solve_stationary_profile,
-                    weak_residual, dirichlet_energy)
-from fracgl.hydro import weak_defects
+                    dirichlet_energy)
+from fracgl.hydro import DeterministicTrajectory, weak_defects
 from fracgl.ldp import j_functional
 from shapes import SineMode
 
@@ -28,6 +28,16 @@ def space_time_g():
     return ExternalField(lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
                          lambda t: np.cos(2.0 * t),
                          SmoothBump(0.3, 0.7, 1.0))
+
+
+def weak_residual(traj, G, t):
+    """The weak-form defect against G of the path's prefix up to t, driven by
+    the path's own field: `weak_defects` with one test field."""
+    k = int(np.count_nonzero(traj.times <= t + 1e-12))
+    part = DeterministicTrajectory(traj.params, traj.times[:k], traj.profiles[:k])
+    ts, H, u = part.times, traj.field, traj.params.grid()
+    source = None if H is None else (H.a(ts)[:, None], H.shape.f(u))
+    return float(weak_defects(part, G.a(ts)[:, None], G.da(ts)[:, None], G.shape.f(u), source)[0])
 
 
 def test_stationary_profile_is_fixed_point():
@@ -166,7 +176,6 @@ def test_weak_residual_detects_wrong_path():
     u = params.grid()
     g0 = prof.profile + SmoothBump(0.3, 0.7, 1.0).f(u)
     times = np.linspace(0.0, 0.5, 101)
-    from fracgl.hydro import DeterministicTrajectory
     frozen = DeterministicTrajectory(params=params, times=times,
                                      profiles=np.tile(g0, (times.size, 1)))
     res = weak_residual(frozen, space_time_g(), 0.5)

@@ -206,8 +206,8 @@ def test_dirichlet_energy_is_drift_quadratic_form():
 
 def test_drift_systems_share_one_operator(monkeypatch):
     # same (n, gamma), different reservoirs: one object, with one read-only
-    # m and one spectrum, assembled from the odd then the even flip sector of
-    # -m, that serves each solve
+    # m and one spectrum, assembled from one eigh of the even then of the odd
+    # flip sector of -m; the profile solves make no eigh
     import fracgl.kernel as kernel
     assert not hasattr(kernel, "cho_factor")
     calls, eigh = [], kernel.eigh
@@ -222,27 +222,35 @@ def test_drift_systems_share_one_operator(monkeypatch):
     assert dirichlet_spectrum(pa) is sys and dirichlet_spectrum(pb) is sys
     assert not sys.m.flags.writeable and not sys.row_sums.flags.writeable
     assert not sys.modes.flags.writeable and not sys.eigenvalues.flags.writeable
-    for sector in (sys.even, sys.odd):
-        assert not sector.vectors.flags.writeable and not sector.eigenvalues.flags.writeable
     assert not np.array_equal(reservoir_drift(pa), reservoir_drift(pb))
     for p in (pa, pb):
         phi = solve_stationary_profile(p).profile
         np.testing.assert_allclose(sys.m @ phi + reservoir_drift(p), 0.0,
                                    atol=1e-10 * p.speed)
-    assert calls == [(11, 11), (12, 12)]
+    assert calls == [(12, 12), (11, 11)]
 
 
 def test_profile_solve_makes_the_odd_sector_alone(monkeypatch):
-    # the unit solve's right-hand side is odd: a fresh DriftSystem makes its
-    # odd sector, then m for the residual, and neither the even sector nor
-    # the full spectrum
+    # the unit solve's right-hand side is odd: a fresh DriftSystem makes the
+    # odd sector's matrix alone and solves with it, with no eigh, and leaves
+    # neither m nor the full spectrum
     import fracgl.kernel as kernel
     monkeypatch.setattr(kernel, "_drift_system", lru_cache(maxsize=8)(kernel.DriftSystem))
+    parities, sector_matrix = [], kernel.DriftSystem._sector_matrix
+
+    def recorded(self, parity):
+        parities.append(parity)
+        return sector_matrix(self, parity)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the profile solve made an eigh")
+    monkeypatch.setattr(kernel.DriftSystem, "_sector_matrix", recorded)
+    monkeypatch.setattr(kernel, "eigh", no_eigh)
     p = ModelParams(40, 1.6, 0.3, -1.2)
     solve_stationary_profile(p)
+    assert parities == [-1.0]
     made = vars(build_drift_system(p))
-    assert "odd" in made and "m" in made
-    assert "even" not in made and "_spectrum" not in made
+    assert "m" not in made and "_spectrum" not in made
 
 
 def _halves(m):
@@ -299,24 +307,31 @@ def test_assembled_spectrum_matches_sliced_halves(n):
     np.testing.assert_allclose(sys.modes, np.hstack(vec)[:, order], rtol=0, atol=1e-12)
 
 
+def _parity_columns(sys, parity):
+    """The columns of `sys.modes` that are `parity`'s under the flip."""
+    return np.sign(sys.modes[0] * sys.modes[-1]) == parity
+
+
 @pytest.mark.parametrize("n", [3, 4, 9, 64])
 def test_sector_project_and_synthesize_match_full_modes(n):
-    # folded coordinates give the full modes' coefficients of the sector,
-    # and synthesize back the same grid functions, without an (n-1)-row matrix
+    # the orthonormal fold keeps a sector's inner products, so folded
+    # coordinates give the full modes' coefficients of the sector, and
+    # `_unfold` mirrors its folded modes back to the same grid functions
     sys = build_drift_system(ModelParams(n, 1.3))
     g = np.random.default_rng(n).standard_normal((3, n - 1))
     coeff = sys.project(g)
-    parity = np.sign(sys.modes[0] * sys.modes[-1])   # +1 on even modes
-    for sector in (sys.even, sys.odd):
-        cols = parity == sector.parity
-        np.testing.assert_array_equal(sys.eigenvalues[cols], sector.eigenvalues)
-        np.testing.assert_allclose(sector.project(g), coeff[:, cols], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(sector.project(g[0]), coeff[0, cols], rtol=0, atol=1e-14)
-        c = coeff[:, cols]
-        np.testing.assert_allclose(sector.synthesize(c), c @ sys.modes[:, cols].T,
-                                   rtol=0, atol=1e-13)
-        flipped = sector.synthesize(c)[:, ::-1]
-        assert np.array_equal(flipped, sector.parity * sector.synthesize(c))
+    for parity in (1.0, -1.0):
+        cols = _parity_columns(sys, parity)
+        folded = kernel._fold(sys.modes[:, cols].T, parity)
+        np.testing.assert_allclose(kernel._fold(g, parity) @ folded.T / n, coeff[:, cols],
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(kernel._fold(g[0], parity) @ folded.T / n, coeff[0, cols],
+                                   rtol=0, atol=1e-14)
+        half = sys.modes[:folded.shape[1], cols]
+        out = np.zeros((n - 1, half.shape[1]))
+        kernel._unfold(half, parity, out)
+        assert np.array_equal(out, sys.modes[:, cols])
+        assert np.array_equal(out[::-1], parity * out)
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 33])
@@ -337,8 +352,9 @@ def test_split_spectrum_matches_dense_eigh(n):
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 33])
 def test_spectral_profile_matches_dense_solve(n):
-    # the profile from the modes solves (-M) Phi = b, and is exactly the mean
-    # plus an odd part under the flip, so its even-n midpoint is the mean
+    # the profile from the odd sector's solve solves (-M) Phi = b, and is
+    # exactly the mean plus an odd part under the flip, so its even-n
+    # midpoint is the mean
     for phi_l, phi_r in ((0.0, 1.0), (2.0, 1.0), (0.7, 0.7), (2.0, 2.0 + 1e-9)):
         p = ModelParams(n, 1.5, phi_l, phi_r)
         phi, scale = solve_stationary_profile(p).profile, max(1.0, abs(phi_l), abs(phi_r))
@@ -413,9 +429,9 @@ def test_sector_pairing_matches_the_eigh_oracle(n, gamma):
     # 10 eps / (t x) to which the Ritz values resolve x
     system = build_drift_system(ModelParams(n, gamma))
     for parity, (f, g) in _pairing_data(n).items():
-        sector = system.even if parity > 0 else system.odd
-        lam = sector.eigenvalues
-        coeff = np.prod(sector.project(np.stack([f, g])), axis=0)
+        cols = _parity_columns(system, parity)
+        lam = system.eigenvalues[cols]
+        coeff = np.prod(system.project(np.stack([f, g]))[:, cols], axis=0)
         for t in (1e-3, 1e-2, 0.25, 2.5, 50.0):
             terms = np.exp(-t * lam) * coeff
             got = system.sector_pairing(parity, f, g, t, _flow)
@@ -435,10 +451,10 @@ def test_sector_pairing_edge_cases(n):
     # Each ends in a finite value equal to the oracle's, with no warning
     system = build_drift_system(ModelParams(n, 1.5))
     for parity, (f, g) in _pairing_data(n).items():
-        sector = system.even if parity > 0 else system.odd
-        lam = sector.eigenvalues
-        both = np.sum(np.prod(sector.project(np.stack([f, g])), axis=0))
-        mode = sector.synthesize(np.eye(lam.size)[0])
+        cols = _parity_columns(system, parity)
+        lam = system.eigenvalues[cols]
+        both = np.sum(np.prod(system.project(np.stack([f, g]))[:, cols], axis=0))
+        mode = system.modes[:, cols][:, 0]
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             assert system.sector_pairing(parity, f, g, 1e-300, _flow) == pytest.approx(
                 both, rel=1e-14)
@@ -449,5 +465,5 @@ def test_sector_pairing_edge_cases(n):
                 both, rel=1e-12)
             for t in (1e-300, 0.25, 1e300):
                 got = system.sector_pairing(parity, mode, g, t, _flow)
-                exact = np.exp(-t * lam[0]) * sector.project(g)[0]
+                exact = np.exp(-t * lam[0]) * system.project(g)[cols][0]
                 assert got == pytest.approx(exact, rel=1e-12, abs=1e-300), t

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fracgl import (ModelParams, kernel_constant, sample_ness, solve_stationary_profile,
-                    static_cumulant)
+from fracgl import (ModelParams, build_drift_system, dirichlet_spectrum, kernel_constant,
+                    reservoir_drift, sample_ness, solve_stationary_profile, static_cumulant)
 from fracgl.cli import main
 from walk_oracle import absorbed_walk_oracle
 
@@ -20,6 +20,38 @@ def test_equal_reservoirs_keep_the_maximum_principle_at_large_n():
     prof = solve_stationary_profile(ModelParams(1024, 1.5, 2.0, 2.0))
     assert np.all(prof.profile == 2.0)
     assert prof.residual <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 64, 1024])
+def test_direct_profile_matches_the_spectral_oracle(n, gamma):
+    # the one Cholesky solve on the odd sector against the eigen route: the
+    # mean plus (phi_r - phi_l) / 2 times sum_k <rhs, e_k> / lambda_k e_k over
+    # the full spectrum, rhs = n^gamma (e_{n-1} - e_1).  Phi + J Phi is the
+    # sum of c + d and c - d, c the reservoirs' mean: exactly phi_l + phi_r if
+    # c = 0, d = 0, or c = 1/2 and |d| <= 1/2 (both roundings land on the grid
+    # of [1/2, 1)); otherwise within one ulp of it.  The residual, summed
+    # without m, is the dense one
+    base = ModelParams(n, gamma)
+    spec = dirichlet_spectrum(base)
+    rhs = np.zeros(n - 1)
+    rhs[[0, -1]] = -base.speed, base.speed
+    psi = spec.synthesize(spec.project(rhs) / spec.eigenvalues)
+    for phi_l, phi_r in ((0.0, 1.0), (2.0, -1.0), (0.7, 0.7), (-1e6, 1e6), (3.0, 3.0 + 1e-9),
+                         (0.26872848822480244, 1.6948674738744653)):
+        p = ModelParams(n, gamma, phi_l, phi_r)
+        prof, b = solve_stationary_profile(p), reservoir_drift(p)
+        scale = max(1.0, abs(phi_l), abs(phi_r))
+        oracle = 0.5 * (phi_l + phi_r) + 0.5 * (phi_r - phi_l) * psi
+        np.testing.assert_allclose(prof.profile, oracle, rtol=0, atol=1e-12 * scale)
+        flip, total = prof.profile + prof.profile[::-1], phi_l + phi_r
+        if total == 0.0 or phi_l == phi_r or (phi_l, phi_r) == (0.0, 1.0):
+            assert np.array_equal(flip, np.full(n - 1, total))
+        assert np.abs(flip - total).max() <= np.spacing(abs(total))
+        if phi_l == phi_r:
+            assert np.all(prof.profile == phi_l)
+        dense = float(np.max(np.abs(build_drift_system(p).m @ prof.profile + b))) / p.speed
+        assert abs(prof.residual - dense) <= 1e-14 * scale
 
 
 def test_n3_closed_form():
