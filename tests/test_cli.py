@@ -249,9 +249,9 @@ def test_run_rejects_bad_replicas(tmp_path):
 
 def _count_solves(monkeypatch, cfg):
     """Run `cfg` in a fresh drift-system cache; return its stationary-profile
-    solves (their params) and the sizes of its `eigh` calls of a sector's
-    matrix, in order."""
-    calls = {"profile": [], "eigh": []}
+    solves (their params), the sizes of all its `eigh` calls and of those of
+    a sector's matrix alone, in order."""
+    calls = {"profile": [], "eigh": [], "sector_eigh": []}
     made = []
     sector_matrix = kernel.DriftSystem._sector_matrix
 
@@ -271,8 +271,9 @@ def _count_solves(monkeypatch, cfg):
     eigh = kernel.eigh
 
     def counted_eigh(a, *args, **kwargs):
+        calls["eigh"].append(a.shape[0])
         if any(a is m for m in made):
-            calls["eigh"].append(a.shape[0])
+            calls["sector_eigh"].append(a.shape[0])
         return eigh(a, *args, **kwargs)
     monkeypatch.setattr(kernel.DriftSystem, "_sector_matrix", recorded)
     monkeypatch.setattr(kernel, "eigh", counted_eigh)
@@ -320,7 +321,7 @@ def test_hydro_limit_makes_no_sector_eigh(tmp_path, monkeypatch):
     cfg = ExperimentConfig(experiment="hydro-limit", n=16, T=0.01, replicas=50,
                            out_dir=str(tmp_path))
     calls = _count_solves(monkeypatch, cfg)
-    assert calls["profile"] == [] and calls["eigh"] == []
+    assert calls["profile"] == [] and calls["sector_eigh"] == []
     assert kernel._drift_system.cache_info().currsize == 3
     for n in (8, 16, 1024):
         system = kernel.build_drift_system(ModelParams(n, cfg.gamma))

@@ -52,6 +52,15 @@ def test_direct_profile_matches_the_spectral_oracle(n, gamma):
             assert np.all(prof.profile == phi_l)
         dense = float(np.max(np.abs(build_drift_system(p).m @ prof.profile + b))) / p.speed
         assert abs(prof.residual - dense) <= 1e-14 * scale
+    # the even sector's solve, through its centre site when n is even: an even
+    # g whose solution is 1 plus a bump, exactly even
+    x = np.arange(1, n)
+    even = x * (n - x) / n
+    even[[0, -1]] += base.speed
+    solved = build_drift_system(base).sector_solve(1.0, even)
+    oracle = spec.synthesize(spec.project(even) / spec.eigenvalues)
+    np.testing.assert_allclose(solved, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+    assert np.array_equal(solved, solved[::-1])
 
 
 def test_n3_closed_form():
