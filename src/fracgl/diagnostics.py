@@ -94,7 +94,7 @@ def generator_matrix_poly2(profile: StationaryProfile):
     if params.n > _MAX_N:
         raise ValueError(f"poly-2 representation restricted to n <= {_MAX_N}")
     basis = PolyObservableBasis(params)
-    m = build_drift_system(params).m
+    m = build_drift_system(params).apply(np.eye(basis.k))  # M, bit for bit
     # residual affine drift in centered coordinates; zero up to solve accuracy
     r = m @ profile.profile + reservoir_drift(params)
     _, v, S = _unpack(basis.k, np.eye(basis.size))

@@ -108,7 +108,7 @@ def exp_ness_profile(cfg: ExperimentConfig) -> dict:
     checks = {
         "residual": _check(prof.residual, prof.residual_bound),
         "maximum_principle": in_range,
-        "antisymmetry": _check(anti, 1e-10),
+        "antisymmetry": _check(anti, prof.residual_bound),
     }
     return {"checks": checks,
             "outputs": {"phi_mid": float(prof.profile[params.n_sites // 2])}}
@@ -481,9 +481,9 @@ EXPERIMENTS = {
 
 
 _EULER_EXPERIMENTS = ("stationarity", "martingale", "girsanov")
-# caps the largest matrix: the dense (n-1)^2 M or modes, 134 MB at 4096, where
-# the spectrum or M is read; a half-size sector's in ness-profile and figure1
-# (the profile's solve) and in hydro-limit (its pairings)
+# caps the largest matrix: the dense (n-1)^2 modes, 134 MB at 4096, where the
+# spectrum is read; a half-size sector's in ness-profile and figure1 (the
+# profile's solve) and in hydro-limit (its pairings)
 _DENSE_MAX_N = 4096
 _BLOCK_EPS = (0.25, 0.1)  # stationarity's boundary blocks, next to eps = 1/n
 _PATH_MAX_ENTRIES = 2 ** 27  # rate-check's path, girsanov's amplitudes: 1 GiB of float64
@@ -514,7 +514,7 @@ def _config_error(cfg: ExperimentConfig):
             arrays, side = ("the odd sector's half-size matrix and its in-place Cholesky "
                             "factor", (cfg.n - 1) // 2)
         else:
-            arrays, side = "the dense (n-1)^2 operators", cfg.n - 1
+            arrays, side = "the spectrum's dense (n-1)^2 modes", cfg.n - 1
         return (f"n={cfg.n} is above the cap n <= {_DENSE_MAX_N} on {arrays} "
                 f"({side ** 2 * 8 / 2 ** 30:.3g} GiB each at this n)")
     try:

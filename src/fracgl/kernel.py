@@ -16,13 +16,15 @@ rate 2 n^gamma at sites 1 and n-1: those rates assemble to exactly -2 M.
 The chains of `simulate` draw it mode by mode in the eigenbasis of M.
 
 All of these objects but b come from one DriftSystem per (n, gamma), built
-once and kept in a bounded cache: the row sums of P, one kernel array
-ext[N-1-k] = ext[N-1+k] = n^gamma p(k) (N = n-1) and, each on first use,
-the one dense matrix M, a Toeplitz window of ext, and the spectrum of -M.
-M commutes with the flip x -> n - x, which only b breaks, so -M splits into
-an even and an odd sector, each summed from two windows of ext (a Toeplitz
-and a Hankel block) into one half-size matrix in orthonormal sector
-coordinates (`_fold`, and `_unfold` back to the grid).  Data of one parity
+once and kept in a bounded cache: the diagonal of M and one kernel array
+ext[N-1-k] = ext[N-1+k] = n^gamma p(k) (N = n-1), of which M off its
+diagonal is a read-only Toeplitz window, and, when first read, the spectrum
+of -M.  `DriftSystem.apply` is the one product M phi, for one grid function
+or a batch with sites last, dotted with that window: no (n-1)^2 copy of M
+is made.  M commutes with the flip x -> n - x, which only b breaks, so -M
+splits into an even and an odd sector, each summed from two windows of ext
+(a Toeplitz and a Hankel block) into one half-size matrix in orthonormal
+sector coordinates (`_fold`, and `_unfold` back to the grid).  Data of one parity
 need that sector's matrix alone, and no modes: the profile's unit solve is
 odd, and `DriftSystem.sector_solve` makes it by one Cholesky factor of the
 odd sector, made in place by 64-column blocks and applied by block
@@ -31,14 +33,13 @@ every pairing of `hydro-limit`, is `DriftSystem.sector_pairing`'s
 shift-and-invert Lanczos on I + sigma A, factored the same way.  Neither
 forms an explicit inverse.  The one `eigh` of a sector is the spectrum's: one
 half-size `eigh` per sector, when the sorted full spectrum is first read;
-every mode is exactly even or odd.  `DriftSystem.apply` gives M phi for one
-grid function from ext alone, as the profile's residual needs.  Every model
-of that (n, gamma) shares the system and its read-only arrays, whatever the
-reservoir densities; b is `ness.reservoir_drift`.  The Laplacian, the seminorm and the energy below
-are the only evaluations of L_n and of the quadratic forms; each reads M and
-accepts one grid function or a (times, sites) batch with sites last.  Only
-numpy is needed: zeta comes from `_zeta`, the spectrum from
-`numpy.linalg.eigh`, the factors' diagonal blocks from
+every mode is exactly even or odd.  Every model of that (n, gamma) shares
+the system and its read-only arrays, whatever the reservoir densities; b is
+`ness.reservoir_drift`.  The Laplacian, the seminorm and the energy below
+are the only evaluations of L_n and of the quadratic forms; each multiplies
+by M through `apply` and accepts one grid function or a (times, sites)
+batch with sites last.  Only numpy is needed: zeta comes from `_zeta`,
+the spectrum from `numpy.linalg.eigh`, the factors' diagonal blocks from
 `numpy.linalg.cholesky` and `numpy.linalg.inv`.
 """
 
@@ -165,17 +166,15 @@ class DriftSystem:
     Attributes
     ----------
     n : int
-    row_sums : ndarray, shape (n-1,)
-        s[x] = sum_{y in lattice} p(y - x).
     diagonal : ndarray, shape (n-1,)
-        M[x, x] = -n^gamma (s[x] + 1 at sites 1 and n-1), without forming m.
-    m : ndarray, shape (n-1, n-1)
-        Symmetric negative-definite drift matrix n^gamma (P - D - B); the
-        drift is m @ phi + b with b from `ness.reservoir_drift`.  Built on
-        first use: M[i, j] = ext[N-1-i+j], a copy of the kernel array's
-        full-size Toeplitz window, with `diagonal` set.
+        M[x, x] = -n^gamma (s[x] + 1 at sites 1 and n-1), with the row sums
+        s[x] = sum_{y in lattice} p(y - x).
 
-    The arrays are read-only, and m is exactly symmetric under J: x -> n - x.
+    M, the symmetric negative-definite drift matrix n^gamma (P - D - B), is
+    never stored: its off-diagonal part is the read-only Toeplitz window
+    M[i, j] = ext[N-1-i+j] of the kernel array, which `apply` multiplies
+    by, and the drift is apply(phi) + b with b from `ness.reservoir_drift`.
+    The arrays are read-only, and M is exactly symmetric under J: x -> n - x.
     The full spectrum of -M is assembled on first use from the two sectors
     of grid functions even and odd under J, by one half-size `eigh` each:
     `eigenvalues` are the ascending rates of -M (the n^gamma factor
@@ -190,22 +189,16 @@ class DriftSystem:
         self.n = n
         row = kernel_row(params)
         cum = np.cumsum(row)  # row x sums p(0..x) and p(0..n-2-x), as row n-2-x does
-        self.row_sums = cum + cum[::-1]
-        relax = self.row_sums.copy()
+        relax = cum + cum[::-1]
         relax[[0, -1]] += 1.0
         self.diagonal = -(params.speed * relax)
         # ext[N-1-k] = ext[N-1+k] = n^gamma p(k): its windows are M and both sectors
         scaled = row * params.speed
         self._ext = np.concatenate([scaled[::-1], scaled[1:]])
-        for arr in (self.row_sums, self.diagonal, self._ext):
+        for arr in (self.diagonal, self._ext):
             arr.setflags(write=False)
-
-    @cached_property
-    def m(self) -> np.ndarray:
-        m = np.lib.stride_tricks.sliding_window_view(self._ext, self.n - 1)[::-1].copy()
-        m[np.diag_indices_from(m)] = self.diagonal
-        m.setflags(write=False)
-        return m
+        # the read-only view window[i, j] = ext[N-1-i+j]: M, 0 on its diagonal
+        self._window = np.lib.stride_tricks.sliding_window_view(self._ext, n - 1)[::-1]
 
     def _sector_matrix(self, parity: float) -> np.ndarray:
         """-M on the sector of `parity` in the orthonormal basis
@@ -238,14 +231,17 @@ class DriftSystem:
         return out
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """M phi for one grid function, without m: ext is even and its centre
-        n^gamma p(0) is 0, so one convolution with it is M off the diagonal."""
-        return np.convolve(self._ext, phi, "valid") + self.diagonal * phi
+        """M phi for one grid function or a batch with sites last, as phi's
+        rows dotted with the rows of the kernel array's Toeplitz window (its
+        diagonal n^gamma p(0) is 0), plus `diagonal` times phi: no copy of M.
+        On np.eye(n-1) it is M, bit for bit."""
+        return np.vecdot(self._window, phi[..., None, :]) + self.diagonal * phi
 
     def sector_solve(self, parity: float, g) -> np.ndarray:
         """(-M)^-1 g on the grid for the part of g of `parity` under the flip:
         one solve with the sector's matrix in the orthonormal sector
-        coordinates, factored in place by `_block_cholesky`; no `eigh` and no m."""
+        coordinates, factored in place by `_block_cholesky`; no `eigh` and no
+        (n-1)^2 array."""
         a = self._sector_matrix(parity)
         y = _block_solve(a, _block_cholesky(a), _fold(np.asarray(g, dtype=float), parity))
         y[:(self.n - 1) // 2] /= np.sqrt(2.0)  # the pairs' grid values
@@ -377,12 +373,12 @@ def discrete_fractional_laplacian(params: ModelParams, g) -> np.ndarray:
     """Discrete fractional Laplacian (L_n g)(x) = n^gamma sum_y p(y-x)(g_y - g_x).
 
     The sum runs over interior sites only; reservoir relaxation is not part
-    of this operator, so it is g M with the relaxation n^gamma g added back
-    at sites 1 and n-1.  `g` may be a (times, sites) batch; the result has
-    its shape.
+    of this operator, so it is M g (`DriftSystem.apply`) with the relaxation
+    n^gamma g added back at sites 1 and n-1.  `g` may be a (times, sites)
+    batch; the result has its shape.
     """
     g = as_grid_batch(params, g)
-    lap = g @ build_drift_system(params).m
+    lap = build_drift_system(params).apply(g)
     lap[..., [0, -1]] += params.speed * g[..., [0, -1]]
     return lap
 
@@ -411,7 +407,8 @@ def dirichlet_energy(params: ModelParams, f):
     the continuum squared seminorm used in path costs: for fields vanishing
     at sites 1 and n-1 it coincides with `discrete_inner_seminorm(f, f)`,
     and it makes the modal identities of the spectral calculus exact at
-    finite n.  Per time for a (times, sites) batch.
+    finite n.  Per time for a (times, sites) batch, with M f from
+    `DriftSystem.apply`.
     """
     f = as_grid_batch(params, f)
-    return _per_row(-np.vecdot(f, f @ build_drift_system(params).m) / params.n)
+    return _per_row(-np.vecdot(f, build_drift_system(params).apply(f)) / params.n)

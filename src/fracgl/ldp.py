@@ -142,7 +142,8 @@ def _reversal_weights(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
     mode summed only over the t_j <= 354 / lambda_k: past them e^{-2 lambda_k t_j}
     is below 3.3e-308, subnormal or 0.0, which numpy's exp is slow to make
     and which cannot move a sum whose first term is w_0 > 0."""
-    w = 0.5 * np.convolve(np.diff(ts), [1.0, 1.0])
+    dt = np.diff(ts, append=ts[-1])  # the steps, then 0
+    w = 0.5 * (dt + np.roll(dt, 1))  # the trapezoid's weights
     last = np.searchsorted(ts, 354.0 / lam, side="right")
     return np.array([w[:j] @ np.exp(-2.0 * x * ts[:j]) for x, j in zip(lam, last)])
 

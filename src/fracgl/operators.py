@@ -202,9 +202,10 @@ def regional_laplacian_pointwise(gamma: float, F: TestFunction, u,
         v = np.concatenate([ub, np.minimum(ub + ww, 1.0), np.maximum(ub - ww, 0.0),
                             ub + far[blk] * w[:, m + k:]], axis=1)
         fv = F.f(v.ravel()).reshape(v.shape)  # F(u) first
-        g = [fv[:, 1:m + 1] + fv[:, m + 1:2 * m + 1] - 2.0 * fv[:, :1] - d2[blk, None] * ww * ww,
-             np.zeros((ww.shape[0], k)), fv[:, 2 * m + 1:] - fv[:, :1]]  # the seam's terms
-        vals[blk] += np.vecdot(kw, np.concatenate(g, axis=1))
+        win = fv[:, 1:m + 1] + fv[:, m + 1:2 * m + 1] - 2.0 * fv[:, :1] - d2[blk, None] * ww * ww
+        # the window's panels, then the outer ones: the seam's weights kw[:, m:m + k] go unused
+        vals[blk] += (np.vecdot(kw[:, :m], win)
+                      + np.vecdot(kw[:, m + k:], fv[:, 2 * m + 1:] - fv[:, :1]))
     ends = (r == 0.0).nonzero()[0]
     if ends.size:
         slope = F.df(xs[ends]) * np.where(xs[ends] == 0.0, 1.0, -1.0)

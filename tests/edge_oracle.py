@@ -3,7 +3,8 @@ of rate 2 n^gamma p(y-x) per bulk pair x < y, with opposite signs on the two
 sites, and one of rate 2 n^gamma at each of sites 1 and n-1."""
 import numpy as np
 
-from fracgl import build_drift_system, kernel_row, reservoir_drift
+from dense_oracle import dense_drift
+from fracgl import kernel_row, reservoir_drift
 
 
 def edge_vectors(params):
@@ -19,7 +20,7 @@ def edge_euler(params, phi, T, dt, rng, field):
     """Untilted edge-noise Euler chain with per-edge log-weights
     sqrt(dt) lam.xi - dt |lam|^2 / 2, lam_e = sigma_e (H_y - H_x) / 2 on the
     bulk edges.  Returns (phi, log_weight, Q = sum_k dt |lam|^2)."""
-    v, m, b = edge_vectors(params), build_drift_system(params).m, reservoir_drift(params)
+    v, m, b = edge_vectors(params), dense_drift(params), reservoir_drift(params)
     logw, q = np.zeros(len(phi)), 0.0
     for k in range(int(round(T / dt))):
         lam = 0.5 * v[:-2] @ (field.a(k * dt) * field.lattice_shape(params)[0])

@@ -4,7 +4,8 @@ fracgl.diagnostics, which forms both from three matrix identities.  Each
 entry is written from the Ornstein-Uhlenbeck generator of one monomial."""
 import numpy as np
 
-from fracgl import build_drift_system, reservoir_drift
+from dense_oracle import dense_drift
+from fracgl import reservoir_drift
 from fracgl.diagnostics import PolyObservableBasis
 
 
@@ -53,7 +54,7 @@ def loop_generator(profile) -> np.ndarray:
     basis = PolyObservableBasis(params)
     k = basis.k
     pair = pair_indices(k)
-    m = build_drift_system(params).m
+    m = dense_drift(params)
     a = -2.0 * m
     r = m @ profile.profile + reservoir_drift(params)
 

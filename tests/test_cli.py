@@ -296,7 +296,7 @@ def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
     # one stationary-profile solve per model, handed down to every layer; it
     # makes no eigh in a fresh drift-system cache, and the two half-size ones
     # of the even and odd sectors come only where the full spectrum is read
-    # (`spectra`, 0 or 1); the profile alone leaves no m and no spectrum
+    # (`spectra`, 0 or 1); the profile alone leaves no spectrum
     cfg = ExperimentConfig(experiment=experiment, out_dir=str(tmp_path),
                            **{**DEFAULTS[experiment], **overrides})
     calls = _count_solves(monkeypatch, cfg)
@@ -304,14 +304,14 @@ def test_experiment_solves_its_profile_once(tmp_path, monkeypatch, experiment,
     assert calls["eigh"] == [cfg.n // 2, (cfg.n - 1) // 2] * spectra
     if not spectra:
         system = kernel.build_drift_system(cfg.params())
-        assert not {"m", "_spectrum"} & set(vars(system))
+        assert "_spectrum" not in vars(system)
 
 
 def test_hydro_limit_makes_no_sector_eigh(tmp_path, monkeypatch):
     # the n = 1024 reference and both Monte Carlo lattices (n = 8, 16) pair
     # through the even sector's matrix by shift-and-invert Lanczos and draw
     # the pairings from their exact law: no profile solve, no eigh of a
-    # sector's matrix (only the spectrum makes one), no dense m and no state
+    # sector's matrix (only the spectrum makes one), no spectrum and no state
     # draws
     from fracgl import simulate
 
@@ -325,7 +325,7 @@ def test_hydro_limit_makes_no_sector_eigh(tmp_path, monkeypatch):
     assert kernel._drift_system.cache_info().currsize == 3
     for n in (8, 16, 1024):
         system = kernel.build_drift_system(ModelParams(n, cfg.gamma))
-        assert not {"m", "_spectrum"} & set(vars(system)), n
+        assert "_spectrum" not in vars(system), n
 
 
 @pytest.mark.parametrize("horizon", ["1e-300", "1e300"])

@@ -9,6 +9,7 @@ from fracgl import (ModelParams, adjoint_defect,
                     propagate_exact, reservoir_drift, sample_ness,
                     solve_stationary_profile)
 from fracgl.rng import make_rng
+from dense_oracle import dense_drift
 from poly2_oracle import linear_index, loop_generator, loop_gram, pair_indices, pencil_defect
 
 
@@ -47,7 +48,7 @@ def test_generator_linear_rows_reproduce_drift(setup8):
         col = L[:, linear_index(i)]
         # linear part of L phi(x): the drift row of M
         for w in range(k):
-            assert col[linear_index(w)] == pytest.approx(sys.m[i, w], rel=1e-14)
+            assert col[linear_index(w)] == pytest.approx(dense_drift(params)[i, w], rel=1e-14)
         assert abs(col[0]) < 1e-9  # centered coordinates kill the affine part
 
 
@@ -174,7 +175,7 @@ def test_dirichlet_form_linear_cases(setup8):
     rng = make_rng(9, "dlin")
     v = rng.standard_normal(params.n_sites)
     assert params.n * dirichlet_energy(params, v) == pytest.approx(
-        float(v @ (-sys.m) @ v), rel=1e-12)
+        float(v @ (-dense_drift(params)) @ v), rel=1e-12)
 
 
 def test_dirichlet_form_linear_matches_monte_carlo(setup8):
@@ -185,7 +186,7 @@ def test_dirichlet_form_linear_matches_monte_carlo(setup8):
     reps = 200000
     draws = sample_ness(prof, reps, seed=11)
     f_vals = draws @ c
-    lf_vals = (draws @ sys.m.T + reservoir_drift(params)) @ c
+    lf_vals = (draws @ dense_drift(params).T + reservoir_drift(params)) @ c
     prod = -f_vals * lf_vals
     stderr = prod.std(ddof=1) / np.sqrt(reps)
     assert abs(prod.mean() - exact) <= 3.0 * stderr

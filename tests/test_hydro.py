@@ -13,6 +13,7 @@ from fracgl import (ExternalField, ModelParams, SmoothBump, build_drift_system,
                     dirichlet_energy)
 from fracgl.hydro import DeterministicTrajectory, weak_defects
 from fracgl.ldp import j_functional
+from dense_oracle import dense_drift
 from shapes import SineMode
 
 
@@ -57,7 +58,7 @@ def test_spectral_matches_expm():
     g = prof.profile + SmoothBump(0.3, 0.7, 0.8).f(u)
     times = np.array([0.0, 0.5, 1.0])
     spectral = solve_hydrodynamic(prof, g, times)
-    m = build_drift_system(params).m
+    m = dense_drift(params)
     reference = prof.profile + expm(m * times[-1]) @ (g - prof.profile)
     assert np.max(np.abs(spectral.profiles[-1] - reference)) < 1e-6
 
@@ -69,7 +70,7 @@ def test_spectral_with_field_matches_radau():
     field = bump_field()
     times = np.linspace(0.0, 0.5, 2501)
     spectral = solve_hydrodynamic(prof, prof.profile, times, field=field)
-    m, b = build_drift_system(params).m, reservoir_drift(params)
+    m, b = dense_drift(params), reservoir_drift(params)
     lap = field.lattice_shape(params)[1]
     radau = solve_ivp(lambda t, y: m @ y + b - field.a(t) * lap,
                       (0.0, times[-1]), prof.profile, method="Radau",

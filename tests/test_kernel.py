@@ -3,12 +3,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from dense_oracle import dense_drift
 from edge_oracle import edge_vectors
 from fracgl import (ModelParams, SmoothBump, build_drift_system, dirichlet_energy,
                     dirichlet_spectrum, discrete_fractional_laplacian,
                     discrete_inner_seminorm, kernel_constant, kernel_row,
                     reservoir_drift, solve_stationary_profile)
-from fracgl import kernel
+from fracgl import kernel, simulate
 
 
 def oracle_kernel_constant(gamma, cutoff=10 ** 6):
@@ -45,14 +46,49 @@ def test_zeta_matches_scipy():
 
 @pytest.mark.parametrize("size", [2, 3, 7, 64])
 def test_toeplitz_matches_scipy(size):
-    # m is the Toeplitz window of the one scaled kernel array, with its diagonal
-    # set: bit for bit scipy's Toeplitz matrix of the kernel row, times n^gamma
+    # apply dots with the Toeplitz window of the one scaled kernel array and adds
+    # the diagonal: on the identity, bit for bit scipy's Toeplitz matrix of the
+    # kernel row, times n^gamma, with the diagonal set
     from scipy.linalg import toeplitz
     p = ModelParams(size + 1, 1.5)
     sys = build_drift_system(p)
     want = toeplitz(kernel_row(p)) * p.speed
     want[np.diag_indices(size)] = sys.diagonal
-    assert np.array_equal(sys.m, want)
+    assert np.array_equal(sys.apply(np.eye(size)), want)
+    assert np.array_equal(dense_drift(p), want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 64])
+def test_apply_batch_matches_rows_and_dense(n):
+    # one product for a batch with sites last: each row as its own call, and
+    # the dense oracle's product to rounding
+    p = ModelParams(n, 1.5)
+    sys, m = build_drift_system(p), dense_drift(p)
+    phi = np.random.default_rng(n).standard_normal((5, n - 1))
+    batch = sys.apply(phi)
+    assert batch.shape == phi.shape
+    for row, out in zip(phi, batch):
+        assert np.array_equal(sys.apply(row), out)
+    scale = np.abs(m).max() * np.abs(phi).max() * (n - 1)
+    np.testing.assert_allclose(batch, phi @ m, rtol=0, atol=1e-15 * scale)
+    assert sys.apply(phi[:, None]).shape == (5, 1, n - 1)
+
+
+def test_operators_make_no_dense_matrix():
+    # at n = 4096 a dense M is 134 MB; the products with M make no copy of it
+    import tracemalloc
+    p = ModelParams(4096, 1.5)
+    f = np.sin(np.pi * p.grid())
+    build_drift_system(p)
+    tracemalloc.start()
+    try:
+        discrete_fractional_laplacian(p, f)
+        dirichlet_energy(p, f)
+        simulate.martingale_qv_rate(p, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_kernel_normalization_monotone():
@@ -69,7 +105,7 @@ def test_kernel_row_symmetry():
     p = ModelParams(32, 1.7)
     row = kernel_row(p)
     assert row[0] == 0.0
-    m = build_drift_system(p).m
+    m = build_drift_system(p).apply(np.eye(p.n_sites))
     assert np.array_equal(m, m.T)
 
 
@@ -78,13 +114,13 @@ def test_drift_system_n3_hand_assembled():
     p1 = kernel_constant(gamma)
     sys = build_drift_system(ModelParams(3, gamma))
     expected = 3.0 ** gamma * np.array([[-(p1 + 1.0), p1], [p1, -(p1 + 1.0)]])
-    np.testing.assert_allclose(sys.m, expected, rtol=1e-14)
+    np.testing.assert_allclose(sys.apply(np.eye(2)), expected, rtol=1e-14)
 
 
 def test_equilibrium_constant_profile_is_fixed_point():
     phi = 0.7
     p = ModelParams(24, 1.3, phi, phi)
-    drift = build_drift_system(p).m @ np.full(p.n_sites, phi) + reservoir_drift(p)
+    drift = build_drift_system(p).apply(np.full(p.n_sites, phi)) + reservoir_drift(p)
     assert np.max(np.abs(drift)) < 1e-9
 
 
@@ -93,7 +129,7 @@ def test_diffusion_matrix_is_minus_two_m():
     # the bulk pairs is the two boundary drivers of rate 2 n^gamma
     for n, gamma in ((8, 1.2), (16, 1.5), (24, 1.9)):
         params = ModelParams(n, gamma)
-        m = build_drift_system(params).m
+        m = dense_drift(params)
         v = edge_vectors(params)
         assert v.shape == ((n - 1) * (n - 2) // 2 + 2, n - 1)
         atol = 1e-11 * np.abs(m).max()
@@ -117,8 +153,7 @@ def test_boundary_noise_edges_present():
 
 def test_drift_matrix_negative_definite():
     for n, gamma in ((8, 1.1), (32, 1.5), (64, 1.9)):
-        sys = build_drift_system(ModelParams(n, gamma))
-        eig = np.linalg.eigvalsh(sys.m)
+        eig = np.linalg.eigvalsh(dense_drift(ModelParams(n, gamma)))
         assert eig.max() < 0
 
 
@@ -193,10 +228,9 @@ def test_discrete_green_identity(n):
 
 def test_dirichlet_energy_is_drift_quadratic_form():
     p = ModelParams(24, 1.6)
-    sys = build_drift_system(p)
     rng = np.random.default_rng(11)
     f = rng.standard_normal(p.n_sites)
-    direct = float(f @ (-sys.m) @ f) / p.n
+    direct = float(f @ (-dense_drift(p)) @ f) / p.n
     assert dirichlet_energy(p, f) == pytest.approx(direct, rel=1e-12)
     # equals the bulk seminorm for fields vanishing at the end sites
     f[0] = f[-1] = 0.0
@@ -206,8 +240,9 @@ def test_dirichlet_energy_is_drift_quadratic_form():
 
 def test_drift_systems_share_one_operator(monkeypatch):
     # same (n, gamma), different reservoirs: one object, with one read-only
-    # m and one spectrum, assembled from one eigh of the even then of the odd
-    # flip sector of -m; the profile solves make no eigh
+    # kernel array and diagonal, no dense M, and one spectrum, assembled from
+    # one eigh of the even then of the odd flip sector of -M; the profile
+    # solves make no eigh
     import fracgl.kernel as kernel
     assert not hasattr(kernel, "cho_factor")
     calls, eigh = [], kernel.eigh
@@ -220,12 +255,13 @@ def test_drift_systems_share_one_operator(monkeypatch):
     sys = build_drift_system(pa)
     assert build_drift_system(pb) is sys
     assert dirichlet_spectrum(pa) is sys and dirichlet_spectrum(pb) is sys
-    assert not sys.m.flags.writeable and not sys.row_sums.flags.writeable
+    assert not sys._ext.flags.writeable and not sys.diagonal.flags.writeable
+    assert not hasattr(sys, "m") and not hasattr(sys, "row_sums")
     assert not sys.modes.flags.writeable and not sys.eigenvalues.flags.writeable
     assert not np.array_equal(reservoir_drift(pa), reservoir_drift(pb))
     for p in (pa, pb):
         phi = solve_stationary_profile(p).profile
-        np.testing.assert_allclose(sys.m @ phi + reservoir_drift(p), 0.0,
+        np.testing.assert_allclose(sys.apply(phi) + reservoir_drift(p), 0.0,
                                    atol=1e-10 * p.speed)
     assert calls == [(12, 12), (11, 11)]
 
@@ -233,7 +269,7 @@ def test_drift_systems_share_one_operator(monkeypatch):
 def test_profile_solve_makes_the_odd_sector_alone(monkeypatch):
     # the unit solve's right-hand side is odd: a fresh DriftSystem makes the
     # odd sector's matrix alone and solves with it, with no eigh, and leaves
-    # neither m nor the full spectrum
+    # no full spectrum; its arrays stay read-only
     import fracgl.kernel as kernel
     monkeypatch.setattr(kernel, "_drift_system", lru_cache(maxsize=8)(kernel.DriftSystem))
     parities, sector_matrix = [], kernel.DriftSystem._sector_matrix
@@ -249,8 +285,9 @@ def test_profile_solve_makes_the_odd_sector_alone(monkeypatch):
     p = ModelParams(40, 1.6, 0.3, -1.2)
     solve_stationary_profile(p)
     assert parities == [-1.0]
-    made = vars(build_drift_system(p))
-    assert "m" not in made and "_spectrum" not in made
+    sys = build_drift_system(p)
+    assert "_spectrum" not in vars(sys)
+    assert not sys._ext.flags.writeable and not sys.diagonal.flags.writeable
 
 
 def _halves(m):
@@ -282,14 +319,14 @@ def _basis(n, parity):
 def test_sector_matrices_from_the_row_match_dense_blocks(n):
     # Toeplitz plus Hankel from the kernel row, in the order of operations of
     # the dense slices: equal bit for bit
-    sys = build_drift_system(ModelParams(n, 1.5))
-    even, odd = _halves(sys.m)
+    sys, m = build_drift_system(ModelParams(n, 1.5)), dense_drift(ModelParams(n, 1.5))
+    even, odd = _halves(m)
     assert np.array_equal(sys._sector_matrix(1.0), even)
     assert np.array_equal(sys._sector_matrix(-1.0), odd)
     for parity, half in ((1.0, even), (-1.0, odd)):
         q = _basis(n, parity)
-        np.testing.assert_allclose(half, q.T @ -sys.m @ q, rtol=0,
-                                   atol=1e-14 * np.abs(sys.m).max())
+        np.testing.assert_allclose(half, q.T @ -m @ q, rtol=0,
+                                   atol=1e-14 * np.abs(m).max())
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 9, 64, 65])
@@ -298,7 +335,7 @@ def test_assembled_spectrum_matches_sliced_halves(n):
     # halves, embedded by the basis matrices and sorted even first
     sys = build_drift_system(ModelParams(n, 1.7))
     lam, vec = [], []
-    for parity, half in zip((1.0, -1.0), _halves(sys.m)):
+    for parity, half in zip((1.0, -1.0), _halves(dense_drift(ModelParams(n, 1.7)))):
         w, v = np.linalg.eigh(half)
         lam.append(w)
         vec.append(np.sqrt(n) * _basis(n, parity) @ (v * np.sign(v[0])))
@@ -338,7 +375,7 @@ def test_sector_project_and_synthesize_match_full_modes(n):
 def test_split_spectrum_matches_dense_eigh(n):
     # -M commutes with the flip x -> n - x; its two halves give the spectrum
     sys = build_drift_system(ModelParams(n, 1.5))
-    m, lam, modes = sys.m, sys.eigenvalues, sys.modes / np.sqrt(n)
+    m, lam, modes = dense_drift(ModelParams(n, 1.5)), sys.eigenvalues, sys.modes / np.sqrt(n)
     assert np.array_equal(m, m[::-1, ::-1])
     flipped = modes[::-1]
     assert all(np.array_equal(flipped[:, k], modes[:, k])
@@ -358,7 +395,7 @@ def test_spectral_profile_matches_dense_solve(n):
     for phi_l, phi_r in ((0.0, 1.0), (2.0, 1.0), (0.7, 0.7), (2.0, 2.0 + 1e-9)):
         p = ModelParams(n, 1.5, phi_l, phi_r)
         phi, scale = solve_stationary_profile(p).profile, max(1.0, abs(phi_l), abs(phi_r))
-        dense = np.linalg.solve(-build_drift_system(p).m, reservoir_drift(p))
+        dense = np.linalg.solve(-dense_drift(p), reservoir_drift(p))
         np.testing.assert_allclose(phi, dense, rtol=0, atol=1e-12 * scale)
         assert np.abs(phi + phi[::-1] - (phi_l + phi_r)).max() <= 1e-14 * scale
         if n % 2 == 0:

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_oracle import dense_drift
 from fracgl import (ExternalField, ModelParams, RateReport, SmoothBump,
-                    build_drift_system, clever_path, dirichlet_energy,
+                    clever_path, dirichlet_energy,
                     dirichlet_spectrum, discrete_fractional_laplacian,
                     discrete_inner_seminorm,
                     gamma_identity_defect, j_functional,
@@ -318,7 +319,7 @@ def test_modal_costs_match_site_space_route(setup32):
     coeff = spec.project(psi - prof.profile)
     ratio = (2.0 * np.exp(lam * (tb[:, None] - 1.0)) - np.exp(-lam)) / -np.expm1(-lam)
     source = spec.synthesize(lam * coeff * ratio)
-    fields = np.linalg.solve(-build_drift_system(params).m, source.T).T
+    fields = np.linalg.solve(-dense_drift(params), source.T).T
     bridge = 0.25 * np.trapezoid(dirichlet_energy(params, fields), tb)
     _, cost = clever_path(prof, psi)
     assert cost == pytest.approx(bridge, rel=1e-10, abs=0)

@@ -1,9 +1,14 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from fracgl import (ModelParams, build_drift_system, dirichlet_spectrum, kernel_constant,
                     reservoir_drift, sample_ness, solve_stationary_profile, static_cumulant)
+from fracgl import ness
 from fracgl.cli import main
+from dense_oracle import dense_drift
 from walk_oracle import absorbed_walk_oracle
 
 
@@ -50,7 +55,7 @@ def test_direct_profile_matches_the_spectral_oracle(n, gamma):
         assert np.abs(flip - total).max() <= np.spacing(abs(total))
         if phi_l == phi_r:
             assert np.all(prof.profile == phi_l)
-        dense = float(np.max(np.abs(build_drift_system(p).m @ prof.profile + b))) / p.speed
+        dense = float(np.max(np.abs(dense_drift(p) @ prof.profile + b))) / p.speed
         assert abs(prof.residual - dense) <= 1e-14 * scale
     # the even sector's solve, through its centre site when n is even: an even
     # g whose solution is 1 plus a bump, exactly even
@@ -201,3 +206,25 @@ def test_profile_csv(tmp_path):
     x, u, val = lines[1].split(",")
     assert int(x) == 1 and float(u) == 1 / 8
     assert float(val) == prof.profile[0]
+
+
+def test_antisymmetry_gate_scales_with_the_reservoirs(tmp_path, monkeypatch):
+    # Phi + J Phi = phi_l + phi_r holds to an ulp of the reservoirs, 1.2e-10 at
+    # 1e6: the gate is the residual's bound, 1e-10 max(1, |phi_l|, |phi_r|)
+    argv = ["ness-profile", "--phi-l", "2e6", "--phi-r=-1e6", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["checks"]["antisymmetry"]["threshold"] == 2e-4
+    # a profile one entry off by 1e-9 of that scale still fails the gate
+    solve = ness.solve_stationary_profile
+
+    def shifted(params):
+        prof = solve(params)
+        profile = prof.profile.copy()
+        profile[profile.size // 2] += 1e-9 * 2e6
+        return dataclasses.replace(prof, profile=profile)
+    monkeypatch.setattr(ness, "solve_stationary_profile", shifted)
+    assert main(argv) == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert not summary["checks"]["antisymmetry"]["pass"]
+    assert summary["checks"]["residual"]["pass"]

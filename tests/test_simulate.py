@@ -9,10 +9,11 @@ from scipy.linalg import toeplitz
 
 from chain_oracle import euler_loop, loop_law
 from conftest import ZeroRng
+from dense_oracle import dense_drift
 from draw_oracle import draw_whole
 from edge_oracle import edge_euler
 from fracgl import (DriftSystem, ExternalField, ModelParams, SmoothBump, TestFunction,
-                    boundary_block_average, build_drift_system,
+                    boundary_block_average,
                     dirichlet_spectrum, empirical_pairing, euler_chain_law,
                     euler_ensemble, euler_stability_limit, girsanov_log_weight_variance,
                     kernel_row, martingale_qv_rate, propagate_exact, reservoir_drift,
@@ -94,7 +95,7 @@ def test_site_tilt_is_half_field(params16, sys16):
     bv, lap = field.lattice_shape(params16)
     hv = field.a(0.2) * bv
     assert hv[0] == hv[-1] == 0.0
-    theta = 0.5 * np.linalg.solve(-sys16.m, -field.a(0.2) * lap)
+    theta = 0.5 * np.linalg.solve(-dense_drift(params16), -field.a(0.2) * lap)
     np.testing.assert_allclose(theta, 0.5 * hv, rtol=0, atol=1e-12)
 
 
@@ -104,14 +105,14 @@ def use_normals(monkeypatch, rng):
 
 
 def test_stability_limit_reads_the_diagonal_alone(monkeypatch):
-    # the limit of the m-based formula, bit for bit, from a fresh DriftSystem
-    # whose dense m is never built
+    # the limit of the formula on the dense M's diagonal, bit for bit, from a
+    # fresh DriftSystem whose spectrum is never read
     params = ModelParams(40, 1.3)
     fresh = DriftSystem(params.n, params.gamma)
     monkeypatch.setattr(kernel, "_drift_system", lambda n, gamma: fresh)
     limit = euler_stability_limit(params)
-    assert "m" not in vars(fresh)
-    assert limit == 0.5 / (params.speed + float(-fresh.m.diagonal().min()))
+    assert "_spectrum" not in vars(fresh)
+    assert limit == 0.5 / (params.speed + float(-dense_drift(params).diagonal().min()))
 
 
 def test_step_euler_stability_guard(params16, profile16):
@@ -135,12 +136,13 @@ def test_step_euler_is_site_step_with_modal_noise(params16, sys16, profile16,
     z = rng.standard_normal((1, params16.n_sites))
     spec = dirichlet_spectrum(params16)
     S = spec.modes * np.sqrt(2.0 * spec.eigenvalues / params16.n)
-    scale = np.abs(sys16.m).max()
-    np.testing.assert_allclose(S @ S.T, -2.0 * sys16.m, rtol=0, atol=1e-12 * scale)
+    m = dense_drift(params16)
+    scale = np.abs(m).max()
+    np.testing.assert_allclose(S @ S.T, -2.0 * m, rtol=0, atol=1e-12 * scale)
     dt = 1e-4
     use_normals(monkeypatch, FixedRng(z))
     out = euler_ensemble(profile16, phi[None, :], dt, dt, seed=0)["phi"][0]
-    expected = dt * (sys16.m @ phi + reservoir_drift(params16)) + np.sqrt(dt) * S @ z[0]
+    expected = dt * (m @ phi + reservoir_drift(params16)) + np.sqrt(dt) * S @ z[0]
     np.testing.assert_allclose(out - phi, expected, rtol=0, atol=1e-12)
 
 
@@ -160,12 +162,13 @@ def test_girsanov_increment_matches_site_space(params16, sys16, profile16, tilte
     eta = np.sqrt(dt) * z @ (spec.modes * np.sqrt(2.0 * spec.eigenvalues
                                                  / params16.n)).T
     u = -field.a(0.0) * field.lattice_shape(params16)[1]
-    theta = 0.5 * np.linalg.solve(-sys16.m, u)
+    m = dense_drift(params16)
+    theta = 0.5 * np.linalg.solve(-m, u)
     quad = 0.5 * dt * float(theta @ u)
     np.testing.assert_allclose(out["log_weight"],
                                eta @ theta + (quad if tilted else -quad),
                                rtol=0, atol=1e-12)
-    drift = phi @ sys16.m.T + reservoir_drift(params16)
+    drift = phi @ m.T + reservoir_drift(params16)
     step = phi + dt * (drift + (u if tilted else 0.0)) + eta
     np.testing.assert_allclose(out["phi"], step, rtol=0, atol=1e-12)
 
@@ -249,10 +252,11 @@ def test_propagate_exact_closed_form(params16, sys16, profile16):
     spec = dirichlet_spectrum(params16)
     r = np.exp(-spec.eigenvalues * t)
     S = spec.modes * np.sqrt((1.0 - r ** 2) / params16.n)
-    np.testing.assert_allclose(S @ S.T, np.eye(params16.n_sites) - expm(2.0 * t * sys16.m),
+    m = dense_drift(params16)
+    np.testing.assert_allclose(S @ S.T, np.eye(params16.n_sites) - expm(2.0 * t * m),
                                rtol=0, atol=1e-12)
     out = propagate_exact(phi, profile16, t, FixedRng(z))
-    mean = profile16.profile + expm(t * sys16.m) @ (phi - profile16.profile)
+    mean = profile16.profile + expm(t * m) @ (phi - profile16.profile)
     np.testing.assert_allclose(out, mean + S @ z, rtol=0, atol=1e-12)
 
 
@@ -273,14 +277,13 @@ def test_euler_mean_propagation_order(params16, profile16, monkeypatch):
 
 def test_single_step_covariance_matches_diffusion():
     params = ModelParams(8, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
     prof = solve_stationary_profile(params)
     replicas, dt = 40000, 1e-4
     phi0 = np.tile(prof.profile, (replicas, 1))
     out = euler_ensemble(prof, phi0, dt, dt, seed=4)
     inc = out["phi"] - prof.profile
     cov = inc.T @ inc / replicas
-    target = -2.0 * sys.m * dt
+    target = -2.0 * dense_drift(params) * dt
     scale = np.sqrt(np.outer(np.diag(target), np.diag(target)))
     assert np.max(np.abs(cov - target) / scale) <= 5.0 / np.sqrt(replicas) * 3.0
 
@@ -393,7 +396,7 @@ def test_girsanov_tilted_vs_weighted():
 
 def test_girsanov_log_weight_variance_matches_step_loop():
     params = ModelParams(8, 1.5, 0.0, 1.0)
-    sys = build_drift_system(params)
+    m = dense_drift(params)
     field = bump_field(amp=0.9)
     T, dt = 0.3, 7e-4                        # 429 steps of 0.3 / 429
     k_steps = int(np.ceil(T / dt))
@@ -401,7 +404,7 @@ def test_girsanov_log_weight_variance_matches_step_loop():
     loop = 0.0
     for k in range(k_steps):
         u = -field.a(k * h) * field.lattice_shape(params)[1]
-        loop += 0.5 * h * float(u @ np.linalg.solve(-sys.m, u))
+        loop += 0.5 * h * float(u @ np.linalg.solve(-m, u))
     q = girsanov_log_weight_variance(params, field, T, dt)
     assert q == pytest.approx(loop, rel=1e-12, abs=0)
 
@@ -505,7 +508,7 @@ def test_dynkin_diagnostics_matches_ensemble_accumulator():
     # <pi_t, G> along a site-space Euler path driven by the same normals,
     #   sum_k <phi_{k+1} - phi_k - dt (M phi_k + b + u_k), G> / (n-1)
     params = ModelParams(12, 1.5, 0.0, 1.0)
-    m, b = build_drift_system(params).m, reservoir_drift(params)
+    m, b = dense_drift(params), reservoir_drift(params)
     prof = solve_stationary_profile(params)
     G = np.sin(np.pi * params.grid())
     spec = dirichlet_spectrum(params)
