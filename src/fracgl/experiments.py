@@ -506,6 +506,8 @@ def _config_error(cfg: ExperimentConfig):
     # the Euler experiments' sample variances need two replicas
     if cfg.experiment in _EULER_EXPERIMENTS and cfg.replicas < 2:
         return f"{cfg.experiment} needs replicas >= 2, got {cfg.replicas}"
+    if cfg.experiment == "adjoint" and cfg.n > _ADJOINT_MAX_N:
+        return f"adjoint needs n <= {_ADJOINT_MAX_N}, got {cfg.n}"
     if cfg.n > _DENSE_MAX_N:
         if cfg.experiment == "hydro-limit":
             arrays, side = ("a half-size sector matrix, its Lanczos basis and tridiagonal "
@@ -524,8 +526,6 @@ def _config_error(cfg: ExperimentConfig):
     if cfg.experiment == "figure1" and cfg.phi_l == cfg.phi_r:
         return ("figure1 needs phi_l != phi_r (a flat profile is not monotone), "
                 f"got both {cfg.phi_l!r}")
-    if cfg.experiment == "adjoint" and cfg.n > _ADJOINT_MAX_N:
-        return f"adjoint needs n <= {_ADJOINT_MAX_N}, got {cfg.n}"
     if cfg.experiment == "hydro-limit" and cfg.n <= 8:
         return f"hydro-limit compares n against max(8, n // 4) and needs n > 8, got {cfg.n}"
     if cfg.experiment == "stationarity" and int(min(_BLOCK_EPS) * cfg.n) < 1:

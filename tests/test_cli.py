@@ -171,6 +171,20 @@ def test_profile_above_the_cap_names_its_sector_matrix(tmp_path, capsys, experim
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("experiment,reason", [
+    ("spectrum", "the spectrum's dense (n-1)^2 modes"),
+    ("rate-check", "the spectrum's dense (n-1)^2 modes"),
+    ("adjoint", "adjoint needs n <= 16"),
+])
+def test_dense_cap_names_what_the_experiment_builds(tmp_path, capsys, experiment, reason):
+    # no dense M is built: above the cap the largest array is the spectrum's
+    # modes, and adjoint, which reads no spectrum, is held to its own cap
+    assert main([experiment, "--n", "5000", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and reason in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_adjoint_invariance_gate_scales_with_the_reservoirs(tmp_path):
     # the residual grows with the profile's ulp: 2.7e-9 here, above an absolute 1e-10
     assert main(["adjoint", "--phi-l=-1e6", "--phi-r", "1e6", "--out", str(tmp_path)]) == 0
